@@ -26,7 +26,7 @@ down never reach these per-row methods.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
@@ -161,6 +161,7 @@ class ShardProxyStore:
         include_lo: bool = True,
         include_hi: bool = True,
         batch_size: Optional[int] = None,
+        columns: Optional[Sequence[str]] = None,
     ) -> list[tuple]:
         column = column or self.schema.primary_key
         if self.schema.chain_id(column) is None:
@@ -173,6 +174,13 @@ class ShardProxyStore:
             shard_ids = self._partitioner.shards_for_range(
                 lo, hi, include_lo, include_hi
             )
+        # the projection travels to the workers; the merge keys ride
+        # along behind it when the caller does not read them
+        names = self.schema.column_names if columns is None else tuple(columns)
+        merge_keys = (column, self.schema.primary_key)
+        wire = names + tuple(
+            k for k in dict.fromkeys(merge_keys) if k not in names
+        )
         payload = {
             "table": self.name,
             "column": column,
@@ -180,24 +188,29 @@ class ShardProxyStore:
             "hi": hi,
             "include_lo": include_lo,
             "include_hi": include_hi,
+            "columns": wire,
         }
         runs = self.router.scatter(shard_ids, "scan", lambda _i: payload)
         if len(runs) == 1:
-            return [tuple(row) for row in runs[0]]
-        # each worker's chain scan is ordered by (value, pk); a heap
-        # merge preserves that global order, keeping the coordinator
-        # planner's interesting-order bookkeeping truthful
-        value_index = self.schema.column_index(column)
-        pk_index = self._pk_index
-        return [
-            tuple(row)
-            for row in heapq.merge(
+            rows = runs[0]
+        else:
+            # each worker's chain scan is ordered by (value, pk); a heap
+            # merge preserves that global order, keeping the coordinator
+            # planner's interesting-order bookkeeping truthful
+            value_index, pk_index = (wire.index(k) for k in merge_keys)
+            rows = heapq.merge(
                 *runs, key=lambda row: (row[value_index], row[pk_index])
             )
-        ]
+        if len(wire) == len(names):
+            return [tuple(row) for row in rows]
+        return [tuple(row[: len(names)]) for row in rows]
 
-    def seq_scan(self, batch_size: Optional[int] = None) -> list[tuple]:
-        return self.scan(batch_size=batch_size)
+    def seq_scan(
+        self,
+        batch_size: Optional[int] = None,
+        columns: Optional[Sequence[str]] = None,
+    ) -> list[tuple]:
+        return self.scan(batch_size=batch_size, columns=columns)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle

@@ -197,6 +197,7 @@ class ShardWorker:
             payload.get("hi"),
             payload.get("include_lo", True),
             payload.get("include_hi", True),
+            columns=payload.get("columns"),
         )
 
     def _op_row_count(self, payload: dict) -> int:

@@ -7,57 +7,78 @@ from typing import Any, Iterator
 from repro.errors import PlanningError
 from repro.sql.ast_nodes import Aggregate, Expr
 from repro.sql.batch import RowBatch, batched
-from repro.sql.expressions import RowSchema, compile_expr, compile_expr_batch
+from repro.sql.expressions import RowSchema, compile_expr_batch
 from repro.sql.operators.base import PhysicalOp
 
 
 class _AggState:
-    """Accumulator for one aggregate function over one group."""
+    """Accumulator for one aggregate function over one group.
 
-    __slots__ = ("func", "distinct", "count", "total", "best", "seen")
+    ``feed`` and ``result`` are bound to the function's own step when
+    the state is built, so the per-value path never looks at the
+    function name. ``argument`` is None for ``COUNT(*)``, which counts
+    rows, NULLs included; every other aggregate skips NULLs.
+    """
 
-    def __init__(self, func: str, distinct: bool):
-        self.func = func
-        self.distinct = distinct
+    __slots__ = ("count", "total", "best", "seen", "feed", "result", "_step")
+
+    def __init__(self, agg: Aggregate):
         self.count = 0
         self.total: Any = None
         self.best: Any = None
-        self.seen: set | None = set() if distinct else None
+        self.seen: set | None = None
+        step, self.result = {
+            "COUNT": (self._count, self._result_count),
+            "SUM": (self._sum, self._result_total),
+            "AVG": (self._sum, self._result_avg),
+            "MIN": (self._min, self._result_best),
+            "MAX": (self._max, self._result_best),
+        }[agg.func]
+        if agg.argument is None:
+            self.feed = self._count_row
+        elif agg.distinct:
+            self.seen = set()
+            self._step = step
+            self.feed = self._distinct
+        else:
+            self.feed = step
 
-    def feed(self, value: Any) -> None:
-        if self.func == "COUNT" and value is _STAR:
-            self.count += 1
-            return
-        if value is None:
-            return  # SQL aggregates skip NULLs
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
+    def _count_row(self, value: Any) -> None:
         self.count += 1
-        if self.func in ("SUM", "AVG"):
+
+    def _distinct(self, value: Any) -> None:
+        if value is not None and value not in self.seen:
+            self.seen.add(value)
+            self._step(value)
+
+    def _count(self, value: Any) -> None:
+        if value is not None:
+            self.count += 1
+
+    def _sum(self, value: Any) -> None:
+        if value is not None:
+            self.count += 1
             self.total = value if self.total is None else self.total + value
-        elif self.func == "MIN":
-            self.best = value if self.best is None else min(self.best, value)
-        elif self.func == "MAX":
-            self.best = value if self.best is None else max(self.best, value)
 
-    def result(self) -> Any:
-        if self.func == "COUNT":
-            return self.count
-        if self.func == "SUM":
-            return self.total
-        if self.func == "AVG":
-            return None if self.count == 0 else self.total / self.count
+    def _min(self, value: Any) -> None:
+        if value is not None and (self.best is None or value < self.best):
+            self.best = value
+
+    def _max(self, value: Any) -> None:
+        if value is not None and (self.best is None or value > self.best):
+            self.best = value
+
+    def _result_count(self) -> Any:
+        return self.count
+
+    def _result_total(self) -> Any:
+        return self.total
+
+    def _result_avg(self) -> Any:
+        return None if self.count == 0 else self.total / self.count
+
+    def _result_best(self) -> Any:
         return self.best
-
-
-class _Star:
-    def __repr__(self):
-        return "*"
-
-
-_STAR = _Star()
 
 
 class HashAggregateOp(PhysicalOp):
@@ -84,15 +105,8 @@ class HashAggregateOp(PhysicalOp):
         )
         self.group_exprs = group_exprs
         self.aggregates = aggregates
-        self._group_fns = [compile_expr(e, child.output) for e in group_exprs]
         self._group_batch_fns = [
             compile_expr_batch(e, child.output) for e in group_exprs
-        ]
-        self._arg_fns = [
-            compile_expr(agg.argument, child.output)
-            if agg.argument is not None
-            else None
-            for agg in aggregates
         ]
         self._arg_batch_fns = [
             compile_expr_batch(agg.argument, child.output)
@@ -115,17 +129,14 @@ class HashAggregateOp(PhysicalOp):
                 key = tuple(column[i] for column in key_columns)
                 states = groups.get(key)
                 if states is None:
-                    states = [
-                        _AggState(agg.func, agg.distinct)
-                        for agg in self.aggregates
-                    ]
+                    states = [_AggState(agg) for agg in self.aggregates]
                     groups[key] = states
                     order.append(key)
                 for state, column in zip(states, arg_columns):
-                    state.feed(_STAR if column is None else column[i])
+                    state.feed(None if column is None else column[i])
         if not groups and not self.group_exprs:
             # global aggregate over an empty input still yields one row
-            states = [_AggState(agg.func, agg.distinct) for agg in self.aggregates]
+            states = [_AggState(agg) for agg in self.aggregates]
             yield RowBatch([tuple(state.result() for state in states)])
             return
         output = [

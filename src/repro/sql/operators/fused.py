@@ -3,7 +3,10 @@
 The planner rewrites ``Project(Filter*(scan))`` and ``Filter+(scan)``
 chains over a base-table scan into one
 :class:`FusedScanFilterProjectOp`. The fused node pulls the scan's
-row-backed batches and, in a single pass per batch:
+row-backed batches — whose rows hold only the columns the statement
+reads (projection pushdown, see :mod:`repro.sql.operators.scan`); every
+expression here is compiled against that narrow schema — and, in a
+single pass per batch:
 
 1. evaluates every filter conjunct column-at-a-time into one AND-ed
    keep-mask (only predicate-referenced columns are ever derived from

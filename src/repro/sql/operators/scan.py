@@ -4,11 +4,16 @@ These are the only operators that touch untrusted memory. Every row
 they emit has passed the storage layer's evidence checks (point proofs
 and range-scan chain verification), so the operators above can trust
 their inputs unconditionally.
+
+A scan emits only the ``columns`` the planner found the statement
+reading (None: the whole table): its output schema is that narrow, and
+the storage layer materialises nothing else from each record. The
+evidence checks do not depend on the projection.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.sql.batch import RowBatch, batched
 from repro.sql.expressions import RowSchema
@@ -16,8 +21,15 @@ from repro.sql.operators.base import PhysicalOp
 from repro.sql.params import ParamMarker, resolve_maybe
 
 
-def table_schema(table, binding: str) -> RowSchema:
-    return RowSchema([(binding, name) for name in table.schema.column_names])
+def table_schema(
+    table, binding: str, columns: Optional[Sequence[str]] = None
+) -> RowSchema:
+    names = table.schema.column_names if columns is None else columns
+    return RowSchema([(binding, name) for name in names])
+
+
+def _describe_columns(columns: Optional[Sequence[str]]) -> str:
+    return "" if columns is None else f", cols=[{', '.join(columns)}]"
 
 
 class SeqScanOp(PhysicalOp):
@@ -25,21 +37,29 @@ class SeqScanOp(PhysicalOp):
 
     is_scan = True
 
-    def __init__(self, table, binding: str):
-        super().__init__(table_schema(table, binding), [])
+    def __init__(
+        self, table, binding: str, columns: Optional[Sequence[str]] = None
+    ):
+        super().__init__(table_schema(table, binding, columns), [])
         self.table = table
         self.binding = binding
+        self.columns = columns
         # the primary chain yields rows in primary-key order
         self.ordering = [(binding, table.schema.primary_key, True)]
 
     def batches(self) -> Iterator[RowBatch]:
         # the storage layer fetches chain records through the batched
         # verified-read path at the same granularity the engine consumes
-        rows = self.table.seq_scan(batch_size=self.batch_size)
+        rows = self.table.seq_scan(
+            batch_size=self.batch_size, columns=self.columns
+        )
         return batched(rows, self.batch_size, tuple(self.ordering))
 
     def describe(self) -> str:
-        return f"SeqScan({self.table.name} as {self.binding})"
+        return (
+            f"SeqScan({self.table.name} as {self.binding}"
+            f"{_describe_columns(self.columns)})"
+        )
 
 
 class RangeScanOp(PhysicalOp):
@@ -56,11 +76,13 @@ class RangeScanOp(PhysicalOp):
         hi: Any = None,
         include_lo: bool = True,
         include_hi: bool = True,
+        columns: Optional[Sequence[str]] = None,
     ):
-        super().__init__(table_schema(table, binding), [])
+        super().__init__(table_schema(table, binding, columns), [])
         self.table = table
         self.binding = binding
         self.column = column
+        self.columns = columns
         self.lo, self.hi = lo, hi
         self.include_lo, self.include_hi = include_lo, include_hi
         # a chain scan walks its (key, nKey) chain: rows come back
@@ -85,6 +107,7 @@ class RangeScanOp(PhysicalOp):
             self.include_lo,
             self.include_hi,
             batch_size=self.batch_size,
+            columns=self.columns,
         )
         return batched(rows, self.batch_size, tuple(self.ordering))
 
@@ -93,7 +116,8 @@ class RangeScanOp(PhysicalOp):
         hi_bracket = "]" if self.include_hi else ")"
         return (
             f"RangeScan({self.table.name} as {self.binding}, {self.column} in "
-            f"{lo_bracket}{self.lo!r}, {self.hi!r}{hi_bracket})"
+            f"{lo_bracket}{self.lo!r}, {self.hi!r}{hi_bracket}"
+            f"{_describe_columns(self.columns)})"
         )
 
 

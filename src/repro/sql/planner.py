@@ -6,7 +6,9 @@ Pipeline for SELECT:
 2. choose an access path per table — verified point lookup for a
    primary-key equality, verified range scan when a chained column has
    sargable bounds, verified sequential scan otherwise — with residual
-   conjuncts as filters;
+   conjuncts as filters; scans are told which of the table's columns
+   the statement reads anywhere and emit only those (projection
+   pushdown: the storage layer materialises nothing else);
 3. build a left-deep join tree in FROM order, picking the join
    algorithm (index-nested-loop through the inner table's primary key,
    hash, merge, or plain nested loops); callers may force one with
@@ -78,6 +80,9 @@ _FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 class _Binding:
     name: str  # alias or table name
     info: Any  # TableInfo
+    #: the table's columns the statement reads, in schema order; None
+    #: means all of them (``SELECT *``, DML)
+    columns: Optional[tuple] = None
 
 
 @dataclass
@@ -147,6 +152,7 @@ class Planner:
             )
         stmt = self._resolve_statement_subqueries(stmt)
         bindings = self._bind_tables(stmt)
+        self._bind_columns(stmt, bindings)
         # WHERE conjuncts and *inner*-join ON conjuncts form one pool and
         # may be pushed freely; a LEFT JOIN's ON condition stays with its
         # join (pushing it, or pulling WHERE predicates into it, changes
@@ -371,6 +377,43 @@ class Planner:
             bindings.append(_Binding(name, self.catalog.lookup(ref.name)))
         return bindings
 
+    def _bind_columns(self, stmt: Select, bindings: list[_Binding]) -> None:
+        """Record on each binding the columns the statement reads.
+
+        Everything above the scans resolves columns by name against the
+        scans' output, so whatever any clause references must be in the
+        set: select list, WHERE, GROUP BY, HAVING, ORDER BY, join
+        conditions. An ORDER BY name that matches a select-list output
+        is that output (see ``_plan_projection_order_limit``), not a
+        table column.
+        """
+        if stmt.star:
+            return
+        exprs = [item.expr for item in stmt.items]
+        exprs += [stmt.where, stmt.having, *stmt.group_by]
+        exprs += [join.condition for join in stmt.joins]
+        outputs = _output_names(stmt)
+        for item in stmt.order_by:
+            expr = item.expr
+            is_output = (
+                isinstance(expr, ColumnRef)
+                and expr.qualifier is None
+                and expr.name in outputs
+            )
+            if not is_output:
+                exprs.append(expr)
+        read: dict[str, set[str]] = {binding.name: set() for binding in bindings}
+        for expr in exprs:
+            if expr is not None:
+                for ref in referenced_columns(expr):
+                    read[self._owner(ref, bindings)].add(ref.name)
+        for binding in bindings:
+            names = binding.info.schema.column_names
+            if len(read[binding.name]) < len(names):
+                binding.columns = tuple(
+                    name for name in names if name in read[binding.name]
+                )
+
     def _bindings_of(
         self, expr: Expr, bindings: list[_Binding]
     ) -> frozenset[str]:
@@ -419,7 +462,7 @@ class Planner:
         plan: PhysicalOp
         chosen = self._choose_constraint_column(schema, constraints)
         if chosen is None:
-            plan = SeqScanOp(table, binding.name)
+            plan = SeqScanOp(table, binding.name, binding.columns)
             used: set[int] = set()
         else:
             column, indexes = chosen
@@ -437,7 +480,12 @@ class Planner:
                     plan = PointLookupOp(table, binding.name, equality)
                 else:
                     plan = RangeScanOp(
-                        table, binding.name, column, equality, equality
+                        table,
+                        binding.name,
+                        column,
+                        equality,
+                        equality,
+                        columns=binding.columns,
                     )
             else:
                 # bounds combine exactly: the tightest of each side wins.
@@ -469,7 +517,14 @@ class Planner:
                             hi, include_hi = candidate
                         used.add(i)
                 plan = RangeScanOp(
-                    table, binding.name, column, lo, hi, include_lo, include_hi
+                    table,
+                    binding.name,
+                    column,
+                    lo,
+                    hi,
+                    include_lo,
+                    include_hi,
+                    columns=binding.columns,
                 )
         # constraints on other columns stay as ordinary filters
         for i, constraint in enumerate(constraints):
@@ -767,18 +822,12 @@ class Planner:
             return plan
 
         exprs: list[Expr] = []
-        names: list[str] = []
-        for i, item in enumerate(stmt.items):
+        names = _output_names(stmt)
+        for item in stmt.items:
             expr = item.expr
             if agg_map is not None:
                 expr = substitute(expr, agg_map)
             exprs.append(expr)
-            if item.alias:
-                names.append(item.alias)
-            elif isinstance(item.expr, ColumnRef):
-                names.append(item.expr.name)
-            else:
-                names.append(f"col{i}")
 
         # ORDER BY may reference select aliases or pre-projection columns;
         # all keys must sort together, so alias references are expanded to
@@ -853,6 +902,19 @@ class Planner:
             self._bindings_of(conjunct, [binding])  # validates columns
         plan = self._fuse_pipelines(self._access_path(binding, conjuncts))
         return self._stamp(plan)
+
+
+def _output_names(stmt: Select) -> list[str]:
+    """The select list's output column names, in order."""
+    names: list[str] = []
+    for i, item in enumerate(stmt.items):
+        if item.alias:
+            names.append(item.alias)
+        elif isinstance(item.expr, ColumnRef):
+            names.append(item.expr.name)
+        else:
+            names.append(f"col{i}")
+    return names
 
 
 def _and_all(conjuncts: list[Expr]) -> Optional[Expr]:

@@ -11,7 +11,10 @@ successor: ``⟨key, nKey, data⟩``. Definition 5.2 generalizes this to one
   are unique and order correctly; a documented refinement of the paper's
   presentation);
 * the proof checks: point evidence (present / absent) and range-scan
-  chain contiguity.
+  chain contiguity;
+* the scans' decode plans: the shape a stored record normally has and,
+  per scanned chain and projected columns, which of its values a scan
+  reads — what :mod:`repro.storage.record` compiles its decoders from.
 
 Stored layout (all values in one flat tuple)::
 
@@ -29,10 +32,45 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.catalog.schema import Schema
-from repro.catalog.types import BOTTOM, TOP
+from repro.catalog.types import (
+    BOTTOM,
+    TOP,
+    BooleanType,
+    DateType,
+    DecimalType,
+    FloatType,
+    IntegerType,
+    TextType,
+)
 from repro.errors import CatalogError, ProofError
+from repro.storage.record import (
+    BOOL,
+    DATE,
+    FLOAT,
+    INT,
+    TEXT,
+    DecodePlan,
+    Ref,
+    project_values,
+)
 
 DATA_RECORD = -1
+
+#: the one tag a non-NULL value of each column type is stored under;
+#: types missing here (opaque spilled tuples) have no common shape
+_KINDS = {
+    IntegerType: INT,
+    DecimalType: INT,
+    FloatType: FLOAT,
+    TextType: TEXT,
+    DateType: DATE,
+    BooleanType: BOOL,
+}
+
+#: scan plans memoised per layout before the memo starts over — far
+#: above what one table's statements need, and a ceiling on what a
+#: client cycling through projections can make the enclave hold
+_MAX_SCAN_PLANS = 64
 
 
 @dataclass
@@ -68,6 +106,25 @@ class ChainLayout:
             i for i in range(len(schema.columns)) if i not in chain_set
         ]
         self.pk_index = schema.primary_key_index
+        # The shape a data record has unless a value is NULL or a
+        # successor is ⊤, and where each column's value sits in it.
+        kinds = [_KINDS.get(type(column.type)) for column in schema.columns]
+        pk_kind = kinds[self.pk_index]
+        self._shape: list = [INT]
+        self._column_refs: list = [None] * len(kinds)
+        for chain_id, col_idx in enumerate(self._chain_col_idx):
+            at = len(self._shape)
+            if chain_id == 0:
+                key_kind = pk_kind
+                self._column_refs[col_idx] = Ref(at)
+            else:
+                key_kind = (kinds[col_idx], pk_kind)
+                self._column_refs[col_idx] = Ref(at, 0)
+            self._shape += [key_kind, key_kind]
+        for col_idx in self._data_col_idx:
+            self._column_refs[col_idx] = Ref(len(self._shape))
+            self._shape.append(kinds[col_idx])
+        self._scan_plans: dict[tuple, DecodePlan] = {}
 
     @property
     def data_column_indexes(self) -> list[int]:
@@ -150,16 +207,55 @@ class ChainLayout:
         return tuple(flat)
 
     def from_tuple(self, flat: tuple) -> StoredRecord:
-        expected = 1 + 2 * self.n_chains + len(self._data_col_idx)
-        if len(flat) != expected:
-            raise ProofError(
-                f"stored record has {len(flat)} fields, expected {expected}"
-            )
+        _check_arity(flat, len(self._shape))
         sentinel_of = flat[0]
         keys = list(flat[1 : 1 + 2 * self.n_chains : 2])
         nexts = list(flat[2 : 2 + 2 * self.n_chains : 2])
         data = tuple(flat[1 + 2 * self.n_chains :])
         return StoredRecord(sentinel_of, keys, nexts, data)
+
+    # ------------------------------------------------------------------
+    # scan decoding
+    # ------------------------------------------------------------------
+    def scan_plan(self, chain_id: int, columns=None) -> DecodePlan:
+        """How a scan of ``chain_id`` reading ``columns`` decodes a record.
+
+        The plan projects a stored record to ``(sentinel_of, key, nKey,
+        row)``: the scanned chain's own evidence fields, whole, plus the
+        named columns' values in the order given (None: every column,
+        in schema order). Plans are memoised here, so they live and die
+        with the table's layout.
+        """
+        memo_key = (chain_id, None if columns is None else tuple(columns))
+        plan = self._scan_plans.get(memo_key)
+        if plan is None:
+            if columns is None:
+                refs = tuple(self._column_refs)
+            else:
+                refs = tuple(
+                    self._column_refs[self.schema.column_index(name)]
+                    for name in columns
+                )
+            key_at = 1 + 2 * chain_id
+            template = (Ref(0), Ref(key_at), Ref(key_at + 1), refs)
+            n_fields = len(self._shape)
+
+            def project(flat: tuple) -> tuple:
+                _check_arity(flat, n_fields)
+                return project_values(flat, template)
+
+            plan = DecodePlan(self._shape, template, project)
+            if len(self._scan_plans) >= _MAX_SCAN_PLANS:
+                self._scan_plans.clear()
+            self._scan_plans[memo_key] = plan
+        return plan
+
+
+def _check_arity(flat: tuple, expected: int) -> None:
+    if len(flat) != expected:
+        raise ProofError(
+            f"stored record has {len(flat)} fields, expected {expected}"
+        )
 
 
 # ----------------------------------------------------------------------

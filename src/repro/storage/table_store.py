@@ -11,6 +11,12 @@ relocation) over the heap, and the access methods of Section 5.2 on top:
   chain);
 * sequential scan as a full-chain range scan.
 
+Scans take the list of columns their caller reads and decode each
+record through the layout's compiled plan for that projection: the
+scanned chain's ``key``/``nKey`` (all Figure 5 looks at) plus those
+columns, nothing else. ``columns=None`` is the widest projection, not
+a different path.
+
 All structural operations serialize on a per-table lock; cell-level
 integrity is independently protected by the write-read consistent
 memory, and the deferred-compaction hook cooperates with the verifier's
@@ -22,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.catalog.schema import Schema
 from repro.catalog.types import BOTTOM, TOP
@@ -33,6 +39,7 @@ from repro.storage.locking import POINT_READ_RETRIES, ThreadSafeIndex
 from repro.storage.engine import StorageEngine
 from repro.storage.heap import HeapFile, RecordId
 from repro.storage.keychain import (
+    DATA_RECORD,
     ChainLayout,
     PointProof,
     RangeProof,
@@ -71,6 +78,8 @@ class VerifiableTable:
         self.wal = None
         self._ctr_point_retries = self.obs.counter("storage.point_read_retries")
         self._ctr_moves = self.obs.counter("storage.records_moved")
+        self._ctr_fallbacks = self.obs.counter("storage.decode_fallbacks")
+        self._ctr_skipped = self.obs.counter("storage.fields_skipped")
         self._hist_splice = self.obs.histogram("storage.chain_splice_seconds")
         self._lock = threading.RLock()
         self._row_count = 0
@@ -267,10 +276,11 @@ class VerifiableTable:
         include_lo: bool = True,
         include_hi: bool = True,
         batch_size: int | None = None,
+        columns: Sequence[str] | None = None,
     ) -> list[tuple]:
         """Verified range scan; returns the matching rows."""
         rows, _ = self.scan_with_proof(
-            column, lo, hi, include_lo, include_hi, batch_size
+            column, lo, hi, include_lo, include_hi, batch_size, columns
         )
         return rows
 
@@ -282,6 +292,7 @@ class VerifiableTable:
         include_lo: bool = True,
         include_hi: bool = True,
         batch_size: int | None = None,
+        columns: Sequence[str] | None = None,
     ) -> tuple[list[tuple], RangeProof]:
         """Verified range scan returning rows plus the checked evidence.
 
@@ -289,6 +300,9 @@ class VerifiableTable:
         batched verified read (default: ``StorageConfig.batch_size``);
         the adjacency proof itself is checked record by record either
         way, so the evidence is identical at every batch size.
+        ``columns`` names the values each returned row holds, in that
+        order (default: every column in schema order); the evidence is
+        the same for every projection.
         """
         column = column or self.schema.primary_key
         chain_id = self.schema.chain_id(column)
@@ -301,15 +315,19 @@ class VerifiableTable:
             batch_size = self.engine.config.batch_size
         with self._lock:
             result = self._scan_chain(
-                chain_id, lo, hi, include_lo, include_hi, batch_size
+                chain_id, columns, lo, hi, include_lo, include_hi, batch_size
             )
         self.stats.range_scans += 1
         self.stats.proofs_checked += 1
         return result
 
-    def seq_scan(self, batch_size: int | None = None) -> list[tuple]:
+    def seq_scan(
+        self,
+        batch_size: int | None = None,
+        columns: Sequence[str] | None = None,
+    ) -> list[tuple]:
         """Full verified sequential scan (range (⊥, ⊤) on the primary key)."""
-        return self.scan(batch_size=batch_size)
+        return self.scan(batch_size=batch_size, columns=columns)
 
     # ------------------------------------------------------------------
     # introspection
@@ -338,16 +356,6 @@ class VerifiableTable:
 
     def _read_stored(self, rid: RecordId) -> StoredRecord:
         return self.layout.from_tuple(self.codec.decode(self.heap.read(rid)))
-
-    def _read_stored_many(
-        self, rids: list[RecordId], admit: bool = True
-    ) -> list[StoredRecord]:
-        decode = self.codec.decode
-        from_tuple = self.layout.from_tuple
-        return [
-            from_tuple(decode(p))
-            for p in self.heap.read_many(rids, admit=admit)
-        ]
 
     def _write_stored(self, rid: RecordId, stored: StoredRecord) -> RecordId:
         """Rewrite a record; relocates (Move) when it no longer fits."""
@@ -411,9 +419,21 @@ class VerifiableTable:
         return (rid if found else None), stored, proof
 
     def _scan_chain(
-        self, chain_id: int, lo, hi, include_lo, include_hi, batch_size: int = 1
+        self,
+        chain_id: int,
+        columns: Sequence[str] | None,
+        lo,
+        hi,
+        include_lo,
+        include_hi,
+        batch_size: int = 1,
     ) -> tuple[list[tuple], RangeProof]:
         layout = self.layout
+        # every record is decoded once, through the plan for this chain
+        # and projection: (sentinel_of, key, nKey, row)
+        plan = layout.scan_plan(chain_id, columns)
+        decode = self.codec.decode
+        fallbacks_before = self.codec.fallbacks
         index = self.indexes[chain_id]
         # The chain-key bound the scan must *cover* on each side.
         if lo is None:
@@ -465,8 +485,8 @@ class VerifiableTable:
                 rids.append(rid)
             if not rids:
                 break
-            for stored in self._read_stored_many(rids, admit=admit):
-                key = stored.key(chain_id)
+            for payload in self.heap.read_many(rids, admit=admit):
+                sentinel_of, key, next_key, row = decode(payload, plan)
                 if key is None:
                     raise ProofError(
                         f"index returned a record outside chain {chain_id}"
@@ -477,11 +497,10 @@ class VerifiableTable:
                 else:
                     proof.check_link(expected, key)  # condition 3
                 proof.records_read += 1
-                if not stored.is_sentinel and self._emit(
+                if sentinel_of == DATA_RECORD and self._emit(
                     layout.chain_value(chain_id, key), lo, hi, include_lo, include_hi
                 ):
-                    rows.append(layout.row_from_stored(stored))
-                next_key = stored.next_key(chain_id)
+                    rows.append(row)
                 proof.last_next_key = next_key
                 expected = next_key
                 if next_key is TOP or self._past_bound(
@@ -495,6 +514,11 @@ class VerifiableTable:
                 f"expects successor {expected!r}"
             )
         proof.check_right()  # condition 2
+        fallbacks = self.codec.fallbacks - fallbacks_before
+        self._ctr_fallbacks.inc(fallbacks)
+        self._ctr_skipped.inc(
+            plan.fields_skipped * (proof.records_read - fallbacks)
+        )
         return rows, proof
 
     @staticmethod

@@ -11,6 +11,7 @@ batches (7), or in batches wider than any table here (1024).
 import pytest
 
 from repro.core.config import VeriDBConfig
+from repro.errors import StorageError
 from repro.memory.adversary import Adversary
 from repro.storage.config import StorageConfig
 from tests.security.test_attack_matrix import (
@@ -44,6 +45,46 @@ def test_attack_detected_at_batch_size(attack_name, batch_size):
     assert isinstance(caught, DETECTION_ERRORS)
 
 
+#: scans that read one column, none, and a filtered other one — each
+#: decoded through its own compiled projection
+NARROW_SCANS = (
+    "SELECT balance FROM acct",
+    "SELECT COUNT(*) FROM acct",
+    "SELECT id FROM acct WHERE balance >= 0",
+)
+
+
+@pytest.mark.parametrize("attack_name", sorted(ATTACKS))
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_attack_detected_behind_narrow_projections(attack_name, batch_size):
+    """Projection decides what a scan materialises, not what is checked:
+    scanning the attacked table through narrow projections between the
+    attack and the epoch close must neither raise anything but an alarm
+    or a refused payload, nor keep the alarm from landing."""
+    db = build_db(_config(batch_size))
+    client = db.connect()
+    for sql in NARROW_SCANS:
+        client.execute(sql)  # plans cached, decoders compiled
+    adversary = Adversary(db.storage.memory)
+    ATTACKS[attack_name](db, adversary)
+    caught = None
+    for sql in NARROW_SCANS:
+        try:
+            db.sql(sql)
+        except DETECTION_ERRORS as alarm:
+            caught = alarm
+            break
+        except StorageError:
+            pass  # undecodable bytes are refused; the close still alarms
+    if caught is None:
+        caught = detect(db, client, attack_name)
+    assert caught is not None, (
+        f"attack {attack_name!r} hid behind a projection at "
+        f"batch_size={batch_size}"
+    )
+    assert isinstance(caught, DETECTION_ERRORS)
+
+
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_honest_run_stays_clean_at_batch_size(batch_size):
     db = build_db(_config(batch_size))
@@ -51,5 +92,7 @@ def test_honest_run_stays_clean_at_batch_size(batch_size):
     for i in range(12):
         client.execute(f"SELECT balance FROM acct WHERE id = {i}")
     client.execute("SELECT COUNT(*), SUM(balance) FROM acct")
+    for sql in NARROW_SCANS:
+        client.execute(sql)
     db.verify_now()
     assert db.incidents.active("verification-alarm") == []

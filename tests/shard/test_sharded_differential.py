@@ -2,10 +2,12 @@
 
 One seeded ``random.Random`` drives data and query generation; every
 query runs against the sharded fleet (at shard counts 1/2/4, pruning on
-and off), a single-enclave VeriDB, and SQLite. The corpus is
+and off), a single-enclave VeriDB, and SQLite. The fuzzed corpus is
 INTEGER-only — float SUM is not associative, and partial-aggregate
 merge reorders additions across shards, so integer columns are what
-makes "byte-identical" a meaningful claim.
+makes "byte-identical" a meaningful claim. A fixed wide mixed-type
+corpus (TEXT / FLOAT / DATE / NULL, at the end) compares floats
+approximately instead.
 
 Comparisons: queries under a unique total ORDER BY must match the
 single enclave *exactly* (order and all); everything else compares as
@@ -204,3 +206,47 @@ def test_pruning_off_is_invisible(shard_count):
 def test_fleet_deep_corpus(shard_count, prune):
     for seed in range(4):
         _sweep(seed, shard_count, prune, queries=80)
+
+
+# ----------------------------------------------------------------------
+# the wide mixed-type corpus (TEXT / FLOAT / DATE / NULL, projections of
+# one to all columns, joins, subqueries, ORDER BY references): narrow
+# projections travel to the workers in pushed-down fragments and in the
+# proxy stores' gather-mode scans alike
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shard_count", SHARD_COUNTS)
+def test_fleet_wide_table_projections(shard_count):
+    from tests.sql.test_sqlite_differential import (
+        WIDE_CHAINS,
+        WIDE_DDL,
+        WIDE_QUERIES,
+        assert_wide_rows,
+        wide_expected,
+        wide_rows,
+        wide_sqlite,
+    )
+
+    sharded = ShardedDatabase(
+        ShardConfig(shard_count=shard_count, base=VeriDBConfig(key_seed=31)),
+        registry=MetricsRegistry(),
+    )
+    try:
+        single = VeriDB(VeriDBConfig(key_seed=31))
+        w, v = wide_rows(seed=40 + shard_count)
+        for db in (sharded, single):
+            for ddl, chain in zip(WIDE_DDL, WIDE_CHAINS):
+                db.sql(ddl.format(chain=chain))
+            for name, rows in (("w", w), ("v", v)):
+                for row in rows:
+                    db.table(name).insert(row)
+        connection = wide_sqlite(w, v)
+        for sql, ordered in WIDE_QUERIES:
+            tag = f"shards={shard_count} sql={sql!r}"
+            theirs = wide_expected(connection, sql)
+            assert_wide_rows(single.sql(sql).rows, theirs, ordered, tag)
+            assert_wide_rows(sharded.execute(sql).rows, theirs, ordered, tag)
+            assert_wide_rows(sharded.execute(sql).rows, theirs, ordered, tag)
+        sharded.verify_now()
+        single.verify_now()
+    finally:
+        sharded.close()

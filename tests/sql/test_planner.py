@@ -191,3 +191,79 @@ def test_group_by_constant_condition_stays_top(planner):
 def test_explain_mentions_access_path(planner):
     root = plan(planner, "SELECT * FROM orders WHERE o_id = 1")
     assert "IndexSearch" in root.explain()
+
+
+# ----------------------------------------------------------------------
+# projection pushdown: scans emit what the statement reads
+# ----------------------------------------------------------------------
+def scan_columns(root):
+    return {
+        op.binding: op.columns for op in ops_of(root, (SeqScanOp, RangeScanOp))
+    }
+
+
+@pytest.mark.parametrize(
+    "sql, expected",
+    [
+        ("SELECT o_total FROM orders", {"orders": ("o_total",)}),
+        # WHERE, GROUP BY, HAVING and ORDER BY references all count
+        (
+            "SELECT o_total FROM orders WHERE o_cust > 3",
+            {"orders": ("o_cust", "o_total")},
+        ),
+        (
+            "SELECT COUNT(*) FROM orders GROUP BY o_cust HAVING MAX(o_total) > 1",
+            {"orders": ("o_cust", "o_total")},
+        ),
+        ("SELECT o_cust FROM orders ORDER BY o_total", {"orders": ("o_cust", "o_total")}),
+        # an ORDER BY name that is a select-list output is not a column read
+        ("SELECT o_cust AS o_total FROM orders ORDER BY o_total", {"orders": ("o_cust",)}),
+        ("SELECT COUNT(*) FROM orders", {"orders": ()}),
+        # every column read, or *: the scan is not narrowed at all
+        ("SELECT o_total, o_cust, o_id FROM orders", {"orders": None}),
+        ("SELECT * FROM orders WHERE o_cust = 2", {"orders": None}),
+        # per binding, join keys included
+        (
+            "SELECT c.c_name FROM orders AS o, customers AS c "
+            "WHERE o.o_total = c.c_id + 1",
+            {"o": ("o_total",), "c": None},
+        ),
+        (
+            "SELECT a.o_id FROM orders AS a LEFT JOIN orders AS b "
+            "ON a.o_total = b.o_total",
+            {"a": ("o_id", "o_total"), "b": ("o_total",)},
+        ),
+    ],
+)
+def test_scans_emit_only_referenced_columns(planner, sql, expected):
+    root = plan(planner, sql)
+    assert scan_columns(root) == expected
+    for op in ops_of(root, (SeqScanOp, RangeScanOp)):
+        wanted = op.table.schema.column_names if op.columns is None else op.columns
+        assert tuple(op.output.names) == tuple(wanted)
+
+
+def test_explain_shows_projection_only_when_narrower(planner):
+    narrow = plan(planner, "SELECT o_total FROM orders WHERE o_cust BETWEEN 1 AND 5")
+    line = next(l for l in narrow.explain().splitlines() if "RangeScan(" in l)
+    assert line.strip().startswith("RangeScan(orders as orders, o_cust in [1, 5]")
+    assert line.endswith(", cols=[o_cust, o_total])")
+    wide = plan(planner, "SELECT * FROM orders")
+    assert wide.explain().strip() == "SeqScan(orders as orders)"
+
+
+def test_dml_filters_scan_every_column(planner):
+    root = planner.plan_table_filter(
+        "orders", parse_statement("SELECT 1 FROM orders WHERE o_total = 3").where
+    )
+    assert scan_columns(root) == {"orders": None}
+
+
+def test_unknown_column_still_a_planning_error(planner):
+    for sql in (
+        "SELECT nope FROM orders",
+        "SELECT o_id FROM orders ORDER BY nope",
+        "SELECT o.o_id FROM orders AS o, customers AS c WHERE o_id = nope",
+    ):
+        with pytest.raises(PlanningError):
+            plan(planner, sql)

@@ -94,6 +94,81 @@ def test_index_truncates_tail_of_scan():
         table.scan(lo=30, hi=45)
 
 
+# ----------------------------------------------------------------------
+# Figure 5 under projection: the checks read the scanned chain's key and
+# nKey, never the projected columns, so every lie is caught whatever the
+# caller reads and however the records are batched
+# ----------------------------------------------------------------------
+def _hide_one(table):
+    table.indexes[0].delete(20)
+    return {"lo": 10, "hi": 30}
+
+
+def _fabricate_one(table):
+    table.indexes[0].insert(22, table.indexes[0].search(25))
+    return {"lo": 20, "hi": 30}
+
+
+def _truncate_tail(table):
+    for pk in (35, 40, 45):
+        table.indexes[0].delete(pk)
+    return {"lo": 30, "hi": 45}
+
+
+def _hide_one_on_secondary_chain(table):
+    table.indexes[1].delete((40, 20))
+    return {"column": "count", "lo": 20, "hi": 60}
+
+
+def _cross_wire_secondary_chain(table):
+    table.indexes[1].insert((41, 20), table.indexes[1].search((60, 30)))
+    return {"column": "count", "lo": 40, "hi": 60}
+
+
+PROJECTIONS = [None, ("note",), ("count",), ("id",), (), ("note", "id", "note")]
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+@pytest.mark.parametrize("columns", PROJECTIONS, ids=str)
+@pytest.mark.parametrize(
+    "lie",
+    [
+        _hide_one,
+        _fabricate_one,
+        _truncate_tail,
+        _hide_one_on_secondary_chain,
+        _cross_wire_secondary_chain,
+    ],
+)
+def test_lying_index_caught_under_every_projection(lie, columns, batch_size):
+    table, _ = make_table()
+    bounds = lie(table)
+    with pytest.raises(ProofError):
+        table.scan(**bounds, batch_size=batch_size, columns=columns)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+@pytest.mark.parametrize("columns", PROJECTIONS[1:], ids=str)
+def test_projection_changes_rows_not_evidence(columns, batch_size):
+    table, engine = make_table()
+    names = table.schema.column_names
+    for bounds in (
+        {},
+        {"lo": 10, "hi": 30, "include_hi": False},
+        {"column": "count", "lo": 20, "hi": 60},
+        {"column": "count", "lo": 21, "hi": 21},
+    ):
+        rows, proof = table.scan_with_proof(**bounds)
+        narrow, narrow_proof = table.scan_with_proof(
+            **bounds, batch_size=batch_size, columns=columns
+        )
+        assert narrow_proof == proof
+        assert narrow == [
+            tuple(row[names.index(name)] for name in columns) for row in rows
+        ]
+    engine.verify_now()
+
+
 def test_index_loses_sentinel():
     from repro.catalog.types import BOTTOM
 

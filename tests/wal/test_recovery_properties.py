@@ -13,6 +13,7 @@ deterministically in ``test_wal_log.py`` because its expected state
 diverges from the twin's by construction.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import VeriDBConfig
@@ -104,4 +105,72 @@ def test_recovered_equals_never_crashed(tmp_path_factory, ops, batch, cache, dat
     assert recovered.wal.content_digest_hex() == expected.hex()
 
     # and the recovered instance passes a full verification pass
+    recovered.verify_now()
+
+
+# ----------------------------------------------------------------------
+# projection pushdown never reaches the log: DML finds its rows through
+# the same scans SELECT narrows, and must still log whole rows
+# ----------------------------------------------------------------------
+_WIDE_DDL = (
+    "CREATE TABLE w (id INTEGER PRIMARY KEY, k INTEGER NOT NULL, "
+    "name TEXT NOT NULL, price FLOAT, day DATE NOT NULL, note TEXT, CHAIN (k))"
+)
+
+
+def _wide_history(db):
+    for i in range(40):
+        note = "NULL" if i % 3 == 0 else f"'n{i}'"
+        price = "NULL" if i % 7 == 0 else f"{i}.25"
+        db.sql(
+            f"INSERT INTO w VALUES ({i}, {i % 5}, 'name{i}', {price}, "
+            f"DATE '1995-01-{i % 28 + 1:02d}', {note})"
+        )
+    # narrow scans between the writes: their decoders and cached plans
+    # are live while the DML below plans its own (full-width) scans
+    db.sql("SELECT name FROM w WHERE price > 10")
+    db.sql("SELECT COUNT(*) FROM w WHERE k = 2")
+    db.sql("UPDATE w SET note = 'seen' WHERE price > 30")  # non-key predicate
+    db.sql("UPDATE w SET k = 9 WHERE name = 'name4'")  # re-splices a chain
+    db.sql("DELETE FROM w WHERE note IS NULL AND k = 1")
+    db.sql("DELETE FROM w WHERE day = DATE '1995-01-03'")
+
+
+def _storage_batch_config(tmp_path, batch_size, with_wal):
+    return VeriDBConfig(
+        key_seed=SEED,
+        storage=StorageConfig(batch_size=batch_size),
+        wal_dir=str(tmp_path / "wal") if with_wal else None,
+        wal_group_commit=7,
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_content_digest_covers_whole_rows_under_projection(tmp_path, batch_size):
+    crashed = VeriDB(_storage_batch_config(tmp_path, batch_size, with_wal=True))
+    crashed.sql(_WIDE_DDL)
+    _wide_history(crashed)
+    crashed.wal.commit()
+
+    twin = VeriDB(_storage_batch_config(tmp_path, batch_size, with_wal=False))
+    twin.sql(_WIDE_DDL)
+    _wide_history(twin)
+
+    recovered = recover_from_wal(
+        str(tmp_path / "wal"), _storage_batch_config(tmp_path, batch_size, True)
+    )
+    for query in (
+        "SELECT * FROM w ORDER BY id",
+        "SELECT note FROM w ORDER BY id",
+        "SELECT k, COUNT(*), MAX(price) FROM w GROUP BY k ORDER BY k",
+        "SELECT day FROM w WHERE k >= 3 ORDER BY id",
+    ):
+        assert recovered.sql(query).rows == twin.sql(query).rows, query
+
+    auth = MessageAuthenticator(KeyChain(seed=SEED).key_for("wal"))
+    codec = RecordCodec()
+    expected = content_sethash()
+    for row in twin.sql("SELECT * FROM w").rows:
+        expected.add(row_element(auth, "w", codec.encode(tuple(row))))
+    assert recovered.wal.content_digest_hex() == expected.hex()
     recovered.verify_now()

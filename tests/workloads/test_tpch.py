@@ -135,3 +135,46 @@ def test_queries_registry():
 def test_verification_after_analytics(db):
     db.sql(QUERY_6)
     db.verify_now()
+
+
+# ----------------------------------------------------------------------
+# the compiled decoder's miss rate and the projection, as counters
+# ----------------------------------------------------------------------
+def test_lineitem_scans_stay_on_the_compiled_decoder():
+    """A full ``lineitem`` scan hands the generic decoder at most the
+    scanned chain's ``⊥`` head plus the record ending each chain in
+    ``⊤`` — so a nullable column (``l_comment``) or any other shape
+    drift that sent every record down the slow path cannot go
+    unnoticed."""
+    from repro.obs import MetricsRegistry, scoped_registry
+
+    registry = MetricsRegistry()
+    with scoped_registry(registry):
+        database = VeriDB(VeriDBConfig(key_seed=20))
+        load_tpch(database, scale_factor=SF, seed=1)
+    lineitem = database.table("lineitem")
+    n_rows = int(6_000_000 * SF)
+
+    def counters():
+        return (
+            registry.counter("storage.decode_fallbacks").value,
+            registry.counter("storage.fields_skipped").value,
+        )
+
+    # all a full-width scan leaves unread is what the other chain's
+    # (key, nKey) holds beyond the row's own values
+    for (chain_id, column), unread in zip(enumerate(lineitem.layout.chains), (3, 1)):
+        assert lineitem.layout.scan_plan(chain_id).fields_skipped == unread
+        before = counters()
+        assert len(lineitem.scan(column)) == n_rows
+        fallbacks, skipped = (b - a for a, b in zip(before, counters()))
+        assert 1 <= fallbacks <= lineitem.layout.n_chains + 1
+        assert skipped == (n_rows + 1 - fallbacks) * unread
+
+    before = counters()
+    database.sql(QUERY_1)
+    fallbacks, skipped = (b - a for a, b in zip(before, counters()))
+    assert fallbacks <= lineitem.layout.n_chains + 1
+    # Q1 reads 7 of 17 columns off the l_shipdate chain: of a record's
+    # 22 stored values it leaves 11 alone
+    assert skipped >= 11 * (n_rows - 100)
