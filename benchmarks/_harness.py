@@ -417,6 +417,8 @@ def _latency_unit(path: str) -> str | None:
     checked, not just the leaf.
     """
     for segment in path.split("."):
+        if segment.endswith("_per_s"):
+            return None  # a rate: bigger is better, never gated
         if segment.endswith("_us"):
             return "us"
         if segment.endswith(("_s", "_seconds")):

@@ -17,16 +17,18 @@ TAG_SIZE = 32
 class MessageAuthenticator:
     """HMAC-SHA256 tagging and verification under a shared key."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_keyed",)
 
     def __init__(self, key: bytes):
         if len(key) < 16:
             raise ValueError("MAC key must be at least 16 bytes")
-        self._key = key
+        # the key schedule (two padded-key hash blocks) is paid once;
+        # every tag starts from a copy of the keyed state
+        self._keyed = hmac.new(key, digestmod=hashlib.sha256)
 
     def tag(self, *parts: bytes) -> bytes:
         """Produce a tag over length-prefixed ``parts``."""
-        mac = hmac.new(self._key, digestmod=hashlib.sha256)
+        mac = self._keyed.copy()
         for part in parts:
             mac.update(len(part).to_bytes(8, "little"))
             mac.update(part)

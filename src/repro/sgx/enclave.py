@@ -129,8 +129,7 @@ class Enclave:
         key and authenticated with a MAC; only this enclave (same
         keychain) can unseal it, and any bit flip is detected.
         """
-        stream = self._keystream(len(data))
-        ciphertext = bytes(a ^ b for a, b in zip(data, stream))
+        ciphertext = self._xor_keystream(data)
         tag = self._seal_mac.tag(ciphertext)
         # Injection site: the blob is corrupted on its way to untrusted
         # storage; unsealing later fails authentication, never decrypts
@@ -144,8 +143,15 @@ class Enclave:
         tag, ciphertext = blob[:32], blob[32:]
         if not self._seal_mac.verify(tag, ciphertext):
             raise IntegrityError("sealed blob failed authentication")
-        stream = self._keystream(len(ciphertext))
-        return bytes(a ^ b for a, b in zip(ciphertext, stream))
+        return self._xor_keystream(ciphertext)
+
+    def _xor_keystream(self, data: bytes) -> bytes:
+        """``data`` XOR the sealing key stream, as one big-integer XOR."""
+        length = len(data)
+        stream = self._keystream(length)
+        return (
+            int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
+        ).to_bytes(length, "little")
 
     def _keystream(self, length: int) -> bytes:
         key = self.keychain.seal_key

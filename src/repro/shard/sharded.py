@@ -331,12 +331,14 @@ class ShardedDatabase:
         return folded
 
     def restart_worker(self, shard_id: int) -> None:
-        """Respawn one worker after a crash (fresh, empty partition).
+        """Respawn one worker after a crash.
 
-        Recovery of the partition's *data* is the WAL's job (each
-        worker owns its own sealed log when ``base.wal_dir`` is set);
-        this restores the transport and worker process so the health
-        monitor's ``worker_down`` alert can clear.
+        When ``base.wal_dir`` is set the new worker recovers its
+        partition from the dead one's sealed log (verified, or refused
+        with :class:`~repro.errors.RecoveryIntegrityError`); without a
+        log it comes back empty. Either way this restores the transport
+        and worker process so the health monitor's ``worker_down``
+        alert can clear.
         """
         self.links[shard_id].restart()
 

@@ -28,6 +28,7 @@ from typing import Any, Optional
 from repro.catalog.schema import schema_from_dict
 from repro.core.config import ShardConfig
 from repro.core.database import VeriDB
+from repro.core.recovery import recover_from_wal
 from repro.crypto.mac import MessageAuthenticator
 from repro.errors import ShardEpochDesync, VeriDBError
 from repro.obs.fleet import FederationState, serialize_trace_segment
@@ -70,7 +71,14 @@ class ShardWorker:
         # the coordinator pulls deltas from it over metrics_snapshot.
         # worker_metrics=False restores the zero-cost null registry.
         self.obs = MetricsRegistry() if config.worker_metrics else NULL_REGISTRY
-        self.db = VeriDB(worker_config(config, shard_id), registry=self.obs)
+        db_config = worker_config(config, shard_id)
+        wal_dir = db_config.wal_dir
+        if wal_dir is not None and os.path.isdir(wal_dir) and os.listdir(wal_dir):
+            # a restarted worker: its dead predecessor's sealed log holds
+            # the partition, and only verified recovery may reopen it
+            self.db = recover_from_wal(wal_dir, db_config, registry=self.obs)
+        else:
+            self.db = VeriDB(db_config, registry=self.obs)
         self._federation = FederationState(self.obs)
         self._mac = MessageAuthenticator(link_key)
         self._last_request_id = 0

@@ -18,7 +18,10 @@ compaction ablation benchmark:
 Deadlock note: the verifier holds a partition lock when it invokes the
 hook, while table operations take the table lock *then* partition locks.
 The hook therefore acquires the table lock non-blockingly and simply
-skips the page this pass if the table is busy.
+skips the page this pass if the table is busy. The op-count trigger
+(``ops_per_page_scan``) runs the scan on the operating thread itself,
+where the re-entrant table lock cannot say "busy", so the hook also
+skips a page whose own mutation is in flight (``Page.mutating``).
 """
 
 from __future__ import annotations
@@ -74,7 +77,12 @@ class CompactionPolicy:
             return
         try:
             page = table.heap.get_page(page_id)
-            if page.fragmentation > self.config.compact_threshold:
+            if page.mutating:
+                # the scan was triggered from inside this page's own
+                # insert/write/delete (the lock above is re-entrant)
+                self.stats.passes_skipped_busy += 1
+                self._ctr_skipped.inc()
+            elif page.fragmentation > self.config.compact_threshold:
                 moved = page.compact()
                 self.stats.pages_compacted += 1
                 self.stats.records_relocated += moved

@@ -3,8 +3,16 @@
 Handles page allocation, free-space tracking and record placement.
 Records are addressed by :class:`RecordId` ``(page_id, slot)`` — the
 ``(page, index)`` pairs of Algorithm 3. Placement policy: fill the
-current page; fall back to the first page on the free list that fits;
+current page; fall back to the most recently freed page that fits;
 otherwise open a fresh page.
+
+Free-space tracking is event-driven, so finding room costs O(1) probes
+per operation however many pages the table has. A page is *listed* only
+when a delete or a shrinking write has just left room in it for another
+record of that size; a full page retired as "current" is not. A listed
+page that cannot take the record at hand leaves the list — its next
+delete or shrink lists it again — so every probe is paid for by the
+operation that listed the page.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ class HeapFile:
         self._on_scan = on_scan
         self._pages: dict[int, Page] = {}
         self._current: Page | None = None
-        self._free_list: list[int] = []  # page ids believed to have room
+        #: ids of listed pages (see the module docstring), oldest first
+        self._free: dict[int, None] = {}
 
     # ------------------------------------------------------------------
     # record placement
@@ -74,7 +83,11 @@ class HeapFile:
         return out
 
     def write(self, rid: RecordId, payload: bytes) -> None:
-        self._page(rid.page_id).write(rid.slot, payload)
+        page = self._page(rid.page_id)
+        room = page.free_space
+        page.write(rid.slot, payload)
+        if page.free_space > room and page.can_fit(len(payload)):
+            self._list_page(page)
 
     def fits_in_place(self, rid: RecordId, payload_len: int) -> bool:
         return self._page(rid.page_id).fits_in_place(rid.slot, payload_len)
@@ -87,8 +100,7 @@ class HeapFile:
             page.relocate_down(offset, length)
         else:
             payload = page.delete(rid.slot)
-        if page is not self._current and page.page_id not in self._free_list:
-            self._free_list.append(page.page_id)
+        self._list_page(page)
         return payload
 
     def move(self, rid: RecordId) -> RecordId:
@@ -125,15 +137,16 @@ class HeapFile:
             raise StorageError(f"heap has no page {page_id}")
         return page
 
+    def _list_page(self, page: Page) -> None:
+        if page is not self._current:
+            self._free[page.page_id] = None
+
     def _page_with_room(self, payload_len: int) -> Page:
         if self._current is not None and self._current.can_fit(payload_len):
             return self._current
-        for i, page_id in enumerate(self._free_list):
-            page = self._pages[page_id]
+        while self._free:
+            page = self._pages[self._free.popitem()[0]]
             if page.can_fit(payload_len):
-                del self._free_list[i]
-                if self._current is not None:
-                    self._free_list.append(self._current.page_id)
                 self._current = page
                 return page
         page = self._open_page()
@@ -157,7 +170,5 @@ class HeapFile:
             verify_metadata=self.config.verify_metadata,
         )
         self._pages[page_id] = page
-        if self._current is not None:
-            self._free_list.append(self._current.page_id)
         self._current = page
         return page

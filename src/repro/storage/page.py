@@ -27,6 +27,7 @@ failing.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Iterator
 
@@ -46,6 +47,31 @@ _HEADER = struct.Struct("<III")  # record_count, used_bytes, tail
 #: plus allocator overhead), so occupancy resembles a real 8 KB page.
 SLOT_OVERHEAD = 8
 HEADER_RESERVE = 32
+
+
+def _mutation(method):
+    """Mark the page :attr:`~Page.mutating` while ``method`` runs.
+
+    Every cell operation inside a mutation fires the verified-memory op
+    hooks, and the op-count trigger can run a verifier step — and with
+    it the deferred-compaction scan hook — from *inside* the mutation,
+    on this thread, through the table's re-entrant lock. Between two
+    cell operations the directory mirror and the cells disagree (a
+    freed payload whose slot is still listed, a payload not listed
+    yet), so compaction must leave a mutating page for a later pass.
+    Nests: an insert that compacts inline stays marked until it ends.
+    """
+
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        outer = self.mutating
+        self.mutating = True
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self.mutating = outer
+
+    return wrapper
 
 
 class _CellIO:
@@ -107,11 +133,14 @@ class Page:
         self._next_slot = 0
         self._tail = DATA_BASE
         self._used = HEADER_RESERVE
+        #: an insert/write/delete/compact is between its cell operations
+        self.mutating = False
         self.meta_io.alloc(self._addr(HEADER_OFFSET), self._header_bytes())
 
     # ------------------------------------------------------------------
     # record operations
     # ------------------------------------------------------------------
+    @_mutation
     def insert(self, payload: bytes) -> int:
         """Store a record; returns its slot. Raises PageFullError."""
         need = len(payload) + SLOT_OVERHEAD
@@ -155,6 +184,7 @@ class Page:
             return self.vmem.read_many(addrs, admit=admit)
         return [self.data_io.read(addr) for addr in addrs]
 
+    @_mutation
     def write(self, slot: int, payload: bytes) -> None:
         """Overwrite a record in place (caller checked it fits)."""
         offset = self._slot_offset(slot)
@@ -169,6 +199,7 @@ class Page:
         self._used += growth
         self._write_header()
 
+    @_mutation
     def delete(self, slot: int) -> bytes:
         """Remove a record, leaving its space to the compaction policy."""
         offset = self._slot_offset(slot)
@@ -190,6 +221,7 @@ class Page:
     # ------------------------------------------------------------------
     # compaction support
     # ------------------------------------------------------------------
+    @_mutation
     def compact(self, from_offset: int = DATA_BASE) -> int:
         """Rewrite live records at/after ``from_offset`` contiguously.
 

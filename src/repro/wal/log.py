@@ -11,14 +11,45 @@ hot write path pays the durability boundary per batch, not per record
 buffered record with it, and :meth:`commit` returns fast when another
 committer already drained the buffer).
 
-Every sync finishes by atomically rewriting the sealed **anchor**
-(``ANCHOR`` in the log directory): the last synced sequence number and
-chain MAC, the latest checkpoint's sequence number, the monotonic
-counter, and the checkpoint ordinal ``nv``. The anchor stands in for
-SGX's replay-protected non-volatile state — it is what lets recovery
-tell an honest torn tail (records *beyond* the anchor are discarded,
-they were never acknowledged) from malicious truncation (the anchor
-proves a record was synced; a log that lacks it is refused).
+Every sync finishes by appending one sealed **anchor** slot to the
+anchor journal (``ANCHOR`` in the log directory): the last synced
+sequence number and chain MAC, the latest checkpoint's sequence number,
+the monotonic counter, and the checkpoint ordinal ``nv``. The anchor
+stands in for SGX's replay-protected non-volatile state — it is what
+lets recovery tell an honest torn tail (records *beyond* the anchor are
+discarded, they were never acknowledged) from malicious truncation (the
+anchor proves a record was synced; a log that lacks it is refused).
+
+The anchor journal
+------------------
+
+``ANCHOR`` is an append-only file of fixed-size sealed slots
+(:data:`ANCHOR_SLOT_BYTES` each: the canonical-JSON anchor payload
+space-padded to :data:`ANCHOR_PLAIN_BYTES`, then sealed); the newest
+complete slot *is* the anchor. A sync costs one ``write`` on a
+descriptor the log holds open — no file creation, no rename — because
+the commit-before-endorse rule makes every write statement of a
+closed-loop client its own sync, and that boundary must be cheap. Three
+syncs *compact* instead of appending — the HEADER's (the journal is
+born), every checkpoint's, and the resume after recovery: their slot
+atomically replaces the whole journal, by the same write-temp-then-
+rename used for ``NVCOUNTER``. So:
+
+* *bound* — ``ANCHOR`` holds one slot plus one per sync since the last
+  checkpoint or resume: never more slots than the segment it anchors has
+  records (+1, the checkpoint that opened it), and recovery's extra work
+  is one unseal per slot;
+* *crash* — an append torn at any byte leaves fewer than
+  :data:`ANCHOR_SLOT_BYTES` trailing bytes, which the reader ignores
+  (that sync was never acknowledged); a crash on either side of the
+  compaction rename leaves the whole old journal or the one-slot new
+  one, both naming the same anchor;
+* *tamper* — the reader unseals **every** slot and requires
+  ``last_seq`` to be non-decreasing, so a flipped bit anywhere in the
+  file is refused, never papered over by falling back to an older slot.
+  Cutting whole slots off the end is a restored older anchor — exactly
+  what copying back an old ``ANCHOR`` always was, and bounded the same
+  way, by the hardware counter, to the current epoch.
 
 ``NVCOUNTER`` simulates the platform's hardware monotonic counter: it
 only ever advances, one tick per checkpoint, and the adversary in our
@@ -45,7 +76,7 @@ from typing import Any, Callable, Iterable
 import threading
 
 from repro.catalog.schema import Schema, schema_to_dict
-from repro.crypto.mac import MessageAuthenticator
+from repro.crypto.mac import TAG_SIZE, MessageAuthenticator
 from repro.crypto.sethash import SetHash
 from repro.errors import StorageError, TransientFault
 from repro.faults import default_fault_plane, sites as fault_sites
@@ -73,6 +104,12 @@ SEGMENT_SUFFIX = ".log"
 SEGMENT_GLOB = f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"
 ANCHOR_FILE = "ANCHOR"
 NVCOUNTER_FILE = "NVCOUNTER"
+
+#: anchor payload padded to this many bytes before sealing; the largest
+#: honest payload (every integer at 2**64 - 1) is 218 bytes
+ANCHOR_PLAIN_BYTES = 224
+#: one journal slot on disk — sealing adds one MAC tag to the plaintext
+ANCHOR_SLOT_BYTES = ANCHOR_PLAIN_BYTES + TAG_SIZE
 
 
 def segment_name(index: int) -> str:
@@ -138,6 +175,8 @@ class WriteAheadLog:
         self._lock = threading.RLock()
         self._buffer: list[bytes] = []
         self._poisoned = False
+        #: the open anchor journal (see the module docstring)
+        self._anchor = None
         #: per-table keyed content digests + row counts; what checkpoints
         #: bind and recovery cross-checks against the replayed tables
         self._digests: dict[str, SetHash] = {}
@@ -165,16 +204,16 @@ class WriteAheadLog:
         self._checkpoint_seq = 0
         self._nv = 0
         self._segment_index = 0
-        self._file = open(self._dir / segment_name(0), "ab")
-        self._gauge_segments.set(1)
         with self._lock:
+            self._open_segment_locked()
             # per-run nonce: two logs under the same (seeded) key still
             # have disjoint MAC chains, so records cannot be cross-spliced
             self._append_locked(
                 HEADER,
                 {"version": WAL_VERSION, "nonce": os.urandom(16).hex()},
             )
-            self._sync_locked()
+            # the journal is born holding the HEADER's anchor
+            self._sync_locked(compact=True)
 
     def _open_resumed(self, state) -> None:
         """Continue the chain of a verified log (crash recovery path).
@@ -197,13 +236,14 @@ class WriteAheadLog:
             self._digests[name] = digest.copy()
         self._row_counts.update(state.row_counts)
         self._segment_index = segment_index(state.segments[-1]) + 1
-        self._file = open(self._dir / segment_name(self._segment_index), "ab")
-        self._gauge_segments.set(self._segment_index + 1)
         with self._lock:
+            self._open_segment_locked()
             # converge the hardware counter (it may trail the anchor by
             # one if the crash hit between anchor write and counter bump)
             self._write_nv_locked()
-            self._write_anchor_locked()
+            # one fresh slot replaces the dead instance's journal (and
+            # any torn bytes at its end)
+            self._compact_anchor_locked()
 
     @classmethod
     def resume(
@@ -330,7 +370,9 @@ class WriteAheadLog:
             )
             self._append_locked(CHECKPOINT, {"sealed": sealed.hex()})
             self._checkpoint_seq = self._seq
-            self._sync_locked()
+            # the checkpoint's anchor replaces the journal: the slots
+            # before it anchored a segment this record seals
+            self._sync_locked(compact=True)
             self._write_nv_locked()
             self._roll_segment_locked()
             seq = self._seq
@@ -352,11 +394,12 @@ class WriteAheadLog:
         return seq
 
     def close(self) -> None:
-        """Flush and release the segment file handle."""
+        """Flush and release the segment and anchor-journal handles."""
         with self._lock:
             if not self._poisoned:
                 self._sync_locked()
             self._file.close()
+            self._anchor.close()
 
     # ------------------------------------------------------------------
     # introspection
@@ -404,7 +447,10 @@ class WriteAheadLog:
         if len(self._buffer) >= self._group_commit:
             self._sync_locked()
 
-    def _sync_locked(self) -> None:
+    def _sync_locked(self, compact: bool = False) -> None:
+        """Write the buffered batch, then acknowledge it in the anchor
+        journal — by appending a slot, or (``compact``) by atomically
+        replacing the whole journal with that one slot."""
         if not self._buffer or self._poisoned:
             return
         payload = b"".join(self._buffer)
@@ -437,26 +483,59 @@ class WriteAheadLog:
                 os.fsync(self._file.fileno())
             self._ctr_bytes.inc(len(payload))
         self._buffer.clear()
-        self._write_anchor_locked()
+        if compact:
+            self._compact_anchor_locked()
+        else:
+            self._write_anchor_locked()
         self._ctr_syncs.inc()
         self._hist_batch.observe(records)
         self._hist_sync.observe(perf_counter() - start)
 
-    def _write_anchor_locked(self) -> None:
+    def _anchor_slot(self) -> bytes:
+        """The current anchor as one sealed, fixed-size journal slot."""
         counter = self._counter_read() if self._counter_read is not None else 0
-        blob = self._seal(
-            encode_body(
-                {
-                    "version": WAL_VERSION,
-                    "last_seq": self._seq,
-                    "last_mac": self._chain.hex(),
-                    "checkpoint_seq": self._checkpoint_seq,
-                    "counter": counter,
-                    "nv": self._nv,
-                }
-            )
+        body = encode_body(
+            {
+                "version": WAL_VERSION,
+                "last_seq": self._seq,
+                "last_mac": self._chain.hex(),
+                "checkpoint_seq": self._checkpoint_seq,
+                "counter": counter,
+                "nv": self._nv,
+            }
         )
-        self._replace_file(ANCHOR_FILE, blob)
+        # trailing spaces are legal JSON whitespace: the reader parses
+        # the padded payload unchanged
+        slot = self._seal(body.ljust(ANCHOR_PLAIN_BYTES))
+        if len(slot) != ANCHOR_SLOT_BYTES:
+            raise StorageError(
+                f"anchor slot is {len(slot)} bytes, not {ANCHOR_SLOT_BYTES}"
+            )
+        return slot
+
+    def _write_anchor_locked(self) -> None:
+        """Acknowledge a sync: append one slot to the open journal."""
+        slot = self._anchor_slot()
+        try:
+            written = self._anchor.write(slot)
+            while written < len(slot):  # a raw write may come up short
+                written += self._anchor.write(slot[written:])
+            if self._fsync:
+                os.fsync(self._anchor.fileno())
+        except OSError:
+            # part of a slot may be on disk, and a later append would
+            # land misaligned behind it; recovery drops the torn bytes
+            self._poisoned = True
+            raise
+
+    def _compact_anchor_locked(self) -> None:
+        """Atomically replace the journal with one slot and reopen it."""
+        self._replace_file(ANCHOR_FILE, self._anchor_slot())
+        stale = self._anchor
+        # unbuffered: an append is exactly one write(2), nothing to flush
+        self._anchor = open(self._dir / ANCHOR_FILE, "ab", buffering=0)
+        if stale is not None:
+            stale.close()
 
     def _write_nv_locked(self) -> None:
         self._replace_file(NVCOUNTER_FILE, self._seal(encode_body({"nv": self._nv})))
@@ -470,9 +549,24 @@ class WriteAheadLog:
             if self._fsync:
                 os.fsync(fh.fileno())
         os.replace(tmp, self._dir / name)
+        self._sync_dir()
+
+    def _sync_dir(self) -> None:
+        """Under ``fsync``, make a rename or a new file's entry durable."""
+        if not self._fsync:
+            return
+        fd = os.open(self._dir, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def _open_segment_locked(self) -> None:
+        self._file = open(self._dir / segment_name(self._segment_index), "ab")
+        self._sync_dir()
+        self._gauge_segments.set(self._segment_index + 1)
 
     def _roll_segment_locked(self) -> None:
         self._file.close()
         self._segment_index += 1
-        self._file = open(self._dir / segment_name(self._segment_index), "ab")
-        self._gauge_segments.set(self._segment_index + 1)
+        self._open_segment_locked()

@@ -5,9 +5,14 @@ log and either returns a verified :class:`WalState` or raises a typed
 :class:`~repro.errors.RecoveryIntegrityError`; it never returns a
 partially trusted log. The checks, in order:
 
-1. the directory holds segments and a sealed anchor (``no-log`` /
-   ``anchor-missing``), and both the anchor and the hardware-counter
-   file unseal under this enclave's key (``unsealable``);
+1. the directory holds segments and a sealed anchor journal
+   (``no-log`` / ``anchor-missing``); *every* slot of the journal and
+   the hardware-counter file unseal under this enclave's key
+   (``unsealable`` — one flipped bit anywhere in ``ANCHOR`` refuses, an
+   older slot is never silently used instead), the slots' ``last_seq``
+   never decreases (``sequence``), and the newest complete slot is the
+   anchor; fewer than a slot of trailing bytes is an anchor append torn
+   by a crash and is ignored;
 2. the anchor's checkpoint ordinal matches the hardware monotonic
    counter — an anchor that has fallen behind it is a restored backup
    of the whole log state (``stale-checkpoint``);
@@ -45,7 +50,12 @@ from typing import Callable
 from repro.crypto.mac import MessageAuthenticator
 from repro.crypto.sethash import SetHash
 from repro.errors import IntegrityError, RecoveryIntegrityError
-from repro.wal.log import ANCHOR_FILE, NVCOUNTER_FILE, SEGMENT_GLOB
+from repro.wal.log import (
+    ANCHOR_FILE,
+    ANCHOR_SLOT_BYTES,
+    NVCOUNTER_FILE,
+    SEGMENT_GLOB,
+)
 from repro.wal.records import (
     CHECKPOINT,
     DDL_CREATE,
@@ -151,23 +161,44 @@ class WalReader:
     # the individual checks
     # ------------------------------------------------------------------
     def _load_anchor(self) -> dict:
+        """The newest slot of the anchor journal, every slot verified."""
         path = self._dir / ANCHOR_FILE
         if not path.exists():
             raise RecoveryIntegrityError(
                 f"log at {self._dir} has segments but no sealed anchor",
                 reason="anchor-missing",
             )
-        try:
-            payload = json.loads(self._unseal(path.read_bytes()).decode("utf-8"))
-        except (IntegrityError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        data = path.read_bytes()
+        payload = None
+        # trailing bytes short of a slot are an append torn by a crash
+        # (that sync was never acknowledged): the range stops before them
+        for index in range(len(data) // ANCHOR_SLOT_BYTES):
+            slot = data[index * ANCHOR_SLOT_BYTES : (index + 1) * ANCHOR_SLOT_BYTES]
+            previous = payload
+            try:
+                payload = json.loads(self._unseal(slot).decode("utf-8"))
+            except (IntegrityError, UnicodeDecodeError, json.JSONDecodeError) as err:
+                raise RecoveryIntegrityError(
+                    f"anchor slot {index} does not unseal under this "
+                    f"enclave's key: {err}",
+                    reason="unsealable",
+                ) from err
+            if payload.get("version") != WAL_VERSION:
+                raise RecoveryIntegrityError(
+                    f"unsupported wal version {payload.get('version')!r}",
+                    reason="version",
+                )
+            if previous is not None and payload["last_seq"] < previous["last_seq"]:
+                raise RecoveryIntegrityError(
+                    f"anchor slot {index} steps back from seq "
+                    f"{previous['last_seq']} to {payload['last_seq']}: the "
+                    f"journal was reordered or spliced",
+                    reason="sequence",
+                )
+        if payload is None:
             raise RecoveryIntegrityError(
-                f"anchor does not unseal under this enclave's key: {err}",
+                f"anchor journal holds no complete slot ({len(data)} bytes)",
                 reason="unsealable",
-            ) from err
-        if payload.get("version") != WAL_VERSION:
-            raise RecoveryIntegrityError(
-                f"unsupported wal version {payload.get('version')!r}",
-                reason="version",
             )
         return payload
 

@@ -42,3 +42,39 @@ def test_framing_unambiguous(mac):
 def test_short_key_rejected():
     with pytest.raises(ValueError):
         MessageAuthenticator(b"tiny")
+
+
+# ----------------------------------------------------------------------
+# the pre-keyed implementation is bit-identical to HMAC built per call
+# ----------------------------------------------------------------------
+def _reference_tag(key: bytes, *parts: bytes) -> bytes:
+    """The tag as specified: a fresh HMAC-SHA256 per call."""
+    import hashlib
+    import hmac
+
+    mac = hmac.new(key, digestmod=hashlib.sha256)
+    for part in parts:
+        mac.update(len(part).to_bytes(8, "little"))
+        mac.update(part)
+    return mac.digest()
+
+
+@pytest.mark.parametrize("key_len", [16, 32, 63, 64, 65, 200])
+def test_tags_equal_fresh_hmac_over_random_keys_and_lengths(key_len):
+    """Envelopes, endorsements, WAL chains and sealed blobs written by
+    earlier builds must keep verifying: same bytes, every key length on
+    both sides of SHA-256's 64-byte block, every message length."""
+    import random
+
+    rng = random.Random(key_len)
+    key = rng.randbytes(key_len)
+    auth = MessageAuthenticator(key)
+    for length in (0, 1, 63, 64, 65, 4096):
+        message = rng.randbytes(length)
+        assert auth.tag(message) == _reference_tag(key, message)
+        assert auth.tag(message, b"", message) == _reference_tag(
+            key, message, b"", message
+        )
+    assert auth.tag() == _reference_tag(key)
+    # tagging never mutates the keyed state it copies from
+    assert auth.tag(b"again") == _reference_tag(key, b"again")

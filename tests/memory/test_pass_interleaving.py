@@ -73,3 +73,42 @@ def test_continuous_verification_through_sql_load():
     db.verify_now()
     db.verify_now()
     assert db.storage.verifier.stats.alarms == 0
+
+
+def test_triggered_scans_with_sql_deletes_raise_no_false_alarm():
+    """``ops_per_page_scan`` + SQL DELETE on an honest run: the op hook
+    fires inside ``Page.delete`` (data cell freed, slot not yet retired)
+    and the triggered scan used to compact that very page mid-delete —
+    ``VerificationFailure: cell … vanished`` at op 6,702 of this exact
+    stream. Unit-level twin: ``tests/storage/test_compaction_api.py``."""
+    from repro import VeriDB, VeriDBConfig
+    from repro.workloads.micro import MicroWorkload
+
+    db = VeriDB(VeriDBConfig(key_seed=1, ops_per_page_scan=100))
+    client = db.connect()
+    client.execute("CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)")
+    workload = MicroWorkload(n_initial=2000, seed=0)
+    for key, value in workload.initial_pairs():
+        client.execute("INSERT INTO kv VALUES (?, ?)", params=(key, value))
+    model = dict(MicroWorkload(n_initial=2000, seed=0).initial_pairs())
+    for op in workload.operations(8000):
+        if op.kind == "get":
+            rows = client.execute(
+                "SELECT v FROM kv WHERE k = ?", params=(op.key,)
+            ).rows
+            assert [r[0] for r in rows] == [model[op.key]]
+        elif op.kind == "insert":
+            client.execute("INSERT INTO kv VALUES (?, ?)", params=(op.key, op.value))
+            model[op.key] = op.value
+        elif op.kind == "update":
+            client.execute(
+                "UPDATE kv SET v = ? WHERE k = ?", params=(op.value, op.key)
+            )
+            model[op.key] = op.value
+        else:
+            client.execute("DELETE FROM kv WHERE k = ?", params=(op.key,))
+            del model[op.key]
+    db.verify_now()
+    assert db.storage.verifier.stats.alarms == 0
+    got = client.execute("SELECT k, v FROM kv").rows
+    assert sorted(map(tuple, got)) == sorted(model.items())

@@ -88,3 +88,44 @@ def test_unseal_requires_same_keychain():
 def test_attest_requires_platform(enclave):
     with pytest.raises(EnclaveError):
         enclave.attest(b"challenge")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sealed_blobs_are_byte_identical_to_the_bytewise_xor(seed):
+    """``seal`` XORs as one big integer; snapshots, checkpoints and
+    anchors sealed by earlier builds (a per-byte XOR) must still unseal,
+    so the blob is pinned byte for byte over random keys and lengths."""
+    import hashlib
+    import random
+
+    from repro.crypto.keys import KeyChain
+    from repro.crypto.mac import MessageAuthenticator
+
+    keychain = KeyChain(seed=seed)
+    enclave = Enclave(name="test", keychain=keychain)
+
+    def reference_seal(data: bytes) -> bytes:
+        stream = bytearray()
+        block = 0
+        while len(stream) < len(data):
+            stream.extend(
+                hashlib.blake2b(
+                    block.to_bytes(8, "little"),
+                    key=keychain.seal_key,
+                    digest_size=64,
+                ).digest()
+            )
+            block += 1
+        ciphertext = bytes(a ^ b for a, b in zip(data, stream))
+        return MessageAuthenticator(keychain.seal_key).tag(ciphertext) + ciphertext
+
+    rng = random.Random(seed)
+    for length in (0, 1, 63, 64, 65, 4096):
+        data = rng.randbytes(length)
+        blob = enclave.seal(data)
+        assert blob == reference_seal(data)
+        assert enclave.unseal(blob) == data
+    # leading/trailing zero bytes survive the integer round trip
+    for data in (b"\x00" * 70, b"\x00" * 5 + b"x", b"x" + b"\x00" * 5):
+        assert enclave.seal(data) == reference_seal(data)
+        assert enclave.unseal(enclave.seal(data)) == data

@@ -97,3 +97,33 @@ def test_run_threaded_propagates_errors():
 
     with pytest.raises(ValueError):
         run_threaded(worker, 3)
+
+
+@pytest.mark.parametrize("ops_per_step", [1, 2, 3, 5])
+def test_triggered_scan_never_compacts_a_page_mid_mutation(ops_per_step):
+    """The op-count trigger runs the verifier step — and this hook — on
+    the operating thread, from inside ``Page.insert/write/delete``,
+    where the re-entrant table lock cannot say "busy". Compacting the
+    page there acted on a directory mirror that was one cell operation
+    behind the cells (an honest ``VerificationFailure: cell … vanished``
+    on delete); the hook must leave such a page for a later pass."""
+    table, engine = make_table(compaction="deferred", compact_threshold=0.01)
+    engine.enable_continuous_verification(ops_per_step)
+    live = set()
+    for pk in range(80):
+        table.insert((pk, "x" * 50))
+        live.add(pk)
+    for round_ in range(4):
+        for pk in sorted(live)[round_::3]:
+            table.delete(pk)
+            live.discard(pk)
+        for pk in sorted(live)[::4]:
+            table.update(pk, {"v": "y" * (30 + 10 * round_)})
+        for pk in range(1000 * (round_ + 1), 1000 * (round_ + 1) + 15):
+            table.insert((pk, "z" * 50))
+            live.add(pk)
+    assert table._compaction.stats.pages_compacted > 0
+    assert table._compaction.stats.passes_skipped_busy > 0
+    engine.verify_now()
+    assert [r[0] for r in table.seq_scan()] == sorted(live)
+    assert engine.verifier.stats.alarms == 0

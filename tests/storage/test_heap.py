@@ -40,6 +40,57 @@ def test_free_list_reuse():
     assert heap.page_count() == pages_before
 
 
+def test_free_space_probes_stay_constant_under_churn(monkeypatch):
+    """Finding room must not walk the table: a full page retired as
+    "current" is not listed, a listed page is probed at most once per
+    listing, so probes per insert do not grow with the page count —
+    while freed space is still reused (steady state opens no pages)."""
+    import random
+
+    from repro.storage.page import Page
+
+    probes = 0
+    real_can_fit = Page.can_fit
+
+    def counting_can_fit(self, payload_len):
+        nonlocal probes
+        probes += 1
+        return real_can_fit(self, payload_len)
+
+    monkeypatch.setattr(Page, "can_fit", counting_can_fit)
+    rng = random.Random(5)
+    per_insert = {}
+    for n_records in (200, 3200):
+        heap, _ = make_heap()
+        live = [heap.insert(b"x" * 200) for _ in range(n_records)]
+        pages_loaded = heap.page_count()
+        probes = 0
+        inserts = 0
+        for _ in range(2000):
+            if rng.random() < 0.5:
+                live.append(heap.insert(b"y" * 200))
+                inserts += 1
+            else:
+                heap.delete(live.pop(rng.randrange(len(live))))
+        per_insert[n_records] = probes / inserts
+        # a random walk around the loaded size: a handful of pages at
+        # most, not one per insert
+        assert heap.page_count() <= pages_loaded + 30
+    assert per_insert[200] <= 3 and per_insert[3200] <= 3, per_insert
+
+
+def test_shrinking_write_lists_the_page_for_reuse():
+    heap, _ = make_heap()
+    rids = [heap.insert(b"x" * 200) for _ in range(12)]  # 4 per page, all full
+    pages_before = heap.page_count()
+    first_page = [r for r in rids if r.page_id == rids[0].page_id]
+    # three records shrink to a third: room for another 200-byte record
+    for rid in first_page[:3]:
+        heap.write(rid, b"s" * 60)
+    assert heap.insert(b"z" * 200).page_id == rids[0].page_id
+    assert heap.page_count() == pages_before
+
+
 def test_record_too_big():
     heap, _ = make_heap()
     with pytest.raises(PageFullError):
