@@ -224,30 +224,30 @@ def run_fig12(scale_factor: float, repeats: int = 3) -> list[dict]:
 
     Each (query, config) runs ``repeats`` times; the run with the lowest
     total is reported (standard noise suppression for single-shot
-    queries).
+    queries). The two configurations alternate inside every repeat, so a
+    slow spell of the machine cannot land on one side of the comparison
+    only.
     """
-    rows = []
     databases = {
-        True: build_tpch(True, scale_factor),
-        False: build_tpch(False, scale_factor),
+        "VeriDB (w/ RSWS)": build_tpch(True, scale_factor),
+        "Baseline": build_tpch(False, scale_factor),
     }
+    rows = []
     for label, query, hint in FIG12_QUERIES:
-        for verification, db in databases.items():
-            best = None
-            for _ in range(repeats):
+        best: dict[str, dict] = {}
+        for _ in range(repeats):
+            for config, db in databases.items():
                 result = db.sql(QUERIES[query], join_hint=hint)
                 total = result.total_seconds()
-                if best is None or total < best["total_s"]:
-                    best = {
+                if config not in best or total < best[config]["total_s"]:
+                    best[config] = {
                         "query": label,
-                        "config": (
-                            "VeriDB (w/ RSWS)" if verification else "Baseline"
-                        ),
+                        "config": config,
                         "total_s": total,
                         "scan_s": result.scan_seconds(),
                         "other_s": result.other_seconds(),
                     }
-            rows.append(best)
+        rows.extend(best.values())
     return rows
 
 
@@ -401,6 +401,8 @@ def load_baseline(name: str) -> dict | None:
 def flatten_numeric(payload, prefix: str = "") -> dict[str, float]:
     """Flatten nested result dicts to ``a.b.c -> number`` paths."""
     out: dict[str, float] = {}
+    if isinstance(payload, list):  # rows of a figure table: index as key
+        payload = dict(enumerate(payload))
     if isinstance(payload, dict):
         for key, value in payload.items():
             out.update(flatten_numeric(value, f"{prefix}{key}."))

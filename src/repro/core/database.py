@@ -20,7 +20,7 @@ from repro.core.config import VeriDBConfig
 from repro.core.incident import IncidentLog
 from repro.core.portal import QueryPortal
 from repro.crypto.keys import KeyChain, generate_key
-from repro.crypto.sethash import SetHash
+from repro.crypto.prf import DIGEST_SIZE
 from repro.errors import VerificationFailure
 from repro.obs import default_registry
 from repro.sgx.attestation import PlatformQuotingKey, verify_quote
@@ -282,15 +282,15 @@ class VeriDB:
         digests non-reproducible) but ties each checkpoint to a concrete
         verification epoch for audit.
         """
-        summary = SetHash()
+        summary = 0
         for partition in self.storage.vmem.rsws.partitions:
             partition.acquire()
             try:
                 for generation in (*partition.rs, *partition.ws):
-                    summary.merge(generation)
+                    summary ^= generation
             finally:
                 partition.release()
-        return summary.hex()
+        return summary.to_bytes(DIGEST_SIZE, "little").hex()
 
     def start_background_verification(self, pause_seconds: float = 0.0) -> None:
         if self.storage.verifier is not None:

@@ -17,6 +17,9 @@ DIGEST_SIZE = 16
 
 _U64 = struct.Struct("<Q")
 
+#: what a cell's digest absorbs ahead of its data: ``(addr, timestamp)``
+CELL_PREFIX = struct.Struct("<QQ")
+
 
 class PRF:
     """A keyed PRF producing :data:`DIGEST_SIZE`-byte digests.
@@ -27,17 +30,20 @@ class PRF:
     over length-prefixed byte parts is provided for other uses.
 
     Implementation note: the keyed hash state is initialized once and
-    ``copy()``-ed per evaluation — BLAKE2's key block is absorbed at
-    init, so cloning skips redoing that work on every call (PRF
-    evaluation dominates the verification overhead, Section 6.1).
+    copied per evaluation — BLAKE2's key block is absorbed at init, so
+    cloning skips redoing that work on every call (PRF evaluation
+    dominates the verification overhead, Section 6.1).
     """
 
-    __slots__ = ("_template", "calls")
+    __slots__ = ("keyed", "calls")
 
     def __init__(self, key: bytes):
         if len(key) < 16:
             raise ValueError("PRF key must be at least 16 bytes")
-        self._template = hashlib.blake2b(digest_size=DIGEST_SIZE, key=key)
+        #: ``keyed()`` is a fresh hash state with the key absorbed; the
+        #: restamp kernel digests cells through it exactly as :meth:`cell`
+        #: does and adds its evaluations to :attr:`calls` in bulk
+        self.keyed = hashlib.blake2b(digest_size=DIGEST_SIZE, key=key).copy
         #: Number of PRF evaluations performed; the micro-benchmarks report
         #: this because the paper attributes nearly all verification
         #: overhead to PRF work (Section 6.1).
@@ -50,16 +56,15 @@ class PRF:
         two distinct cells can serialize identically.
         """
         self.calls += 1
-        h = self._template.copy()
-        h.update(_U64.pack(addr))
-        h.update(_U64.pack(timestamp))
+        h = self.keyed()
+        h.update(CELL_PREFIX.pack(addr, timestamp))
         h.update(data)
         return h.digest()
 
     def evaluate(self, *parts: bytes) -> bytes:
         """Digest arbitrary byte parts with unambiguous framing."""
         self.calls += 1
-        h = self._template.copy()
+        h = self.keyed()
         for part in parts:
             h.update(_U64.pack(len(part)))
             h.update(part)

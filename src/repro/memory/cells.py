@@ -17,8 +17,6 @@ epoch close, because the PRF binds ``(addr, data, timestamp)`` together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Number of low-order address bits reserved for the within-page offset.
 PAGE_OFFSET_BITS = 24
 _OFFSET_MASK = (1 << PAGE_OFFSET_BITS) - 1
@@ -43,7 +41,6 @@ def offset_of(addr: int) -> int:
     return addr & _OFFSET_MASK
 
 
-@dataclass
 class Cell:
     """One unit of memory: data plus its last-write timestamp.
 
@@ -51,16 +48,24 @@ class Cell:
     consistency checking. Page *metadata* cells are stored unchecked when
     the "exclude page metadata from verification" optimization
     (Section 4.3) is on. The flag itself lives in untrusted memory, but
-    flipping it is self-defeating for the adversary: marking a checked
-    cell unchecked makes the epoch scan skip it, leaving its WriteSet
-    entry unmatched; marking an unchecked cell checked adds an unmatched
-    ReadSet entry — either way ``h(RS) != h(WS)`` at epoch close.
+    flipping it gains the adversary nothing: marking a checked cell
+    unchecked makes the epoch scan skip it, leaving its WriteSet entry
+    unmatched — ``h(RS) != h(WS)`` at epoch close; marking an unchecked
+    cell checked changes nothing, because the scan walks the cells
+    *listed* as created checked, and listing one that was not adds an
+    unmatched ReadSet entry.
     """
 
-    data: bytes
-    timestamp: int
-    checked: bool = True
+    __slots__ = ("data", "timestamp", "checked")
+
+    def __init__(self, data: bytes, timestamp: int, checked: bool = True):
+        self.data = data
+        self.timestamp = timestamp
+        self.checked = checked
 
     def __iter__(self):
         yield self.data
         yield self.timestamp
+
+    def __repr__(self):
+        return f"Cell({self.data!r}, {self.timestamp!r}, checked={self.checked!r})"

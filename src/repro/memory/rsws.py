@@ -19,7 +19,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.crypto.sethash import SetHash
 from repro.errors import ConfigurationError
 
 
@@ -46,8 +45,10 @@ class RSWSPartition:
         # page's compaction hook, which itself performs verified operations
         # on the same partition (Section 4.3, compaction-during-scan).
         self.lock = threading.RLock()
-        self.rs = (SetHash(), SetHash())
-        self.ws = (SetHash(), SetHash())
+        #: XOR multiset hashes of the PRF digests read / written, one per
+        #: epoch parity; integers, so a run's XOR-sum folds in at once
+        self.rs = [0, 0]
+        self.ws = [0, 0]
         self.stats = RSWSStats()
         #: Times a caller found the lock already held (contention probe
         #: used by the TPC-C benchmark, Figure 13).
@@ -55,7 +56,7 @@ class RSWSPartition:
 
     def acquire(self) -> None:
         """Take the partition lock, counting contended acquisitions."""
-        if not self.lock.acquire(blocking=False):
+        if not self.lock.acquire(False):
             self.contention_waits += 1
             self.lock.acquire()
 
@@ -64,20 +65,27 @@ class RSWSPartition:
 
     # Callers hold ``lock`` for all of the following. -------------------
     def record_read(self, parity: int, element: bytes) -> None:
-        self.rs[parity].add(element)
+        self.rs[parity] ^= int.from_bytes(element, "little")
         self.stats.reads_recorded += 1
 
     def record_write(self, parity: int, element: bytes) -> None:
-        self.ws[parity].add(element)
+        self.ws[parity] ^= int.from_bytes(element, "little")
         self.stats.writes_recorded += 1
+
+    def fold_run(self, rs_parity, rs: int, ws_parity, ws: int, cells: int) -> None:
+        """Close a restamp run of ``cells``: fold in its XOR-sums, unlock."""
+        self.rs[rs_parity] ^= rs
+        self.ws[ws_parity] ^= ws
+        self.stats.reads_recorded += cells
+        self.stats.writes_recorded += cells
+        self.lock.release()
 
     def consistent(self, parity: int) -> bool:
         """Whether the given generation's ReadSet equals its WriteSet."""
         return self.rs[parity] == self.ws[parity]
 
     def reset_generation(self, parity: int) -> None:
-        self.rs[parity].reset()
-        self.ws[parity].reset()
+        self.rs[parity] = self.ws[parity] = 0
 
 
 @dataclass

@@ -12,7 +12,9 @@ array. Letting the untrusted side drive "which cells exist in this page"
 is sound: omitting a written cell from a scan leaves its WriteSet entry
 unmatched, fabricating one adds an unmatched ReadSet entry, and either
 breaks ``h(RS) = h(WS)`` (see the soundness tests in
-``tests/memory/test_attacks.py``).
+``tests/memory/test_attacks.py``). Cells are listed apart by the
+``checked`` flag they were created with, so an epoch scan never walks
+the metadata cells Section 4.3 excludes.
 """
 
 from __future__ import annotations
@@ -25,13 +27,20 @@ from repro.faults import default_fault_plane, sites as fault_sites
 from repro.memory.cells import Cell, page_of
 
 
+_NO_CELLS: tuple[set[int], set[int]] = (set(), set())  # never added to
+
+
 class UntrustedMemory:
     """A flat address space of timestamped cells plus a page directory."""
 
     def __init__(self, faults=None):
         self.faults = faults if faults is not None else default_fault_plane()
         self._cells: dict[int, Cell] = {}
-        self._page_addrs: dict[int, set[int]] = {}
+        #: :meth:`try_read` minus the fault site, for a caller that loops
+        #: over cells and consults the site itself, once per cell
+        self.lookup = self._cells.get
+        #: page -> its live addresses, as (created unchecked, created checked)
+        self._page_addrs: dict[int, tuple[set[int], set[int]]] = {}
         # Guards structural changes to the maps (not cell contents): the
         # verified layer serializes same-partition ops with its own locks,
         # but distinct partitions legitimately mutate the dicts in parallel.
@@ -67,14 +76,12 @@ class UntrustedMemory:
         data = self.faults.mangle(fault_sites.TORN_WRITE, data)
         with self._lock:
             if addr not in self._cells:
-                self._page_addrs.setdefault(page_of(addr), set()).add(addr)
+                page = page_of(addr)
+                listed = self._page_addrs.get(page)
+                if listed is None:
+                    listed = self._page_addrs[page] = (set(), set())
+                listed[checked].add(addr)
             self._cells[addr] = Cell(data, timestamp, checked)
-
-    def set_timestamp(self, addr: int, timestamp: int) -> None:
-        cell = self._cells.get(addr)
-        if cell is None:
-            raise StorageError(f"no cell at address {addr:#x}")
-        cell.timestamp = timestamp
 
     def remove(self, addr: int) -> Cell:
         with self._lock:
@@ -82,24 +89,26 @@ class UntrustedMemory:
             if cell is None:
                 raise StorageError(f"no cell at address {addr:#x}")
             page = page_of(addr)
-            addrs = self._page_addrs.get(page)
-            if addrs is not None:
-                addrs.discard(addr)
-                if not addrs:
-                    del self._page_addrs[page]
+            unchecked, checked = self._page_addrs.get(page, _NO_CELLS)
+            # both: the flag may have been flipped since the cell was listed
+            unchecked.discard(addr)
+            checked.discard(addr)
+            if not (unchecked or checked):
+                self._page_addrs.pop(page, None)
         return cell
 
     # ------------------------------------------------------------------
     # page directory
     # ------------------------------------------------------------------
-    def page_addresses(self, page_id: int) -> list[int]:
-        """Live cell addresses of a page, in address order.
+    def page_addresses(self, page_id: int, checked: bool = True) -> list[int]:
+        """Live addresses of a page's cells created ``checked`` (or, with
+        ``checked=False``, of the others), in address order.
 
         This list is untrusted input to the verifier's scan; see the
         module docstring for why that is sound.
         """
         with self._lock:
-            addrs = sorted(self._page_addrs.get(page_id, ()))
+            addrs = sorted(self._page_addrs.get(page_id, _NO_CELLS)[checked])
         # Injection site: the untrusted directory omits a live cell.
         # Soundness does not depend on this list — the omitted cell's
         # WriteSet entry stays unmatched and the epoch check alarms.
@@ -118,8 +127,8 @@ class UntrustedMemory:
     def page_bytes(self, page_id: int) -> int:
         """Total payload bytes currently stored in a page."""
         with self._lock:
-            addrs = self._page_addrs.get(page_id, ())
-            return sum(len(self._cells[a].data) for a in addrs)
+            unchecked, checked = self._page_addrs.get(page_id, _NO_CELLS)
+            return sum(len(self._cells[a].data) for a in (*unchecked, *checked))
 
     def __len__(self) -> int:
         return len(self._cells)

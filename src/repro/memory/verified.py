@@ -32,14 +32,24 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable
 
-from repro.crypto.prf import PRF
-from repro.crypto.sethash import SetHash
+from repro.crypto.prf import CELL_PREFIX, PRF
 from repro.errors import StorageError, TransientFault, VerificationFailure
-from repro.memory.cells import Cell, page_of
+from repro.faults.sites import TRANSIENT_READ_ERROR
+from repro.memory.cells import PAGE_OFFSET_BITS, Cell, page_of
 from repro.memory.rsws import RSWSGroup
 from repro.memory.untrusted import UntrustedMemory
 from repro.obs import default_registry
 from repro.obs.trace_context import current_trace
+
+
+_pack = CELL_PREFIX.pack
+_from_bytes = int.from_bytes
+
+
+class _HookHold(threading.local):
+    """Per-thread count of op hooks owed while a hold is open (else None)."""
+
+    owed: int | None = None
 
 
 @dataclass
@@ -61,9 +71,8 @@ class VerifiedMemory:
         prf: keyed PRF whose key lives inside the enclave.
         rsws: partitioned digest state; ``RSWSGroup(n_partitions=...)``
             controls the lock granularity studied in Figure 13.
-        track_touched_pages: maintain the 1-bit-per-page "touched since
-            last scan" set (Section 4.3).
-        page_digests: additionally maintain a per-page digest of all
+        page_digests: besides the 1-bit-per-page "touched since last
+            scan" set (Section 4.3), maintain a per-page digest of all
             currently-open cells, enabling the touched-page verification
             strategy (scan only touched pages). Costs two extra XORs per
             operation, no extra PRF evaluations.
@@ -78,7 +87,6 @@ class VerifiedMemory:
         memory: UntrustedMemory | None = None,
         prf: PRF | None = None,
         rsws: RSWSGroup | None = None,
-        track_touched_pages: bool = True,
         page_digests: bool = False,
         touched_group_size: int = 1,
         registry=None,
@@ -89,7 +97,6 @@ class VerifiedMemory:
         self.prf = prf if prf is not None else PRF(b"\x00" * 32)
         self.rsws = rsws if rsws is not None else RSWSGroup()
         self.stats = MemoryStats()
-        self.track_touched_pages = track_touched_pages
         self.page_digests_enabled = page_digests
         self.touched_group_size = touched_group_size
 
@@ -112,15 +119,26 @@ class VerifiedMemory:
         )
 
         self._clock = itertools.count(1)
+        #: what :meth:`restamp` works with, fetched once
+        self._kernel = (
+            self.memory.faults.check,
+            self.memory.lookup,
+            self.prf.keyed,
+            self._clock,
+            self.rsws.partitions,
+        )
         self._registry_lock = threading.Lock()
         self._pages: dict[int, Callable[[int], None] | None] = {}
         self._page_parity: dict[int, int] = {}
         self._touched: set[int] = set()
-        self._page_digest: dict[int, SetHash] = {}
+        self._page_digest: dict[int, int] = {}
         self._epoch = 0
         self._in_pass = False
         # post-operation hooks (the non-quiescent verifier's trigger)
         self._on_op: list[Callable[[], None]] = []
+        #: per-thread holds on the hooks; made by the first :meth:`hold_hooks`,
+        #: so that where nothing ever holds them firing looks nothing up
+        self._hold: _HookHold | None = None
         # optional CycleMeter: batched reads charge one amortized ECall
         # per batch (the trust-boundary crossing the batch saves on)
         self.meter = None
@@ -151,18 +169,14 @@ class VerifiedMemory:
             parity = (self._epoch + 1) & 1 if self._in_pass else self._epoch & 1
             self._page_parity[page_id] = parity
             if self.page_digests_enabled:
-                self._page_digest[page_id] = SetHash()
+                self._page_digest[page_id] = 0
 
     def deregister_page(self, page_id: int) -> None:
         """Remove a page, retiring all of its live cells."""
-        for addr in self.memory.page_addresses(page_id):
-            cell = self._try_read_retried(addr)
-            if cell is None:
-                continue
-            if cell.checked:
-                self.free(addr)
-            else:
-                self.free_unverified(addr)
+        for checked, free in ((True, self.free), (False, self.free_unverified)):
+            for addr in self.memory.page_addresses(page_id, checked):
+                if self._try_read_retried(addr) is not None:
+                    free(addr)
         with self._registry_lock:
             self._pages.pop(page_id, None)
             self._page_parity.pop(page_id, None)
@@ -184,7 +198,7 @@ class VerifiedMemory:
     # ------------------------------------------------------------------
     # Algorithm 1: protected operations
     # ------------------------------------------------------------------
-    def _try_read_retried(self, addr: int) -> Cell | None:
+    def _try_read_retried(self, addr: int, attempts: int = 3) -> Cell | None:
         """Fetch a cell, absorbing transient host-read faults in place.
 
         Called with the partition lock held and *before* any digest or
@@ -193,15 +207,12 @@ class VerifiedMemory:
         RS/WS half-updated. Gives up after a bounded number of attempts
         so a permanently failing host still surfaces a typed fault.
         """
-        attempts = 3
-        for attempt in range(1, attempts + 1):
+        for _ in range(attempts - 1):
             try:
                 return self.memory.try_read(addr)
             except TransientFault:
-                if attempt >= attempts:
-                    raise
                 self._ctr_read_retries.inc()
-        return None  # unreachable
+        return self.memory.try_read(addr)  # the last attempt's fault propagates
 
     def _vanished(self, addr: int, partition) -> VerificationFailure:
         """Build the cell-vanished alarm; any alarm flushes the cache
@@ -212,6 +223,94 @@ class VerifiedMemory:
             f"cell {addr:#x} vanished from untrusted memory",
             partition=partition.index,
         )
+
+    def restamp(self, addrs, cache=None, scan: bool = False) -> list:
+        """The restamp kernel: Algorithm 1's read over a batch of cells.
+
+        Per cell: fetch it, fold ``PRF(addr, data, ts)`` into RS, take a
+        fresh stamp, fold ``PRF(addr, data, ts')`` into WS, write the
+        stamp back; returns the data in order. A *run* — consecutive
+        addresses on one page — takes the page's partition lock once and
+        XOR-sums its digests in two local integers, folded into the
+        partition when the run ends (the multiset hash is associative).
+        The fold sits in a ``finally``: a cell that raises mid-run leaves
+        the cells before it re-stamped in untrusted memory, and dropping
+        their digests would turn an honest error into a false alarm at
+        the next epoch close.
+
+        ``cache`` admits each cell under its partition lock. ``scan`` is
+        the epoch scan of a page whose parity the caller just flipped:
+        RS lands in the *closing* generation, a cell that is not
+        checked, or is listed but absent (its unmatched WS entry fails
+        the epoch check), is passed over, and nothing counts as a read
+        or owes an op hook.
+        """
+        check, lookup, keyed, clock, partitions = self._kernel
+        page_digests = self._page_digest if self.page_digests_enabled else None
+        out: list = []
+        partition = None
+        page = -1
+        parity = rs = ws = cells = 0  # of the open run
+        try:
+            for addr in addrs:
+                if addr >> PAGE_OFFSET_BITS != page:
+                    if partition is not None:
+                        partition.fold_run(parity ^ scan, rs, parity, ws, cells)
+                        partition = None
+                        rs = ws = cells = 0
+                    page = addr >> PAGE_OFFSET_BITS
+                    entered = partitions[page % len(partitions)]
+                    entered.acquire()
+                    partition = entered
+                    # read under the lock: an epoch scan flips its page's
+                    # parity while holding the partition
+                    parity = self._parity_of(page)
+                    if not scan:
+                        self._touched.add(page // self.touched_group_size)
+                try:
+                    check(TRANSIENT_READ_ERROR)
+                    cell = lookup(addr)
+                except TransientFault:
+                    self._ctr_read_retries.inc()
+                    cell = self._try_read_retried(addr, attempts=2)
+                if cell is None or scan and not cell.checked:
+                    if scan:
+                        continue  # see Cell: honouring its untrusted flag is sound
+                    raise self._vanished(addr, partition)
+                data = cell.data
+                h = keyed()
+                h.update(_pack(addr, cell.timestamp))
+                h.update(data)
+                consumed = _from_bytes(h.digest(), "little")
+                stamp = next(clock)
+                h = keyed()
+                h.update(_pack(addr, stamp))
+                h.update(data)
+                opened = _from_bytes(h.digest(), "little")
+                # nothing from here to the append can raise: the run's
+                # digests always match the stamps written back
+                rs ^= consumed
+                ws ^= opened
+                cell.timestamp = stamp
+                if page_digests is not None:
+                    page_digests[page] ^= consumed ^ opened
+                cells += 1
+                out.append(data)
+                if cache is not None:
+                    cache.admit(addr, data)
+        finally:
+            if partition is not None:
+                partition.fold_run(parity ^ scan, rs, parity, ws, cells)
+            self.prf.calls += 2 * len(out)
+        if not scan:
+            done = len(out)
+            self.stats.verified_reads += done
+            self._ctr_reads.inc(done)
+            trace = current_trace()
+            if trace is not None:
+                trace.top.verified_reads += done
+            self._fire_hooks(done)
+        return out
 
     def read(self, addr: int) -> bytes:
         """Verified read: RS gets the old stamp, WS the virtual write-back.
@@ -229,136 +328,40 @@ class VerifiedMemory:
             data = cache.lookup(addr)
             if data is not None:
                 return data
-        page = page_of(addr)
-        partition = self.rsws.partition_for_page(page)
-        partition.acquire()
-        try:
-            cell = self._try_read_retried(addr)
-            if cell is None:
-                raise self._vanished(addr, partition)
-            parity = self._parity_of(page)
-            consumed = self.prf.cell(addr, cell.data, cell.timestamp)
-            partition.record_read(parity, consumed)
-            new_ts = next(self._clock)
-            opened = self.prf.cell(addr, cell.data, new_ts)
-            partition.record_write(parity, opened)
-            self.memory.set_timestamp(addr, new_ts)
-            if self.page_digests_enabled:
-                digest = self._page_digest[page]
-                digest.remove(consumed)
-                digest.add(opened)
-            self._mark_touched(page)
-            data = cell.data
-            if cache is not None:
-                cache.admit(addr, data)
-        finally:
-            partition.release()
-        self.stats.verified_reads += 1
-        self._ctr_reads.inc()
-        trace = current_trace()
-        if trace is not None:
-            trace.top.verified_reads += 1
-        self._fire_hooks()
-        return data
+        return self.restamp((addr,), cache)[0]
 
     def read_many(self, addrs, admit: bool = True) -> list:
         """Batched verified reads (the vectorized engine's hot path).
 
-        Semantically identical to ``read()`` per cell — same digest
-        consume/reopen, same fresh timestamps, same per-cell transient
-        fault retry (``_try_read_retried``), same per-operation verifier
-        hooks — but the partition lock is acquired once per *run* of
-        consecutive same-partition addresses instead of once per cell,
-        the operation counters are bumped once per run, and an attached
-        :class:`~repro.sgx.costs.CycleMeter` is charged one amortized
-        ECall per batch rather than one per cell. A single-address batch
-        degenerates to a plain ``read()`` so batch size 1 reproduces the
-        row-at-a-time behaviour exactly.
+        ``read()`` per cell — same digests, stamps, fault retries and
+        number of verifier hooks — as one pass of the restamp kernel,
+        with an attached :class:`~repro.sgx.costs.CycleMeter` charged
+        one amortized ECall per batch of two or more cells.
 
         With a record cache attached, cached addresses are served from
-        the trusted copies first; only the misses pay the batched
-        protocol. A fully cached batch costs nothing — no ECall charge,
-        no digest work. ``admit=False`` still *serves* hits but skips
-        admitting the misses — the scan-resistance escape hatch large
-        sequential scans use so they cannot wash out the hot set.
+        the trusted copies first and only the misses pay the protocol; a
+        fully cached batch costs nothing. ``admit=False`` still *serves*
+        hits but does not admit the misses — the scan-resistance escape
+        hatch large sequential scans use so they cannot wash out the hot
+        set.
         """
-        n = len(addrs)
-        if n == 0:
-            return []
-        if n == 1:
-            return [self.read(addrs[0])]
         cache = self.cache
-        if cache is None:
-            return self._read_many_verified(addrs, None, admit)
-        out = cache.lookup_many(addrs)
-        miss = [i for i, data in enumerate(out) if data is None]
-        if not miss:
-            return out
-        miss_data = self._read_many_verified(
-            [addrs[i] for i in miss], cache, admit
+        hits = None if cache is None else cache.lookup_many(addrs)
+        wanted = (
+            addrs if hits is None else [a for a, d in zip(addrs, hits) if d is None]
         )
-        for i, data in zip(miss, miss_data):
-            out[i] = data
-        return out
-
-    def _read_many_verified(self, addrs, cache, admit: bool) -> list:
-        """The Algorithm-1 batch loop over cache-missed addresses."""
-        n = len(addrs)
-        if self.meter is not None:
-            self.meter.charge_batched_read()
-        self._ctr_read_batches.inc()
-        self._hist_batch_cells.observe(n)
-        trace = current_trace()
-        if trace is not None:
-            trace.top.verified_reads += n
-        out: list = []
-        rsws = self.rsws
-        do_admit = cache is not None and admit
-        i = 0
-        while i < n:
-            pages = [page_of(addrs[i])]
-            partition = rsws.partition_for_page(pages[0])
-            j = i + 1
-            while j < n:
-                page = page_of(addrs[j])
-                if rsws.partition_for_page(page) is not partition:
-                    break
-                pages.append(page)
-                j += 1
-            partition.acquire()
-            try:
-                for k in range(i, j):
-                    addr = addrs[k]
-                    page = pages[k - i]
-                    cell = self._try_read_retried(addr)
-                    if cell is None:
-                        raise self._vanished(addr, partition)
-                    parity = self._parity_of(page)
-                    consumed = self.prf.cell(addr, cell.data, cell.timestamp)
-                    partition.record_read(parity, consumed)
-                    new_ts = next(self._clock)
-                    opened = self.prf.cell(addr, cell.data, new_ts)
-                    partition.record_write(parity, opened)
-                    self.memory.set_timestamp(addr, new_ts)
-                    if self.page_digests_enabled:
-                        digest = self._page_digest[page]
-                        digest.remove(consumed)
-                        digest.add(opened)
-                    self._mark_touched(page)
-                    if do_admit:
-                        cache.admit(addr, cell.data)
-                    out.append(cell.data)
-            finally:
-                partition.release()
-            run = j - i
-            self.stats.verified_reads += run
-            self._ctr_reads.inc(run)
-            # hooks still fire once per cell (outside the lock) so the
-            # continuous-verification trigger cadence is unchanged
-            for _ in range(run):
-                self._fire_hooks()
-            i = j
-        return out
+        if not wanted:
+            return hits or []
+        if len(addrs) > 1:
+            if self.meter is not None:
+                self.meter.charge_batched_read()
+            self._ctr_read_batches.inc()
+            self._hist_batch_cells.observe(len(wanted))
+        fresh = self.restamp(wanted, cache if admit else None)
+        if hits is None:
+            return fresh
+        missed = iter(fresh)
+        return [next(missed) if data is None else data for data in hits]
 
     def write(self, addr: int, data: bytes) -> None:
         """Verified overwrite of an existing cell."""
@@ -377,9 +380,8 @@ class VerifiedMemory:
             partition.record_write(parity, opened)
             self.memory.raw_write(addr, data, new_ts)
             if self.page_digests_enabled:
-                digest = self._page_digest[page]
-                digest.remove(consumed)
-                digest.add(opened)
+                delta = _from_bytes(consumed, "little") ^ _from_bytes(opened, "little")
+                self._page_digest[page] ^= delta
             self._mark_touched(page)
             if self.cache is not None:
                 # write-through under the partition lock: a cached entry
@@ -407,7 +409,7 @@ class VerifiedMemory:
             partition.record_write(parity, opened)
             self.memory.raw_write(addr, data, new_ts)
             if self.page_digests_enabled:
-                self._page_digest[page].add(opened)
+                self._page_digest[page] ^= _from_bytes(opened, "little")
             self._mark_touched(page)
         finally:
             partition.release()
@@ -429,7 +431,7 @@ class VerifiedMemory:
             partition.record_read(parity, consumed)
             self.memory.remove(addr)
             if self.page_digests_enabled:
-                self._page_digest[page].remove(consumed)
+                self._page_digest[page] ^= _from_bytes(consumed, "little")
             self._mark_touched(page)
             data = cell.data
             if self.cache is not None:
@@ -451,6 +453,12 @@ class VerifiedMemory:
         self.stats.unverified_ops += 1
         self._ctr_unverified.inc()
         return self.memory.raw_read(addr).data
+
+    def read_many_unverified(self, addrs, admit: bool = True) -> list:
+        """``admit`` changes nothing: raw cells have no trusted copy to cache."""
+        self.stats.unverified_ops += len(addrs)
+        self._ctr_unverified.inc(len(addrs))
+        return [self.memory.raw_read(addr).data for addr in addrs]
 
     def write_unverified(self, addr: int, data: bytes) -> None:
         self.stats.unverified_ops += 1
@@ -478,14 +486,10 @@ class VerifiedMemory:
     # ------------------------------------------------------------------
     # verifier-facing internals
     # ------------------------------------------------------------------
-    def next_timestamp(self) -> int:
-        return next(self._clock)
-
-    def begin_pass(self, snapshot: Iterable[int]) -> None:
-        """Mark the start of an epoch scan over ``snapshot`` pages."""
+    def begin_pass(self) -> None:
+        """Mark the start of an epoch scan."""
         with self._registry_lock:
             self._in_pass = True
-            del snapshot  # snapshot ownership stays with the verifier
 
     def end_pass(self) -> None:
         """Advance the epoch after a completed scan."""
@@ -496,9 +500,6 @@ class VerifiedMemory:
     @property
     def epoch(self) -> int:
         return self._epoch
-
-    def parity_of_page(self, page_id: int) -> int:
-        return self._parity_of(page_id)
 
     def flip_parity(self, page_id: int) -> int:
         """Move a page into the next epoch; returns the *old* parity."""
@@ -525,7 +526,8 @@ class VerifiedMemory:
                 page // self.touched_group_size for page in pages
             )
 
-    def page_digest(self, page_id: int) -> SetHash:
+    def page_digest(self, page_id: int) -> int:
+        """XOR-sum (as an integer) of the page's open cells' digests."""
         if not self.page_digests_enabled:
             raise StorageError("page digests are not enabled")
         return self._page_digest[page_id]
@@ -552,6 +554,30 @@ class VerifiedMemory:
     def remove_op_hook(self, hook: Callable[[], None]) -> None:
         self._on_op.remove(hook)
 
+    def hold_hooks(self) -> bool:
+        """Defer this thread's op hooks until :meth:`release_hooks`.
+
+        A hook may run a verifier step and with it a page's deferred
+        compaction, which moves payload cells — so whoever reads a slot
+        pointer as a verified operation holds the hooks until it has
+        read the payload the pointer names; they fire, same count, on
+        release. False (nothing to release) when no hook is installed or
+        an outer hold is open.
+        """
+        if not self._on_op:
+            return False
+        if self._hold is None:
+            with self._registry_lock:
+                self._hold = self._hold or _HookHold()
+        if self._hold.owed is not None:
+            return False
+        self._hold.owed = 0
+        return True
+
+    def release_hooks(self) -> None:
+        owed, self._hold.owed = self._hold.owed, None
+        self._fire_hooks(owed)
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -562,19 +588,26 @@ class VerifiedMemory:
         return parity
 
     def _mark_touched(self, page_id: int) -> None:
-        if self.track_touched_pages:
-            self._touched.add(page_id // self.touched_group_size)
+        self._touched.add(page_id // self.touched_group_size)
 
-    def _fire_hooks(self) -> None:
-        if not self._on_op:
+    def _fire_hooks(self, count: int = 1) -> None:
+        """Run the op hooks once per operation done — later, under a hold."""
+        hooks = self._on_op
+        if not (hooks and count):  # a hold may be released owing nothing
             return
-        if self._obs_on:
-            start = perf_counter()
-            try:
-                for hook in self._on_op:
-                    hook()
-            finally:
-                self._hist_hooks.observe(perf_counter() - start)
-        else:
-            for hook in self._on_op:
+        hold = self._hold
+        if hold is not None and hold.owed is not None:
+            hold.owed += count
+            return
+        if count > 1:
+            hooks = hooks * count
+        if not self._obs_on:
+            for hook in hooks:
                 hook()
+            return
+        start = perf_counter()
+        try:
+            for hook in hooks:
+                hook()
+        finally:
+            self._hist_hooks.observe(perf_counter() - start)

@@ -34,7 +34,6 @@ import threading
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.crypto.sethash import SetHash
 from repro.errors import ConfigurationError, VeriDBError, VerificationFailure
 from repro.faults import default_fault_plane, sites as fault_sites
 from repro.memory.verified import VerifiedMemory
@@ -148,7 +147,7 @@ class Verifier:
                 with self._step_lock:
                     self._drain_open_pass_locked()
                     pages = self._snapshot_pages()
-                    self.vmem.begin_pass(pages)
+                    self.vmem.begin_pass()
                     try:
                         if workers <= 1 or len(pages) < 2:
                             for page_id in pages:
@@ -255,7 +254,7 @@ class Verifier:
             try:
                 if self._pending_pages is None:
                     pages = self._snapshot_pages()
-                    self.vmem.begin_pass(pages)
+                    self.vmem.begin_pass()
                     self._pending_pages = pages
                 while self._pending_pages:
                     page_id = self._pending_pages.pop()
@@ -396,40 +395,20 @@ class Verifier:
         return self.vmem.registered_pages()
 
     def _scan_page(self, page_id: int) -> None:
-        if self.mode == "touched":
-            self._scan_page_touched(page_id)
-        else:
-            self._scan_page_full(page_id)
-
-    def _scan_page_full(self, page_id: int) -> None:
-        """Algorithm 2 body: read every cell, re-stamp into the next epoch."""
+        """Scan one page under its partition lock, then run its scan hook."""
         vmem = self.vmem
         partition = vmem.rsws.partition_for_page(page_id)
         partition.acquire()
         hold_start = perf_counter() if self._obs_on else 0.0
         try:
-            old_parity = vmem.flip_parity(page_id)
-            new_parity = old_parity ^ 1
-            cells = 0
-            for addr in vmem.memory.page_addresses(page_id):
-                cell = vmem._try_read_retried(addr)
-                if cell is None:
-                    # Listed by the (untrusted) directory but absent: the
-                    # unmatched WriteSet entry will fail the epoch check.
-                    continue
-                if not cell.checked:
-                    # Unchecked metadata cell (Section 4.3); see Cell docs
-                    # for why honouring this untrusted flag is sound.
-                    continue
-                partition.record_read(
-                    old_parity, vmem.prf.cell(addr, cell.data, cell.timestamp)
-                )
-                new_ts = vmem.next_timestamp()
-                partition.record_write(
-                    new_parity, vmem.prf.cell(addr, cell.data, new_ts)
-                )
-                vmem.memory.set_timestamp(addr, new_ts)
-                cells += 1
+            if self.mode == "touched":
+                cells = self._check_page_digest(page_id, partition)
+            else:
+                # Algorithm 2 body: every cell read out of the closing
+                # epoch and re-stamped into the next
+                vmem.flip_parity(page_id)
+                listed = vmem.memory.page_addresses(page_id)
+                cells = len(vmem.restamp(listed, scan=True))
             self.stats.cells_scanned += cells
             self.stats.pages_scanned += 1
             self._ctr_cells.inc(cells)
@@ -442,44 +421,30 @@ class Verifier:
             if self._obs_on:
                 self._hist_page_lock.observe(perf_counter() - hold_start)
 
-    def _scan_page_touched(self, page_id: int) -> None:
+    def _check_page_digest(self, page_id: int, partition) -> int:
         """Compare the page's cells against its trusted open-cell digest."""
         vmem = self.vmem
-        partition = vmem.rsws.partition_for_page(page_id)
-        partition.acquire()
-        hold_start = perf_counter() if self._obs_on else 0.0
-        try:
-            observed = SetHash()
-            cells = 0
-            for addr in vmem.memory.page_addresses(page_id):
-                cell = vmem._try_read_retried(addr)
-                if cell is None or not cell.checked:
-                    continue
-                observed.add(vmem.prf.cell(addr, cell.data, cell.timestamp))
-                cells += 1
-            self.stats.cells_scanned += cells
-            self.stats.pages_scanned += 1
-            self._ctr_cells.inc(cells)
-            self._ctr_pages.inc()
-            expected = vmem.page_digest(page_id)
-            if observed != expected:
-                self.stats.alarms += 1
-                self._ctr_alarms.inc()
-                if vmem.cache is not None:
-                    # a detected inconsistency voids every trusted copy
-                    vmem.cache.flush()
-                raise VerificationFailure(
-                    f"page {page_id} content does not match its trusted digest",
-                    partition=partition.index,
-                )
-            vmem.clear_touched([page_id])
-            hook = vmem.scan_hook(page_id)
-            if hook is not None:
-                hook(page_id)
-        finally:
-            partition.release()
-            if self._obs_on:
-                self._hist_page_lock.observe(perf_counter() - hold_start)
+        observed = 0
+        cells = 0
+        for addr in vmem.memory.page_addresses(page_id):
+            cell = vmem._try_read_retried(addr)
+            if cell is None or not cell.checked:
+                continue
+            digest = vmem.prf.cell(addr, cell.data, cell.timestamp)
+            observed ^= int.from_bytes(digest, "little")
+            cells += 1
+        if observed != vmem.page_digest(page_id):
+            self.stats.alarms += 1
+            self._ctr_alarms.inc()
+            if vmem.cache is not None:
+                # a detected inconsistency voids every trusted copy
+                vmem.cache.flush()
+            raise VerificationFailure(
+                f"page {page_id} content does not match its trusted digest",
+                partition=partition.index,
+            )
+        vmem.clear_touched([page_id])
+        return cells
 
     def _close_epoch(self) -> None:
         vmem = self.vmem

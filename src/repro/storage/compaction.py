@@ -21,7 +21,8 @@ The hook therefore acquires the table lock non-blockingly and simply
 skips the page this pass if the table is busy. The op-count trigger
 (``ops_per_page_scan``) runs the scan on the operating thread itself,
 where the re-entrant table lock cannot say "busy", so the hook also
-skips a page whose own mutation is in flight (``Page.mutating``).
+skips a page whose own mutation is in flight (``Page.mutating``) or
+that the heap is still opening.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ class CompactionPolicy:
             self._ctr_skipped.inc()
             return
         try:
-            page = table.heap.get_page(page_id)
-            if page.mutating:
+            page = table.heap._pages.get(page_id)
+            if page is None or page.mutating:
                 # the scan was triggered from inside this page's own
-                # insert/write/delete (the lock above is re-entrant)
+                # mutation (the lock above is re-entrant), or by its
+                # header alloc, before the heap lists the page
                 self.stats.passes_skipped_busy += 1
                 self._ctr_skipped.inc()
             elif page.fragmentation > self.config.compact_threshold:

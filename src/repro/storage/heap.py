@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from repro.errors import PageFullError, StorageError
 from repro.storage.engine import StorageEngine
-from repro.storage.page import Page
+from repro.storage.page import Page, payload_addrs
 
 
 @dataclass(frozen=True, order=True)
@@ -61,26 +61,24 @@ class HeapFile:
     def read(self, rid: RecordId) -> bytes:
         return self._page(rid.page_id).read(rid.slot)
 
-    def read_many(
-        self, rids: list[RecordId], admit: bool = True
-    ) -> list[bytes]:
-        """Fetch several records, grouping consecutive same-page reads
-        into one batched verified read per page run. ``admit=False``
-        keeps the reads out of the record cache (scan resistance)."""
-        out: list[bytes] = []
-        i, n = 0, len(rids)
-        while i < n:
-            page_id = rids[i].page_id
-            j = i + 1
-            while j < n and rids[j].page_id == page_id:
-                j += 1
-            out.extend(
-                self._page(page_id).read_many(
-                    [r.slot for r in rids[i:j]], admit=admit
-                )
-            )
-            i = j
-        return out
+    def read_many(self, rids: list[RecordId], admit: bool = True) -> list[bytes]:
+        """Fetch several records, wherever in the heap they sit: the
+        chunk's slot pointers in one bulk read of the metadata path,
+        then its payloads in one batched read of the data path — with
+        the op hooks held in between when pointer reads owe any (see
+        :meth:`Page.read`). ``admit=False`` keeps the payloads out of
+        the record cache."""
+        if not rids:
+            return []
+        pointers = [self._page(rid.page_id).pointer_addr(rid.slot) for rid in rids]
+        paths = self._page(rids[0].page_id)  # the same for every page of a heap
+        held = paths.meta_io.verified and self.engine.vmem.hold_hooks()
+        try:
+            raws = paths.meta_io.read_many(pointers)
+            return paths.data_io.read_many(payload_addrs(pointers, raws), admit)
+        finally:
+            if held:
+                self.engine.vmem.release_hooks()
 
     def write(self, rid: RecordId, payload: bytes) -> None:
         page = self._page(rid.page_id)

@@ -74,36 +74,23 @@ def _mutation(method):
     return wrapper
 
 
-class _CellIO:
-    """Routes cell access through the verified or the raw path."""
+def payload_addrs(pointers: list[int], raws: list[bytes]) -> list[int]:
+    """The payload cell each slot-pointer cell names, given its bytes."""
+    offsets = [_SLOT.unpack(raw)[0] for raw in raws]
+    if offsets and max(offsets) > _MAX_OFFSET:
+        raise ValueError(f"offset {max(offsets)} out of range for a page")
+    return [ptr & ~_MAX_OFFSET | offset for ptr, offset in zip(pointers, offsets)]
 
-    __slots__ = ("vmem", "verified")
+
+class _CellIO:
+    """A memory's cell operations, the verified or the raw ones by one name."""
+
+    __slots__ = ("verified", "read", "read_many", "write", "alloc", "free")
 
     def __init__(self, vmem: VerifiedMemory, verified: bool):
-        self.vmem = vmem
         self.verified = verified
-
-    def read(self, addr: int) -> bytes:
-        if self.verified:
-            return self.vmem.read(addr)
-        return self.vmem.read_unverified(addr)
-
-    def write(self, addr: int, data: bytes) -> None:
-        if self.verified:
-            self.vmem.write(addr, data)
-        else:
-            self.vmem.write_unverified(addr, data)
-
-    def alloc(self, addr: int, data: bytes) -> None:
-        if self.verified:
-            self.vmem.alloc(addr, data)
-        else:
-            self.vmem.alloc_unverified(addr, data)
-
-    def free(self, addr: int) -> bytes:
-        if self.verified:
-            return self.vmem.free(addr)
-        return self.vmem.free_unverified(addr)
+        for op in self.__slots__[1:]:
+            setattr(self, op, getattr(vmem, op if verified else op + "_unverified"))
 
 
 class Page:
@@ -123,6 +110,7 @@ class Page:
         verify_metadata: bool = False,
     ):
         self.page_id = page_id
+        self._base = make_addr(page_id, 0)
         self.capacity = capacity
         self.vmem = vmem
         self.data_io = _CellIO(vmem, verify_data)
@@ -166,23 +154,19 @@ class Page:
         return slot
 
     def read(self, slot: int) -> bytes:
-        """Fetch a record's payload through the configured access paths."""
-        offset = self._slot_offset(slot)
-        return self.data_io.read(self._addr(offset))
+        """Fetch a record's payload through the configured access paths.
 
-    def read_many(self, slots: list[int], admit: bool = True) -> list[bytes]:
-        """Fetch several records, batching the verified payload reads.
-
-        Slot pointers resolve through the metadata path one cell at a
-        time (so per-cell fault sites still fire for every pointer);
-        the payload cells then go through ``VerifiedMemory.read_many``
-        when the data path is verified. ``admit=False`` keeps the
-        payloads out of the record cache (scan resistance).
+        A verified pointer read owes an op hook, and a verifier step run
+        from it could compact this page and leave the resolved address
+        naming nothing, or another record: the hooks are held until the
+        payload is out.
         """
-        addrs = [self._addr(self._slot_offset(slot)) for slot in slots]
-        if self.data_io.verified:
-            return self.vmem.read_many(addrs, admit=admit)
-        return [self.data_io.read(addr) for addr in addrs]
+        held = self.meta_io.verified and self.vmem.hold_hooks()
+        try:
+            return self.data_io.read(self._addr(self._slot_offset(slot)))
+        finally:
+            if held:
+                self.vmem.release_hooks()
 
     @_mutation
     def write(self, slot: int, payload: bytes) -> None:
@@ -277,7 +261,7 @@ class Page:
         spanned = self._tail - DATA_BASE
         if spanned == 0:
             return 0.0
-        live = sum(self._lengths.values())
+        live = self._used - HEADER_RESERVE - SLOT_OVERHEAD * len(self._slots)
         return 1.0 - live / spanned
 
     # ------------------------------------------------------------------
@@ -312,12 +296,15 @@ class Page:
         self._next_slot += 1
         return slot
 
-    def _slot_offset(self, slot: int) -> int:
-        """Resolve a slot through its pointer cell (the metadata path)."""
+    def pointer_addr(self, slot: int) -> int:
+        """Address of a live slot's pointer cell."""
         if slot not in self._slots:
             raise StorageError(f"page {self.page_id} has no record in slot {slot}")
-        raw = self.meta_io.read(self._addr(slot))
-        return _SLOT.unpack(raw)[0]
+        return self._base | slot
+
+    def _slot_offset(self, slot: int) -> int:
+        """Resolve a slot through its pointer cell (the metadata path)."""
+        return _SLOT.unpack(self.meta_io.read(self.pointer_addr(slot)))[0]
 
     def _header_bytes(self) -> bytes:
         return _HEADER.pack(len(self._slots), self._used, self._tail - DATA_BASE)

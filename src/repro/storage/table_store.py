@@ -25,6 +25,7 @@ page scans (Section 4.3).
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -458,33 +459,28 @@ class VerifiableTable:
         # sequential scan cannot evict the hot working set (scan
         # resistance); bounded range reads still warm the cache.
         admit = not (lo_bound is BOTTOM and hi_bound is TOP)
+        # The loop below runs once per record of every scan: Figure 5's
+        # checks are spelled out in it, not called, and the proof object
+        # gets its tallies once, after the loop.
+        bounded = hi_bound is not TOP  # else no key lies past the right end
+        past = operator.gt if include_hi else operator.ge
+        below = operator.lt if include_lo else operator.le
         rows: list[tuple] = []
         expected: Any = None
+        records_read = 0
         finished = False
-        # Records are fetched ``batch_size`` at a time through the
-        # batched verified-read path. Chunk membership uses only the
-        # *untrusted* index keys as a prefetch hint (read no further
-        # once the index claims the bound is passed); termination and
-        # omission detection still rest exclusively on the trusted
-        # nKey chain below, so a lying index cannot truncate a scan.
-        item_iter = iter(index.items(lo=seed[0]))
-        first = True
-        drained = False
-        while not finished and not drained:
-            rids: list[RecordId] = []
-            while len(rids) < batch_size:
-                nxt = next(item_iter, None)
-                if nxt is None:
-                    drained = True
-                    break
-                ikey, rid = nxt
-                if not first and self._past_bound(ikey, hi_bound, include_hi):
-                    drained = True
-                    break
-                first = False
-                rids.append(rid)
-            if not rids:
+        # Records are fetched ``batch_size`` at a time. Which records is
+        # a prefetch hint from the *untrusted* index — the seed, then
+        # every entry it does not claim is past the bound; termination
+        # and omission detection rest exclusively on the trusted nKey
+        # chain below, so a lying index cannot truncate a scan.
+        items = index.items(seed[0], hi_bound if bounded else None) or [seed]
+        if len(items) > 1 and past(items[-1][0], hi_bound):
+            items.pop()  # the exclusive bound itself
+        for start in range(0, len(items), batch_size):
+            if finished:
                 break
+            rids = [rid for _ikey, rid in items[start : start + batch_size]]
             for payload in self.heap.read_many(rids, admit=admit):
                 sentinel_of, key, next_key, row = decode(payload, plan)
                 if key is None:
@@ -494,20 +490,25 @@ class VerifiableTable:
                 if expected is None:
                     proof.first_key = key
                     proof.check_left()  # condition 1
-                else:
-                    proof.check_link(expected, key)  # condition 3
-                proof.records_read += 1
-                if sentinel_of == DATA_RECORD and self._emit(
-                    layout.chain_value(chain_id, key), lo, hi, include_lo, include_hi
-                ):
-                    rows.append(row)
-                proof.last_next_key = next_key
+                elif key != expected:
+                    proof.check_link(expected, key)  # condition 3: raises
+                records_read += 1
+                if sentinel_of == DATA_RECORD:
+                    # a chain key is the column value, paired with the
+                    # primary key on secondary chains, or a sentinel
+                    value = key[0] if type(key) is tuple else key
+                    if not (
+                        (lo is not None and below(value, lo))
+                        or (hi is not None and past(value, hi))
+                    ):
+                        rows.append(row)
                 expected = next_key
-                if next_key is TOP or self._past_bound(
-                    next_key, hi_bound, include_hi
-                ):
+                if next_key is TOP or (bounded and past(next_key, hi_bound)):
                     finished = True
                     break
+        proof.records_read = records_read
+        proof.links_checked = records_read - 1 if records_read else 0
+        proof.last_next_key = expected
         if not finished and expected is not TOP:
             raise ProofError(
                 f"untrusted index omitted chain-{chain_id} records: chain "
@@ -520,17 +521,3 @@ class VerifiableTable:
             plan.fields_skipped * (proof.records_read - fallbacks)
         )
         return rows, proof
-
-    @staticmethod
-    def _past_bound(next_key: Any, hi_bound: Any, include_hi: bool) -> bool:
-        if include_hi:
-            return next_key > hi_bound
-        return next_key >= hi_bound
-
-    @staticmethod
-    def _emit(value, lo, hi, include_lo, include_hi) -> bool:
-        if lo is not None and (value < lo or (not include_lo and value == lo)):
-            return False
-        if hi is not None and (value > hi or (not include_hi and value == hi)):
-            return False
-        return True

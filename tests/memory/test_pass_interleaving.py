@@ -6,6 +6,8 @@ the same epoch and corrupting both digest generations — an honest run
 then raised a false alarm. ``run_pass`` now drains the open pass first.
 """
 
+import random
+
 import pytest
 
 from repro.crypto.prf import PRF
@@ -112,3 +114,68 @@ def test_triggered_scans_with_sql_deletes_raise_no_false_alarm():
     assert db.storage.verifier.stats.alarms == 0
     got = client.execute("SELECT k, v FROM kv").rows
     assert sorted(map(tuple, got)) == sorted(model.items())
+
+
+@pytest.mark.parametrize("ops_per_page_scan", [1, 2, 3, 5])
+@pytest.mark.parametrize("verify_metadata", [True, False])
+def test_triggered_scans_never_run_inside_a_storage_read(
+    verify_metadata, ops_per_page_scan
+):
+    """Figure 9's "incl. metadata" × Figure 10's knob on an honest run.
+
+    With verified slot pointers a record read is two verified reads, and
+    the trigger used to fire between them: the step's compaction moved
+    the payloads the pointers had just named (``cell … vanished`` /
+    ``key chain broken`` at step 161 of this stream for N = 2 and 5).
+    For N = 1 and 3 a new page's header alloc fired the trigger before
+    the heap listed the page (``heap has no page`` during the load).
+    Hooks are now held across a storage-level read and fire after it.
+    """
+    from repro import VeriDB, VeriDBConfig
+    from repro.storage.config import StorageConfig
+
+    db = VeriDB(
+        VeriDBConfig(
+            key_seed=0,
+            ops_per_page_scan=ops_per_page_scan,
+            storage=StorageConfig(verify_metadata=verify_metadata),
+        )
+    )
+    vmem = db.storage.vmem
+    fired = []
+    vmem.add_op_hook(lambda: fired.append(1))
+    client = db.connect()
+    client.execute("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)")
+    model = {}
+    for key in range(300):
+        model[key] = "x" * 200
+        client.execute("INSERT INTO kv VALUES (?, ?)", params=(key, model[key]))
+    rng = random.Random(1)
+    next_key = len(model)
+    for _ in range(200):
+        draw = rng.random()
+        if draw < 0.3:
+            key = rng.choice(sorted(model))
+            client.execute("DELETE FROM kv WHERE k = ?", params=(key,))
+            del model[key]
+        elif draw < 0.5:
+            model[next_key] = "y" * rng.randint(50, 300)
+            client.execute(
+                "INSERT INTO kv VALUES (?, ?)", params=(next_key, model[next_key])
+            )
+            next_key += 1
+        elif draw < 0.8:
+            key = rng.choice(sorted(model))
+            rows = client.execute("SELECT v FROM kv WHERE k = ?", params=(key,)).rows
+            assert [row[0] for row in rows] == [model[key]]
+        else:
+            rows = client.execute("SELECT COUNT(*) FROM kv").rows
+            assert rows[0][0] == len(model)
+    db.verify_now()
+    assert db.storage.verifier.stats.alarms == 0
+    got = client.execute("SELECT k, v FROM kv").rows
+    assert sorted(map(tuple, got)) == sorted(model.items())
+    stats = vmem.stats
+    assert len(fired) == (
+        stats.verified_reads + stats.verified_writes + stats.allocs + stats.frees
+    )

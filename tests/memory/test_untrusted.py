@@ -47,13 +47,19 @@ def test_remove_updates_directory(mem):
         mem.remove(addr)
 
 
-def test_set_timestamp(mem):
-    addr = make_addr(1, 5)
-    mem.raw_write(addr, b"x", 1)
-    mem.set_timestamp(addr, 42)
-    assert mem.raw_read(addr).timestamp == 42
-    with pytest.raises(StorageError):
-        mem.set_timestamp(make_addr(9, 9), 1)
+def test_directory_lists_cells_by_the_flag_they_were_created_with(mem):
+    checked, meta = make_addr(6, 70_000), make_addr(6, 3)
+    mem.raw_write(checked, b"record", 1)
+    mem.raw_write(meta, b"pointer", 0, checked=False)
+    assert mem.page_addresses(6) == [checked]
+    assert mem.page_addresses(6, checked=False) == [meta]
+    assert mem.pages() == [6] and mem.page_bytes(6) == 13
+    # overwriting with the other flag moves nothing between the listings
+    mem.raw_write(meta, b"pointer", 0, checked=True)
+    assert mem.page_addresses(6) == [checked]
+    mem.remove(meta)
+    mem.remove(checked)
+    assert mem.pages() == [] and mem.page_addresses(6, checked=False) == []
 
 
 def test_len_and_iteration(mem):

@@ -11,6 +11,7 @@ batches (7), or in batches wider than any table here (1024).
 import pytest
 
 from repro.core.config import VeriDBConfig
+from repro.core.database import VeriDB
 from repro.errors import StorageError
 from repro.memory.adversary import Adversary
 from repro.storage.config import StorageConfig
@@ -83,6 +84,79 @@ def test_attack_detected_behind_narrow_projections(attack_name, batch_size):
         f"batch_size={batch_size}"
     )
     assert isinstance(caught, DETECTION_ERRORS)
+
+
+#: scans that walk the ``balance`` chain, whose order is unrelated to
+#: where the records sit in the heap
+CHAIN_SCANS = (
+    "SELECT id FROM acct WHERE balance >= 0",
+    "SELECT COUNT(*) FROM acct WHERE balance < 2500",
+)
+
+
+def build_chained_db(batch_size):
+    """``acct`` over several small pages with a secondary chain on
+    ``balance``, a permutation of the insertion order: one chunk of a
+    ``balance`` scan reads cells from many pages and partitions, in an
+    order the heap does not share."""
+    db = VeriDB(
+        VeriDBConfig(
+            storage=StorageConfig(batch_size=batch_size, page_size=512),
+            key_seed=9,
+        )
+    )
+    db.sql(
+        "CREATE TABLE acct (id INTEGER PRIMARY KEY, balance INTEGER, CHAIN (balance))"
+    )
+    for i in range(60):
+        db.sql(f"INSERT INTO acct VALUES ({i}, {i * 37 % 60 * 100})")
+    db.verify_now()
+    assert db.table("acct").page_count() >= 4
+    return db
+
+
+@pytest.mark.parametrize("attack_name", sorted(ATTACKS))
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_attack_detected_behind_secondary_chain_scans(attack_name, batch_size):
+    """Heap order ≠ chain order: the batch is one cross-page read, and a
+    cell tampered with anywhere in it must neither derail the scan with
+    anything but an alarm nor slip past the epoch close."""
+    db = build_chained_db(batch_size)
+    client = db.connect()
+    for sql in CHAIN_SCANS:
+        client.execute(sql)
+    adversary = Adversary(db.storage.memory)
+    ATTACKS[attack_name](db, adversary)
+    caught = None
+    for sql in CHAIN_SCANS:
+        try:
+            db.sql(sql)
+        except DETECTION_ERRORS as alarm:
+            caught = alarm
+            break
+        except StorageError:
+            pass  # undecodable bytes are refused; the close still alarms
+    if caught is None:
+        caught = detect(db, client, attack_name)
+    assert caught is not None, (
+        f"attack {attack_name!r} hid in a cross-page batch at "
+        f"batch_size={batch_size}"
+    )
+    assert isinstance(caught, DETECTION_ERRORS)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_honest_secondary_chain_scans_stay_clean(batch_size):
+    db = build_chained_db(batch_size)
+    client = db.connect()
+    for sql in CHAIN_SCANS:
+        rows = list(client.execute(sql).rows)
+        # the same predicate, unsargable: a primary-key scan and a filter
+        in_heap_order = list(db.sql(sql.replace("balance", "(balance + 0)")).rows)
+        assert sorted(rows) == sorted(in_heap_order)
+        assert len(rows) == 1 or rows != in_heap_order  # the chain was walked
+    db.verify_now()
+    assert db.incidents.active("verification-alarm") == []
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)

@@ -193,6 +193,30 @@ def test_tampered_record_detected_at_epoch_close():
         engine.verify_now()
 
 
+def test_sentinel_passed_off_as_a_data_record_never_derails_a_scan():
+    """A chain's ``⊥`` sentinel re-flagged as a data record reaches the
+    range filter with a key that is no ``(value, pk)`` pair: the scan
+    must answer (the sentinel lies below every bound) or alarm, and the
+    epoch close must alarm."""
+    from repro.storage.keychain import BOTTOM, DATA_RECORD
+
+    table, engine = make_table()
+    rid = table.indexes[1].search(BOTTOM)
+    page = table.heap.get_page(rid.page_id)
+    addr = make_addr(rid.page_id, page.slot_offset_for_compaction(rid.slot)[0])
+    stored = table._read_stored(rid)
+    stored.sentinel_of = DATA_RECORD
+    Adversary(engine.memory).corrupt(addr, table._encode(stored))
+    try:
+        rows = table.scan("count", lo=-5, hi=20)
+    except (ProofError, VerificationFailure):
+        pass
+    else:
+        assert [row[0] for row in rows] == [0, 5, 10]
+    with pytest.raises(VerificationFailure):
+        engine.verify_now()
+
+
 def test_replayed_record_detected():
     table, engine = make_table()
     adversary = Adversary(engine.memory)
