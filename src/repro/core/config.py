@@ -112,12 +112,7 @@ class ShardConfig:
     ``health_interval`` > 0 starts the background
     :class:`~repro.obs.fleet.HealthMonitor` poller on that cadence
     (seconds); 0 leaves health checks to explicit
-    ``ShardedDatabase.health()`` calls. The ``slo_*`` knobs shape the
-    rolling-window SLO (p99 latency target, window length, error-rate
-    budget), and the ``*_alert`` thresholds arm the per-worker alert
-    rules: WAL records pending past ``wal_lag_alert``, fleet rounds
-    behind the coordinator past ``epoch_lag_alert``, and EPC occupancy
-    fraction past ``epc_pressure_alert`` each raise a typed alert.
+    ``ShardedDatabase.health()`` calls.
     """
 
     shard_count: int = 2
@@ -129,12 +124,6 @@ class ShardConfig:
     worker_metrics: bool = True
     federate_metrics: bool = True
     health_interval: float = 0.0
-    slo_p99_seconds: float = 1.0
-    slo_window_seconds: float = 60.0
-    slo_error_rate: float = 0.01
-    wal_lag_alert: int = 1024
-    epoch_lag_alert: int = 1
-    epc_pressure_alert: float = 0.9
     base: VeriDBConfig = field(default_factory=VeriDBConfig)
 
     def __post_init__(self):
@@ -149,16 +138,6 @@ class ShardConfig:
             raise ConfigurationError("request_timeout must be positive")
         if self.health_interval < 0:
             raise ConfigurationError("health_interval must be >= 0")
-        if self.slo_p99_seconds <= 0 or self.slo_window_seconds <= 0:
-            raise ConfigurationError("SLO targets must be positive")
-        if not 0.0 <= self.slo_error_rate <= 1.0:
-            raise ConfigurationError(
-                "slo_error_rate must be within [0.0, 1.0]"
-            )
-        if not 0.0 < self.epc_pressure_alert <= 1.0:
-            raise ConfigurationError(
-                "epc_pressure_alert must be within (0.0, 1.0]"
-            )
         for table, boundaries in self.shard_ranges.items():
             if len(boundaries) != self.shard_count - 1:
                 raise ConfigurationError(

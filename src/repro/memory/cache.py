@@ -33,31 +33,20 @@ billed through the EPC's :class:`~repro.sgx.costs.CycleMeter`. An
 over-sized cache therefore gets slower, reproducing the paper's
 EPC-pressure cliff; ``benchmarks/test_ablation_cache.py`` measures it.
 
-Admission policies (``StorageConfig.cache_policy``):
-
-* ``lru`` — least-recently-used, the default;
-* ``clock`` — second-chance ring: hits set a reference bit instead of
-  reordering, the eviction hand clears bits until it finds a cold entry;
-* ``2q`` — simplified 2Q: first touch lands in a probationary FIFO,
-  a second touch promotes to the protected LRU; single-touch entries
-  (scans) evict first.
-
-Large sequential scans additionally bypass admission entirely
-(``admit=False`` through the batched read path) so a table scan cannot
-wash the hot set out regardless of policy.
+Eviction is least-recently-used inside the byte budget. Large
+sequential scans bypass admission entirely (``admit=False`` through the
+batched read path), so a table scan cannot wash the hot set out.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 from repro.errors import ConfigurationError, FaultInjected
 from repro.faults import default_fault_plane, sites as fault_sites
 from repro.obs import default_registry
 from repro.obs.trace_context import current_trace
-
-CACHE_POLICIES = ("lru", "clock", "2q")
 
 #: approximate per-entry bookkeeping (key, links, ref bits) charged
 #: against ``capacity_bytes`` so tiny records cannot inflate the entry
@@ -67,149 +56,6 @@ ENTRY_OVERHEAD = 64
 #: granularity of EPC residency accounting: one named allocation per
 #: this many resident cache bytes
 DEFAULT_SHARD_BYTES = 64 * 1024
-
-
-class _LRUPolicy:
-    """Classic LRU over an ordered dict (most recent last)."""
-
-    def __init__(self):
-        self._entries: OrderedDict[int, bytes] = OrderedDict()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, addr):
-        data = self._entries.get(addr)
-        if data is not None:
-            self._entries.move_to_end(addr)
-        return data
-
-    def put(self, addr, data):
-        self._entries[addr] = data
-        self._entries.move_to_end(addr)
-
-    def pop(self, addr):
-        return self._entries.pop(addr, None)
-
-    def evict_one(self):
-        return self._entries.popitem(last=False)
-
-    def clear(self):
-        self._entries.clear()
-
-
-class _ClockPolicy:
-    """Second-chance ring: hits are O(1) bit-sets, no reordering."""
-
-    def __init__(self):
-        self._entries: dict[int, bytes] = {}
-        self._ref: dict[int, bool] = {}
-        self._ring: deque[int] = deque()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, addr):
-        data = self._entries.get(addr)
-        if data is not None:
-            self._ref[addr] = True
-        return data
-
-    def put(self, addr, data):
-        if addr not in self._entries:
-            # fresh admissions start cold: one untouched round through
-            # the ring and they are eviction candidates (second chance
-            # is earned by a hit, not granted on entry)
-            self._ring.append(addr)
-            self._ref[addr] = False
-        else:
-            self._ref[addr] = True
-        self._entries[addr] = data
-
-    def pop(self, addr):
-        # the ring slot goes stale and is skipped by the hand later
-        self._ref.pop(addr, None)
-        return self._entries.pop(addr, None)
-
-    def evict_one(self):
-        while True:
-            addr = self._ring.popleft()
-            if addr not in self._entries:
-                continue  # stale slot left by pop()
-            if self._ref[addr]:
-                self._ref[addr] = False
-                self._ring.append(addr)
-                continue
-            del self._ref[addr]
-            return addr, self._entries.pop(addr)
-
-    def clear(self):
-        self._entries.clear()
-        self._ref.clear()
-        self._ring.clear()
-
-
-class _TwoQPolicy:
-    """Simplified 2Q: probationary FIFO feeding a protected LRU.
-
-    A first admission lands in probation; only a second touch promotes
-    to the protected queue. Eviction drains probation first whenever it
-    holds more than :attr:`PROBATION_SHARE` of the entries, so
-    single-touch traffic (scans) cannot displace the protected hot set.
-    """
-
-    PROBATION_SHARE = 0.25
-
-    def __init__(self):
-        self._probation: OrderedDict[int, bytes] = OrderedDict()
-        self._protected: OrderedDict[int, bytes] = OrderedDict()
-
-    def __len__(self):
-        return len(self._probation) + len(self._protected)
-
-    def get(self, addr):
-        data = self._protected.get(addr)
-        if data is not None:
-            self._protected.move_to_end(addr)
-            return data
-        data = self._probation.pop(addr, None)
-        if data is not None:
-            self._protected[addr] = data  # second touch: promote
-        return data
-
-    def put(self, addr, data):
-        if addr in self._protected:
-            self._protected[addr] = data
-            self._protected.move_to_end(addr)
-        else:
-            self._probation[addr] = data
-
-    def pop(self, addr):
-        data = self._probation.pop(addr, None)
-        if data is not None:
-            return data
-        return self._protected.pop(addr, None)
-
-    def evict_one(self):
-        if self._probation and (
-            not self._protected
-            or len(self._probation) >= self.PROBATION_SHARE * len(self)
-        ):
-            return self._probation.popitem(last=False)
-        if self._protected:
-            return self._protected.popitem(last=False)
-        return self._probation.popitem(last=False)
-
-    def clear(self):
-        self._probation.clear()
-        self._protected.clear()
-
-
-_POLICY_CLASSES = {
-    "lru": _LRUPolicy,
-    "clock": _ClockPolicy,
-    "2q": _TwoQPolicy,
-}
 
 
 class RecordCache:
@@ -226,7 +72,6 @@ class RecordCache:
     def __init__(
         self,
         capacity_bytes: int,
-        policy: str = "lru",
         registry=None,
         faults=None,
         epc=None,
@@ -235,17 +80,13 @@ class RecordCache:
     ):
         if capacity_bytes <= 0:
             raise ConfigurationError("cache capacity_bytes must be positive")
-        if policy not in _POLICY_CLASSES:
-            raise ConfigurationError(
-                f"unknown cache policy {policy!r}; pick one of {CACHE_POLICIES}"
-            )
         if shard_bytes <= 0:
             raise ConfigurationError("shard_bytes must be positive")
         self.capacity_bytes = capacity_bytes
-        self.policy = policy
         self.faults = faults if faults is not None else default_fault_plane()
         self._lock = threading.RLock()
-        self._policy = _POLICY_CLASSES[policy]()
+        #: addr → verified bytes, least recently used first
+        self._entries: OrderedDict[int, bytes] = OrderedDict()
         self._bytes = 0
         self._storm_pending = False
 
@@ -325,7 +166,9 @@ class RecordCache:
         if self._storm_pending:
             self._absorb_storm()
         with self._lock:
-            data = self._policy.get(addr)
+            data = self._entries.get(addr)
+            if data is not None:
+                self._entries.move_to_end(addr)
         if data is None:
             self._ctr_misses.inc()
         else:
@@ -343,12 +186,15 @@ class RecordCache:
         if self._storm_pending:
             self._absorb_storm()
         hits = 0
+        entries = self._entries
+        out = []
         with self._lock:
-            get = self._policy.get
-            out = [get(addr) for addr in addrs]
-        for data in out:
-            if data is not None:
-                hits += 1
+            for addr in addrs:
+                data = entries.get(addr)
+                if data is not None:
+                    entries.move_to_end(addr)
+                    hits += 1
+                out.append(data)
         if hits:
             self._ctr_hits.inc(hits)
         misses = len(out) - hits
@@ -361,7 +207,7 @@ class RecordCache:
         return out
 
     def admit(self, addr: int, data: bytes) -> None:
-        """Insert a freshly verified value, evicting per policy to fit.
+        """Insert a freshly verified value, evicting least recently used to fit.
 
         Values larger than the whole capacity are never admitted. The
         ``cache.evict_storm`` fault site is consulted here (the miss
@@ -380,14 +226,15 @@ class RecordCache:
         if size > self.capacity_bytes:
             return
         evicted = 0
+        entries = self._entries
         with self._lock:
-            prev = self._policy.pop(addr)
+            prev = entries.pop(addr, None)
             if prev is not None:
                 self._bytes -= len(prev) + ENTRY_OVERHEAD
-            self._policy.put(addr, data)
+            entries[addr] = data
             self._bytes += size
             while self._bytes > self.capacity_bytes:
-                _vaddr, vdata = self._policy.evict_one()
+                _vaddr, vdata = entries.popitem(last=False)
                 self._bytes -= len(vdata) + ENTRY_OVERHEAD
                 evicted += 1
         if evicted:
@@ -403,17 +250,17 @@ class RecordCache:
         write-heavy cold set should not wash out the hot read set.
         """
         with self._lock:
-            prev = self._policy.pop(addr)
+            prev = self._entries.pop(addr, None)
             if prev is None:
                 return
             self._bytes += len(data) - len(prev)
-            self._policy.put(addr, data)
+            self._entries[addr] = data
         self._sync_epc()
 
     def invalidate(self, addr: int) -> None:
         """Drop the entry for ``addr`` (frees, relocations, raw paths)."""
         with self._lock:
-            prev = self._policy.pop(addr)
+            prev = self._entries.pop(addr, None)
             if prev is None:
                 return
             self._bytes -= len(prev) + ENTRY_OVERHEAD
@@ -428,8 +275,8 @@ class RecordCache:
         site fires. Flushed entries count as invalidations.
         """
         with self._lock:
-            n = len(self._policy)
-            self._policy.clear()
+            n = len(self._entries)
+            self._entries.clear()
             self._bytes = 0
             self._release_shards()
         if n:
@@ -445,7 +292,7 @@ class RecordCache:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._policy)
+            return len(self._entries)
 
     @property
     def bytes_resident(self) -> int:

@@ -55,6 +55,17 @@ COUNTED_FIELDS = (
     "epc_swaps",
 )
 
+#: the rolling-window SLO: the window's width, its p99 latency target
+#: and the error rate that burns the whole error budget
+SLO_WINDOW_SECONDS = 60.0
+SLO_P99_SECONDS = 1.0
+SLO_ERROR_RATE = 0.01
+#: per-worker alert thresholds: WAL records awaiting a durability sync,
+#: fleet rounds behind the coordinator, EPC occupancy fraction
+WAL_LAG_ALERT = 1024
+EPOCH_LAG_ALERT = 1
+EPC_PRESSURE_ALERT = 0.9
+
 
 # ----------------------------------------------------------------------
 # trace segments (worker -> coordinator)
@@ -318,7 +329,7 @@ class HealthMonitor:
     ``poll(shard_id)`` performs one authenticated ``health`` round trip
     and returns the worker's report dict (raising a transport error
     marks the worker down). Alert rules compare each report — and the
-    fleet-wide SLO view — against the configured thresholds; crossing a
+    fleet-wide SLO view — against the module's thresholds; crossing a
     threshold *raises* the alert exactly once (``alert_raised`` event +
     ``health.alerts_raised`` counter), and the first healthy evaluation
     afterwards *clears* it (``alert_cleared`` event), so flapping shows
@@ -329,7 +340,6 @@ class HealthMonitor:
         self,
         poll: Callable[[int], dict],
         shard_ids,
-        config,
         coordinator_round: Callable[[], int],
         registry=None,
         sink=None,
@@ -337,16 +347,11 @@ class HealthMonitor:
     ):
         self.poll = poll
         self.shard_ids = list(shard_ids)
-        self.config = config
         self.coordinator_round = coordinator_round
         self.obs = registry if registry is not None else default_registry()
         self.sink = sink if sink is not None else default_event_sink()
         self.on_poll = on_poll
-        self.slo = SloTracker(
-            config.slo_window_seconds,
-            config.slo_p99_seconds,
-            config.slo_error_rate,
-        )
+        self.slo = SloTracker(SLO_WINDOW_SECONDS, SLO_P99_SECONDS, SLO_ERROR_RATE)
         #: (rule, shard or None) -> detail string for every active alert
         self._active: dict[tuple, str] = {}
         self._lock = threading.Lock()
@@ -439,13 +444,12 @@ class HealthMonitor:
         }
 
     def _evaluate_worker(self, shard_id: int, labels: dict, report: dict) -> None:
-        cfg = self.config
         lag = self.coordinator_round() - report.get("fleet_round", 0)
         self.obs.gauge("health.epoch_round", labels=labels).set(
             report.get("fleet_round", 0)
         )
         self._set_alert(
-            lag >= cfg.epoch_lag_alert and cfg.epoch_lag_alert > 0,
+            lag >= EPOCH_LAG_ALERT,
             "epoch_lag",
             shard_id,
             f"worker fleet round lags coordinator by {lag}",
@@ -453,7 +457,7 @@ class HealthMonitor:
         wal_pending = report.get("wal_pending", 0)
         self.obs.gauge("health.wal_lag", labels=labels).set(wal_pending)
         self._set_alert(
-            wal_pending >= cfg.wal_lag_alert,
+            wal_pending >= WAL_LAG_ALERT,
             "wal_lag",
             shard_id,
             f"{wal_pending} WAL records awaiting durability sync",
@@ -463,7 +467,7 @@ class HealthMonitor:
         pressure = (epc.get("resident", 0) + epc.get("swapped", 0)) / capacity
         self.obs.gauge("health.epc_pressure", labels=labels).set(pressure)
         self._set_alert(
-            pressure >= cfg.epc_pressure_alert,
+            pressure >= EPC_PRESSURE_ALERT,
             "epc_pressure",
             shard_id,
             f"EPC at {pressure:.0%} of capacity (swapping territory)",

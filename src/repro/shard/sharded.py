@@ -122,7 +122,6 @@ class ShardedDatabase:
         self.monitor = HealthMonitor(
             poll=lambda shard_id: self.router.call(shard_id, "health", {}),
             shard_ids=range(self.config.shard_count),
-            config=self.config,
             coordinator_round=lambda: self._fleet_round,
             registry=self.obs,
             on_poll=(

@@ -1,15 +1,28 @@
-"""Abstract syntax for the supported SQL dialect."""
+"""Abstract syntax for the supported SQL dialect.
+
+Every node is a dataclass, and the traversals at the bottom of this
+module (:func:`children`, :func:`map_children`, :func:`walk`) read a
+node's shape off its fields. They are the only code that knows where a
+node keeps its sub-nodes: a new node type is traversed — by the
+planner, the plan cache, the session's lock analysis — the moment it is
+declared.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+import functools
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Iterator, Optional, Sequence
+
+
+class Node:
+    """Base class of every AST dataclass."""
 
 
 # ----------------------------------------------------------------------
 # expressions
 # ----------------------------------------------------------------------
-class Expr:
+class Expr(Node):
     """Base class for expressions."""
 
 
@@ -95,6 +108,7 @@ class Aggregate(Expr):
         return f"{self.func}({inner})"
 
 
+@dataclass(eq=False)
 class ScalarSubquery(Expr):
     """``(SELECT …)`` used as a value; must yield one column, ≤1 row.
 
@@ -103,37 +117,37 @@ class ScalarSubquery(Expr):
     appear in structural-rewrite maps.
     """
 
-    def __init__(self, select: "Select"):
-        self.select = select
+    select: Select
 
     def __repr__(self):
         return "ScalarSubquery(…)"
 
 
+@dataclass(eq=False)
 class InSubquery(Expr):
     """``expr [NOT] IN (SELECT …)``; the subquery must yield one column."""
 
-    def __init__(self, operand: Expr, select: "Select", negated: bool = False):
-        self.operand = operand
-        self.select = select
-        self.negated = negated
+    operand: Expr
+    select: Select
+    negated: bool = False
 
     def __repr__(self):
         maybe_not = "NOT " if self.negated else ""
         return f"({self.operand!r} {maybe_not}IN (SELECT …))"
 
 
+@dataclass(eq=False)
 class ExistsSubquery(Expr):
     """``[NOT] EXISTS (SELECT …)``."""
 
-    def __init__(self, select: "Select", negated: bool = False):
-        self.select = select
-        self.negated = negated
+    select: Select
+    negated: bool = False
 
     def __repr__(self):
         return f"{'NOT ' if self.negated else ''}EXISTS(SELECT …)"
 
 
+@dataclass(eq=False)
 class InSet(Expr):
     """Planner-internal: membership test against materialized values.
 
@@ -142,12 +156,10 @@ class InSet(Expr):
     unknown, not false.
     """
 
-    def __init__(self, operand: Expr, values: frozenset, had_null: bool,
-                 negated: bool = False):
-        self.operand = operand
-        self.values = values
-        self.had_null = had_null
-        self.negated = negated
+    operand: Expr
+    values: frozenset
+    had_null: bool
+    negated: bool = False
 
     def __repr__(self):
         maybe_not = "NOT " if self.negated else ""
@@ -157,18 +169,18 @@ class InSet(Expr):
 # ----------------------------------------------------------------------
 # statements
 # ----------------------------------------------------------------------
-class Statement:
+class Statement(Node):
     """Base class for statements."""
 
 
 @dataclass
-class SelectItem:
+class SelectItem(Node):
     expr: Expr
     alias: Optional[str] = None
 
 
 @dataclass
-class TableRef:
+class TableRef(Node):
     name: str
     alias: Optional[str] = None
 
@@ -178,14 +190,14 @@ class TableRef:
 
 
 @dataclass
-class JoinClause:
+class JoinClause(Node):
     table: TableRef
     condition: Optional[Expr]  # None means cross join
     outer: bool = False  # True for LEFT [OUTER] JOIN
 
 
 @dataclass
-class OrderItem:
+class OrderItem(Node):
     expr: Expr
     ascending: bool = True
 
@@ -265,3 +277,100 @@ class Commit(Statement):
 @dataclass
 class Rollback(Statement):
     pass
+
+
+# ----------------------------------------------------------------------
+# traversal
+# ----------------------------------------------------------------------
+#: expression nodes whose ``select`` is a nested statement
+SUBQUERY_NODES = (ScalarSubquery, InSubquery, ExistsSubquery)
+
+
+#: annotations of fields that hold plain values, never nodes. Only a
+#: shortcut: a field annotated any other way is inspected by value.
+_PLAIN = {"str", "bool", "int", "Any", "frozenset", "Optional[str]", "Optional[int]"}
+
+
+@functools.cache
+def _node_fields(cls: type) -> tuple[str, ...]:
+    """Names of the fields of ``cls`` whose values can hold nodes."""
+    return tuple(f.name for f in fields(cls) if f.type not in _PLAIN)
+
+
+def _collect(values: Sequence, parts: list[Node]) -> None:
+    for value in values:
+        if isinstance(value, Node):
+            parts.append(value)
+        elif isinstance(value, (list, tuple)):
+            _collect(value, parts)
+
+
+def _parts(node: Node) -> list[Node]:
+    """The nodes a node's fields hold, in field order, through sequences."""
+    parts: list[Node] = []
+    for name in _node_fields(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            parts.append(value)
+        elif isinstance(value, (list, tuple)):
+            _collect(value, parts)
+    return parts
+
+
+def children(expr: Expr) -> list[Expr]:
+    """An expression's direct subexpressions, in field order.
+
+    A subquery's body is a statement with a scope of its own, not a
+    child: only the operand of ``x IN (SELECT …)`` refers to the outer
+    row.
+    """
+    return [part for part in _parts(expr) if isinstance(part, Expr)]
+
+
+def walk(node: Node, into_selects: bool = False) -> Iterator[Node]:
+    """``node`` and every node below it, parents first.
+
+    Covers a whole statement as well as one expression. Nested
+    statements — subquery bodies, the source of ``INSERT … SELECT``,
+    the subject of ``EXPLAIN`` — are entered only when ``into_selects``
+    is set.
+    """
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        yield node
+        for part in reversed(_parts(node)):
+            if into_selects or not isinstance(part, Statement):
+                pending.append(part)
+
+
+def _mapped(value: Any, fn: Callable[[Expr], Expr]) -> Any:
+    if isinstance(value, Expr):
+        return fn(value)
+    if isinstance(value, Statement):
+        return value  # a nested statement is its own scope
+    if isinstance(value, Node):
+        return map_children(value, fn)
+    if isinstance(value, (list, tuple)):
+        mapped = [_mapped(element, fn) for element in value]
+        if any(new is not old for new, old in zip(mapped, value)):
+            return type(value)(mapped)
+    return value
+
+
+def map_children(node: Node, fn: Callable[[Expr], Expr]) -> Node:
+    """``node`` rebuilt with ``fn`` applied to each expression it holds.
+
+    On an expression those are its :func:`children`; on a statement,
+    every expression slot — select list, join conditions, WHERE, GROUP
+    BY, HAVING, ORDER BY, VALUES rows, SET right-hand sides — but not
+    those of an embedded ``SELECT``. A node none of whose expressions
+    change is returned as is.
+    """
+    changed = {}
+    for name in _node_fields(type(node)):
+        value = getattr(node, name)
+        mapped = _mapped(value, fn)
+        if mapped is not value:
+            changed[name] = mapped
+    return replace(node, **changed) if changed else node

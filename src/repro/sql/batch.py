@@ -19,11 +19,6 @@ the result:
   (:meth:`to_rows`), executor result assembly, or a row-wise operator
   such as a join build side.
 
-Each column also exposes a validity bitmap (:meth:`validity`): an int
-whose bit *j* is set iff row *j* of that column is non-NULL, which is
-what the vectorized ``IS NULL`` evaluator and NULL-skipping consumers
-read instead of testing every cell.
-
 The batch size fallback for directly-constructed operators is a
 re-export of :data:`repro.storage.config.DEFAULT_BATCH_SIZE` — one
 constant, shared with ``StorageConfig.batch_size``, so the two cannot
@@ -34,49 +29,17 @@ value).
 from __future__ import annotations
 
 import itertools
-from array import array
 from typing import Iterable, Iterator
 
 from repro.storage.config import DEFAULT_BATCH_SIZE
 
-__all__ = ["DEFAULT_BATCH_SIZE", "ColumnBatch", "RowBatch", "batched"]
-
-#: pack NULL-free all-int / all-float derived columns into ``array``
-#: typecode ``q``/``d`` storage (8 bytes per cell instead of a pointer
-#: to a boxed object). Module-level so tests and ablations can flip it.
-PACK_NUMERIC = True
-
-
-def _packed(values: list) -> list | array:
-    """``values`` as a typed array when eligible, unchanged otherwise.
-
-    Eligible means non-empty, NULL-free and type-homogeneous int or
-    float — checked with exact ``type`` so bools (an int subclass) and
-    int/float mixes keep object semantics. Out-of-range ints (beyond
-    64-bit) fall back to the list form.
-    """
-    if not values:
-        return values
-    first = type(values[0])
-    if first is int:
-        typecode = "q"
-    elif first is float:
-        typecode = "d"
-    else:
-        return values
-    for value in values:
-        if type(value) is not first:
-            return values
-    try:
-        return array(typecode, values)
-    except (OverflowError, TypeError, ValueError):
-        return values
+__all__ = ["DEFAULT_BATCH_SIZE", "ColumnBatch", "batched"]
 
 
 class ColumnBatch:
     """A slice of an operator's output: columns, cardinality, ordering."""
 
-    __slots__ = ("length", "ordering", "_rows", "_columns", "_width", "_validity")
+    __slots__ = ("length", "ordering", "_rows", "_columns", "_width")
 
     def __init__(self, columns: list[list], length: int, ordering: tuple = ()):
         """Column-backed constructor: per-column value lists."""
@@ -86,7 +49,6 @@ class ColumnBatch:
         self._rows: list[tuple] | None = None
         self.length = length
         self._width = len(columns)
-        self._validity: dict[int, int] = {}
         #: the (qualifier, column, ascending) triples this batch's rows
         #: are known to satisfy — same contract as ``PhysicalOp.ordering``
         self.ordering = ordering
@@ -99,7 +61,6 @@ class ColumnBatch:
         batch._rows = rows
         batch.length = len(rows)
         batch._width = len(rows[0]) if rows else 0
-        batch._validity = {}
         batch.ordering = ordering
         return batch
 
@@ -137,10 +98,7 @@ class ColumnBatch:
             self._columns = [None] * self._width
         values = self._columns[position]
         if values is None:
-            rows = self._rows
-            values = [row[position] for row in rows]
-            if PACK_NUMERIC:
-                values = _packed(values)
+            values = [row[position] for row in self._rows]
             self._columns[position] = values
         return values
 
@@ -151,17 +109,6 @@ class ColumnBatch:
             for position in range(self._width):
                 self.column(position)
         return self._columns
-
-    def validity(self, position: int) -> int:
-        """Validity bitmap for one column: bit j set iff row j non-NULL."""
-        cached = self._validity.get(position)
-        if cached is None:
-            cached = 0
-            for j, value in enumerate(self.column(position)):
-                if value is not None:
-                    cached |= 1 << j
-            self._validity[position] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # structural transforms
@@ -206,11 +153,6 @@ class ColumnBatch:
     def __repr__(self) -> str:
         backing = "rows" if self._rows is not None else "columns"
         return f"ColumnBatch({self.length} rows, {self._width} cols, {backing})"
-
-
-def RowBatch(rows: list[tuple], ordering: tuple = ()) -> ColumnBatch:
-    """Row-major compatibility constructor (the pre-columnar API)."""
-    return ColumnBatch.from_rows(rows, ordering)
 
 
 def batched(

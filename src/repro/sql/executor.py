@@ -123,7 +123,6 @@ class QueryEngine:
             spill=spill,
             batch_size=storage.config.batch_size if storage is not None else None,
             cache_bytes=storage.config.cache_bytes if storage is not None else None,
-            cache_policy=storage.config.cache_policy if storage is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -430,7 +429,7 @@ class QueryEngine:
         schema = info.schema
         if plan is None:
             plan = self.planner.plan_table_filter(stmt.table, stmt.where)
-        matching = list(plan.timed_rows())
+        matching = [row for batch in plan.timed_batches() for row in batch.rows]
         assign_fns = [
             (column, compile_expr(expr, plan.output))
             for column, expr in stmt.assignments
@@ -463,7 +462,7 @@ class QueryEngine:
         if plan is None:
             plan = self.planner.plan_table_filter(stmt.table, stmt.where)
         pk_index = info.schema.primary_key_index
-        matching = list(plan.timed_rows())
+        matching = [row for batch in plan.timed_batches() for row in batch.rows]
         count = 0
         for row in matching:
             if info.store.delete(row[pk_index]):

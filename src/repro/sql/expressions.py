@@ -1,7 +1,12 @@
 """Expression compilation and evaluation.
 
-Expressions are compiled once per plan into Python closures over row
-tuples, with columns resolved to positions against a :class:`RowSchema`.
+An expression is translated once, by :func:`_emit`, into the source of
+one Python expression over the helpers below, with columns resolved to
+positions against a :class:`RowSchema`. Two shells wrap that source
+into a callable — one over a row tuple, one over a whole
+:class:`~repro.sql.batch.ColumnBatch` in a single list comprehension —
+so both evaluate the same text and cannot disagree.
+
 NULL follows (lightweight) three-valued logic: comparisons and
 arithmetic involving NULL yield NULL, ``AND``/``OR``/``NOT`` combine
 unknowns the SQL way, and filters treat a NULL predicate result as
@@ -10,6 +15,7 @@ not-satisfied.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from typing import Any, Callable, Optional
@@ -17,24 +23,27 @@ from typing import Any, Callable, Optional
 from repro.errors import PlanningError
 from repro.sql import params as _params
 from repro.sql.ast_nodes import (
+    SUBQUERY_NODES,
     Aggregate,
     Between,
     BinaryOp,
     ColumnRef,
-    ExistsSubquery,
     Expr,
     InList,
     InSet,
-    InSubquery,
     IsNull,
     Like,
     Literal,
     Parameter,
-    ScalarSubquery,
     UnaryOp,
+    children,
+    map_children,
+    walk,
 )
 
 RowFn = Callable[[tuple], Any]
+#: a batch evaluator: ColumnBatch → list of one value per row
+BatchFn = Callable[[Any], list]
 
 
 class RowSchema:
@@ -72,7 +81,7 @@ class RowSchema:
 
 
 # ----------------------------------------------------------------------
-# three-valued helpers
+# three-valued helpers (what the generated code calls)
 # ----------------------------------------------------------------------
 def _and3(a, b):
     if a is False or b is False:
@@ -103,13 +112,54 @@ def _null_guard(fn):
     return wrapped
 
 
-_ARITH = {
+def _negate(a):
+    return None if a is None else -a
+
+
+def _divide(a, b):
+    if b == 0:
+        raise ZeroDivisionError("division by zero in SQL expression")
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return a // b
+    return a / b
+
+
+def _between(value, low, high):
+    if value is None or low is None or high is None:
+        return None
+    return low <= value <= high
+
+
+def _like(value, match):
+    return None if value is None else match(value) is not None
+
+
+def _in_list(value, items):
+    if value is None:
+        return None
+    for item in items:
+        if value == item:
+            return True
+    return False
+
+
+def _in_set(value, values, had_null):
+    if value is None:
+        return None
+    if value in values:
+        return True
+    # a miss against a set containing NULL is unknown (SQL IN)
+    return None if had_null else False
+
+
+_BINARY = {
+    "AND": _and3,
+    "OR": _or3,
+    "/": _null_guard(_divide),
     "+": _null_guard(operator.add),
     "-": _null_guard(operator.sub),
     "*": _null_guard(operator.mul),
     "%": _null_guard(operator.mod),
-}
-_COMPARE = {
     "=": _null_guard(operator.eq),
     "!=": _null_guard(operator.ne),
     "<": _null_guard(operator.lt),
@@ -117,16 +167,6 @@ _COMPARE = {
     ">": _null_guard(operator.gt),
     ">=": _null_guard(operator.ge),
 }
-
-
-def _divide(a, b):
-    if a is None or b is None:
-        return None
-    if b == 0:
-        raise ZeroDivisionError("division by zero in SQL expression")
-    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-        return a // b
-    return a / b
 
 
 def like_to_regex(pattern: str) -> "re.Pattern[str]":
@@ -145,102 +185,43 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
 # ----------------------------------------------------------------------
 # compilation
 # ----------------------------------------------------------------------
-def compile_expr(expr: Expr, schema: RowSchema) -> RowFn:
-    """Compile an expression to a row → value closure."""
+class _Source:
+    """What one expression's source names: columns, ``?``s, constants."""
+
+    def __init__(self, schema: RowSchema, column_text: str):
+        self.schema = schema
+        #: format of a column's value given its position
+        self.column_text = column_text
+        self.positions: set[int] = set()
+        self.params: set[int] = set()
+        #: k0, k1, …: helpers, literals, LIKE matchers, IN sets. Values
+        #: are never spelled into the source, so one statement shape is
+        #: one source text whatever its literals are.
+        self.constants: list = []
+
+    def column(self, ref: ColumnRef) -> str:
+        position = self.schema.resolve(ref)
+        self.positions.add(position)
+        return self.column_text.format(position)
+
+    def param(self, index: int) -> str:
+        self.params.add(index)
+        return f"p{index}"
+
+    def const(self, value: Any) -> str:
+        self.constants.append(value)
+        return f"k{len(self.constants) - 1}"
+
+
+def _emit(expr: Expr, src: _Source) -> str:
+    """The Python source of ``expr`` as nested calls of the helpers."""
     if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
+        return src.const(expr.value)
     if isinstance(expr, Parameter):
-        index = expr.index
-        return lambda row: _params.resolve(index)
+        return src.param(expr.index)
     if isinstance(expr, ColumnRef):
-        position = schema.resolve(expr)
-        return lambda row: row[position]
-    if isinstance(expr, BinaryOp):
-        if expr.op == "AND":
-            lf, rf = compile_expr(expr.left, schema), compile_expr(expr.right, schema)
-            return lambda row: _and3(lf(row), rf(row))
-        if expr.op == "OR":
-            lf, rf = compile_expr(expr.left, schema), compile_expr(expr.right, schema)
-            return lambda row: _or3(lf(row), rf(row))
-        lf, rf = compile_expr(expr.left, schema), compile_expr(expr.right, schema)
-        if expr.op == "/":
-            return lambda row: _divide(lf(row), rf(row))
-        fn = _ARITH.get(expr.op) or _COMPARE.get(expr.op)
-        if fn is None:
-            raise PlanningError(f"unsupported operator {expr.op!r}")
-        return lambda row: fn(lf(row), rf(row))
-    if isinstance(expr, UnaryOp):
-        inner = compile_expr(expr.operand, schema)
-        if expr.op == "NOT":
-            return lambda row: _not3(inner(row))
-        if expr.op == "NEG":
-            return lambda row: None if inner(row) is None else -inner(row)
-        raise PlanningError(f"unsupported unary operator {expr.op!r}")
-    if isinstance(expr, IsNull):
-        inner = compile_expr(expr.operand, schema)
-        if expr.negated:
-            return lambda row: inner(row) is not None
-        return lambda row: inner(row) is None
-    if isinstance(expr, InList):
-        inner = compile_expr(expr.operand, schema)
-        item_fns = [compile_expr(item, schema) for item in expr.items]
-        negated = expr.negated
-
-        def evaluate_in(row):
-            value = inner(row)
-            if value is None:
-                return None
-            hit = any(value == fn(row) for fn in item_fns)
-            return (not hit) if negated else hit
-
-        return evaluate_in
-    if isinstance(expr, Between):
-        inner = compile_expr(expr.operand, schema)
-        low = compile_expr(expr.low, schema)
-        high = compile_expr(expr.high, schema)
-        negated = expr.negated
-
-        def evaluate_between(row):
-            value = inner(row)
-            lo, hi = low(row), high(row)
-            if value is None or lo is None or hi is None:
-                return None
-            hit = lo <= value <= hi
-            return (not hit) if negated else hit
-
-        return evaluate_between
-    if isinstance(expr, Like):
-        inner = compile_expr(expr.operand, schema)
-        regex = like_to_regex(expr.pattern)
-        negated = expr.negated
-
-        def evaluate_like(row):
-            value = inner(row)
-            if value is None:
-                return None
-            hit = regex.match(value) is not None
-            return (not hit) if negated else hit
-
-        return evaluate_like
-    if isinstance(expr, InSet):
-        inner = compile_expr(expr.operand, schema)
-        values = expr.values
-        had_null = expr.had_null
-        negated = expr.negated
-
-        def evaluate_in_set(row):
-            value = inner(row)
-            if value is None:
-                return None
-            hit = value in values
-            if not hit and had_null:
-                # a miss against a set containing NULL is unknown (SQL IN)
-                return None
-            return (not hit) if negated else hit
-
-        return evaluate_in_set
-    if isinstance(expr, (ScalarSubquery, InSubquery, ExistsSubquery)):
+        return src.column(expr)
+    if isinstance(expr, SUBQUERY_NODES):
         raise PlanningError(
             "subqueries must be resolved by the planner before compilation "
             "(standalone expression compilation does not execute SQL)"
@@ -250,150 +231,92 @@ def compile_expr(expr: Expr, schema: RowSchema) -> RowFn:
             f"aggregate {expr!r} is only valid in SELECT or HAVING of a "
             f"grouped query"
         )
-    raise PlanningError(f"cannot compile expression {expr!r}")
+    args = [_emit(child, src) for child in children(expr)]
+    negated = getattr(expr, "negated", False)
+    if isinstance(expr, BinaryOp) and expr.op in _BINARY:
+        text = f"{src.const(_BINARY[expr.op])}({args[0]}, {args[1]})"
+    elif isinstance(expr, UnaryOp) and expr.op == "NOT":
+        text, negated = args[0], True
+    elif isinstance(expr, UnaryOp) and expr.op == "NEG":
+        text = f"{src.const(_negate)}({args[0]})"
+    elif isinstance(expr, IsNull):
+        text = f"({args[0]} is {'not ' if negated else ''}None)"
+        negated = False
+    elif isinstance(expr, InList):
+        items = "".join(f"{item}, " for item in args[1:])
+        text = f"{src.const(_in_list)}({args[0]}, ({items}))"
+    elif isinstance(expr, Between):
+        text = f"{src.const(_between)}({', '.join(args)})"
+    elif isinstance(expr, Like):
+        match = src.const(like_to_regex(expr.pattern).match)
+        text = f"{src.const(_like)}({args[0]}, {match})"
+    elif isinstance(expr, InSet):
+        values = src.const(expr.values)
+        text = f"{src.const(_in_set)}({args[0]}, {values}, {expr.had_null!r})"
+    else:
+        raise PlanningError(f"cannot compile expression {expr!r}")
+    return f"{src.const(_not3)}({text})" if negated else text
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str):
+    """The ``make(k0, k1, …)`` a source text defines, compiled once."""
+    namespace = {"resolve": _params.resolve}
+    exec(source, namespace)  # noqa: S102 - no value is spelled into source
+    return namespace["make"]
+
+
+def _compile(expr: Expr, schema: RowSchema, batch: bool, predicate: bool):
+    """Wrap the emitted source in the row shell or the batch shell.
+
+    ``?`` parameters are read once per call, ahead of the expression.
+    The batch shell is one comprehension over the referenced columns
+    only; a bare column reference is the batch's own list, not a copy.
+    """
+    src = _Source(schema, "c{}" if batch else "row[{}]")
+    text = _emit(expr, src)
+    if predicate:
+        text = f"({text}) is True"  # NULL counts as not-satisfied
+    if batch:
+        positions = sorted(src.positions)
+        names = [f"c{position}" for position in positions]
+        columns = [f"batch.column({position})" for position in positions]
+        if text in names:
+            text = columns[names.index(text)]
+        elif len(names) > 1:
+            text = f"[{text} for {', '.join(names)} in zip({', '.join(columns)})]"
+        elif names:
+            text = f"[{text} for {names[0]} in {columns[0]}]"
+        else:
+            text = f"[{text} for _ in range(batch.length)]"
+    constants = ", ".join([f"k{i}" for i in range(len(src.constants))])
+    binds = "".join([f"  p{i} = resolve({i})\n" for i in sorted(src.params)])
+    source = (
+        f"def make({constants}):\n"
+        f" def fn({'batch' if batch else 'row'}):\n{binds}  return {text}\n"
+        f" return fn\n"
+    )
+    return _factory(source)(*src.constants)
+
+
+def compile_expr(expr: Expr, schema: RowSchema) -> RowFn:
+    """Compile an expression to a row → value function."""
+    return _compile(expr, schema, batch=False, predicate=False)
 
 
 def compile_predicate(expr: Expr, schema: RowSchema) -> Callable[[tuple], bool]:
     """Compile a boolean expression; NULL results count as not-satisfied."""
-    fn = compile_expr(expr, schema)
-    return lambda row: fn(row) is True
-
-
-# ----------------------------------------------------------------------
-# vectorized compilation (columnar batch execution)
-# ----------------------------------------------------------------------
-#: a batch evaluator: ColumnBatch → list of one value per row
-BatchFn = Callable[[Any], list]
+    return _compile(expr, schema, batch=False, predicate=True)
 
 
 def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
-    """Compile an expression to a batch → values closure.
-
-    Evaluators are *column-at-a-time*: a column reference returns the
-    batch's column list without copying (derived lazily for row-backed
-    batches, so only referenced columns are ever materialized), and
-    every combinator maps the scalar three-valued helpers over whole
-    column lists — NULL semantics are bit-identical to
-    :func:`compile_expr`, the win is one closure dispatch per batch per
-    node instead of one per row per node. Anything without a vectorized
-    form falls back to mapping the scalar closure over the batch's rows.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda batch: [value] * batch.length
-    if isinstance(expr, Parameter):
-        index = expr.index
-        return lambda batch: [_params.resolve(index)] * batch.length
-    if isinstance(expr, ColumnRef):
-        position = schema.resolve(expr)
-        return lambda batch: batch.column(position)
-    if isinstance(expr, BinaryOp):
-        lf = compile_expr_batch(expr.left, schema)
-        rf = compile_expr_batch(expr.right, schema)
-        if expr.op == "AND":
-            return lambda batch: [
-                _and3(a, b) for a, b in zip(lf(batch), rf(batch))
-            ]
-        if expr.op == "OR":
-            return lambda batch: [
-                _or3(a, b) for a, b in zip(lf(batch), rf(batch))
-            ]
-        if expr.op == "/":
-            return lambda batch: [
-                _divide(a, b) for a, b in zip(lf(batch), rf(batch))
-            ]
-        fn = _ARITH.get(expr.op) or _COMPARE.get(expr.op)
-        if fn is None:
-            raise PlanningError(f"unsupported operator {expr.op!r}")
-        return lambda batch: [fn(a, b) for a, b in zip(lf(batch), rf(batch))]
-    if isinstance(expr, UnaryOp):
-        inner = compile_expr_batch(expr.operand, schema)
-        if expr.op == "NOT":
-            return lambda batch: [_not3(v) for v in inner(batch)]
-        if expr.op == "NEG":
-            return lambda batch: [None if v is None else -v for v in inner(batch)]
-        raise PlanningError(f"unsupported unary operator {expr.op!r}")
-    if isinstance(expr, IsNull):
-        if isinstance(expr.operand, ColumnRef):
-            # read the column's validity bitmap instead of testing cells
-            position = schema.resolve(expr.operand)
-            if expr.negated:
-                return lambda batch: _validity_mask(batch, position, True)
-            return lambda batch: _validity_mask(batch, position, False)
-        inner = compile_expr_batch(expr.operand, schema)
-        if expr.negated:
-            return lambda batch: [v is not None for v in inner(batch)]
-        return lambda batch: [v is None for v in inner(batch)]
-    if isinstance(expr, Between):
-        inner = compile_expr_batch(expr.operand, schema)
-        low = compile_expr_batch(expr.low, schema)
-        high = compile_expr_batch(expr.high, schema)
-        negated = expr.negated
-
-        def evaluate_between_batch(batch):
-            return [
-                None
-                if value is None or lo is None or hi is None
-                else ((not (lo <= value <= hi)) if negated else lo <= value <= hi)
-                for value, lo, hi in zip(inner(batch), low(batch), high(batch))
-            ]
-
-        return evaluate_between_batch
-    if isinstance(expr, Like):
-        inner = compile_expr_batch(expr.operand, schema)
-        regex_match = like_to_regex(expr.pattern).match
-        negated = expr.negated
-
-        def evaluate_like_batch(batch):
-            return [
-                None
-                if value is None
-                else (
-                    (regex_match(value) is None)
-                    if negated
-                    else (regex_match(value) is not None)
-                )
-                for value in inner(batch)
-            ]
-
-        return evaluate_like_batch
-    if isinstance(expr, InSet):
-        inner = compile_expr_batch(expr.operand, schema)
-        values = expr.values
-        had_null = expr.had_null
-        negated = expr.negated
-
-        def evaluate_in_set_batch(batch):
-            out = []
-            for value in inner(batch):
-                if value is None:
-                    out.append(None)
-                    continue
-                hit = value in values
-                if not hit and had_null:
-                    out.append(None)  # miss against a NULL-bearing set
-                    continue
-                out.append((not hit) if negated else hit)
-            return out
-
-        return evaluate_in_set_batch
-    # InList/anything else: scalar closure mapped over the batch's rows
-    row_fn = compile_expr(expr, schema)
-    return lambda batch: [row_fn(row) for row in batch.rows]
-
-
-def _validity_mask(batch, position: int, negated: bool) -> list:
-    """IS [NOT] NULL of one column, decoded from its validity bitmap."""
-    bits = batch.validity(position)
-    if negated:  # IS NOT NULL: bit set ⇒ non-NULL ⇒ True
-        return [bool(bits >> j & 1) for j in range(batch.length)]
-    return [not (bits >> j & 1) for j in range(batch.length)]
+    """Compile an expression to a batch → one value per row function."""
+    return _compile(expr, schema, batch=True, predicate=False)
 
 
 def compile_predicate_batch(expr: Expr, schema: RowSchema) -> BatchFn:
     """Batch predicate: a keep-mask where NULL counts as not-satisfied."""
-    fn = compile_expr_batch(expr, schema)
-    return lambda batch: [value is True for value in fn(batch)]
+    return _compile(expr, schema, batch=True, predicate=True)
 
 
 # ----------------------------------------------------------------------
@@ -410,104 +333,18 @@ def split_conjuncts(expr: Expr | None) -> list[Expr]:
 
 def referenced_columns(expr: Expr) -> set[ColumnRef]:
     """All column references occurring in an expression."""
-    refs: set[ColumnRef] = set()
-
-    def walk(node):
-        if isinstance(node, ColumnRef):
-            refs.add(node)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, Like):
-            walk(node.operand)
-        elif isinstance(node, Aggregate):
-            if node.argument is not None:
-                walk(node.argument)
-        elif isinstance(node, (InSubquery, InSet)):
-            # subquery bodies are uncorrelated: only the operand refers
-            # to the outer row
-            walk(node.operand)
-
-    walk(expr)
-    return refs
+    return {node for node in walk(expr) if isinstance(node, ColumnRef)}
 
 
 def find_aggregates(expr: Expr) -> list[Aggregate]:
     """All aggregate calls in an expression, in discovery order."""
-    found: list[Aggregate] = []
-
-    def walk(node):
-        if isinstance(node, Aggregate):
-            found.append(node)
-            return  # aggregates do not nest
-        if isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, Like):
-            walk(node.operand)
-        elif isinstance(node, (InSubquery, InSet)):
-            walk(node.operand)
-
-    walk(expr)
-    return found
+    if isinstance(expr, Aggregate):
+        return [expr]  # aggregates do not nest
+    return [agg for child in children(expr) for agg in find_aggregates(child)]
 
 
 def substitute(expr: Expr, mapping: dict[Expr, Expr]) -> Expr:
     """Structurally replace subexpressions (used to rewrite aggregates)."""
     if expr in mapping:
         return mapping[expr]
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op, substitute(expr.left, mapping), substitute(expr.right, mapping)
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, substitute(expr.operand, mapping))
-    if isinstance(expr, IsNull):
-        return IsNull(substitute(expr.operand, mapping), expr.negated)
-    if isinstance(expr, InList):
-        return InList(
-            substitute(expr.operand, mapping),
-            tuple(substitute(item, mapping) for item in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, Between):
-        return Between(
-            substitute(expr.operand, mapping),
-            substitute(expr.low, mapping),
-            substitute(expr.high, mapping),
-            expr.negated,
-        )
-    if isinstance(expr, Like):
-        return Like(substitute(expr.operand, mapping), expr.pattern, expr.negated)
-    if isinstance(expr, InSet):
-        return InSet(
-            substitute(expr.operand, mapping),
-            expr.values,
-            expr.had_null,
-            expr.negated,
-        )
-    return expr
+    return map_children(expr, lambda child: substitute(child, mapping))

@@ -6,7 +6,7 @@ from typing import Any, Iterator
 
 from repro.errors import PlanningError
 from repro.sql.ast_nodes import Aggregate, Expr
-from repro.sql.batch import RowBatch, batched
+from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import RowSchema, compile_expr_batch
 from repro.sql.operators.base import PhysicalOp
 
@@ -115,7 +115,7 @@ class HashAggregateOp(PhysicalOp):
             for agg in aggregates
         ]
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         groups: dict[tuple, list[_AggState]] = {}
         order: list[tuple] = []
         for batch in self.children[0].timed_batches():
@@ -137,7 +137,7 @@ class HashAggregateOp(PhysicalOp):
         if not groups and not self.group_exprs:
             # global aggregate over an empty input still yields one row
             states = [_AggState(agg) for agg in self.aggregates]
-            yield RowBatch([tuple(state.result() for state in states)])
+            yield ColumnBatch.from_rows([tuple(state.result() for state in states)])
             return
         output = [
             key + tuple(state.result() for state in groups[key]) for key in order

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import copy
-import itertools
 from typing import Iterator
 
 from repro.obs import Stopwatch
 from repro.obs.trace_context import current_trace
-from repro.sql.batch import DEFAULT_BATCH_SIZE, RowBatch
+from repro.sql.batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from repro.sql.expressions import RowSchema
 
 
@@ -16,34 +15,29 @@ class PhysicalOp:
     """Base of all physical operators.
 
     Execution is batch-at-a-time: subclasses implement :meth:`batches`
-    (a fresh iterator of :class:`RowBatch` per call); :meth:`rows` is a
-    derived row-at-a-time view. Legacy subclasses that only implement
-    :meth:`rows` still work — the default :meth:`batches` chunks their
-    row stream into batches of :attr:`batch_size`.
+    (a fresh iterator of :class:`ColumnBatch` per call).
 
-    Consumers iterate :meth:`timed_batches` (or :meth:`timed_rows`,
-    which flattens it), accumulating the wall time spent *producing*
-    each batch into ``total_seconds`` — inclusive of children, one
-    Stopwatch lap per batch rather than per row; ``self_seconds``
-    subtracts the children's totals, which is what the per-node
-    breakdown reports. The consumer's time between pulls is never
-    charged, and the executor folds every node's self time into
+    Consumers iterate :meth:`timed_batches`, accumulating the wall time
+    spent *producing* each batch into ``total_seconds`` — inclusive of
+    children, one Stopwatch lap per batch rather than per row;
+    ``self_seconds`` subtracts the children's totals, which is what the
+    per-node breakdown reports. The consumer's time between pulls is
+    never charged, and the executor folds every node's self time into
     per-operator latency histograms after the plan drains.
     """
 
     #: operators whose self-time counts as "scan nodes" in Figure 12
     is_scan = False
 
-    #: rows per RowBatch this operator emits; the planner stamps the
+    #: rows per batch this operator emits; the planner stamps the
     #: configured ``StorageConfig.batch_size`` onto every plan node
     batch_size = DEFAULT_BATCH_SIZE
 
     #: record-cache regime the plan executes under; stamped by the
-    #: planner from ``StorageConfig.cache_bytes``/``cache_policy`` so
-    #: EXPLAIN output records whether point reads can be served from
-    #: the trusted cache (0 = caching disabled)
+    #: planner from ``StorageConfig.cache_bytes`` so EXPLAIN output
+    #: records whether point reads can be served from the trusted
+    #: cache (0 = caching disabled)
     cache_bytes = 0
-    cache_policy = "lru"
 
     def __init__(self, output: RowSchema, children: list["PhysicalOp"]):
         self.output = output
@@ -63,30 +57,11 @@ class PhysicalOp:
         self.ordering: list[tuple] = []
 
     # ------------------------------------------------------------------
-    def batches(self) -> Iterator[RowBatch]:
-        """Produce the operator's output as RowBatches.
+    def batches(self) -> Iterator[ColumnBatch]:
+        """Produce the operator's output, one batch at a time."""
+        raise NotImplementedError
 
-        The default adapts a rows()-only subclass by chunking its row
-        stream; subclasses implementing neither protocol raise.
-        """
-        if type(self).rows is PhysicalOp.rows:
-            raise NotImplementedError
-        ordering = tuple(self.ordering)
-        iterator = self.rows()
-        while True:
-            chunk = list(itertools.islice(iterator, self.batch_size))
-            if not chunk:
-                return
-            yield RowBatch(chunk, ordering)
-
-    def rows(self) -> Iterator[tuple]:
-        """Row-at-a-time view of :meth:`batches` (DML paths, tests)."""
-        if type(self).batches is PhysicalOp.batches:
-            raise NotImplementedError
-        for batch in self.batches():
-            yield from batch.rows
-
-    def timed_batches(self) -> Iterator[RowBatch]:
+    def timed_batches(self) -> Iterator[ColumnBatch]:
         # Time the batches() call itself: eager operators (scans, sorts)
         # do their work during construction, and missing it would
         # attribute their cost to an ancestor's self-time.
@@ -110,7 +85,7 @@ class PhysicalOp:
             self.batches_out += 1
             yield batch
 
-    def _traced_batches(self, trace) -> Iterator[RowBatch]:
+    def _traced_batches(self, trace) -> Iterator[ColumnBatch]:
         """Traced twin of :meth:`timed_batches`.
 
         While this operator is *producing* (the ``batches()`` call and
@@ -146,10 +121,6 @@ class PhysicalOp:
             self.rows_out += len(batch)
             self.batches_out += 1
             yield batch
-
-    def timed_rows(self) -> Iterator[tuple]:
-        for batch in self.timed_batches():
-            yield from batch.rows
 
     # ------------------------------------------------------------------
     def fresh(self) -> "PhysicalOp":

@@ -6,7 +6,7 @@ from typing import Iterator
 
 from repro.sql.ast_nodes import Expr
 from repro.sql.batch import ColumnBatch
-from repro.sql.expressions import compile_predicate, compile_predicate_batch
+from repro.sql.expressions import compile_predicate_batch
 from repro.sql.operators.base import PhysicalOp
 
 
@@ -21,12 +21,11 @@ class FilterOp(PhysicalOp):
     def __init__(self, child: PhysicalOp, predicate: Expr):
         super().__init__(child.output, [child])
         self.predicate = predicate
-        self._fn = compile_predicate(predicate, child.output)
-        self._batch_fn = compile_predicate_batch(predicate, child.output)
+        self.batch_fn = compile_predicate_batch(predicate, child.output)
         self.ordering = list(child.ordering)  # selection preserves order
 
     def batches(self) -> Iterator[ColumnBatch]:
-        fn = self._batch_fn
+        fn = self.batch_fn
         for batch in self.children[0].timed_batches():
             mask = fn(batch)
             if all(mask):

@@ -31,14 +31,10 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.sql.ast_nodes import Expr
 from repro.sql.batch import ColumnBatch
-from repro.sql.expressions import (
-    RowSchema,
-    compile_expr_batch,
-    compile_predicate_batch,
-)
 from repro.sql.operators.base import PhysicalOp
+from repro.sql.operators.filter import FilterOp
+from repro.sql.operators.project import ProjectOp
 
 
 class FusedScanFilterProjectOp(PhysicalOp):
@@ -47,31 +43,20 @@ class FusedScanFilterProjectOp(PhysicalOp):
     def __init__(
         self,
         scan: PhysicalOp,
-        predicates: list[Expr],
-        exprs: Optional[list[Expr]] = None,
-        names: Optional[list[str]] = None,
-        qualifiers: Optional[list[Optional[str]]] = None,
+        filters: list[FilterOp],
+        project: Optional[ProjectOp] = None,
     ):
-        if exprs is None:
-            output = scan.output
-        else:
-            if qualifiers is None:
-                qualifiers = [None] * len(names)
-            output = RowSchema(list(zip(qualifiers, names)))
-        super().__init__(output, [scan])
-        self.predicates = predicates
-        self.exprs = exprs
-        self._pred_fns = [
-            compile_predicate_batch(p, scan.output) for p in predicates
-        ]
-        self._expr_fns = (
-            None
-            if exprs is None
-            else [compile_expr_batch(e, scan.output) for e in exprs]
-        )
+        super().__init__(scan.output if project is None else project.output, [scan])
+        self.predicates = [node.predicate for node in filters]
+        self.exprs = None if project is None else project.exprs
+        # selection passes its input schema through, so the filters and
+        # the projection were compiled against the scan's own schema:
+        # their evaluators run here as they are
+        self._pred_fns = [node.batch_fn for node in filters]
+        self._expr_fns = None if project is None else project.batch_fns
         # filtering preserves the scan's interesting order; a projection
         # re-shapes the row and drops it (same contract as ProjectOp)
-        self.ordering = list(scan.ordering) if exprs is None else []
+        self.ordering = list(scan.ordering) if project is None else []
 
     def batches(self) -> Iterator[ColumnBatch]:
         pred_fns = self._pred_fns

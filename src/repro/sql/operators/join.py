@@ -8,7 +8,7 @@ usable inner index.
 
 Join conditions are split by the planner into equi-key pairs
 (left-expr = right-expr) plus a residual predicate evaluated on the
-combined row. All joins consume and emit :class:`RowBatch` streams; the
+combined row. All joins consume and emit :class:`ColumnBatch` streams; the
 match logic itself stays row-wise (its cost is dominated by the data
 movement the batches already amortize), with output rows flushed in
 batches of ``batch_size``.
@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from repro.obs import timed_call
 from repro.sql.ast_nodes import Expr
-from repro.sql.batch import RowBatch, batched
+from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import compile_expr, compile_predicate
 from repro.sql.operators.base import PhysicalOp
 from repro.sql.operators.scan import table_schema
@@ -75,7 +75,7 @@ class NestedLoopJoinOp(_JoinBase):
     this storage reuse for oversized intermediate state.
     """
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         buffer = None
         if self.spill is not None:
             buffer = self.spill.buffer("nl-inner")
@@ -106,10 +106,10 @@ class NestedLoopJoinOp(_JoinBase):
                     if self.left_outer and not matched:
                         out.append(left_row + self._null_right)
                     if len(out) >= self.batch_size:
-                        yield RowBatch(out)
+                        yield ColumnBatch.from_rows(out)
                         out = []
             if out:
-                yield RowBatch(out)
+                yield ColumnBatch.from_rows(out)
         finally:
             if buffer is not None:
                 buffer.close()
@@ -127,7 +127,7 @@ class MergeJoinOp(_JoinBase):
     duplicate keys on both sides.
     """
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         if not self.left_keys:
             raise ValueError("MergeJoin requires equi-join keys")
         return batched(self._merge(), self.batch_size)
@@ -161,7 +161,8 @@ class MergeJoinOp(_JoinBase):
         # the sort also keeps the sort keys totally ordered
         source = (
             row
-            for row in self.children[index].timed_rows()
+            for batch in self.children[index].timed_batches()
+            for row in batch.rows
             if None not in key(row)
         )
         if self.spill is not None:
@@ -177,7 +178,7 @@ class MergeJoinOp(_JoinBase):
 class HashJoinOp(_JoinBase):
     """Classic build/probe hash join on the equi-keys (build = right)."""
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         if not self.left_keys:
             raise ValueError("HashJoin requires equi-join keys")
         build: dict[tuple, list[tuple]] = {}
@@ -196,10 +197,10 @@ class HashJoinOp(_JoinBase):
                 if self.left_outer and not matched:
                     out.append(left_row + self._null_right)
                 if len(out) >= self.batch_size:
-                    yield RowBatch(out)
+                    yield ColumnBatch.from_rows(out)
                     out = []
         if out:
-            yield RowBatch(out)
+            yield ColumnBatch.from_rows(out)
 
     def describe(self) -> str:
         outer = ", left-outer" if self.left_outer else ""
@@ -240,7 +241,7 @@ class IndexNestedLoopJoinOp(PhysicalOp):
 
     is_scan = False  # inner lookups are charged to internal_scan_seconds
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         for batch in self.children[0].timed_batches():
             out: list[tuple] = []
             for left_row in batch.rows:
@@ -256,7 +257,7 @@ class IndexNestedLoopJoinOp(PhysicalOp):
                     continue
                 out.append(combined)
             if out:
-                yield RowBatch(out)
+                yield ColumnBatch.from_rows(out)
 
     def describe(self) -> str:
         return (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
 
-from repro.sql.batch import RowBatch, batched
+from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import RowSchema
 from repro.sql.operators.base import PhysicalOp
 from repro.sql.params import ParamMarker, resolve_maybe
@@ -47,7 +47,7 @@ class SeqScanOp(PhysicalOp):
         # the primary chain yields rows in primary-key order
         self.ordering = [(binding, table.schema.primary_key, True)]
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         # the storage layer fetches chain records through the batched
         # verified-read path at the same granularity the engine consumes
         rows = self.table.seq_scan(
@@ -91,7 +91,7 @@ class RangeScanOp(PhysicalOp):
         if column != table.schema.primary_key:
             self.ordering.append((binding, table.schema.primary_key, True))
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         # parameterized bounds resolve inside the execution's binding
         # scope; a NULL parameter can match nothing (SQL comparison
         # semantics), so the scan short-circuits to empty
@@ -132,7 +132,7 @@ class PointLookupOp(PhysicalOp):
         self.binding = binding
         self.key = key
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         key = resolve_maybe(self.key)
         if key is None:
             # either a NULL-bound parameter or a literal NULL key:
@@ -141,7 +141,7 @@ class PointLookupOp(PhysicalOp):
             return
         row, _proof = self.table.get(key)
         if row is not None:
-            yield RowBatch([row])
+            yield ColumnBatch.from_rows([row])
 
     def describe(self) -> str:
         return (

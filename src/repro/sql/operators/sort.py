@@ -6,7 +6,7 @@ import functools
 from typing import Iterator
 
 from repro.sql.ast_nodes import OrderItem
-from repro.sql.batch import RowBatch, batched
+from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import compile_expr
 from repro.sql.operators.base import PhysicalOp
 
@@ -40,8 +40,12 @@ class SortOp(PhysicalOp):
             if isinstance(item.expr, ColumnRef)
         ]
 
-    def batches(self) -> Iterator[RowBatch]:
-        source = self.children[0].timed_rows()
+    def batches(self) -> Iterator[ColumnBatch]:
+        source = (
+            row
+            for batch in self.children[0].timed_batches()
+            for row in batch.rows
+        )
         ordering = tuple(self.ordering)
         if self.spill is not None:
             return batched(self._external(source), self.batch_size, ordering)
@@ -110,7 +114,7 @@ class TopNOp(PhysicalOp):
         self._fns = [compile_expr(item.expr, child.output) for item in items]
         self._directions = [item.ascending for item in items]
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         if self.limit <= 0:
             return iter(())
         import heapq
@@ -122,9 +126,12 @@ class TopNOp(PhysicalOp):
                 tuple(_null_key(fn(row)) for fn in fns), directions
             )
 
-        top = heapq.nsmallest(
-            self.limit, self.children[0].timed_rows(), key=key
+        source = (
+            row
+            for batch in self.children[0].timed_batches()
+            for row in batch.rows
         )
+        top = heapq.nsmallest(self.limit, source, key=key)
         return batched(top, self.batch_size)
 
     def describe(self) -> str:

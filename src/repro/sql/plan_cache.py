@@ -32,18 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sql.ast_nodes import (
-    Delete,
-    ExistsSubquery,
-    Explain,
-    Expr,
-    Insert,
-    InSubquery,
-    ScalarSubquery,
-    Select,
-    Statement,
-    Update,
-)
+from repro.sql.ast_nodes import SUBQUERY_NODES, Statement, walk
 from repro.sql.operators.base import PhysicalOp
 
 #: key type: (normalized SQL, join hint)
@@ -65,48 +54,9 @@ def normalize_sql(sql: str) -> str:
 
 def statement_has_subqueries(stmt: Statement) -> bool:
     """Whether any expression in the statement nests a subquery."""
-    if isinstance(stmt, Select):
-        return _select_has_subqueries(stmt)
-    if isinstance(stmt, Explain):
-        return _select_has_subqueries(stmt.select)
-    if isinstance(stmt, Insert):
-        if stmt.select is not None and _select_has_subqueries(stmt.select):
-            return True
-        return any(
-            _expr_has_subquery(expr) for row in stmt.rows for expr in row
-        )
-    if isinstance(stmt, Update):
-        if any(_expr_has_subquery(e) for _, e in stmt.assignments):
-            return True
-        return stmt.where is not None and _expr_has_subquery(stmt.where)
-    if isinstance(stmt, Delete):
-        return stmt.where is not None and _expr_has_subquery(stmt.where)
-    return False
-
-
-def _select_has_subqueries(stmt: Select) -> bool:
-    exprs: list[Expr] = [item.expr for item in stmt.items]
-    exprs.extend(j.condition for j in stmt.joins if j.condition is not None)
-    if stmt.where is not None:
-        exprs.append(stmt.where)
-    exprs.extend(stmt.group_by)
-    if stmt.having is not None:
-        exprs.append(stmt.having)
-    exprs.extend(item.expr for item in stmt.order_by)
-    return any(_expr_has_subquery(expr) for expr in exprs)
-
-
-def _expr_has_subquery(expr: Expr) -> bool:
-    if isinstance(expr, (ScalarSubquery, InSubquery, ExistsSubquery)):
-        return True
-    for attr in ("left", "right", "operand", "low", "high", "argument"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr) and _expr_has_subquery(child):
-            return True
-    for item in getattr(expr, "items", ()) or ():
-        if isinstance(item, Expr) and _expr_has_subquery(item):
-            return True
-    return False
+    return any(
+        isinstance(node, SUBQUERY_NODES) for node in walk(stmt, into_selects=True)
+    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ Pipeline for SELECT:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.catalog.catalog import Catalog
@@ -30,20 +30,18 @@ from repro.sql.ast_nodes import (
     Aggregate,
     Between,
     BinaryOp,
+    SUBQUERY_NODES,
     ColumnRef,
     ExistsSubquery,
     Expr,
     InSet,
     InSubquery,
-    IsNull,
-    InList,
-    Like,
     Literal,
     OrderItem,
     Parameter,
-    ScalarSubquery,
     Select,
-    UnaryOp,
+    map_children,
+    walk,
 )
 from repro.sql.expressions import (
     find_aggregates,
@@ -104,7 +102,6 @@ class Planner:
         spill=None,
         batch_size: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        cache_policy: Optional[str] = None,
     ):
         self.catalog = catalog
         #: callable(Select) -> list[tuple]; installed by the QueryEngine.
@@ -114,30 +111,23 @@ class Planner:
         #: optional SpillManager: materializing operators overflow their
         #: intermediate state into verifiable storage (Section 5.4)
         self.spill = spill
-        #: rows per RowBatch on every stamped plan node; 1 degenerates to
+        #: rows per batch on every stamped plan node; 1 degenerates to
         #: row-at-a-time execution. None keeps each operator's class
         #: default (DEFAULT_BATCH_SIZE).
         self.batch_size = batch_size
-        #: record-cache budget/policy active beneath the plan, stamped
-        #: onto every node so EXPLAIN output shows the cache regime the
-        #: plan will execute under. None keeps the class defaults.
+        #: record-cache budget active beneath the plan, stamped onto
+        #: every node so EXPLAIN output shows the cache regime the plan
+        #: will execute under. None keeps the class default.
         self.cache_bytes = cache_bytes
-        self.cache_policy = cache_policy
 
     def _stamp(self, plan: PhysicalOp) -> PhysicalOp:
         """Propagate execution-wide knobs to every plan node."""
-        if (
-            self.batch_size is not None
-            or self.cache_bytes is not None
-            or self.cache_policy is not None
-        ):
+        if self.batch_size is not None or self.cache_bytes is not None:
             for op in plan.walk():
                 if self.batch_size is not None:
                     op.batch_size = self.batch_size
                 if self.cache_bytes is not None:
                     op.cache_bytes = self.cache_bytes
-                if self.cache_policy is not None:
-                    op.cache_policy = self.cache_policy
         return plan
 
     # ------------------------------------------------------------------
@@ -239,24 +229,17 @@ class Planner:
         interesting-order bookkeeping those decisions used is already
         settled.
         """
-        exprs = names = qualifiers = None
-        node = plan
-        if isinstance(plan, ProjectOp):
-            exprs = plan.exprs
-            qualifiers = [q for q, _ in plan.output.bindings]
-            names = [n for _, n in plan.output.bindings]
-            node = plan.children[0]
-        predicates: list[Expr] = []
+        project = plan if isinstance(plan, ProjectOp) else None
+        node = plan if project is None else plan.children[0]
+        filters: list[FilterOp] = []
         while isinstance(node, FilterOp):
-            predicates.append(node.predicate)
+            filters.append(node)
             node = node.children[0]
         if isinstance(node, (SeqScanOp, RangeScanOp)) and (
-            predicates or exprs is not None
+            filters or project is not None
         ):
-            predicates.reverse()
-            return FusedScanFilterProjectOp(
-                node, predicates, exprs, names, qualifiers
-            )
+            filters.reverse()
+            return FusedScanFilterProjectOp(node, filters, project)
         plan.children = [
             self._fuse_pipelines(child) for child in plan.children
         ]
@@ -272,40 +255,21 @@ class Planner:
         planned in its own scope, so a reference to an outer column
         surfaces as an unknown-column planning error.
         """
-        from dataclasses import replace
-        from repro.sql.ast_nodes import SelectItem
-
-        def fix(expr):
-            return None if expr is None else self.resolve_subqueries(expr)
-
-        return replace(
-            stmt,
-            items=[SelectItem(fix(i.expr), i.alias) for i in stmt.items],
-            joins=[
-                type(j)(j.table, fix(j.condition), j.outer) for j in stmt.joins
-            ],
-            where=fix(stmt.where),
-            group_by=[fix(e) for e in stmt.group_by],
-            having=fix(stmt.having),
-            order_by=[
-                OrderItem(fix(item.expr), item.ascending)
-                for item in stmt.order_by
-            ],
-        )
+        return map_children(stmt, self.resolve_subqueries)
 
     def resolve_subqueries(self, expr: Expr) -> Expr:
         """Rewrite subquery nodes into literals / materialized sets."""
-        if isinstance(expr, ScalarSubquery):
-            rows = self._execute_subquery(expr.select)
-            if rows and len(rows[0]) != 1:
-                raise PlanningError("scalar subquery must return one column")
-            if len(rows) > 1:
-                raise PlanningError(
-                    f"scalar subquery returned {len(rows)} rows"
-                )
-            return Literal(rows[0][0] if rows else None)
+        if isinstance(expr, SUBQUERY_NODES):
+            return self._fold_subquery(expr)
+        return map_children(expr, self.resolve_subqueries)
+
+    def _fold_subquery(self, expr: Expr) -> Expr:
+        """Execute one subquery node and return what stands in for it."""
+        rows = self._execute_subquery(expr.select)
+        if isinstance(expr, ExistsSubquery):
+            exists = bool(rows)
+            return Literal((not exists) if expr.negated else exists)
         if isinstance(expr, InSubquery):
-            rows = self._execute_subquery(expr.select)
             if rows and len(rows[0]) != 1:
                 raise PlanningError("IN subquery must return one column")
             values = {row[0] for row in rows}
@@ -317,42 +281,11 @@ class Planner:
                 had_null,
                 expr.negated,
             )
-        if isinstance(expr, ExistsSubquery):
-            rows = self._execute_subquery(expr.select)
-            exists = bool(rows)
-            return Literal((not exists) if expr.negated else exists)
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(
-                expr.op,
-                self.resolve_subqueries(expr.left),
-                self.resolve_subqueries(expr.right),
-            )
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self.resolve_subqueries(expr.operand))
-        if isinstance(expr, IsNull):
-            return IsNull(self.resolve_subqueries(expr.operand), expr.negated)
-        if isinstance(expr, InList):
-            return InList(
-                self.resolve_subqueries(expr.operand),
-                tuple(self.resolve_subqueries(item) for item in expr.items),
-                expr.negated,
-            )
-        if isinstance(expr, Between):
-            return Between(
-                self.resolve_subqueries(expr.operand),
-                self.resolve_subqueries(expr.low),
-                self.resolve_subqueries(expr.high),
-                expr.negated,
-            )
-        if isinstance(expr, Like):
-            return Like(
-                self.resolve_subqueries(expr.operand), expr.pattern, expr.negated
-            )
-        if isinstance(expr, Aggregate) and expr.argument is not None:
-            return Aggregate(
-                expr.func, self.resolve_subqueries(expr.argument), expr.distinct
-            )
-        return expr
+        if rows and len(rows[0]) != 1:
+            raise PlanningError("scalar subquery must return one column")
+        if len(rows) > 1:
+            raise PlanningError(f"scalar subquery returned {len(rows)} rows")
+        return Literal(rows[0][0] if rows else None)
 
     def _execute_subquery(self, select: Select) -> list[tuple]:
         if self.subquery_executor is None:
@@ -389,24 +322,16 @@ class Planner:
         """
         if stmt.star:
             return
-        exprs = [item.expr for item in stmt.items]
-        exprs += [stmt.where, stmt.having, *stmt.group_by]
-        exprs += [join.condition for join in stmt.joins]
         outputs = _output_names(stmt)
-        for item in stmt.order_by:
-            expr = item.expr
-            is_output = (
-                isinstance(expr, ColumnRef)
-                and expr.qualifier is None
-                and expr.name in outputs
-            )
-            if not is_output:
-                exprs.append(expr)
+        table_order = [
+            item for item in stmt.order_by if not _names_output(item.expr, outputs)
+        ]
+        if len(table_order) < len(stmt.order_by):
+            stmt = replace(stmt, order_by=table_order)
         read: dict[str, set[str]] = {binding.name: set() for binding in bindings}
-        for expr in exprs:
-            if expr is not None:
-                for ref in referenced_columns(expr):
-                    read[self._owner(ref, bindings)].add(ref.name)
+        for node in walk(stmt):
+            if isinstance(node, ColumnRef):
+                read[self._owner(node, bindings)].add(node.name)
         for binding in bindings:
             names = binding.info.schema.column_names
             if len(read[binding.name]) < len(names):
@@ -836,11 +761,7 @@ class Planner:
         sort_items: list[OrderItem] = []
         for item in order_items:
             expr = item.expr
-            if (
-                isinstance(expr, ColumnRef)
-                and expr.qualifier is None
-                and expr.name in names
-            ):
+            if _names_output(expr, names):
                 expr = exprs[names.index(expr.name)]
             elif agg_map is not None:
                 expr = substitute(expr, agg_map)
@@ -915,6 +836,15 @@ def _output_names(stmt: Select) -> list[str]:
         else:
             names.append(f"col{i}")
     return names
+
+
+def _names_output(expr: Expr, names: list[str]) -> bool:
+    """Whether an ORDER BY key is a select-list output, not a table column."""
+    return (
+        isinstance(expr, ColumnRef)
+        and expr.qualifier is None
+        and expr.name in names
+    )
 
 
 def _and_all(conjuncts: list[Expr]) -> Optional[Expr]:

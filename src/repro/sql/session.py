@@ -35,16 +35,12 @@ from repro.sql.ast_nodes import (
     CreateTable,
     Delete,
     DropTable,
-    ExistsSubquery,
-    Explain,
-    Expr,
-    InSubquery,
     Insert,
     Rollback,
-    ScalarSubquery,
-    Select,
     Statement,
+    TableRef,
     Update,
+    walk,
 )
 from repro.sql.executor import ExecutionResult, PreparedStatement, QueryEngine
 from repro.sql.plan_cache import CacheEntry
@@ -268,61 +264,9 @@ def _registry_for(engine: QueryEngine) -> TxnLockRegistry:
 def tables_touched(stmt: Statement) -> list[str]:
     """All table names a statement touches, subqueries included."""
     tables: list[str] = []
-    if isinstance(stmt, Select):
-        _collect_select(stmt, tables)
-    elif isinstance(stmt, Explain):
-        _collect_select(stmt.select, tables)
-    elif isinstance(stmt, Insert):
-        tables.append(stmt.table)
-        if stmt.select is not None:
-            _collect_select(stmt.select, tables)
-        for row in stmt.rows:
-            for expr in row:
-                _collect_expr(expr, tables)
-    elif isinstance(stmt, Update):
-        tables.append(stmt.table)
-        for _, expr in stmt.assignments:
-            _collect_expr(expr, tables)
-        if stmt.where is not None:
-            _collect_expr(stmt.where, tables)
-    elif isinstance(stmt, Delete):
-        tables.append(stmt.table)
-        if stmt.where is not None:
-            _collect_expr(stmt.where, tables)
+    for node in walk(stmt, into_selects=True):
+        if isinstance(node, TableRef):
+            tables.append(node.name)
+        elif isinstance(node, (Insert, Update, Delete)):
+            tables.append(node.table)
     return tables
-
-
-def _collect_select(stmt: Select, tables: list[str]) -> None:
-    for ref in stmt.tables:
-        tables.append(ref.name)
-    for join in stmt.joins:
-        tables.append(join.table.name)
-        if join.condition is not None:
-            _collect_expr(join.condition, tables)
-    for item in stmt.items:
-        _collect_expr(item.expr, tables)
-    if stmt.where is not None:
-        _collect_expr(stmt.where, tables)
-    for expr in stmt.group_by:
-        _collect_expr(expr, tables)
-    if stmt.having is not None:
-        _collect_expr(stmt.having, tables)
-    for item in stmt.order_by:
-        _collect_expr(item.expr, tables)
-
-
-def _collect_expr(expr: Expr, tables: list[str]) -> None:
-    if isinstance(expr, (ScalarSubquery, ExistsSubquery)):
-        _collect_select(expr.select, tables)
-        return
-    if isinstance(expr, InSubquery):
-        _collect_select(expr.select, tables)
-        _collect_expr(expr.operand, tables)
-        return
-    for attr in ("left", "right", "operand", "low", "high", "argument"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr):
-            _collect_expr(child, tables)
-    for item in getattr(expr, "items", ()) or ():
-        if isinstance(item, Expr):
-            _collect_expr(item, tables)

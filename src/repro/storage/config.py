@@ -48,7 +48,7 @@ class StorageConfig:
     #: enclave memory (the Section 5.4 future-work direction); None
     #: keeps all intermediate state in the enclave
     spill_threshold_rows: int | None = None
-    #: rows per :class:`~repro.sql.batch.RowBatch` pulled through the
+    #: rows per :class:`~repro.sql.batch.ColumnBatch` pulled through the
     #: operator tree, and cells per batched verified read beneath it.
     #: 1 degenerates to the original row-at-a-time execution; the
     #: default is the winner of ``benchmarks/test_ablation_batch_size``
@@ -64,9 +64,6 @@ class StorageConfig:
     #: enclave's protected memory thrash instead of helping — see
     #: ``benchmarks/test_ablation_cache.py``
     cache_bytes: int = 0
-    #: admission/eviction policy of the record cache: "lru" (default),
-    #: "clock" (second-chance ring) or "2q" (scan-resistant two-queue)
-    cache_policy: str = "lru"
 
     def __post_init__(self):
         if self.page_size < 512:
@@ -89,8 +86,3 @@ class StorageConfig:
             raise ConfigurationError("plan_cache_size must be >= 0")
         if self.cache_bytes < 0:
             raise ConfigurationError("cache_bytes must be >= 0")
-        if self.cache_policy not in ("lru", "clock", "2q"):
-            raise ConfigurationError(
-                f"unknown cache policy {self.cache_policy!r}; "
-                "pick one of ('lru', 'clock', '2q')"
-            )

@@ -51,11 +51,7 @@ class StorageEngine:
         # entirely (repro.memory.cache); only meaningful when the
         # verified read path is active
         self.cache = (
-            RecordCache(
-                self.config.cache_bytes,
-                policy=self.config.cache_policy,
-                registry=self.obs,
-            )
+            RecordCache(self.config.cache_bytes, registry=self.obs)
             if self.config.cache_bytes > 0 and self.config.verification
             else None
         )

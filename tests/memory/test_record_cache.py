@@ -81,20 +81,14 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         RecordCache(0)
     with pytest.raises(ConfigurationError):
-        RecordCache(1024, policy="mru")
-    with pytest.raises(ConfigurationError):
         RecordCache(1024, shard_bytes=0)
 
 
 # ----------------------------------------------------------------------
-# eviction policies
+# eviction
 # ----------------------------------------------------------------------
-def three_entry_cache(policy: str) -> RecordCache:
-    return RecordCache(3 * (8 + ENTRY_OVERHEAD), policy=policy)
-
-
 def test_lru_evicts_least_recently_used():
-    cache = three_entry_cache("lru")
+    cache = RecordCache(3 * (8 + ENTRY_OVERHEAD))
     for addr in (1, 2, 3):
         cache.admit(addr, bytes(8))
     cache.lookup(1)  # 2 is now coldest
@@ -103,33 +97,8 @@ def test_lru_evicts_least_recently_used():
     assert cache.lookup(1) is not None
 
 
-def test_clock_gives_second_chance():
-    cache = three_entry_cache("clock")
-    for addr in (1, 2, 3):
-        cache.admit(addr, bytes(8))
-    cache.lookup(1)  # ref bit set on 1
-    # hand clears 1's bit and passes it over; 2 (cold) is the victim
-    cache.admit(4, bytes(8))
-    assert cache.lookup(1) is not None
-    assert cache.lookup(2) is None
-
-
-def test_2q_scans_evict_from_probation_first():
-    cache = RecordCache(8 * (8 + ENTRY_OVERHEAD), policy="2q")
-    # hot set: admitted then touched again -> protected queue
-    for addr in (1, 2):
-        cache.admit(addr, bytes(8))
-        cache.lookup(addr)
-    # one-touch stream three times the capacity
-    for addr in range(100, 124):
-        cache.admit(addr, bytes(8))
-    assert cache.lookup(1) is not None
-    assert cache.lookup(2) is not None
-
-
-@pytest.mark.parametrize("policy", ["lru", "clock", "2q"])
-def test_all_policies_roundtrip_and_bound(policy):
-    cache = RecordCache(16 * 1024, policy=policy)
+def test_roundtrip_and_bound():
+    cache = RecordCache(16 * 1024)
     for addr in range(200):
         cache.admit(addr, bytes(128))
     assert cache.bytes_resident <= 16 * 1024

@@ -26,7 +26,6 @@ from repro.obs.metrics import (
     split_series_key,
 )
 from repro.obs.promlint import lint_prometheus, parse_prometheus
-from repro.core.config import ShardConfig
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +230,6 @@ def _monitor(poll, sink, registry=None):
     return HealthMonitor(
         poll=poll,
         shard_ids=[0],
-        config=ShardConfig(shard_count=1),
         coordinator_round=lambda: 0,
         registry=registry or MetricsRegistry(),
         sink=sink,

@@ -14,12 +14,7 @@ the chance the stale trusted copy is in play.
 import pytest
 
 from repro.core.config import VeriDBConfig
-from repro.errors import (
-    IntegrityError,
-    ProofError,
-    RollbackDetected,
-    VerificationFailure,
-)
+from repro.errors import VerificationFailure
 from repro.memory.adversary import Adversary
 from repro.storage.config import StorageConfig
 
@@ -35,9 +30,9 @@ from tests.security.test_attack_matrix import (
 CACHE_SIZES = (4 * 1024, 256 * 1024, 8 * 1024 * 1024)
 
 
-def cached_config(cache_bytes: int, policy: str = "lru") -> VeriDBConfig:
+def cached_config(cache_bytes: int) -> VeriDBConfig:
     return VeriDBConfig(
-        storage=StorageConfig(cache_bytes=cache_bytes, cache_policy=policy),
+        storage=StorageConfig(cache_bytes=cache_bytes),
         key_seed=9,
     )
 
@@ -68,17 +63,6 @@ def test_attack_detected_with_cache_enabled(attack_name, cache_bytes):
     # the server never raises, so no flush is expected there.)
     if attack_name != "rollback_memory":
         assert len(db.storage.cache) == 0
-
-
-@pytest.mark.parametrize("policy", ["lru", "clock", "2q"])
-def test_corrupt_detected_under_every_policy(policy):
-    db = build_db(cached_config(256 * 1024, policy))
-    client = db.connect()
-    warm_cache(db)
-    adversary = Adversary(db.storage.memory)
-    ATTACKS["corrupt"](db, adversary)
-    caught = detect(db, client, "corrupt")
-    assert isinstance(caught, DETECTION_ERRORS)
 
 
 def test_hot_hit_probe_never_masks_corruption():

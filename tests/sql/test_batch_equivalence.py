@@ -1,6 +1,6 @@
 """Batched execution is a pure performance change, not a semantic one.
 
-The vectorized engine (RowBatch pulls through the operator tree) must
+The vectorized engine (batch pulls through the operator tree) must
 produce bit-identical results at every batch size — batch size 1
 degenerates to the original row-at-a-time execution, so it is the
 reference. Two properties are checked over the seeded fuzzer corpus:

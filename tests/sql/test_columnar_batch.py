@@ -1,16 +1,14 @@
 """ColumnBatch unit tests and the fused-pipeline execution contract.
 
 Covers the dual-backed batch (row-backed vs column-backed, lazy
-derivation, validity bitmaps, authoritative-representation compaction),
+derivation, authoritative-representation compaction),
 the single source of truth for the engine batch size, and the
 scan→filter→project fusion the planner installs over base tables.
 """
 
-import pytest
-
 from repro.obs import MetricsRegistry
 from repro.sql import batch as batch_module
-from repro.sql.batch import ColumnBatch, RowBatch, batched
+from repro.sql.batch import ColumnBatch, batched
 from repro.storage.config import DEFAULT_BATCH_SIZE, StorageConfig
 
 
@@ -53,42 +51,13 @@ def test_rows_round_trip_through_both_backings():
         [list(col) for col in zip(*ROWS)], len(ROWS)
     )
     assert row_backed.to_rows() == column_backed.to_rows() == ROWS
-    # value-wise comparison: the NULL-free int column derived from rows
-    # packs into array('q') storage (see PACK_NUMERIC), directly
-    # constructed columns stay lists
-    assert [list(col) for col in row_backed.columns] == [
-        list(col) for col in column_backed.columns
-    ]
+    assert row_backed.columns == column_backed.columns
 
 
 def test_zero_width_batch_keeps_cardinality():
     batch = ColumnBatch([], 5)
     assert len(batch) == 5
     assert batch.to_rows() == [()] * 5
-
-
-def test_row_batch_compat_constructor():
-    batch = RowBatch(list(ROWS), ordering=(("t", "id", True),))
-    assert isinstance(batch, ColumnBatch)
-    assert batch.ordering == (("t", "id", True),)
-    assert batch.to_rows() == ROWS
-
-
-# ----------------------------------------------------------------------
-# validity bitmaps
-# ----------------------------------------------------------------------
-def test_validity_bitmap_marks_non_null_rows():
-    batch = ColumnBatch.from_rows(list(ROWS))
-    assert batch.validity(0) == 0b1111
-    assert batch.validity(1) == 0b1101  # row 1 is NULL
-    assert batch.validity(2) == 0b0110  # rows 0 and 3 are NULL
-
-
-def test_validity_bitmap_cached():
-    batch = ColumnBatch([[None, 1, None]], 3)
-    first = batch.validity(0)
-    assert first == 0b010
-    assert batch._validity[0] == first
 
 
 # ----------------------------------------------------------------------

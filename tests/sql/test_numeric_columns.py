@@ -1,49 +1,31 @@
-"""array-backed numeric columns (repro.sql.batch.PACK_NUMERIC).
+"""Numeric columns derived from row-backed batches.
 
-NULL-free homogeneous INT/FLOAT columns derived from row-backed batches
-pack into ``array('q')``/``array('d')`` storage; everything else keeps
-plain lists. Packing must be invisible to every consumer: same values,
-same validity bitmaps, same query results with the flag on and off.
+A derived column is a plain list holding the rows' own objects: ints
+stay ints (bools stay bools, 2**70 stays 2**70), floats stay floats,
+NULLs stay None — whatever the batch size and through compaction and
+slicing.
 """
-
-from array import array
 
 import pytest
 
-from repro.catalog.catalog import Catalog
-from repro.sql import batch as batch_module
 from repro.sql.batch import ColumnBatch, batched
-from repro.sql.executor import QueryEngine
-from repro.storage.engine import StorageEngine
 
 BATCH_SIZES = (1, 7, 256)
-
-
-@pytest.fixture
-def unpacked():
-    batch_module.PACK_NUMERIC = False
-    try:
-        yield
-    finally:
-        batch_module.PACK_NUMERIC = True
 
 
 def make_rows(n):
     return [(i, float(i) * 0.5, None if i % 3 == 0 else i, f"s{i}") for i in range(n)]
 
 
-# ----------------------------------------------------------------------
-# packing eligibility
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_int_and_float_columns_pack(size):
     batch = ColumnBatch.from_rows(make_rows(size))
     ints = batch.column(0)
     floats = batch.column(1)
-    assert isinstance(ints, array) and ints.typecode == "q"
-    assert isinstance(floats, array) and floats.typecode == "d"
-    assert list(ints) == list(range(size))
-    assert list(floats) == [i * 0.5 for i in range(size)]
+    assert type(ints) is list and type(floats) is list
+    assert ints == list(range(size))
+    assert floats == [i * 0.5 for i in range(size)]
+    assert all(type(value) is float for value in floats)
 
 
 @pytest.mark.parametrize("size", BATCH_SIZES)
@@ -51,14 +33,15 @@ def test_nullable_and_text_columns_stay_lists(size):
     batch = ColumnBatch.from_rows(make_rows(size))
     assert type(batch.column(2)) is list  # has NULLs (when size > 1)
     assert type(batch.column(3)) is list  # text
+    assert batch.column(2) == [None if i % 3 == 0 else i for i in range(size)]
 
 
 def test_bools_and_mixed_numerics_keep_object_semantics():
     bools = ColumnBatch.from_rows([(True,), (False,)]).column(0)
-    assert type(bools) is list  # bool is an int subclass; must not pack
     assert bools == [True, False]
+    assert all(type(value) is bool for value in bools)
     mixed = ColumnBatch.from_rows([(1,), (2.0,)]).column(0)
-    assert type(mixed) is list
+    assert [type(value) for value in mixed] == [int, float]
 
 
 def test_out_of_range_int_falls_back():
@@ -69,44 +52,16 @@ def test_out_of_range_int_falls_back():
 
 
 def test_column_backed_batches_unaffected():
-    # packing applies where columns are *derived* from rows; explicitly
-    # constructed columns (fused pipeline) pass through untouched
-    batch = ColumnBatch([[1, 2, 3]], 3)
-    assert type(batch.column(0)) is list
-
-
-# ----------------------------------------------------------------------
-# equivalence: packed and unpacked agree exactly
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("size", BATCH_SIZES)
-def test_packed_equals_unpacked(size, unpacked):
-    rows = make_rows(size)
-    plain = ColumnBatch.from_rows(list(rows))
-    plain_columns = [list(plain.column(i)) for i in range(4)]
-    plain_validity = [plain.validity(i) for i in range(4)]
-    batch_module.PACK_NUMERIC = True
-    packed = ColumnBatch.from_rows(list(rows))
-    assert [list(packed.column(i)) for i in range(4)] == plain_columns
-    assert [packed.validity(i) for i in range(4)] == plain_validity
-    assert packed.rows == plain.rows
-
-
-@pytest.mark.parametrize("size", BATCH_SIZES)
-def test_validity_bitmap_over_packed_columns(size):
-    batch = ColumnBatch.from_rows(make_rows(size))
-    # packed columns are NULL-free by construction: all bits set
-    assert batch.validity(0) == (1 << size) - 1
-    expected = 0
-    for j in range(size):
-        if j % 3 != 0:
-            expected |= 1 << j
-    assert batch.validity(2) == expected
+    # explicitly constructed columns (fused pipeline) pass through as is
+    column = [1, 2, 3]
+    batch = ColumnBatch([column], 3)
+    assert batch.column(0) is column
 
 
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_take_mask_and_slice_roundtrip(size):
     batch = ColumnBatch.from_rows(make_rows(size))
-    batch.column(0)  # force packing
+    batch.column(0)  # derived before compaction
     kept = batch.take_mask([j % 2 == 0 for j in range(size)])
     assert [row[0] for row in kept.rows] == [j for j in range(size) if j % 2 == 0]
     head = batch.slice(min(3, size))
@@ -117,35 +72,4 @@ def test_take_mask_and_slice_roundtrip(size):
 def test_batched_chunks_pack(size):
     chunks = list(batched(make_rows(300), size))
     assert sum(len(c) for c in chunks) == 300
-    first = chunks[0].column(0)
-    assert isinstance(first, array)
-
-
-# ----------------------------------------------------------------------
-# end to end: query results identical with packing on and off
-# ----------------------------------------------------------------------
-def _engine_results(n_rows):
-    engine = QueryEngine(Catalog(), StorageEngine())
-    engine.execute(
-        "CREATE TABLE m (id INTEGER PRIMARY KEY, v INTEGER NOT NULL, "
-        "f FLOAT, CHAIN (v))"
-    )
-    store = engine.catalog.lookup("m").store
-    for i in range(n_rows):
-        store.insert((i, i * 7 % 100, None if i % 5 == 0 else i * 0.25))
-    return [
-        engine.execute(sql).rows
-        for sql in (
-            "SELECT v, f FROM m WHERE v > 40 ORDER BY id",
-            "SELECT COUNT(*), SUM(v), AVG(f), MIN(f), MAX(v) FROM m",
-            "SELECT v, COUNT(*), SUM(f) FROM m GROUP BY v ORDER BY v",
-            "SELECT id FROM m WHERE f IS NULL ORDER BY id",
-        )
-    ]
-
-
-def test_query_results_identical_with_and_without_packing(unpacked):
-    plain = _engine_results(311)
-    batch_module.PACK_NUMERIC = True
-    packed = _engine_results(311)
-    assert packed == plain
+    assert chunks[0].column(0) == list(range(min(size, 300)))

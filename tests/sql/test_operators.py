@@ -11,6 +11,7 @@ from repro.sql.ast_nodes import (
     Literal,
     OrderItem,
 )
+from repro.sql.batch import batched
 from repro.sql.expressions import RowSchema
 from repro.sql.operators import (
     FilterOp,
@@ -38,8 +39,13 @@ class RowsOp(PhysicalOp):
         super().__init__(RowSchema(bindings), [])
         self._rows = rows
 
-    def rows(self):
-        return iter(self._rows)
+    def batches(self):
+        return batched(self._rows, self.batch_size)
+
+
+def drain(op):
+    """The operator's output rows, pulled through the timed protocol."""
+    return [row for batch in op.timed_batches() for row in batch.rows]
 
 
 def make_table():
@@ -63,7 +69,7 @@ def make_table():
 # ----------------------------------------------------------------------
 def test_seq_scan():
     op = SeqScanOp(make_table(), "t")
-    rows = list(op.timed_rows())
+    rows = drain(op)
     assert len(rows) == 10
     assert op.rows_out == 10
     assert op.is_scan
@@ -73,15 +79,15 @@ def test_seq_scan():
 def test_range_scan_bounds():
     table = make_table()
     op = RangeScanOp(table, "t", "v", lo=30, hi=50)
-    assert [r[0] for r in op.timed_rows()] == [3, 4, 5]
+    assert [r[0] for r in drain(op)] == [3, 4, 5]
     op = RangeScanOp(table, "t", "v", lo=30, hi=50, include_lo=False)
-    assert [r[0] for r in op.timed_rows()] == [4, 5]
+    assert [r[0] for r in drain(op)] == [4, 5]
 
 
 def test_point_lookup_hit_and_miss():
     table = make_table()
-    assert list(PointLookupOp(table, "t", 7).timed_rows()) == [(7, 70, "s7")]
-    assert list(PointLookupOp(table, "t", 99).timed_rows()) == []
+    assert drain(PointLookupOp(table, "t", 7)) == [(7, 70, "s7")]
+    assert drain(PointLookupOp(table, "t", 99)) == []
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +96,7 @@ def test_point_lookup_hit_and_miss():
 def test_filter():
     src = RowsOp([(None, "x")], [(1,), (2,), (3,)])
     op = FilterOp(src, BinaryOp(">", ColumnRef("x"), Literal(1)))
-    assert list(op.timed_rows()) == [(2,), (3,)]
+    assert drain(op) == [(2,), (3,)]
 
 
 def test_project():
@@ -100,7 +106,7 @@ def test_project():
         [BinaryOp("+", ColumnRef("a"), ColumnRef("b")), ColumnRef("a")],
         ["total", "a"],
     )
-    assert list(op.timed_rows()) == [(3, 1), (7, 3)]
+    assert drain(op) == [(3, 1), (7, 3)]
     assert op.output.names == ["total", "a"]
 
 
@@ -115,20 +121,20 @@ def test_sort_multi_key():
             OrderItem(ColumnRef("b"), ascending=False),
         ],
     )
-    assert list(op.timed_rows()) == [(1, "z"), (1, "a"), (2, "a")]
+    assert drain(op) == [(1, "z"), (1, "a"), (2, "a")]
 
 
 def test_sort_nulls_first_ascending():
     src = RowsOp([(None, "a")], [(2,), (None,), (1,)])
     op = SortOp(src, [OrderItem(ColumnRef("a"))])
-    assert list(op.timed_rows()) == [(None,), (1,), (2,)]
+    assert drain(op) == [(None,), (1,), (2,)]
 
 
 def test_limit():
     src = RowsOp([(None, "a")], [(i,) for i in range(10)])
-    assert len(list(LimitOp(src, 3).timed_rows())) == 3
-    assert list(LimitOp(RowsOp([(None, "a")], []), 3).timed_rows()) == []
-    assert list(LimitOp(RowsOp([(None, "a")], [(1,)]), 0).timed_rows()) == []
+    assert len(drain(LimitOp(src, 3))) == 3
+    assert drain(LimitOp(RowsOp([(None, "a")], []), 3)) == []
+    assert drain(LimitOp(RowsOp([(None, "a")], [(1,)]), 0)) == []
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +153,7 @@ def _join_inputs():
 def test_equi_joins_agree(cls):
     left, right, (lk, rk) = _join_inputs()
     op = cls(left, right, lk, rk, None)
-    rows = sorted(op.timed_rows())
+    rows = sorted(drain(op))
     assert rows == [
         (2, "b", 2, "B"),
         (2, "bb", 2, "B"),
@@ -159,14 +165,14 @@ def test_join_residual_predicate():
     left, right, (lk, rk) = _join_inputs()
     residual = BinaryOp("=", ColumnRef("x", "l"), Literal("b"))
     op = HashJoinOp(left, right, lk, rk, residual)
-    assert list(op.timed_rows()) == [(2, "b", 2, "B")]
+    assert drain(op) == [(2, "b", 2, "B")]
 
 
 def test_cross_join():
     left = RowsOp([("l", "a")], [(1,), (2,)])
     right = RowsOp([("r", "b")], [(10,), (20,)])
     op = NestedLoopJoinOp(left, right, [], [], None)
-    assert len(list(op.timed_rows())) == 4
+    assert len(drain(op)) == 4
 
 
 def test_merge_join_requires_keys():
@@ -174,14 +180,14 @@ def test_merge_join_requires_keys():
     right = RowsOp([("r", "b")], [(1,)])
     op = MergeJoinOp(left, right, [], [], None)
     with pytest.raises(ValueError):
-        list(op.timed_rows())
+        drain(op)
 
 
 def test_index_nl_join():
     table = make_table()
     outer = RowsOp([("o", "ref")], [(3,), (99,), (5,), (None,)])
     op = IndexNestedLoopJoinOp(outer, table, "t", ColumnRef("ref", "o"), None)
-    rows = list(op.timed_rows())
+    rows = drain(op)
     assert rows == [(3, 3, 30, "s3"), (5, 5, 50, "s5")]
     assert op.internal_scan_seconds > 0
 
@@ -192,7 +198,7 @@ def test_duplicate_groups_merge_join():
     op = MergeJoinOp(
         left, right, [ColumnRef("k", "l")], [ColumnRef("k", "r")], None
     )
-    assert len(list(op.timed_rows())) == 6
+    assert len(drain(op)) == 6
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +222,7 @@ def test_hash_aggregate_grouped():
         ],
         ["g", "s", "cstar", "cv", "avg", "mn", "mx"],
     )
-    rows = {row[0]: row[1:] for row in op.timed_rows()}
+    rows = {row[0]: row[1:] for row in drain(op)}
     assert rows[1] == (40, 2, 2, 20.0, 10, 30)
     # NULL skipped by SUM/COUNT(v)/AVG but counted by COUNT(*)
     assert rows[2] == (5, 2, 1, 5.0, 5, 5)
@@ -230,7 +236,7 @@ def test_hash_aggregate_global_empty_input():
         [Aggregate("COUNT", None), Aggregate("SUM", ColumnRef("v"))],
         ["c", "s"],
     )
-    assert list(op.timed_rows()) == [(0, None)]
+    assert drain(op) == [(0, None)]
 
 
 def test_hash_aggregate_distinct():
@@ -244,7 +250,7 @@ def test_hash_aggregate_distinct():
         ],
         ["c", "s"],
     )
-    assert list(op.timed_rows()) == [(2, 3)]
+    assert drain(op) == [(2, 3)]
 
 
 def test_aggregate_arity_check():
@@ -263,7 +269,7 @@ def test_self_seconds_nesting():
     scan = SeqScanOp(table, "t")
     filter_op = FilterOp(scan, BinaryOp(">", ColumnRef("v"), Literal(0)))
     project = ProjectOp(filter_op, [ColumnRef("id")], ["id"])
-    rows = list(project.timed_rows())
+    rows = drain(project)
     assert len(rows) == 10
     total_self = sum(op.self_seconds for op in project.walk())
     assert total_self == pytest.approx(project.total_seconds, rel=0.2)

@@ -24,7 +24,7 @@ from repro.storage.table_store import VerifiableTable
 CACHE_BYTES = 256 * 1024
 
 
-def make_table(batch_size: int, cache_bytes: int, cache_policy: str = "lru"):
+def make_table(batch_size: int, cache_bytes: int):
     schema = Schema(
         columns=[
             Column("pk", IntegerType()),
@@ -39,7 +39,6 @@ def make_table(batch_size: int, cache_bytes: int, cache_policy: str = "lru"):
             page_size=1024,
             batch_size=batch_size,
             cache_bytes=cache_bytes,
-            cache_policy=cache_policy,
         )
     )
     return VerifiableTable("t", schema, engine), engine
@@ -98,16 +97,11 @@ def apply(table, engine, op):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(
-    ops=st.lists(_op, max_size=50),
-    policy=st.sampled_from(["lru", "clock", "2q"]),
-)
+@given(ops=st.lists(_op, max_size=50))
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
-def test_cache_is_result_invisible(batch_size, ops, policy):
+def test_cache_is_result_invisible(batch_size, ops):
     plain_table, plain_engine = make_table(batch_size, 0)
-    cached_table, cached_engine = make_table(
-        batch_size, CACHE_BYTES, policy
-    )
+    cached_table, cached_engine = make_table(batch_size, CACHE_BYTES)
     assert cached_engine.cache is not None
     for op in ops:
         plain_out = apply(plain_table, plain_engine, op)
