@@ -237,16 +237,14 @@ def run_fig12(scale_factor: float, repeats: int = 3) -> list[dict]:
         best: dict[str, dict] = {}
         for _ in range(repeats):
             for config, db in databases.items():
-                result = db.sql(QUERIES[query], join_hint=hint)
-                total = result.total_seconds()
-                if config not in best or total < best[config]["total_s"]:
-                    best[config] = {
-                        "query": label,
-                        "config": config,
-                        "total_s": total,
-                        "scan_s": result.scan_seconds(),
-                        "other_s": result.other_seconds(),
-                    }
+                seconds = db.explain_analyze(
+                    QUERIES[query], join_hint=hint
+                ).seconds()
+                if (
+                    config not in best
+                    or seconds["total_s"] < best[config]["total_s"]
+                ):
+                    best[config] = {"query": label, "config": config, **seconds}
         rows.extend(best.values())
     return rows
 

@@ -36,7 +36,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from _harness import bench_dir, compare_with_baseline, load_baseline  # noqa: E402
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_THRESHOLD = 0.25
 
 
@@ -73,11 +72,7 @@ def check_document(path: str, threshold: float) -> tuple[str, list[dict]]:
 
 def main(argv: list[str]) -> int:
     threshold = float(os.environ.get("REPRO_PERF_THRESHOLD", DEFAULT_THRESHOLD))
-    paths = argv or sorted(
-        glob.glob(os.path.join(bench_dir(), "BENCH_*.json"))
-        # pre-.bench layouts dropped documents at the repo root
-        + glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
-    )
+    paths = argv or sorted(glob.glob(os.path.join(bench_dir(), "BENCH_*.json")))
     if not paths:
         print("perf-trend: no BENCH_*.json documents to check")
         return 0

@@ -1,8 +1,8 @@
 """Batch-size ablation — how wide should a batch be?
 
 Vectorized execution amortizes one trust-boundary crossing (the
-simulated ECall), one partition-lock acquisition run and one Stopwatch
-lap over each batch of verified reads, so latency falls as the batch
+simulated ECall), one partition-lock acquisition run and (under a run
+ledger) one timing lap over each batch of verified reads, so latency falls as the batch
 widens — until the per-batch savings are fully amortized and wider
 batches only grow resident intermediate state. Two workloads bracket
 the regime: a full verified sequential scan (pure read-path, the upper

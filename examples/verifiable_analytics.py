@@ -34,13 +34,16 @@ def main():
         ("Q19 discounted revenue (nested loop)", "Q19", "nested_loop"),
     ]
     for title, query, hint in runs:
-        result = db.sql(QUERIES[query], join_hint=hint)
+        # explain_analyze runs the query under a run ledger: a plain
+        # db.sql() with the default null registry keeps no timings at all
+        analyzed = db.explain_analyze(QUERIES[query], join_hint=hint)
+        result, seconds = analyzed.result, analyzed.seconds()
         print(f"=== {title} ===")
         print(result.explain())
         print(
-            f"rows: {result.rowcount}   total {result.total_seconds():.3f}s "
-            f"= scan {result.scan_seconds():.3f}s "
-            f"+ other {result.other_seconds():.3f}s"
+            f"rows: {result.rowcount}   total {seconds['total_s']:.3f}s "
+            f"= scan {seconds['scan_s']:.3f}s "
+            f"+ other {seconds['other_s']:.3f}s"
         )
         preview = list(result.rows[:3])
         for row in preview:

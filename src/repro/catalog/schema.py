@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.catalog.types import ColumnType, DecimalType, type_from_name
-from repro.errors import CatalogError
+from repro.errors import CatalogError, PlanningError
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,26 @@ class Schema:
 
     def __len__(self) -> int:
         return len(self.columns)
+
+
+def schema_from_ddl(stmt) -> Schema:
+    """The schema a parsed ``CREATE TABLE`` statement declares."""
+    if stmt.primary_key is None:
+        raise PlanningError(
+            f"table {stmt.name!r} needs a PRIMARY KEY (the chain-0 key)"
+        )
+    return Schema(
+        columns=[
+            Column(
+                definition.name,
+                type_from_name(definition.type_name),
+                nullable=not definition.not_null,
+            )
+            for definition in stmt.columns
+        ],
+        primary_key=stmt.primary_key,
+        chain_columns=tuple(stmt.chain_columns),
+    )
 
 
 # ----------------------------------------------------------------------

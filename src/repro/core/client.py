@@ -16,6 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.crypto.keys import generate_key
 from repro.crypto.mac import MessageAuthenticator
 from repro.errors import (
     AuthenticationError,
@@ -31,6 +32,7 @@ from repro.core.portal import (
     digest_result,
 )
 from repro.obs import default_registry
+from repro.sgx.attestation import verify_quote
 
 
 class IntervalSet:
@@ -300,3 +302,29 @@ class VeriDBClient:
     def responses_lost(self) -> int:
         """Queries that executed but whose responses never arrived."""
         return self._responses_lost
+
+
+def attested_connect(
+    enclave,
+    platform,
+    expected_measurement: bytes,
+    name: str = "client",
+    challenge: Optional[bytes] = None,
+    audit_state: Optional[bytes] = None,
+) -> VeriDBClient:
+    """Attest ``enclave`` and open an authenticated connection to it.
+
+    The handshake checks a remote-attestation quote against the engine
+    code identity the client expects; only then is the shared MAC key
+    considered established (in a real deployment the key exchange would
+    ride on the attested channel).
+    """
+    challenge = challenge if challenge is not None else generate_key()
+    report = enclave.attest(challenge)
+    verify_quote(platform, report, expected_measurement, challenge)
+    return VeriDBClient(
+        lambda query: enclave.ecall("submit_query", query),
+        enclave.keychain.mac_key,
+        name=name,
+        audit_state=audit_state,
+    )

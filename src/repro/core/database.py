@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional
 
 from repro.catalog.catalog import Catalog, TableInfo
 from repro.catalog.schema import Schema
-from repro.core.client import VeriDBClient
+from repro.core.client import VeriDBClient, attested_connect
 from repro.core.config import VeriDBConfig
 from repro.core.incident import IncidentLog
 from repro.core.portal import QueryPortal
@@ -23,7 +23,7 @@ from repro.crypto.keys import KeyChain, generate_key
 from repro.crypto.prf import DIGEST_SIZE
 from repro.errors import VerificationFailure
 from repro.obs import default_registry
-from repro.sgx.attestation import PlatformQuotingKey, verify_quote
+from repro.sgx.attestation import PlatformQuotingKey
 from repro.sgx.costs import CycleMeter
 from repro.sgx.enclave import Enclave
 from repro.sql.executor import ExecutionResult, QueryEngine
@@ -113,30 +113,20 @@ class VeriDB:
     def connect(
         self,
         name: str = "client",
-        challenge: bytes | None = None,
-        expected_measurement: bytes | None = None,
-        audit_state: bytes | None = None,
+        challenge: Optional[bytes] = None,
+        expected_measurement: Optional[bytes] = None,
+        audit_state: Optional[bytes] = None,
     ) -> VeriDBClient:
-        """Attest the enclave and open an authenticated connection.
-
-        The handshake checks a remote-attestation quote against the
-        engine code identity the client expects; only then is the shared
-        MAC key considered established (in a real deployment the key
-        exchange would ride on the attested channel).
-        """
-        challenge = challenge if challenge is not None else generate_key()
-        report = self.enclave.attest(challenge)
-        expected = (
-            expected_measurement
-            if expected_measurement is not None
-            else self._expected_measurement
-        )
-        verify_quote(self.platform, report, expected, challenge)
-        submit = lambda query: self.enclave.ecall("submit_query", query)
-        return VeriDBClient(
-            submit,
-            self.enclave.keychain.mac_key,
+        """Attest the enclave and open an authenticated connection
+        (see :func:`~repro.core.client.attested_connect`)."""
+        return attested_connect(
+            self.enclave,
+            self.platform,
+            self._expected_measurement
+            if expected_measurement is None
+            else expected_measurement,
             name=name,
+            challenge=challenge,
             audit_state=audit_state,
         )
 

@@ -367,18 +367,13 @@ class QueryPortal:
                 # errors, ECall aborts) are retried within this submit;
                 # each attempt starts before any table mutation, so a
                 # retried execution is a clean re-run, not a partial one.
-                # params is passed only when bound, so engine doubles
-                # (test fakes, wrappers) without the kwarg keep working
-                execute_kwargs = {"join_hint": query.join_hint}
-                if query.params is not None:
-                    execute_kwargs["params"] = query.params
-                if query.tenant is not None:
-                    # tenant attribution for plan-cache accounting;
-                    # passed only when set, so engine doubles without
-                    # the kwarg keep working
-                    execute_kwargs["tenant"] = query.tenant
                 run = lambda: self._retry_policy.call(
-                    lambda: self._engine.execute(query.sql, **execute_kwargs),
+                    lambda: self._engine.execute(
+                        query.sql,
+                        join_hint=query.join_hint,
+                        params=query.params,
+                        tenant=query.tenant,
+                    ),
                     on_retry=lambda _attempt, _err: (
                         self._ctr_execute_retries.inc()
                     ),

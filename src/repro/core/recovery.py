@@ -286,11 +286,6 @@ def _check_content_digests(db: VeriDB, state, wal_key: bytes) -> None:
 # ----------------------------------------------------------------------
 _FORMAT_VERSION = 1
 
-# schema (de)serialization now lives with the schema itself
-# (repro.catalog.schema); re-exported here for compatibility
-_schema_to_dict = schema_to_dict
-_schema_from_dict = schema_from_dict
-
 
 def save_snapshot(snapshot: ReplicaSnapshot, path: str | Path) -> int:
     """Write a snapshot to disk; returns the total row count.

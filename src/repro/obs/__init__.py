@@ -1,8 +1,8 @@
 """``repro.obs`` — dependency-free metrics, tracing, and exporters.
 
 See :mod:`repro.obs.metrics` for the instrument/registry model,
-:mod:`repro.obs.trace` for spans and stream stopwatches,
-:mod:`repro.obs.trace_context` for per-query cost attribution,
+:mod:`repro.obs.trace` for spans,
+:mod:`repro.obs.trace_context` for the per-query run ledger,
 :mod:`repro.obs.export` for the Prometheus/JSONL exporters,
 :mod:`repro.obs.fleet` for cross-shard trace segments, metrics
 federation and the health/SLO monitor, and :mod:`repro.obs.promlint`
@@ -47,7 +47,7 @@ from repro.obs.metrics import (
     split_series_key,
 )
 from repro.obs.promlint import lint_prometheus, parse_prometheus
-from repro.obs.trace import Span, Stopwatch, current_span, timed_call
+from repro.obs.trace import Span, current_span
 from repro.obs.trace_context import (
     OpStats,
     TraceContext,
@@ -72,7 +72,6 @@ __all__ = [
     "OpStats",
     "SloTracker",
     "Span",
-    "Stopwatch",
     "TraceContext",
     "current_span",
     "current_trace",
@@ -92,7 +91,6 @@ __all__ = [
     "snapshot_delta",
     "split_series_key",
     "sum_segment_totals",
-    "timed_call",
     "trace_active",
     "write_prometheus_snapshot",
 ]

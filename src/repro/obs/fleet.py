@@ -39,7 +39,7 @@ from repro.obs.export import (
     histogram_quantile,
 )
 from repro.obs.metrics import default_registry, split_series_key
-from repro.obs.trace_context import OpStats, TraceContext
+from repro.obs.trace_context import TraceContext
 
 #: OpStats fields that are exact counters (mirrored 1:1 by registry
 #: counters), as opposed to measured wall time. Stitched remote totals
@@ -70,46 +70,21 @@ EPC_PRESSURE_ALERT = 0.9
 # ----------------------------------------------------------------------
 # trace segments (worker -> coordinator)
 # ----------------------------------------------------------------------
-def _segment_node(trace: TraceContext, op) -> dict:
-    stats = trace.op_stats_if_traced(op)
-    node = (stats or OpStats("<none>")).as_dict()
-    node["label"] = op.describe()
-    node["op"] = type(op).__name__
-    node["rows_out"] = op.rows_out
-    node["batches_out"] = op.batches_out
-    node["self_seconds"] = op.self_seconds
-    node["total_seconds"] = op.total_seconds
-    node["children"] = [_segment_node(trace, child) for child in op.children]
-    return node
-
-
 def serialize_trace_segment(trace: TraceContext, plan, shard_id: int) -> dict:
     """One worker's attribution for one fragment, as a picklable dict.
 
-    Stamps operator stopwatch self-times onto the trace frames first
-    (the same fold ``ExplainAnalyzeResult`` performs locally), leaving
-    the unclaimed remainder — parsing, planning, materialization — on
-    the root frame so the segment's frames still sum to its elapsed
-    wall clock.
+    ``plan`` is the same node form ``explain_analyze`` renders locally;
+    the unclaimed remainder — parsing, planning, materialization — is
+    the root frame, so the segment's frames sum to its elapsed wall
+    clock.
     """
-    attributed = 0.0
-    if plan is not None:
-        for op in plan.walk():
-            stats = trace.op_stats_if_traced(op)
-            if stats is not None:
-                stats.wall_seconds = op.self_seconds
-                attributed += op.self_seconds
-    trace.root.wall_seconds = max(0.0, trace.elapsed - attributed)
-    totals = OpStats("<total>")
-    for frame in trace.frames():
-        totals.add(frame)
     return {
         "shard": shard_id,
         "qid": trace.qid,
         "elapsed_seconds": trace.elapsed,
         "root": trace.root.as_dict(),
-        "plan": _segment_node(trace, plan) if plan is not None else None,
-        "totals": totals.as_dict(),
+        "plan": trace.plan_data(plan) if plan is not None else None,
+        "totals": trace.totals(),
     }
 
 

@@ -1,17 +1,12 @@
-"""Spans and stream stopwatches: where the wall-clock time goes.
+"""Spans: where the wall-clock time goes.
 
-Two primitives:
-
-* :class:`Span` — a context manager timing one named region. Spans nest
-  through a thread-local stack, so a parent knows how much of its time
-  was spent inside children (``self_seconds``); on exit the span's total
-  is observed into its registry's histogram of the same name. This is
-  what the portal and executor wrap their phases in.
-* :class:`Stopwatch` — a manual resume/pause lap timer for code that
-  times *streams* (an iterator pulled row by row, where only the time
-  spent producing each item counts, never the consumer's time between
-  pulls). The SQL operators use it; it replaces their previous ad-hoc
-  ``perf_counter`` arithmetic with one shared, tested primitive.
+A :class:`Span` is a context manager timing one named region. Spans nest
+through a thread-local stack, so a parent knows how much of its time was
+spent inside children (``self_seconds``); on exit the span's total is
+observed into its registry's histogram of the same name. This is what
+the portal and executor wrap their phases in. (The SQL operators time
+their batch streams into the run ledger,
+:meth:`repro.obs.trace_context.TraceContext.drain`.)
 """
 
 from __future__ import annotations
@@ -90,34 +85,3 @@ class Span:
     def self_seconds(self) -> float:
         """Time spent in this span excluding its child spans."""
         return max(0.0, self.elapsed - self.child_seconds)
-
-
-class Stopwatch:
-    """Resume/pause lap timer; ``pause`` returns the lap's seconds.
-
-    Typical stream-timing loop::
-
-        watch = Stopwatch()
-        watch.resume()
-        item = next(iterator)      # only this is timed
-        total += watch.pause()
-        yield item                 # consumer time not charged
-    """
-
-    __slots__ = ("_start",)
-
-    def __init__(self):
-        self._start = 0.0
-
-    def resume(self) -> None:
-        self._start = perf_counter()
-
-    def pause(self) -> float:
-        return perf_counter() - self._start
-
-
-def timed_call(fn, *args, **kwargs):
-    """Run ``fn`` and return ``(result, elapsed_seconds)``."""
-    start = perf_counter()
-    result = fn(*args, **kwargs)
-    return result, perf_counter() - start

@@ -135,7 +135,7 @@ class QueryService:
         # enclave can authenticate it
         self.db.portal.register_tenant_key(tenant_id, mac_key)
         self._directory.register(session)
-        self.obs.counter(f"service.tenant.{tenant_id}.queries")
+        self._tenant_counter("queries", tenant_id)
         return credentials
 
     def connect(
@@ -269,15 +269,17 @@ class QueryService:
             self._ctr_errors.inc()
         else:
             self._ctr_completed.inc()
-            self.obs.counter(
-                f"service.tenant.{tenant.tenant_id}.queries"
-            ).inc()
+            self._tenant_counter("queries", tenant.tenant_id).inc()
+
+    def _tenant_counter(self, what: str, tenant_id: str):
+        """``service.tenant.queries`` / ``.rejected``, one series per tenant."""
+        return self.obs.counter(
+            f"service.tenant.{what}", labels={"tenant": tenant_id}
+        )
 
     def _emit_reject(self, tenant, query, reason: str) -> None:
         if tenant is not None:
-            self.obs.counter(
-                f"service.tenant.{tenant.tenant_id}.rejected"
-            ).inc()
+            self._tenant_counter("rejected", tenant.tenant_id).inc()
         sink = default_event_sink()
         if sink.enabled:
             sink.emit(

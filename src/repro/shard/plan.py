@@ -5,11 +5,11 @@ like any other:
 
 * :class:`ShardFragmentOp` — one leaf per participating shard, carrying
   the statement fragment shipped to that worker. It never produces
-  batches itself (the worker executes the fragment remotely); after the
-  gather completes it is stamped with the worker-reported row count and
-  elapsed time, so ``EXPLAIN``/``explain_analyze`` output shows
-  per-shard attribution exactly where a scan node would show per-table
-  attribution.
+  batches itself (the worker executes the fragment remotely); under a
+  run ledger the gather books the worker-reported row count, elapsed
+  time and trace segment to the leaf's frame, so ``explain_analyze``
+  output shows per-shard attribution exactly where a scan node would
+  show per-table attribution.
 * :class:`ShardGatherOp` — scatters the fragments over the links (in
   parallel), verifies every MAC'd reply, and merges:
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Iterator, Optional
 
+from repro.obs.trace_context import TraceContext, current_trace
 from repro.sql.ast_nodes import Statement
 from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import RowSchema
@@ -51,25 +52,6 @@ class ShardFragmentOp(PhysicalOp):
         super().__init__(output, [])
         self.shard_id = shard_id
         self.stmt = stmt
-        #: the worker's serialized trace segment (per-operator frames),
-        #: stitched into EXPLAIN ANALYZE output when tracing is on
-        self.remote_segment: Optional[dict] = None
-        #: round-trip time not spent executing on the worker
-        self.wire_seconds = 0.0
-
-    def record(
-        self,
-        rowcount: int,
-        elapsed: float,
-        wire_seconds: float = 0.0,
-        segment: Optional[dict] = None,
-    ) -> None:
-        """Stamp worker-reported execution stats for plan attribution."""
-        self.rows_out = rowcount
-        self.batches_out = 1 if rowcount else 0
-        self.total_seconds = elapsed
-        self.wire_seconds = wire_seconds
-        self.remote_segment = segment
 
     def batches(self) -> Iterator[ColumnBatch]:
         # never drained locally; the gather node consumes worker replies
@@ -103,31 +85,39 @@ class ShardGatherOp(PhysicalOp):
         self.merges = merges or []
         self.params = params
         self.pruned = pruned
-        #: fan-out and merge wall time, stamped per drain for EXPLAIN
-        self.scatter_seconds = 0.0
-        self.merge_seconds = 0.0
 
     # ------------------------------------------------------------------
     def batches(self) -> Iterator[ColumnBatch]:
-        scatter_start = perf_counter()
+        trace = current_trace()
+        start = perf_counter() if trace is not None else 0.0
         replies = self._scatter(
             [(f.shard_id, f.stmt) for f in self.fragments], self.params
         )
-        self.scatter_seconds = perf_counter() - scatter_start
-        for fragment, reply in zip(self.fragments, replies):
-            fragment.record(
-                reply["rowcount"],
-                reply["elapsed"],
-                wire_seconds=reply.get("wire_seconds", 0.0),
-                segment=reply.get("segment"),
-            )
-        merge_start = perf_counter()
+        scattered = perf_counter() if trace is not None else 0.0
         if self.mode == "agg":
             rows = self._merge_partials(replies)
         else:
             rows = [row for reply in replies for row in reply["rows"]]
-        self.merge_seconds = perf_counter() - merge_start
+        if trace is not None:
+            self._book(trace, replies, scattered - start, perf_counter() - scattered)
         return batched(rows, self.batch_size)
+
+    def _book(
+        self, trace: TraceContext, replies: list[dict], scatter: float, merge: float
+    ) -> None:
+        """Book the fan-out to the ledger: own frame, then one per shard."""
+        # called inside this operator's lap: the top frame is its own
+        trace.top.extra = {"scatter_seconds": scatter, "merge_seconds": merge}
+        for fragment, reply in zip(self.fragments, replies):
+            frame = trace.op_stats(fragment)
+            frame.rows_out = reply["rowcount"]
+            frame.batches_out = 1 if reply["rowcount"] else 0
+            trace.charge(frame, reply["elapsed"])
+            frame.extra = {"wire_seconds": reply.get("wire_seconds", 0.0)}
+            if reply.get("segment") is not None:
+                # the worker's serialized per-operator frames, stitched
+                # into EXPLAIN ANALYZE output
+                frame.extra["remote"] = reply["segment"]
 
     # ------------------------------------------------------------------
     def _merge_partials(self, replies: list[dict]) -> list[tuple]:

@@ -221,12 +221,15 @@ class ScatterRouter:
 
     def _scatter_fragments(self, fragments, params: tuple) -> list[dict]:
         stmts = dict(fragments)
-        # propagate the live trace to the workers: the qid rides inside
+        # propagate a sampled trace to the workers (the engine's own
+        # registry ledger asks nothing of them): the qid rides inside
         # the pickled payload, so it is covered by the request MAC. The
         # trace is read here, on the query thread, because the scatter
         # pool threads never see the coordinator's ContextVar.
         trace = current_trace()
-        trace_info = None if trace is None else {"qid": trace.qid}
+        trace_info = (
+            {"qid": trace.qid} if trace is not None and trace.sampled else None
+        )
 
         def payload(shard_id: int) -> dict:
             body = {"stmt": stmts[shard_id], "params": params}

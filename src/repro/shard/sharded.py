@@ -33,8 +33,8 @@ import hashlib
 from typing import Any, Iterable, Optional
 
 from repro.catalog.catalog import Catalog, TableInfo
-from repro.catalog.schema import Schema, schema_to_dict
-from repro.core.client import VeriDBClient
+from repro.catalog.schema import Schema, schema_from_ddl, schema_to_dict
+from repro.core.client import VeriDBClient, attested_connect
 from repro.core.config import ShardConfig
 from repro.core.database import ENGINE_CODE_IDENTITY
 from repro.core.incident import IncidentLog
@@ -42,7 +42,7 @@ from repro.core.portal import QueryPortal
 from repro.crypto.keys import KeyChain, generate_key
 from repro.obs import default_registry
 from repro.obs.fleet import HealthMonitor, fold_metric_delta
-from repro.sgx.attestation import PlatformQuotingKey, verify_quote
+from repro.sgx.attestation import PlatformQuotingKey
 from repro.sgx.costs import CycleMeter
 from repro.sgx.enclave import Enclave
 from repro.shard.envelope import link_key_purpose
@@ -141,19 +141,16 @@ class ShardedDatabase:
         expected_measurement: Optional[bytes] = None,
         audit_state: Optional[bytes] = None,
     ) -> VeriDBClient:
-        challenge = challenge if challenge is not None else generate_key()
-        report = self.enclave.attest(challenge)
-        expected = (
-            expected_measurement
-            if expected_measurement is not None
-            else self._expected_measurement
-        )
-        verify_quote(self.platform, report, expected, challenge)
-        submit = lambda query: self.enclave.ecall("submit_query", query)
-        return VeriDBClient(
-            submit,
-            self.enclave.keychain.mac_key,
+        """Attest the enclave and open an authenticated connection
+        (see :func:`~repro.core.client.attested_connect`)."""
+        return attested_connect(
+            self.enclave,
+            self.platform,
+            self._expected_measurement
+            if expected_measurement is None
+            else expected_measurement,
             name=name,
+            challenge=challenge,
             audit_state=audit_state,
         )
 
@@ -168,8 +165,7 @@ class ShardedDatabase:
         tenant: Optional[str] = None,
     ) -> ExecutionResult:
         values = () if params is None else tuple(params)
-        entry_kwargs = {} if tenant is None else {"tenant": tenant}
-        entry = self.engine.statement_entry(sql, join_hint, **entry_kwargs)
+        entry = self.engine.statement_entry(sql, join_hint, tenant=tenant)
         return self._execute_entry(entry, values, join_hint)
 
     sql = execute  # admin-path alias, mirroring VeriDB.sql
@@ -216,26 +212,7 @@ class ShardedDatabase:
     # DDL / data loading
     # ------------------------------------------------------------------
     def _run_create(self, stmt: CreateTable) -> ExecutionResult:
-        from repro.catalog.schema import Column, type_from_name
-        from repro.errors import PlanningError
-
-        if stmt.primary_key is None:
-            raise PlanningError(
-                f"table {stmt.name!r} needs a PRIMARY KEY (the chain-0 key)"
-            )
-        schema = Schema(
-            columns=[
-                Column(
-                    definition.name,
-                    type_from_name(definition.type_name),
-                    nullable=not definition.not_null,
-                )
-                for definition in stmt.columns
-            ],
-            primary_key=stmt.primary_key,
-            chain_columns=tuple(stmt.chain_columns),
-        )
-        self.create_table(stmt.name, schema)
+        self.create_table(stmt.name, schema_from_ddl(stmt))
         return ExecutionResult()
 
     def create_table(self, name: str, schema: Schema) -> ShardProxyStore:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+from contextlib import nullcontext
 from time import perf_counter
 from typing import Any, Optional
 
@@ -123,8 +124,8 @@ class ShardWorker:
         return handler(payload)
 
     # -- SQL execution -------------------------------------------------
-    def _traced_execute(self, payload: dict, statement, join_hint=None) -> dict:
-        """Run a statement, under a local trace when the request asks.
+    def _op_stmt(self, payload: dict) -> dict:
+        """Execute a pushed-down statement fragment (a pickled AST).
 
         A request carrying ``trace`` (the coordinator's propagated
         trace/qid, MAC-covered inside the payload) executes under a
@@ -133,22 +134,11 @@ class ShardWorker:
         stitches into its own EXPLAIN ANALYZE tree.
         """
         trace_info = payload.get("trace")
+        trace = None if trace_info is None else TraceContext(qid=trace_info["qid"])
         start = perf_counter()
-        if trace_info is None:
+        with trace if trace is not None else nullcontext():
             result = self.db.engine.execute(
-                statement, join_hint=join_hint, params=payload.get("params")
-            )
-            segment = None
-        else:
-            trace = TraceContext(qid=trace_info["qid"])
-            with trace:
-                result = self.db.engine.execute(
-                    statement,
-                    join_hint=join_hint,
-                    params=payload.get("params"),
-                )
-            segment = serialize_trace_segment(
-                trace, result.plan, self.shard_id
+                payload["stmt"], params=payload.get("params")
             )
         reply = {
             "columns": list(result.columns),
@@ -156,18 +146,11 @@ class ShardWorker:
             "rowcount": result.rowcount,
             "elapsed": perf_counter() - start,
         }
-        if segment is not None:
-            reply["segment"] = segment
+        if trace is not None:
+            reply["segment"] = serialize_trace_segment(
+                trace, result.plan, self.shard_id
+            )
         return reply
-
-    def _op_sql(self, payload: dict) -> dict:
-        return self._traced_execute(
-            payload, payload["sql"], join_hint=payload.get("join_hint")
-        )
-
-    def _op_stmt(self, payload: dict) -> dict:
-        """Execute a pushed-down statement fragment (a pickled AST)."""
-        return self._traced_execute(payload, payload["stmt"])
 
     # -- DDL -----------------------------------------------------------
     def _op_create_table(self, payload: dict) -> bool:

@@ -7,9 +7,13 @@ DDL act directly on the verifiable tables through the catalog.
 Statement text submitted as a string flows through the schema-versioned
 plan cache (:mod:`repro.sql.plan_cache`): repeated statement shapes —
 including every :class:`PreparedStatement` execution — skip the lexer,
-parser and planner entirely, running a fresh clone of the cached plan
-template with the ``?`` parameters bound for the duration of the
-execution.
+parser and planner entirely, running the cached plan template as it is
+with the ``?`` parameters bound for the duration of the execution. A
+plan node holds nothing a run produces; a run's numbers live in the run
+ledger (:class:`~repro.obs.trace_context.TraceContext`), which exists
+when someone is looking: an entered context (``explain_analyze``, portal
+sampling, a worker's segment) or a real metrics registry, for which
+:meth:`QueryEngine._metered` opens one.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.catalog.catalog import Catalog, TableInfo
-from repro.catalog.schema import Column, Schema
-from repro.catalog.types import type_from_name
+from repro.catalog.schema import schema_from_ddl
 from repro.errors import ExecutionError, PlanningError
 from repro.obs import default_registry
+from repro.obs.trace_context import IDLE_FRAME, TraceContext, current_trace
 from repro.sql.ast_nodes import (
     CreateTable,
     Delete,
@@ -55,35 +59,28 @@ class ExecutionResult:
     columns: list[str] = field(default_factory=list)
     rows: list[tuple] = field(default_factory=list)
     rowcount: int = 0
+    #: the (immutable, possibly cached) plan that ran
     plan: Optional[PhysicalOp] = None
-
-    # ------------------------------------------------------------------
-    # Figure 12 instrumentation: scan-node vs other-node self time
-    # ------------------------------------------------------------------
-    def scan_seconds(self) -> float:
-        if self.plan is None:
-            return 0.0
-        total = 0.0
-        for op in self.plan.walk():
-            if op.is_scan:
-                total += op.self_seconds
-            total += op.internal_scan_seconds
-        return total
-
-    def other_seconds(self) -> float:
-        if self.plan is None:
-            return 0.0
-        total = 0.0
-        for op in self.plan.walk():
-            if not op.is_scan:
-                total += op.self_seconds - op.internal_scan_seconds
-        return max(0.0, total)
-
-    def total_seconds(self) -> float:
-        return 0.0 if self.plan is None else self.plan.total_seconds
 
     def explain(self) -> str:
         return "" if self.plan is None else self.plan.explain()
+
+
+def scan_split(plan: PhysicalOp, trace: TraceContext) -> tuple[float, float]:
+    """Figure 12: one run's (scan-node, other-node) self seconds.
+
+    Scan nodes are the operators that touch untrusted memory; the inner
+    lookups of an index-nested-loop join count with them.
+    """
+    scan = other = 0.0
+    for op in plan.walk():
+        frame = trace.op_stats_if_traced(op) or IDLE_FRAME
+        scan += frame.inner_seconds
+        if op.is_scan:
+            scan += frame.self_seconds
+        else:
+            other += frame.self_seconds - frame.inner_seconds
+    return scan, max(0.0, other)
 
 
 class QueryEngine:
@@ -93,7 +90,6 @@ class QueryEngine:
         self.catalog = catalog
         self.storage = storage
         self.obs = storage.obs if storage is not None else default_registry()
-        self._meter = epc.meter if epc is not None else None
         self._ctr_statements = self.obs.counter("sql.statements")
         self._ctr_cache_hits = self.obs.counter("sql.plan_cache_hits")
         self._ctr_cache_misses = self.obs.counter("sql.plan_cache_misses")
@@ -122,7 +118,6 @@ class QueryEngine:
             subquery_executor=lambda select: self._run_select(select, None).rows,
             spill=spill,
             batch_size=storage.config.batch_size if storage is not None else None,
-            cache_bytes=storage.config.cache_bytes if storage is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -209,6 +204,20 @@ class QueryEngine:
         """Parse and plan once; execute many times with bound values."""
         return PreparedStatement(self, sql, join_hint)
 
+    def uncached_entry(
+        self, stmt: Statement, join_hint: Optional[str], param_count: int
+    ) -> CacheEntry:
+        """The entry form of a pre-parsed statement: no template, so it
+        is planned when it runs; its arity is whatever its sender bound."""
+        return CacheEntry(
+            sql="",
+            stmt=stmt,
+            param_count=param_count,
+            join_hint=join_hint,
+            schema_version=self.catalog.schema_version,
+            cacheable=False,
+        )
+
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -229,22 +238,14 @@ class QueryEngine:
         Statement text goes through the plan cache; a pre-parsed
         ``Statement`` bypasses it.
         """
+        values = () if params is None else tuple(params)
         if isinstance(sql, str):
             entry = self.statement_entry(sql, join_hint, tenant=tenant)
-            return self.execute_prepared(
-                entry,
-                () if params is None else tuple(params),
-                join_hint=join_hint,
-                undo=undo,
-            )
-        stmt = sql
-        values = () if params is None else tuple(params)
-
-        def run() -> ExecutionResult:
-            with bound_params(values):
-                return self._dispatch(stmt, join_hint, undo)
-
-        return self._metered(run)
+        else:
+            entry = self.uncached_entry(sql, join_hint, len(values))
+        return self.execute_prepared(
+            entry, values, join_hint=join_hint, undo=undo
+        )
 
     def execute_prepared(
         self,
@@ -273,20 +274,25 @@ class QueryEngine:
         return self._metered(run)
 
     def _metered(self, run) -> ExecutionResult:
-        """Per-statement metrics envelope shared by every execute path."""
+        """Per-statement metrics envelope shared by every execute path.
+
+        With a real registry the run needs a ledger to read its plan
+        metrics from: the one a caller entered to look at this run, or
+        else one opened here (another engine's own ledger — an in-process
+        coordinator's — is not this engine's to book to).
+        """
         if not self.obs.enabled:
             return run()
         self._ctr_statements.inc()
-        cycles_before = (
-            self._meter.snapshot()["cycles"] if self._meter is not None else None
-        )
+        trace = current_trace()
         with self.obs.span("sql.execute_seconds"):
-            result = run()
-        if cycles_before is not None:
-            self.obs.histogram("sgx.cycles_per_query").observe(
-                self._meter.snapshot()["cycles"] - cycles_before
-            )
-        self._record_plan_metrics(result)
+            if trace is None or not trace.sampled:
+                with TraceContext(qid="", sampled=False) as trace:
+                    result = run()
+            else:
+                result = run()
+        if result.plan is not None:
+            self._record_plan_metrics(result.plan, trace)
         return result
 
     def _dispatch_entry(
@@ -296,70 +302,64 @@ class QueryEngine:
         undo: Optional[list],
     ) -> ExecutionResult:
         stmt = entry.stmt
-        if isinstance(stmt, Select) and entry.select_template is not None:
-            return self._run_plan(entry.select_template.fresh())
-        if isinstance(stmt, Update) and entry.filter_template is not None:
-            return self._run_update(
-                stmt, undo, plan=entry.filter_template.fresh()
-            )
-        if isinstance(stmt, Delete) and entry.filter_template is not None:
-            return self._run_delete(
-                stmt, undo, plan=entry.filter_template.fresh()
-            )
-        return self._dispatch(stmt, join_hint, undo)
-
-    def _dispatch(
-        self,
-        stmt: Statement,
-        join_hint: Optional[str],
-        undo: Optional[list],
-    ) -> ExecutionResult:
-        if isinstance(stmt, (Select, Update, Delete, Explain)):
-            self._ctr_planned.inc()
         if isinstance(stmt, Explain):
-            plan = self.planner.plan_select(stmt.select, join_hint)
+            plan = self._plan_now(stmt.select, join_hint)
             rows = [(line,) for line in plan.explain().splitlines()]
             return ExecutionResult(
                 columns=["plan"], rows=rows, rowcount=len(rows)
             )
         if isinstance(stmt, Select):
-            return self._run_select(stmt, join_hint)
+            plan = entry.select_template
+            if plan is None:
+                plan = self._plan_now(stmt, join_hint)
+            return self._run_plan(plan)
         if isinstance(stmt, Insert):
             return self._run_insert(stmt, undo)
-        if isinstance(stmt, Update):
-            return self._run_update(stmt, undo)
-        if isinstance(stmt, Delete):
-            return self._run_delete(stmt, undo)
+        if isinstance(stmt, (Update, Delete)):
+            plan = entry.filter_template
+            if plan is None:
+                plan = self._plan_now(stmt, join_hint)
+            if isinstance(stmt, Update):
+                return self._run_update(stmt, plan, undo)
+            return self._run_delete(stmt, plan, undo)
         if isinstance(stmt, CreateTable):
             return self._run_create(stmt)
         if isinstance(stmt, DropTable):
             return self._run_drop(stmt)
         raise ExecutionError(f"unsupported statement {type(stmt).__name__}")
 
-    def _record_plan_metrics(self, result: ExecutionResult) -> None:
-        """Fold a drained plan's per-node self times into the registry.
+    def _plan_now(self, stmt, join_hint: Optional[str]) -> PhysicalOp:
+        """Plan a statement whose entry carries no template."""
+        self._ctr_planned.inc()
+        if isinstance(stmt, Select):
+            return self.planner.plan_select(stmt, join_hint)
+        return self.planner.plan_table_filter(stmt.table, stmt.where)
+
+    def _record_plan_metrics(self, plan: PhysicalOp, trace: TraceContext) -> None:
+        """Fold a drained plan's ledger frames into the registry.
 
         One latency histogram per operator class
         (``sql.op.<Name>.self_seconds``) plus the scan/other split the
         Figure 12 analysis uses.
         """
-        if result.plan is None:
-            return
         total_batches = 0
-        for op in result.plan.walk():
+        for op in plan.walk():
+            frame = trace.op_stats_if_traced(op) or IDLE_FRAME
             self.obs.histogram(
                 f"sql.op.{type(op).__name__}.self_seconds"
-            ).observe(op.self_seconds)
-            total_batches += op.batches_out
-            if op.batches_out:
+            ).observe(frame.self_seconds)
+            batches = frame.batches_out
+            total_batches += batches
+            if batches:
                 self.obs.histogram("sql.batch_size").observe(
-                    op.rows_out / op.batches_out
+                    frame.rows_out / batches
                 )
-            if isinstance(op, FusedScanFilterProjectOp) and op.batches_out:
-                self._ctr_fused_batches.inc(op.batches_out)
+                if isinstance(op, FusedScanFilterProjectOp):
+                    self._ctr_fused_batches.inc(batches)
         self.obs.histogram("sql.batches_per_query").observe(total_batches)
-        self.obs.histogram("sql.scan_seconds").observe(result.scan_seconds())
-        self.obs.histogram("sql.other_seconds").observe(result.other_seconds())
+        scan, other = scan_split(plan, trace)
+        self.obs.histogram("sql.scan_seconds").observe(scan)
+        self.obs.histogram("sql.other_seconds").observe(other)
 
     def plan(self, sql: str, join_hint: Optional[str] = None) -> PhysicalOp:
         """Compile without executing (EXPLAIN support)."""
@@ -420,15 +420,10 @@ class QueryEngine:
         return ExecutionResult(rowcount=count)
 
     def _run_update(
-        self,
-        stmt: Update,
-        undo: Optional[list] = None,
-        plan: Optional[PhysicalOp] = None,
+        self, stmt: Update, plan: PhysicalOp, undo: Optional[list] = None
     ) -> ExecutionResult:
         info = self.catalog.lookup(stmt.table)
         schema = info.schema
-        if plan is None:
-            plan = self.planner.plan_table_filter(stmt.table, stmt.where)
         matching = [row for batch in plan.timed_batches() for row in batch.rows]
         assign_fns = [
             (column, compile_expr(expr, plan.output))
@@ -453,14 +448,9 @@ class QueryEngine:
         return ExecutionResult(rowcount=count)
 
     def _run_delete(
-        self,
-        stmt: Delete,
-        undo: Optional[list] = None,
-        plan: Optional[PhysicalOp] = None,
+        self, stmt: Delete, plan: PhysicalOp, undo: Optional[list] = None
     ) -> ExecutionResult:
         info = self.catalog.lookup(stmt.table)
-        if plan is None:
-            plan = self.planner.plan_table_filter(stmt.table, stmt.where)
         pk_index = info.schema.primary_key_index
         matching = [row for batch in plan.timed_batches() for row in batch.rows]
         count = 0
@@ -477,23 +467,7 @@ class QueryEngine:
     # DDL
     # ------------------------------------------------------------------
     def _run_create(self, stmt: CreateTable) -> ExecutionResult:
-        if stmt.primary_key is None:
-            raise PlanningError(
-                f"table {stmt.name!r} needs a PRIMARY KEY (the chain-0 key)"
-            )
-        columns = [
-            Column(
-                definition.name,
-                type_from_name(definition.type_name),
-                nullable=not definition.not_null,
-            )
-            for definition in stmt.columns
-        ]
-        schema = Schema(
-            columns=columns,
-            primary_key=stmt.primary_key,
-            chain_columns=tuple(stmt.chain_columns),
-        )
+        schema = schema_from_ddl(stmt)
         store = VerifiableTable(stmt.name, schema, self.storage)
         self.catalog.register(TableInfo(stmt.name, schema, store))
         return ExecutionResult()

@@ -1,14 +1,11 @@
-"""EXPLAIN ANALYZE: a drained plan tree annotated with traced costs.
+"""EXPLAIN ANALYZE: a drained plan tree annotated from the run ledger.
 
 ``VeriDB.explain_analyze`` executes a statement under a
 :class:`~repro.obs.trace_context.TraceContext` and wraps the outcome in
-an :class:`ExplainAnalyzeResult`, which joins two sources of truth:
-
-* the *plan tree* (row/batch counts and stopwatch self-times each
-  operator accumulated while draining), and
-* the *trace frames* (verified reads, cache hits/misses, boundary
-  crossings, simulated SGX cycles attributed to each operator by the
-  trace stack).
+an :class:`ExplainAnalyzeResult`. The plan is an immutable template;
+every number shown — rows, batches, self time, verified reads, cache
+hits/misses, boundary crossings, simulated SGX cycles — is read from the
+frame the context kept for that node during this run.
 
 ``.text`` renders the annotated tree for humans; ``.data`` returns the
 same information as a machine-readable dict whose ``totals`` equal the
@@ -18,13 +15,17 @@ observability tests pin.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
-from repro.obs.trace_context import OpStats, TraceContext
-from repro.sql.executor import ExecutionResult
-from repro.sql.operators.base import PhysicalOp
+from repro.obs.trace_context import TraceContext
+from repro.sql.executor import ExecutionResult, scan_split
 
-_EMPTY = OpStats("<none>")
+
+def _walk(node: Optional[dict]) -> Iterator[dict]:
+    if node is not None:
+        yield node
+        for child in node["children"]:
+            yield from _walk(child)
 
 
 class ExplainAnalyzeResult:
@@ -39,27 +40,9 @@ class ExplainAnalyzeResult:
         self.sql = sql
         self.result = result
         self.trace = trace
-        self._stamp_wall_seconds()
-
-    def _stamp_wall_seconds(self) -> None:
-        """Copy the stopwatch self-times onto the trace frames.
-
-        Counter attribution accumulates live; wall time is measured by
-        the operators' own stopwatches, so it is folded into the frames
-        once, after the plan drains. Whatever part of the query's
-        elapsed time no operator claims (parsing, planning, result
-        materialization) stays on the root frame, keeping the frame sum
-        equal to the query's wall clock within measurement slack.
-        """
-        plan = self.result.plan
-        attributed = 0.0
-        if plan is not None:
-            for op in plan.walk():
-                stats = self.trace.op_stats_if_traced(op)
-                if stats is not None:
-                    stats.wall_seconds = op.self_seconds
-                    attributed += op.self_seconds
-        self.trace.root.wall_seconds = max(0.0, self.trace.elapsed - attributed)
+        plan = result.plan
+        #: the plan as nested node dicts (None for plan-less statements)
+        self.plan = None if plan is None else trace.plan_data(plan)
 
     # ------------------------------------------------------------------
     @property
@@ -80,6 +63,17 @@ class ExplainAnalyzeResult:
         """
         return self.trace.totals()
 
+    def seconds(self) -> dict:
+        """The Figure 12 decomposition of this run's operator time."""
+        if self.plan is None:
+            return {"total_s": 0.0, "scan_s": 0.0, "other_s": 0.0}
+        scan, other = scan_split(self.result.plan, self.trace)
+        return {
+            "total_s": self.plan["total_seconds"],
+            "scan_s": scan,
+            "other_s": other,
+        }
+
     # ------------------------------------------------------------------
     # stitched worker segments (sharded execution)
     # ------------------------------------------------------------------
@@ -90,15 +84,7 @@ class ExplainAnalyzeResult:
         :class:`~repro.shard.plan.ShardFragmentOp` leaf carries the
         segment its worker serialized into the MAC'd reply.
         """
-        plan = self.result.plan
-        if plan is None:
-            return []
-        segments = []
-        for op in plan.walk():
-            segment = getattr(op, "remote_segment", None)
-            if segment is not None:
-                segments.append(segment)
-        return segments
+        return [node["remote"] for node in _walk(self.plan) if "remote" in node]
 
     def remote_totals(self) -> Optional[dict]:
         """Summed worker-side costs, or None when nothing was stitched.
@@ -119,13 +105,12 @@ class ExplainAnalyzeResult:
     # ------------------------------------------------------------------
     @property
     def data(self) -> dict:
-        plan = self.result.plan
         out = {
             "qid": self.trace.qid,
             "sql": self.sql,
             "rowcount": self.result.rowcount,
             "elapsed_seconds": self.trace.elapsed,
-            "plan": self._node_data(plan) if plan is not None else None,
+            "plan": self.plan,
             "unattributed": self.trace.root.as_dict(),
             "totals": self.totals(),
         }
@@ -134,39 +119,16 @@ class ExplainAnalyzeResult:
             out["remote_totals"] = remote
         return out
 
-    def _node_data(self, op: PhysicalOp) -> dict:
-        stats = self.trace.op_stats_if_traced(op) or _EMPTY
-        node = stats.as_dict()
-        node["label"] = op.describe()
-        node["op"] = type(op).__name__
-        node["rows_out"] = op.rows_out
-        node["batches_out"] = op.batches_out
-        node["self_seconds"] = op.self_seconds
-        node["total_seconds"] = op.total_seconds
-        node["children"] = [self._node_data(child) for child in op.children]
-        # scatter-gather decorations (duck-typed: only shard plan nodes
-        # carry these attributes)
-        segment = getattr(op, "remote_segment", None)
-        if segment is not None:
-            node["wire_seconds"] = getattr(op, "wire_seconds", 0.0)
-            node["remote"] = segment
-        merge_seconds = getattr(op, "merge_seconds", None)
-        if merge_seconds is not None:
-            node["merge_seconds"] = merge_seconds
-            node["scatter_seconds"] = getattr(op, "scatter_seconds", 0.0)
-        return node
-
     # ------------------------------------------------------------------
     # human-readable form
     # ------------------------------------------------------------------
     @property
     def text(self) -> str:
-        plan = self.result.plan
         lines = []
-        if plan is None:
+        if self.plan is None:
             lines.append(f"(no plan: rowcount={self.result.rowcount})")
         else:
-            self._render(plan, 0, lines)
+            _render(self.plan, 0, lines)
         root = self.trace.root
         lines.append(
             "unattributed: "
@@ -196,61 +158,42 @@ class ExplainAnalyzeResult:
             )
         return "\n".join(lines)
 
-    def _render(self, op: PhysicalOp, indent: int, lines: list[str]) -> None:
-        stats = self.trace.op_stats_if_traced(op) or _EMPTY
-        extra = ""
-        merge_seconds = getattr(op, "merge_seconds", None)
-        if merge_seconds is not None:
-            extra = (
-                f" scatter={_fmt_seconds(getattr(op, 'scatter_seconds', 0.0))}"
-                f" merge={_fmt_seconds(merge_seconds)}"
-            )
-        lines.append(
-            "  " * indent
-            + op.describe()
-            + (
-                f"  (rows={op.rows_out} batches={op.batches_out}"
-                f" self={_fmt_seconds(op.self_seconds)}"
-                f" reads={stats.verified_reads}"
-                f" cache={stats.cache_hits}/{stats.cache_misses}"
-                f" crossings={stats.ecalls}+{stats.batched_read_crossings}"
-                f" cycles={stats.simulated_cycles}{extra})"
-            )
-        )
-        segment = getattr(op, "remote_segment", None)
-        if segment is not None:
-            wire = getattr(op, "wire_seconds", 0.0)
-            lines.append(
-                "  " * (indent + 1)
-                + f"[shard {segment['shard']}] wire={_fmt_seconds(wire)} "
-                f"worker={_fmt_seconds(segment['elapsed_seconds'])}"
-            )
-            if segment.get("plan") is not None:
-                self._render_segment_node(
-                    segment["plan"], indent + 2, lines
-                )
-        for child in op.children:
-            self._render(child, indent + 1, lines)
-
-    @staticmethod
-    def _render_segment_node(node: dict, indent: int, lines: list[str]) -> None:
-        lines.append(
-            "  " * indent
-            + node["label"]
-            + (
-                f"  (rows={node['rows_out']} batches={node['batches_out']}"
-                f" self={_fmt_seconds(node['self_seconds'])}"
-                f" reads={node['verified_reads']}"
-                f" cache={node['cache_hits']}/{node['cache_misses']}"
-                f" crossings={node['ecalls']}+{node['batched_read_crossings']}"
-                f" cycles={node['simulated_cycles']})"
-            )
-        )
-        for child in node.get("children", ()):
-            ExplainAnalyzeResult._render_segment_node(child, indent + 1, lines)
-
     def __str__(self) -> str:
         return self.text
+
+
+def _render(node: dict, indent: int, lines: list[str]) -> None:
+    """One plan node (local, or from a worker's segment) and its subtree."""
+    extra = ""
+    if "merge_seconds" in node:
+        extra = (
+            f" scatter={_fmt_seconds(node['scatter_seconds'])}"
+            f" merge={_fmt_seconds(node['merge_seconds'])}"
+        )
+    lines.append(
+        "  " * indent
+        + node["label"]
+        + (
+            f"  (rows={node['rows_out']} batches={node['batches_out']}"
+            f" self={_fmt_seconds(node['self_seconds'])}"
+            f" reads={node['verified_reads']}"
+            f" cache={node['cache_hits']}/{node['cache_misses']}"
+            f" crossings={node['ecalls']}+{node['batched_read_crossings']}"
+            f" cycles={node['simulated_cycles']}{extra})"
+        )
+    )
+    segment = node.get("remote")
+    if segment is not None:
+        lines.append(
+            "  " * (indent + 1)
+            + f"[shard {segment['shard']}] "
+            f"wire={_fmt_seconds(node['wire_seconds'])} "
+            f"worker={_fmt_seconds(segment['elapsed_seconds'])}"
+        )
+        if segment.get("plan") is not None:
+            _render(segment["plan"], indent + 2, lines)
+    for child in node["children"]:
+        _render(child, indent + 1, lines)
 
 
 def _fmt_seconds(seconds: float) -> str:

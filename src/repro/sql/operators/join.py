@@ -17,9 +17,10 @@ batches of ``batch_size``.
 from __future__ import annotations
 
 import itertools
+from time import perf_counter
 from typing import Iterator, Optional
 
-from repro.obs import timed_call
+from repro.obs.trace_context import current_trace
 from repro.sql.ast_nodes import Expr
 from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import compile_expr, compile_predicate
@@ -214,10 +215,11 @@ class IndexNestedLoopJoinOp(PhysicalOp):
     """Join pulling inner rows through verified IndexSearch (Example 5.4).
 
     The inner side must be a base table whose primary key equals the
-    outer join key. Each inner lookup is a verified point access; its
-    time is tracked separately so benchmarks can attribute it to scan
-    work. Lookups run one batch of outer rows at a time, emitting one
-    output batch per input batch.
+    outer join key. Each inner lookup is a verified point access; under
+    a run ledger its time is booked separately (``inner_seconds``) so
+    the Figure 12 split can attribute it to scan work. Lookups run one
+    batch of outer rows at a time, emitting one output batch per input
+    batch.
     """
 
     def __init__(
@@ -239,17 +241,23 @@ class IndexNestedLoopJoinOp(PhysicalOp):
             compile_predicate(residual, self.output) if residual is not None else None
         )
 
-    is_scan = False  # inner lookups are charged to internal_scan_seconds
+    is_scan = False  # inner lookups are booked to the frame's inner_seconds
 
     def batches(self) -> Iterator[ColumnBatch]:
+        trace = current_trace()
         for batch in self.children[0].timed_batches():
             out: list[tuple] = []
             for left_row in batch.rows:
                 key = self._left_key_fn(left_row)
                 if key is None:
                     continue
-                (inner_row, _proof), elapsed = timed_call(self.inner_table.get, key)
-                self.internal_scan_seconds += elapsed
+                if trace is None:
+                    inner_row, _proof = self.inner_table.get(key)
+                else:
+                    # inside this operator's lap: the top frame is its own
+                    start = perf_counter()
+                    inner_row, _proof = self.inner_table.get(key)
+                    trace.top.inner_seconds += perf_counter() - start
                 if inner_row is None:
                     continue
                 combined = left_row + inner_row

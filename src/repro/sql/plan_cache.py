@@ -4,8 +4,9 @@ Parsing and planning dominate the enclave cost of small point queries;
 a workload of repeated statement *shapes* (the norm under prepared
 statements) pays it once. The cache maps ``(normalized SQL, join hint)``
 to a :class:`CacheEntry` holding the parsed statement and — for
-statements whose plan is reusable — a pristine physical-plan template
-instantiated per execution via :meth:`PhysicalOp.fresh`.
+statements whose plan is reusable — the physical-plan template, which
+is immutable after planning and is what every execution runs (a run's
+numbers live in its ledger, never on the nodes).
 
 Safety rules:
 
@@ -71,9 +72,9 @@ class CacheEntry:
     schema_version: int
     #: False → never stored (subqueries, DDL, transaction control)
     cacheable: bool
-    #: pristine SELECT plan; executions run a ``.fresh()`` clone
+    #: SELECT plan, executed as it is (None: planned when run)
     select_template: Optional[PhysicalOp] = None
-    #: pristine filtered-scan plan for UPDATE/DELETE row matching
+    #: filtered-scan plan for UPDATE/DELETE row matching
     filter_template: Optional[PhysicalOp] = None
     #: tenant whose query built this entry (None: admin/untenanted).
     #: Entries are *shared* across tenants — plans contain no tenant

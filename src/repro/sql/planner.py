@@ -101,7 +101,6 @@ class Planner:
         subquery_executor=None,
         spill=None,
         batch_size: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
     ):
         self.catalog = catalog
         #: callable(Select) -> list[tuple]; installed by the QueryEngine.
@@ -115,19 +114,13 @@ class Planner:
         #: row-at-a-time execution. None keeps each operator's class
         #: default (DEFAULT_BATCH_SIZE).
         self.batch_size = batch_size
-        #: record-cache budget active beneath the plan, stamped onto
-        #: every node so EXPLAIN output shows the cache regime the plan
-        #: will execute under. None keeps the class default.
-        self.cache_bytes = cache_bytes
 
     def _stamp(self, plan: PhysicalOp) -> PhysicalOp:
-        """Propagate execution-wide knobs to every plan node."""
-        if self.batch_size is not None or self.cache_bytes is not None:
+        """Propagate the batch size to every plan node (the last write
+        a node ever sees: a returned plan is immutable)."""
+        if self.batch_size is not None:
             for op in plan.walk():
-                if self.batch_size is not None:
-                    op.batch_size = self.batch_size
-                if self.cache_bytes is not None:
-                    op.cache_bytes = self.cache_bytes
+                op.batch_size = self.batch_size
         return plan
 
     # ------------------------------------------------------------------

@@ -113,13 +113,12 @@ class Session:
         # statement text resolves through the engine's plan cache — the
         # session reads the statement type for transaction control /
         # locking off the cached entry, so repeated shapes skip parsing
-        entry: Optional[CacheEntry] = None
+        values = () if params is None else tuple(params)
         if isinstance(sql, str):
             entry = self.engine.statement_entry(sql, join_hint)
-            stmt = entry.stmt
         else:
-            stmt = sql
-        return self._run(entry, stmt, join_hint, params)
+            entry = self.engine.uncached_entry(sql, join_hint, len(values))
+        return self._run(entry, join_hint, values)
 
     def prepare(
         self, sql: str, join_hint: Optional[str] = None
@@ -134,18 +133,13 @@ class Session:
             self.engine,
             sql,
             join_hint,
-            executor=lambda entry, values: self._run(
-                entry, entry.stmt, join_hint, values
-            ),
+            executor=lambda entry, values: self._run(entry, join_hint, values),
         )
 
     def _run(
-        self,
-        entry: Optional[CacheEntry],
-        stmt: Statement,
-        join_hint: Optional[str],
-        params: Optional[tuple],
+        self, entry: CacheEntry, join_hint: Optional[str], values: tuple
     ) -> ExecutionResult:
+        stmt = entry.stmt
         if isinstance(stmt, Begin):
             return self._begin()
         if isinstance(stmt, Commit):
@@ -153,7 +147,9 @@ class Session:
         if isinstance(stmt, Rollback):
             return self._rollback()
         if not self._active:
-            result = self._execute(entry, stmt, join_hint, None, params)
+            result = self.engine.execute_prepared(
+                entry, values, join_hint=join_hint
+            )
             if isinstance(stmt, DropTable):
                 # the dropped table's transaction lock would otherwise
                 # live in the registry forever (DDL-churn leak)
@@ -163,7 +159,9 @@ class Session:
             raise TransactionError("DDL is not allowed inside a transaction")
         self._lock_tables(tables_touched(stmt))
         try:
-            return self._execute(entry, stmt, join_hint, self._undo, params)
+            return self.engine.execute_prepared(
+                entry, values, join_hint=join_hint, undo=self._undo
+            )
         except Exception as exc:
             # a failed statement may have applied part of its rows;
             # abort the whole transaction so the state stays clean
@@ -171,25 +169,6 @@ class Session:
             raise TransactionAborted(
                 f"transaction aborted by statement failure: {exc}"
             ) from exc
-
-    def _execute(
-        self,
-        entry: Optional[CacheEntry],
-        stmt: Statement,
-        join_hint: Optional[str],
-        undo: Optional[list],
-        params: Optional[tuple],
-    ) -> ExecutionResult:
-        if entry is not None:
-            return self.engine.execute_prepared(
-                entry,
-                () if params is None else tuple(params),
-                join_hint=join_hint,
-                undo=undo,
-            )
-        return self.engine.execute(
-            stmt, join_hint=join_hint, undo=undo, params=params
-        )
 
     # ------------------------------------------------------------------
     def _begin(self) -> ExecutionResult:

@@ -122,10 +122,10 @@ def test_pending_reservation_blocks_in_flight_duplicate(db):
     inner = db.portal._engine
 
     class GatedEngine:
-        def execute(self, sql, join_hint=None):
+        def execute(self, sql, **kwargs):
             started.set()
             assert release.wait(timeout=10)
-            return inner.execute(sql, join_hint=join_hint)
+            return inner.execute(sql, **kwargs)
 
     db.portal._engine = GatedEngine()
     try:

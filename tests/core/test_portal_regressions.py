@@ -175,10 +175,10 @@ def test_concurrent_duplicate_submission_executes_once(db):
     entered = threading.Event()
     original_execute = db.portal._engine.execute
 
-    def slow_execute(sql, join_hint=None):
+    def slow_execute(sql, **kwargs):
         entered.set()
         release.wait(5)
-        return original_execute(sql, join_hint=join_hint)
+        return original_execute(sql, **kwargs)
 
     db.portal._engine.execute = slow_execute
     query = make_query(db, "SELECT * FROM t", qid=b"in-flight")

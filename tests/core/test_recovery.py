@@ -104,16 +104,6 @@ def test_snapshot_survives_drop_and_multiple_tables(db):
     assert recovered.sql("SELECT w FROM u").rows == [(11,)]
 
 
-def test_schema_serialization_reexports_stay_importable():
-    """Moved to repro.catalog.schema; the old private names must keep
-    working for anything that pickled a reference to them."""
-    from repro.catalog.schema import schema_from_dict, schema_to_dict
-    from repro.core.recovery import _schema_from_dict, _schema_to_dict
-
-    assert _schema_to_dict is schema_to_dict
-    assert _schema_from_dict is schema_from_dict
-
-
 def test_snapshot_disk_round_trip_unchanged(db, tmp_path):
     from repro.core.recovery import load_snapshot, save_snapshot
 

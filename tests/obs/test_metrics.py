@@ -9,13 +9,11 @@ from repro.obs import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
-    Stopwatch,
     current_span,
     default_registry,
     layer_breakdown,
     scoped_registry,
     set_default_registry,
-    timed_call,
 )
 
 
@@ -140,21 +138,6 @@ def test_span_stack_unwinds_on_exception():
             raise RuntimeError("boom")
     assert current_span() is None
     assert reg.histogram("failing").snapshot()["count"] == 1
-
-
-def test_stopwatch_accumulates_only_resumed_time():
-    watch = Stopwatch()
-    watch.resume()
-    first = watch.pause()
-    watch.resume()
-    second = watch.pause()
-    assert first >= 0.0 and second >= 0.0
-
-
-def test_timed_call_returns_result_and_elapsed():
-    result, elapsed = timed_call(lambda a, b: a + b, 2, 3)
-    assert result == 5
-    assert elapsed >= 0.0
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,13 @@ from repro.errors import (
     TenantRateLimited,
     UnknownTenant,
 )
-from repro.obs import MetricsRegistry, scoped_event_sink, scoped_registry
+from repro.obs import (
+    MetricsRegistry,
+    render_prometheus,
+    scoped_event_sink,
+    scoped_registry,
+)
+from repro.obs.promlint import lint_prometheus
 from repro.service import QueryService, ServiceConfig, TenantQuota
 
 
@@ -77,11 +83,16 @@ def test_per_tenant_counters_and_stats(service, registry):
     client = service.connect(creds)
     for _ in range(3):
         client.execute("SELECT COUNT(*) FROM kv")
-    assert registry.counter("service.tenant.acme.queries").value == 3
+    series = registry.counter("service.tenant.queries", labels={"tenant": "acme"})
+    assert series.value == 3
+    assert 'service.tenant.queries{tenant="acme"}' in registry.snapshot()
     stats = service.stats()
     assert stats["tenants"] == ["acme"]
     assert stats["completed"] == 3
     assert stats["in_flight"] == 0
+    # a tenant id is a label value, so any id renders as a valid series
+    service.register_tenant("bad-name.co")
+    assert lint_prometheus(render_prometheus(registry)) == []
 
 
 # ----------------------------------------------------------------------

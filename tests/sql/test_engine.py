@@ -5,6 +5,7 @@ import pytest
 from repro.catalog.catalog import Catalog
 from repro.errors import CatalogError, PlanningError
 from repro.sql.executor import QueryEngine
+from repro.sql.explain import explain_analyze
 from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
 
@@ -217,10 +218,15 @@ def test_select_star_grouped_rejected(engine):
 
 
 def test_scan_other_timing_split(engine):
-    result = engine.execute("SELECT COUNT(*) FROM quote")
-    assert result.total_seconds() > 0
-    assert result.scan_seconds() >= 0
-    assert result.other_seconds() >= 0
+    analyzed = explain_analyze(engine, "SELECT COUNT(*) FROM quote")
+    seconds = analyzed.seconds()
+    assert seconds["total_s"] > 0
+    assert seconds["scan_s"] > 0
+    assert seconds["other_s"] > 0
+    # own shares telescope: the split is the top node's inclusive time
+    assert seconds["scan_s"] + seconds["other_s"] == pytest.approx(
+        seconds["total_s"]
+    )
 
 
 def test_verification_passes_after_sql_workload(engine):

@@ -15,6 +15,7 @@ from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
 from repro.errors import ConfigurationError
 from repro.obs import (
+    NULL_REGISTRY,
     MetricsRegistry,
     scoped_event_sink,
     scoped_registry,
@@ -324,24 +325,23 @@ def test_trace_sample_rate_validated():
 # the zero-cost guarantee, end to end
 # ----------------------------------------------------------------------
 def test_untraced_query_never_reads_trace_contextvar(monkeypatch):
-    """With no trace active, a full query touches no trace machinery.
+    """With nobody looking, a full query touches no trace machinery.
 
-    The gate is one module-global integer compare; poisoning the
-    ContextVar proves no hot-path component reaches past it when
-    sampling is off.
+    Nobody looking = the null registry and no entered trace (a real
+    registry opens a run ledger per statement to read its plan metrics
+    from). The gate is one module-global integer compare; poisoning the
+    ContextVar proves no hot-path component reaches past it.
     """
 
     class Poisoned:
         def get(self):  # pragma: no cover - failure path
             raise AssertionError("trace ContextVar read on untraced path")
 
-    reg = MetricsRegistry()
-    with scoped_registry(reg):
-        db = build_db(reg, cache_bytes=1 << 20)
-        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        db.load_rows("t", [(i, i) for i in range(40)])
-        monkeypatch.setattr(tc_module, "_current", Poisoned())
-        result = db.sql("SELECT * FROM t WHERE v > 10")
-        assert result.rowcount == 29
-        client = db.connect("untraced")
-        client.execute("SELECT * FROM t WHERE id = 3")
+    db = build_db(NULL_REGISTRY, cache_bytes=1 << 20)
+    db.sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    db.load_rows("t", [(i, i) for i in range(40)])
+    monkeypatch.setattr(tc_module, "_current", Poisoned())
+    result = db.sql("SELECT * FROM t WHERE v > 10")
+    assert result.rowcount == 29
+    client = db.connect("untraced")
+    client.execute("SELECT * FROM t WHERE id = 3")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog.schema import Column, Schema
 from repro.catalog.types import IntegerType, TextType
+from repro.obs import TraceContext
 from repro.sql.ast_nodes import (
     Aggregate,
     BinaryOp,
@@ -69,9 +70,10 @@ def make_table():
 # ----------------------------------------------------------------------
 def test_seq_scan():
     op = SeqScanOp(make_table(), "t")
-    rows = drain(op)
+    with TraceContext(qid="seq-scan") as trace:
+        rows = drain(op)
     assert len(rows) == 10
-    assert op.rows_out == 10
+    assert trace.op_stats(op).rows_out == 10
     assert op.is_scan
     assert "SeqScan" in op.describe()
 
@@ -187,9 +189,12 @@ def test_index_nl_join():
     table = make_table()
     outer = RowsOp([("o", "ref")], [(3,), (99,), (5,), (None,)])
     op = IndexNestedLoopJoinOp(outer, table, "t", ColumnRef("ref", "o"), None)
-    rows = drain(op)
+    with TraceContext(qid="inl-join") as trace:
+        rows = drain(op)
     assert rows == [(3, 3, 30, "s3"), (5, 5, 50, "s5")]
-    assert op.internal_scan_seconds > 0
+    frame = trace.op_stats(op)
+    assert 0 < frame.inner_seconds <= frame.self_seconds
+    assert drain(op) == rows  # and the same answer with no ledger
 
 
 def test_duplicate_groups_merge_join():
@@ -269,11 +274,19 @@ def test_self_seconds_nesting():
     scan = SeqScanOp(table, "t")
     filter_op = FilterOp(scan, BinaryOp(">", ColumnRef("v"), Literal(0)))
     project = ProjectOp(filter_op, [ColumnRef("id")], ["id"])
-    rows = drain(project)
+    with TraceContext(qid="nesting") as trace:
+        rows = drain(project)
     assert len(rows) == 10
-    total_self = sum(op.self_seconds for op in project.walk())
-    assert total_self == pytest.approx(project.total_seconds, rel=0.2)
-    assert scan.total_seconds <= filter_op.total_seconds <= project.total_seconds
+    frames = [trace.op_stats(op) for op in (scan, filter_op, project)]
+    # a child's lap is taken out of its parent's own share as it ends,
+    # so the own shares telescope to the top node's inclusive time...
+    assert sum(f.wall_seconds for f in frames) == pytest.approx(
+        frames[-1].total_seconds
+    )
+    assert all(f.wall_seconds >= 0 for f in frames)
+    assert frames[0].total_seconds <= frames[1].total_seconds <= frames[2].total_seconds
+    # ...and with the root's remainder, to the context's elapsed time
+    assert sum(f.wall_seconds for f in trace.frames()) == pytest.approx(trace.elapsed)
 
 
 def test_explain_tree():
