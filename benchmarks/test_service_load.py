@@ -2,10 +2,14 @@
 
 Pytest entry points check the acceptance bar — the service sustains
 >= 200 concurrent clients at a fixed arrival rate with **zero**
-replay/auth protocol errors — and the ``__main__`` path runs an
-open-loop saturation sweep across arrival rates, printing the sweep
-table and writing ``BENCH_service_load.json`` with p50/p95/p99 read
-from the same sparse log2 histograms the Prometheus exporter scrapes.
+replay/auth protocol errors — and the ``__main__`` path finds the
+open-loop saturation knee (``LoadGenerator.find_knee``: rate points
+sized by duration, doubled until the service completes < 90 % of what
+is offered, one bisection step, three searches), prints every rate
+point, the knee with its spread and p50/p99 at 0.5× and 0.9× of it, and
+writes ``BENCH_service_load.json``; percentiles are read from the same
+sparse log2 histograms the Prometheus exporter scrapes. It exits
+non-zero on any protocol or other error across the sweep.
 
 Rejections (quota, rate, overload) are *not* errors here: over-offering
 an admission-controlled service is supposed to produce typed 429-style
@@ -21,6 +25,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from _harness import (  # noqa: E402
+    SCALE,
     obs_scope,
     print_metrics_breakdown,
     scaled,
@@ -38,6 +43,8 @@ from repro.service import (
 
 N_CLIENTS = 200  # the acceptance floor: not scaled down
 ROWS = 64
+KNEE_START_QPS = 100
+KNEE_REPEATS = 3
 
 
 def build_service(registry=None, max_in_flight=256, max_workers=8):
@@ -95,40 +102,44 @@ def test_over_offered_service_rejects_but_never_errors():
 
 
 # ----------------------------------------------------------------------
-# direct run: saturation sweep + JSON artifact
+# direct run: the saturation knee + JSON artifact
 # ----------------------------------------------------------------------
-def main():
+def main() -> int:
+    seconds_per_point = max(0.25, SCALE)
     with obs_scope() as registry:
         service = build_service(registry)
         gen = LoadGenerator(service, n_clients=N_CLIENTS, registry=registry)
-        qps_targets = [100, 200, 400, 800, 1600]
-        ops_per_target = scaled(600)
-        reports = gen.saturation_sweep(
-            point_query, qps_targets, ops_per_target
+        knee = gen.find_knee(
+            point_query, KNEE_START_QPS, seconds_per_point, KNEE_REPEATS
         )
         service.close()
 
         print(
-            f"\nService saturation sweep — {N_CLIENTS} clients, "
-            f"{ops_per_target} ops per rate point"
+            f"\nService saturation knee — {N_CLIENTS} clients, "
+            f"{seconds_per_point:g} s per rate point, {KNEE_REPEATS} searches"
         )
-        print_sweep_table(reports)
-        total_protocol_errors = sum(r.protocol_errors for r in reports)
+        print_sweep_table(knee.points)
         print(
-            f"(protocol errors across the sweep: {total_protocol_errors}; "
-            f"any non-zero value is a bug)"
+            f"\nknee {knee.knee_qps:.0f} qps, spread {knee.spread_qps:.0f} "
+            f"(searches: {', '.join(f'{k:.0f}' for k in knee.knees)})"
+        )
+        print("at 0.5x and 0.9x of the knee:")
+        print_sweep_table([r for runs in knee.near.values() for r in runs])
+        print(
+            f"(protocol errors across the sweep: {knee.protocol_errors}, "
+            f"other errors: {knee.other_errors}; any non-zero value is a bug)"
         )
         write_bench_json(
             "service_load",
             {
                 "n_clients": N_CLIENTS,
-                "ops_per_target": ops_per_target,
-                "sweep": [r.to_dict() for r in reports],
-                "protocol_errors_total": total_protocol_errors,
+                "seconds_per_point": seconds_per_point,
+                **knee.to_dict(),
             },
         )
         print_metrics_breakdown(registry)
+    return 1 if knee.protocol_errors or knee.other_errors else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -171,6 +171,15 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def reset(self) -> None:
+        """Forget every observation; the instrument stays bound."""
+        with self._lock:
+            self.count = 0
+            self.total = 0.0
+            self.min = math.inf
+            self.max = 0.0
+            self.buckets = {}
+
     def percentile(self, q: float) -> float:
         """Approximate percentile (bucket upper bound), ``q`` in [0, 1]."""
         with self._lock:
@@ -376,11 +385,7 @@ class MetricsRegistry:
             for gauge in self._gauges.values():
                 gauge._value = 0.0
             for histogram in self._histograms.values():
-                histogram.count = 0
-                histogram.total = 0.0
-                histogram.min = math.inf
-                histogram.max = 0.0
-                histogram.buckets = {}
+                histogram.reset()
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +417,9 @@ class _NullInstrument:
         pass
 
     def merge_snapshot(self, data: dict) -> None:
+        pass
+
+    def reset(self) -> None:
         pass
 
     def percentile(self, q: float) -> float:

@@ -2,13 +2,19 @@
 
 The serving layer ROADMAP item 1 asks for: per-tenant API-key sessions
 with enclave-registered MAC keys, admission control, quotas and rate
-limits with typed backpressure, thread-pool dispatch, graceful drain,
-and an open-loop load generator. See :mod:`repro.service.service` for
-the trust-model discussion.
+limits with typed backpressure, dispatch on the caller's thread with a
+bounded worker pool behind it, graceful drain, and an open-loop load
+generator with a saturation-knee finder. See
+:mod:`repro.service.service` for the trust-model discussion.
 """
 
 from repro.service.config import ServiceConfig, TenantQuota
-from repro.service.loadgen import LoadGenerator, LoadReport, print_sweep_table
+from repro.service.loadgen import (
+    KneeReport,
+    LoadGenerator,
+    LoadReport,
+    print_sweep_table,
+)
 from repro.service.service import QueryService, serve
 from repro.service.tenants import (
     TenantCredentials,
@@ -18,6 +24,7 @@ from repro.service.tenants import (
 )
 
 __all__ = [
+    "KneeReport",
     "LoadGenerator",
     "LoadReport",
     "QueryService",

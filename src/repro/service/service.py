@@ -20,10 +20,15 @@ in front of it), which dictates the design:
   :class:`~repro.errors.TenantRateLimited`) — the 429 pattern. Rejected
   queries never reach the enclave and their qids stay unburned, so
   resubmission is always safe.
-* **Dispatch is a bounded thread pool.** Admitted queries execute on
-  ``max_workers`` threads through the single ECall per query; the
-  calling thread blocks for its result (``submit``) or receives a future
-  (``submit_async``).
+* **Dispatch runs where the query arrived when it can.** At most
+  ``max_workers`` admitted queries execute at once (one slot each, one
+  ECall per query). A blocking ``submit`` runs its query on the calling
+  thread when a slot is free and no pooled query is waiting for one;
+  otherwise it waits on the worker pool, so queued work runs before new
+  arrivals. ``submit_async`` always hands back a pool future. Either way
+  the execution starts from an empty ``contextvars`` context: the
+  caller's trace, scoped registry or sink and parameter binding never
+  reach it.
 * **Shutdown drains.** ``drain()`` stops admission (typed
   :class:`~repro.errors.ServiceDraining` rejections) and waits for
   in-flight queries to finish, so no accepted query is abandoned with a
@@ -36,6 +41,7 @@ admit/reject/drain events on the default event sink.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import time
@@ -63,7 +69,7 @@ from repro.service.tenants import (
 
 
 class QueryService:
-    """Thread-pool query service front-end over a VeriDB instance."""
+    """Multi-tenant query service front-end over a VeriDB instance."""
 
     def __init__(
         self,
@@ -82,10 +88,14 @@ class QueryService:
             max_workers=self.config.max_workers,
             thread_name_prefix="veridb-service",
         )
-        # _idle guards the admission state (in-flight count + draining
-        # flag) and doubles as the drain condition variable
+        # one slot per query inside the enclave, inline or pooled
+        self._slots = threading.BoundedSemaphore(self.config.max_workers)
+        # _idle guards the admission state (in-flight count, pooled
+        # queries still waiting for a slot, draining flag) and doubles
+        # as the drain condition variable
         self._idle = threading.Condition(threading.Lock())
         self._in_flight = 0
+        self._queued = 0
         self._draining = False
         self._closed = False
 
@@ -99,6 +109,9 @@ class QueryService:
         self._ctr_rej_overload = self.obs.counter("service.rejected_overload")
         self._ctr_rej_draining = self.obs.counter("service.rejected_draining")
         self._ctr_responses_lost = self.obs.counter("service.responses_lost")
+        self._hist_queue = self.obs.histogram("service.queue_seconds")
+        self._hist_execute = self.obs.histogram("service.execute_seconds")
+        self._hist_latency = self.obs.histogram("service.latency_seconds")
         self.obs.gauge_fn("service.in_flight", lambda: self._in_flight)
         self.obs.gauge_fn("service.tenants", lambda: len(self._directory))
         self.obs.gauge_fn("service.draining", lambda: int(self._draining))
@@ -162,8 +175,28 @@ class QueryService:
     # the submission pipeline
     # ------------------------------------------------------------------
     def submit(self, api_key: str, query: AuthenticatedQuery) -> EndorsedResult:
-        """Admit, dispatch and answer one query (blocking)."""
-        return self.submit_async(api_key, query).result()
+        """Admit and answer one query (blocking).
+
+        The query runs on the calling thread when one of the
+        ``max_workers`` slots is free and no pooled query is waiting for
+        one; otherwise it queues on the worker pool behind them.
+        """
+        tenant, admitted_at = self._admit(api_key, query)
+        # _queued is read unlocked: an arrival racing a pooled query's
+        # dispatch may go either side of it, never past a waiting one
+        if self._queued or not self._slots.acquire(blocking=False):
+            return self._dispatch(tenant, query, admitted_at).result()
+        ok = False
+        try:
+            # an empty context, as on a pool thread
+            result = contextvars.Context().run(
+                self._run, tenant, query, admitted_at
+            )
+            ok = True
+        finally:
+            self._slots.release()
+            self._settle(tenant, ok)
+        return result
 
     def submit_async(
         self, api_key: str, query: AuthenticatedQuery
@@ -174,6 +207,13 @@ class QueryService:
         :class:`~repro.errors.ServiceError` subclasses) — a returned
         future means the query was admitted and will execute.
         """
+        tenant, admitted_at = self._admit(api_key, query)
+        return self._dispatch(tenant, query, admitted_at)
+
+    def _admit(
+        self, api_key: str, query: AuthenticatedQuery
+    ) -> tuple[TenantSession, float]:
+        """Authenticate and admit ``query`` or raise the typed rejection."""
         self._ctr_requests.inc()
         try:
             tenant = self._directory.lookup(api_key)
@@ -224,12 +264,33 @@ class QueryService:
                     "qid": query.qid.hex(),
                 }
             )
-        admitted_at = time.perf_counter()
+        return tenant, time.perf_counter()
+
+    def _dispatch(
+        self,
+        tenant: TenantSession,
+        query: AuthenticatedQuery,
+        admitted_at: float,
+    ) -> "Future[EndorsedResult]":
+        with self._idle:
+            self._queued += 1
         future: Future = self._pool.submit(
-            self._run, tenant, query, admitted_at
+            self._pooled, tenant, query, admitted_at
         )
         future.add_done_callback(lambda f: self._finish(tenant, f))
         return future
+
+    def _pooled(
+        self,
+        tenant: TenantSession,
+        query: AuthenticatedQuery,
+        admitted_at: float,
+    ) -> EndorsedResult:
+        """Pool-thread body: wait for a slot, then run."""
+        with self._slots:
+            with self._idle:
+                self._queued -= 1
+            return self._run(tenant, query, admitted_at)
 
     def _run(
         self,
@@ -237,15 +298,15 @@ class QueryService:
         query: AuthenticatedQuery,
         admitted_at: float,
     ) -> EndorsedResult:
-        """Worker-thread body: one ECall per query, fully accounted."""
-        self.obs.histogram("service.queue_seconds").observe(
-            time.perf_counter() - admitted_at
-        )
+        """One ECall per query, fully accounted, on whichever thread runs it."""
+        self._hist_queue.observe(time.perf_counter() - admitted_at)
         # the front-end worker dies before reaching the enclave: the qid
         # is unburned, an identical client retry is safe
         self.faults.check(fault_sites.SERVICE_DISPATCH_ABORT)
-        with self.obs.span("service.execute_seconds"):
-            result = self.db.enclave.ecall("submit_query", query)
+        executing = time.perf_counter()
+        result = self.db.enclave.ecall("submit_query", query)
+        done = time.perf_counter()
+        self._hist_execute.observe(done - executing)
         # the transport drops the endorsed response *after* the portal
         # burned the qid — the client's same-qid retry will be rejected
         # as a replay and must surface a typed ResponseLost
@@ -254,22 +315,34 @@ class QueryService:
         except BaseException:
             self._ctr_responses_lost.inc()
             raise
-        self.obs.histogram("service.latency_seconds").observe(
-            time.perf_counter() - admitted_at
-        )
+        self._hist_latency.observe(done - admitted_at)
         return result
 
     def _finish(self, tenant: TenantSession, future: Future) -> None:
+        if future.cancelled():
+            # cancelled before a pool thread picked it up: it no longer
+            # waits for a slot
+            with self._idle:
+                self._queued -= 1
+            self._settle(tenant, False)
+        else:
+            self._settle(tenant, future.exception() is None)
+
+    def _settle(self, tenant: TenantSession, ok: bool) -> None:
+        """Count the outcome and hand back what admission took.
+
+        Counted first, so a drained service has counted every query.
+        """
         tenant.release()
+        if ok:
+            self._ctr_completed.inc()
+            self._tenant_counter("queries", tenant.tenant_id).inc()
+        else:
+            self._ctr_errors.inc()
         with self._idle:
             self._in_flight -= 1
             if self._in_flight == 0:
                 self._idle.notify_all()
-        if future.cancelled() or future.exception() is not None:
-            self._ctr_errors.inc()
-        else:
-            self._ctr_completed.inc()
-            self._tenant_counter("queries", tenant.tenant_id).inc()
 
     def _tenant_counter(self, what: str, tenant_id: str):
         """``service.tenant.queries`` / ``.rejected``, one series per tenant."""

@@ -1,29 +1,43 @@
-"""The service front-end: auth, admission, quotas, drain, observability."""
+"""The service front-end: auth, admission, quotas, drain, dispatch,
+observability."""
 
+import contextvars
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.core.client import VeriDBClient
 from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
 from repro.core.portal import AuthenticatedQuery
 from repro.crypto.mac import MessageAuthenticator
 from repro.errors import (
     AuthenticationError,
+    ResponseLost,
     ServiceDraining,
     ServiceOverloaded,
     TenantQuotaExceeded,
     TenantRateLimited,
     UnknownTenant,
 )
+from repro.faults import sites
+from repro.faults.plane import ChaosPlane, scoped_fault_plane
+from repro.faults.schedule import ChaosSchedule
 from repro.obs import (
     MetricsRegistry,
+    default_event_sink,
+    default_registry,
     render_prometheus,
     scoped_event_sink,
     scoped_registry,
 )
 from repro.obs.promlint import lint_prometheus
+from repro.obs.trace import current_span
+from repro.obs.trace_context import TraceContext, current_trace
 from repro.service import QueryService, ServiceConfig, TenantQuota
+from repro.sql import params
 
 
 class FakeClock:
@@ -283,3 +297,355 @@ def test_latency_histograms_populated(service, registry):
     assert snap["service.execute_seconds"]["count"] == 5
     assert snap["service.in_flight"]["value"] == 0
     assert snap["service.tenants"]["value"] == 1
+
+
+# ----------------------------------------------------------------------
+# dispatch: the caller's thread when a slot is free, the pool otherwise
+# ----------------------------------------------------------------------
+class _Runs:
+    """Wraps a service's ``_run``: which thread ran which query, in
+    order of entry, and the most executions ever running at once."""
+
+    def __init__(self, service):
+        self.calls = []
+        self.peak = 0
+        self._active = 0
+        self._lock = threading.Lock()
+        self._original = service._run
+        service._run = self._run
+
+    def _run(self, tenant, query, admitted_at):
+        with self._lock:
+            self.calls.append((threading.get_ident(), query))
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+        try:
+            return self._original(tenant, query, admitted_at)
+        finally:
+            with self._lock:
+                self._active -= 1
+
+    @property
+    def threads(self):
+        return {ident for ident, _ in self.calls}
+
+
+def _pooled_client(service, creds):
+    """A verifying client whose every query goes through the pool."""
+    return VeriDBClient(
+        lambda query: service.submit_async(creds.api_key, query).result(),
+        creds.mac_key,
+        name=creds.tenant_id,
+        tenant=creds.tenant_id,
+    )
+
+
+def _outcome_counts(registry):
+    """Every counter, plus every histogram's observation count."""
+    return {
+        key: data["value"] if data["type"] == "counter" else data["count"]
+        for key, data in registry.snapshot().items()
+        if data["type"] in ("counter", "histogram")
+    }
+
+
+def _wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def _run_script(pooled: bool):
+    """One fixed script of accepted and rejected queries; its counts."""
+    with scoped_registry(MetricsRegistry()) as registry:
+        svc = QueryService(
+            build_db(), ServiceConfig(max_workers=2), registry=registry
+        )
+        creds = svc.register_tenant("acme")
+        other = svc.register_tenant("globex")
+        runs = _Runs(svc)
+        connect = (lambda c: _pooled_client(svc, c)) if pooled else svc.connect
+        client, client2 = connect(creds), connect(other)
+        for k in range(3):
+            assert client.execute(f"SELECT v FROM kv WHERE k = {k}").rows == (
+                (k * 10,),
+            )
+        client2.execute("SELECT COUNT(*) FROM kv")
+        with pytest.raises(UnknownTenant):
+            svc.submit("no-such-key", _query_for(svc, creds, qid=b"u" * 16))
+        assert svc.close()
+    return runs, _outcome_counts(registry)
+
+
+def test_idle_submit_runs_on_the_callers_thread_and_counts_like_the_pool():
+    inline_runs, inline_counts = _run_script(pooled=False)
+    pooled_runs, pooled_counts = _run_script(pooled=True)
+    me = threading.get_ident()
+    assert len(inline_runs.calls) == 4
+    assert inline_runs.threads == {me}
+    assert me not in pooled_runs.threads
+    assert [q.sql for _, q in inline_runs.calls] == [
+        q.sql for _, q in pooled_runs.calls
+    ]
+    assert inline_counts == pooled_counts
+    assert inline_counts["service.requests"] == 5
+    assert inline_counts["service.admitted"] == 4
+    assert inline_counts["service.completed"] == 4
+    assert inline_counts["service.auth_failures"] == 1
+    assert inline_counts['service.tenant.queries{tenant="acme"}'] == 3
+    assert inline_counts['service.tenant.queries{tenant="globex"}'] == 1
+    # queue, execute and end-to-end latency are observed on both paths
+    for name in ("queue", "execute", "latency"):
+        assert inline_counts[f"service.{name}_seconds"] == 4
+
+
+def test_inline_execution_sees_none_of_the_callers_context(service, registry):
+    client = service.connect(service.register_tenant("acme"))
+    seen = []
+    original = service._run
+
+    def peeking(tenant, query, admitted_at):
+        seen.append(
+            (
+                threading.get_ident(),
+                current_trace(),
+                params._ACTIVE.get(),
+                current_span(),
+                default_registry(),
+                default_event_sink(),
+            )
+        )
+        return original(tenant, query, admitted_at)
+
+    service._run = peeking
+    process_defaults = contextvars.Context().run(
+        lambda: (default_registry(), default_event_sink())
+    )
+    with scoped_event_sink() as sink, TraceContext(qid="caller"):
+        with registry.span("caller.span"), params.bound((1, 2)):
+            assert default_registry() is registry
+            assert default_event_sink() is sink
+            client.execute("SELECT v FROM kv WHERE k = 3")
+    ident, trace, bound, span, inner_registry, inner_sink = seen[0]
+    assert ident == threading.get_ident()
+    assert (trace, bound, span) == (None, None, None)
+    assert (inner_registry, inner_sink) == process_defaults
+    assert sink.events_of("service_admit")  # admission is the caller's
+
+
+class _HeldSlots:
+    """The service's slot semaphore, except that a *blocking* acquire
+    (a pool thread asking for a slot) first waits for ``let_pool_in``."""
+
+    def __init__(self, slots):
+        self._slots = slots
+        self.let_pool_in = threading.Event()
+
+    def acquire(self, blocking=True):
+        return self._slots.acquire(blocking)
+
+    def release(self):
+        self._slots.release()
+
+    def __enter__(self):
+        assert self.let_pool_in.wait(timeout=10)
+        return self._slots.__enter__()
+
+    def __exit__(self, *exc):
+        return self._slots.__exit__(*exc)
+
+
+def test_queued_work_runs_before_a_new_blocking_arrival(registry):
+    svc = QueryService(
+        build_db(),
+        ServiceConfig(max_in_flight=2, max_workers=1),
+        registry=registry,
+    )
+    creds = svc.register_tenant("acme")
+    release = _gate_runs(svc)
+    runs = _Runs(svc)
+    held = svc._slots = _HeldSlots(svc._slots)
+    answered = []
+
+    def blocking(tag):
+        svc.submit(creds.api_key, _query_for(svc, creds, qid=tag * 16))
+        answered.append(tag)
+
+    def order():
+        return [q.qid[:1] for _, q in runs.calls]
+
+    # A: an idle service runs it on the caller's thread, parked at the gate
+    first = threading.Thread(target=blocking, args=(b"A",))
+    first.start()
+    _wait_until(lambda: runs.calls)
+    # B: queued on the pool, waiting for A's slot
+    queued = svc.submit_async(creds.api_key, _query_for(svc, creds, qid=b"B" * 16))
+    # max_in_flight still bounds admission across both paths
+    with pytest.raises(ServiceOverloaded):
+        svc.submit(creds.api_key, _query_for(svc, creds, qid=b"X" * 16))
+    release.set()
+    first.join(timeout=10)
+    assert not first.is_alive()
+    # C arrives after the gate opened: A's slot is free, but B has been
+    # waiting for it, so C queues behind B instead of running inline
+    late = threading.Thread(target=blocking, args=(b"C",))
+    late.start()
+    _wait_until(lambda: svc._queued == 2)
+    assert order() == [b"A"]
+    held.let_pool_in.set()
+    late.join(timeout=10)
+    assert not late.is_alive()
+    assert queued.result(timeout=10).rowcount == 1
+    assert order() == [b"A", b"B", b"C"]
+    assert runs.calls[0][0] == first.ident
+    assert runs.peak == 1
+    assert answered == [b"A", b"C"]
+    assert registry.counter("service.rejected_overload").value == 1
+    assert registry.counter("service.completed").value == 3
+    assert svc.close()
+
+
+def test_concurrency_never_exceeds_max_workers(registry):
+    """Inline and pooled executions share one bound, under contention."""
+    max_workers = 2
+    svc = QueryService(
+        build_db(),
+        ServiceConfig(max_in_flight=64, max_workers=max_workers),
+        registry=registry,
+    )
+    creds = svc.register_tenant("acme")
+    original = svc._run
+
+    def slow(tenant, query, admitted_at):
+        time.sleep(0.0005)
+        return original(tenant, query, admitted_at)
+
+    svc._run = slow
+    runs = _Runs(svc)
+    errors = []
+
+    def caller(n):
+        client = svc.connect(creds, name=f"c{n}")
+        pooled = _pooled_client(svc, creds)
+        try:
+            for i in range(15):
+                (pooled if (i + n) % 3 == 2 else client).execute(
+                    f"SELECT v FROM kv WHERE k = {i % 10}"
+                )
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(n,)) for n in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert 1 <= runs.peak <= max_workers
+    assert registry.counter("service.completed").value == 90
+    pool_threads = runs.threads - {t.ident for t in callers}
+    assert len(pool_threads) <= max_workers
+    assert svc.close()
+
+
+def test_drain_waits_for_an_inline_query(registry):
+    svc = QueryService(build_db(), ServiceConfig(max_workers=2), registry=registry)
+    creds = svc.register_tenant("acme")
+    release = _gate_runs(svc)
+    runs = _Runs(svc)
+    answers = []
+    inline = threading.Thread(
+        target=lambda: answers.append(
+            svc.submit(creds.api_key, _query_for(svc, creds, qid=b"1" * 16))
+        )
+    )
+    inline.start()
+    _wait_until(lambda: runs.calls)
+    assert runs.threads == {inline.ident}
+    drained = []
+    drainer = threading.Thread(target=lambda: drained.append(svc.drain()))
+    drainer.start()
+    _wait_until(lambda: svc.draining)
+    drainer.join(timeout=0.2)
+    assert drainer.is_alive() and drained == []
+    release.set()
+    drainer.join(timeout=10)
+    inline.join(timeout=10)
+    assert not drainer.is_alive() and not inline.is_alive()
+    assert drained == [True]
+    assert answers[0].rowcount == 1
+    assert registry.counter("service.completed").value == 1
+    svc.close()
+
+
+def _fault_script(site, pooled: bool):
+    schedule = ChaosSchedule(seed=5, rates={site: 1.0}, limit_per_site=1)
+    with scoped_registry(MetricsRegistry()) as registry, scoped_fault_plane(
+        ChaosPlane(schedule, registry=registry)
+    ):
+        db = build_db()
+        svc = QueryService(db, ServiceConfig(max_workers=2), registry=registry)
+        creds = svc.register_tenant("acme")
+        runs = _Runs(svc)
+        client = _pooled_client(svc, creds) if pooled else svc.connect(creds)
+        outcome = None
+        try:
+            client.execute("SELECT v FROM kv WHERE k = 2")
+        except ResponseLost as exc:
+            outcome = exc
+        seen = db.portal.seen_query_count()
+        assert svc.close()
+    return runs, outcome, seen, _outcome_counts(registry)
+
+
+@pytest.mark.parametrize(
+    "site", [sites.SERVICE_DISPATCH_ABORT, sites.SERVICE_RESPONSE_LOST]
+)
+def test_service_fault_sites_on_the_inline_path(site):
+    runs, outcome, seen, counts = _fault_script(site, pooled=False)
+    _, pooled_outcome, pooled_seen, pooled_counts = _fault_script(site, pooled=True)
+    assert runs.threads == {threading.get_ident()}
+    assert counts == pooled_counts
+    assert seen == pooled_seen == 1
+    # the client resubmitted the same qid once
+    assert counts["service.admitted"] == 2
+    assert counts["client.submit_retries"] == 1
+    if site == sites.SERVICE_DISPATCH_ABORT:
+        # the qid was never burned, so the retry is its first execution
+        assert outcome is None and pooled_outcome is None
+        assert counts["service.execute_errors"] == 1
+        assert counts["service.completed"] == 1
+        assert counts.get("portal.replays_rejected", 0) == 0
+    else:
+        assert isinstance(outcome, ResponseLost)
+        assert isinstance(pooled_outcome, ResponseLost)
+        assert counts["service.responses_lost"] == 1
+        assert counts["service.execute_errors"] == 2
+        assert counts["portal.replays_rejected"] == 1
+
+
+def test_a_cancelled_pooled_query_stops_holding_back_inline_dispatch(registry):
+    svc = QueryService(build_db(), ServiceConfig(max_workers=1), registry=registry)
+    creds = svc.register_tenant("acme")
+    release = _gate_runs(svc)
+    runs = _Runs(svc)
+    running = svc.submit_async(creds.api_key, _query_for(svc, creds, qid=b"1" * 16))
+    _wait_until(lambda: runs.calls)
+    # the pool's one thread is busy, so this one is still cancellable
+    waiting = svc.submit_async(creds.api_key, _query_for(svc, creds, qid=b"2" * 16))
+    assert waiting.cancel()
+    release.set()
+    assert running.result(timeout=10).rowcount == 1
+    assert svc._queued == 0
+    svc.submit(creds.api_key, _query_for(svc, creds, qid=b"3" * 16))
+    assert runs.calls[-1][0] == threading.get_ident()
+    assert registry.counter("service.execute_errors").value == 1
+    assert registry.counter("service.completed").value == 2
+    assert svc.close()
