@@ -7,7 +7,12 @@ so every message rides in an authenticated envelope:
 * **requests** are MACed under the shard's link key over
   ``(direction, shard id, request id, body)`` and carry a strictly
   increasing request id, so a host that records a DML request cannot
-  replay it against the worker later;
+  replay it against the worker later. A pushed-down SELECT travels as
+  ``("stmt", {fragment, params[, trace]})``: a coordinator-assigned
+  fragment id, not the statement. The worker answers an id it does not
+  hold with status ``"miss"`` (:data:`FRAGMENT_MISS` on the coordinator
+  side), and the router resends once with the fragment's AST under
+  ``stmt``;
 * **replies** echo the request id and add a per-shard strictly
   increasing sequence number, all under the MAC, so the host can
   neither tamper with a reply (:class:`~repro.errors.ShardReplyTampered`),
@@ -39,6 +44,10 @@ from repro.errors import (
     ShardReplyTampered,
     VeriDBError,
 )
+
+#: what a link returns for a ``"miss"`` reply: the worker holds no plan
+#: for the requested fragment id (first use, eviction or restart)
+FRAGMENT_MISS = object()
 
 _REQ = b"shard-request"
 _REP = b"shard-reply"

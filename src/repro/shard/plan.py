@@ -1,20 +1,23 @@
 """Scatter-gather plan nodes: pushdown execution as physical operators.
 
 A pushed-down query runs as a two-level plan the coordinator drains
-like any other:
+like any other. The plan is a cached template, planned once per
+statement shape like every other plan in the engine:
 
-* :class:`ShardFragmentOp` — one leaf per participating shard, carrying
-  the statement fragment shipped to that worker. It never produces
-  batches itself (the worker executes the fragment remotely); under a
-  run ledger the gather books the worker-reported row count, elapsed
-  time and trace segment to the leaf's frame, so ``explain_analyze``
-  output shows per-shard attribution exactly where a scan node would
-  show per-table attribution.
-* :class:`ShardGatherOp` — scatters the fragments over the links (in
-  parallel), verifies every MAC'd reply, and merges:
+* :class:`ShardFragmentOp` — one leaf per shard, carrying the statement
+  fragment the router ships to that worker's plan cache. It never
+  produces batches itself (the worker executes the fragment remotely);
+  under a run ledger the gather books the worker-reported row count,
+  elapsed time and trace segment to the leaf's frame, so
+  ``explain_analyze`` output shows per-shard attribution exactly where
+  a scan node would show per-table attribution.
+* :class:`ShardGatherOp` — prunes the fragments to the shards the bound
+  parameters can reach, scatters them over the links (in parallel),
+  verifies every MAC'd reply, and merges:
 
-  - ``rows`` mode concatenates shard row streams (post-ops — sort,
-    distinct, limit — stack on top as ordinary operators);
+  - ``rows`` mode emits each shard's reply as one batch, as it arrived
+    (post-ops — sort, distinct, limit — stack on top as ordinary
+    operators; a single participating shard's rows *are* the result);
   - ``agg`` mode combines per-shard *partial* aggregates: COUNT partials
     add, SUM partials add, MIN/MAX partials fold, and AVG merges its
     (SUM, COUNT) pair — emitting the same ``__g*``/``__a*`` output
@@ -22,8 +25,10 @@ like any other:
     would, so the planner's HAVING/projection/order machinery composes
     unchanged on top.
 
-Pruned shards simply have no fragment; the gather records how many were
-pruned for the EXPLAIN line and the ``shard.partitions_pruned`` counter.
+Which shards took part and how many were pruned is a fact about one
+run: it goes to the run ledger (the gather frame's ``shards`` and
+``pruned``) and the ``shard.partitions_pruned`` counter, never onto
+the template.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from repro.sql.ast_nodes import Statement
 from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import RowSchema
 from repro.sql.operators.base import PhysicalOp
+from repro.sql.params import bound_values
 
 #: merge spec entries: ("count", j) | ("sum", j) | ("min", j) |
 #: ("max", j) | ("avg", j_sum, j_count) — j indexes the partial columns
@@ -62,53 +68,71 @@ class ShardFragmentOp(PhysicalOp):
 
 
 class ShardGatherOp(PhysicalOp):
-    """Scatter fragments, verify replies, merge rows or partial aggregates."""
+    """Prune and scatter fragments, verify replies, merge rows or partials."""
 
     def __init__(
         self,
         scatter,
+        fragment_id: int,
         fragments: list[ShardFragmentOp],
         output: RowSchema,
+        prune=None,
         mode: str = "rows",
         group_count: int = 0,
         merges: Optional[list[MergeSpec]] = None,
-        params: tuple = (),
-        pruned: int = 0,
     ):
         super().__init__(output, list(fragments))
-        #: callable(list[(shard_id, stmt)], params) -> list[reply dict],
-        #: one reply per fragment in order — bound to the router's links
+        #: callable(gather, participating fragments, params) -> one reply
+        #: dict per fragment, in order — bound to the router's links
         self._scatter = scatter
+        #: the id every worker caches this template's fragment under
+        self.fragment_id = fragment_id
         self.fragments = fragments
+        #: callable(params) -> shard ids the WHERE can reach; None: all
+        self._prune = prune
         self.mode = mode
         self.group_count = group_count
         self.merges = merges or []
-        self.params = params
-        self.pruned = pruned
 
     # ------------------------------------------------------------------
     def batches(self) -> Iterator[ColumnBatch]:
         trace = current_trace()
         start = perf_counter() if trace is not None else 0.0
-        replies = self._scatter(
-            [(f.shard_id, f.stmt) for f in self.fragments], self.params
-        )
+        params = bound_values()
+        fragments = self.fragments
+        if self._prune is not None:
+            shard_ids = self._prune(params)
+            fragments = [f for f in fragments if f.shard_id in shard_ids]
+        replies = self._scatter(self, fragments, params)
         scattered = perf_counter() if trace is not None else 0.0
         if self.mode == "agg":
-            rows = self._merge_partials(replies)
+            out = batched(self._merge_partials(replies), self.batch_size)
         else:
-            rows = [row for reply in replies for row in reply["rows"]]
+            # each reply is already a finished row list: no concatenation
+            # and no re-batching
+            out = [ColumnBatch.from_rows(r["rows"]) for r in replies if r["rows"]]
         if trace is not None:
-            self._book(trace, replies, scattered - start, perf_counter() - scattered)
-        return batched(rows, self.batch_size)
+            merged = perf_counter() - scattered
+            self._book(trace, fragments, replies, scattered - start, merged)
+        return iter(out)
 
     def _book(
-        self, trace: TraceContext, replies: list[dict], scatter: float, merge: float
+        self,
+        trace: TraceContext,
+        fragments: list[ShardFragmentOp],
+        replies: list[dict],
+        scatter: float,
+        merge: float,
     ) -> None:
         """Book the fan-out to the ledger: own frame, then one per shard."""
         # called inside this operator's lap: the top frame is its own
-        trace.top.extra = {"scatter_seconds": scatter, "merge_seconds": merge}
-        for fragment, reply in zip(self.fragments, replies):
+        trace.top.extra = {
+            "scatter_seconds": scatter,
+            "merge_seconds": merge,
+            "shards": [f.shard_id for f in fragments],
+            "pruned": len(self.fragments) - len(fragments),
+        }
+        for fragment, reply in zip(fragments, replies):
             frame = trace.op_stats(fragment)
             frame.rows_out = reply["rowcount"]
             frame.batches_out = 1 if reply["rowcount"] else 0
@@ -175,7 +199,4 @@ class ShardGatherOp(PhysicalOp):
     # ------------------------------------------------------------------
     def describe(self) -> str:
         shards = [f.shard_id for f in self.fragments]
-        return (
-            f"ShardGather[{self.mode}](shards={shards}, "
-            f"pruned={self.pruned})"
-        )
+        return f"ShardGather[{self.mode}](shards={shards})"

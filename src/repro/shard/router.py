@@ -7,8 +7,11 @@ to them. It provides:
   request fan-out with per-shard latency histograms and typed
   tamper/replay/loss accounting;
 * :meth:`plan_select` — the pushdown decision. A single-table SELECT
-  becomes a :class:`~repro.shard.plan.ShardGatherOp` over per-shard
-  fragments, in one of two modes:
+  becomes a :class:`~repro.shard.plan.ShardGatherOp` template over one
+  fragment per shard, planned once per statement shape (the
+  coordinator engine caches it like any plan) and numbered with a
+  fresh *fragment id* that the workers cache their own plan under, in
+  one of two modes:
 
   - **partial aggregation** — grouped/aggregated queries ship a
     rewritten fragment computing per-shard partials (SUM/COUNT/MIN/MAX
@@ -18,9 +21,10 @@ to them. It provides:
   - **row pushdown** — filter and projection execute on the workers;
     the coordinator concatenates, then re-sorts/dedups/limits.
 
-  Shard-key predicates prune the fragment list first (hash partitioning
-  prunes equalities and IN lists; range partitioning prunes ranges
-  too). Queries the pushdown analysis declines — joins, subqueries,
+  Shard-key predicates prune the fragment list per execution, against
+  the bound parameters (hash partitioning prunes equalities and IN
+  lists; range partitioning prunes ranges too). Queries the pushdown
+  analysis declines — joins, subqueries,
   DISTINCT aggregates, un-normalizable ORDER BY — return None and run
   in *gather mode*: the coordinator's own engine executes the original
   plan over proxy stores, which scatter at the storage interface
@@ -30,6 +34,7 @@ to them. It provides:
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from time import perf_counter
@@ -41,6 +46,7 @@ from repro.errors import (
     ShardReplyTampered,
 )
 from repro.obs.trace_context import current_trace
+from repro.shard.envelope import FRAGMENT_MISS
 from repro.shard.partition import partitioner_for, prune_shards
 from repro.shard.plan import ShardFragmentOp, ShardGatherOp
 from repro.sql.ast_nodes import (
@@ -52,6 +58,7 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.expressions import RowSchema, find_aggregates, substitute
 from repro.sql.operators import DistinctOp, FilterOp, LimitOp, SortOp, TopNOp
+from repro.sql.operators.base import PhysicalOp
 from repro.sql.plan_cache import statement_has_subqueries
 
 
@@ -65,13 +72,15 @@ class ScatterRouter:
         self.planner = planner
         self.obs = registry
         self._executor: Optional[ThreadPoolExecutor] = None
+        #: every pushed template gets a fresh id, so a template rebuilt
+        #: after DDL never reuses a worker's stale fragment plan
+        self._fragment_ids = itertools.count(1)
         self._ctr_requests = registry.counter("shard.requests")
         self._ctr_scattered = registry.counter("shard.queries_scattered")
         self._ctr_pruned = registry.counter("shard.partitions_pruned")
         self._ctr_merge_rows = registry.counter("shard.merge_rows")
         self._ctr_push_agg = registry.counter("shard.pushdown_aggregate")
         self._ctr_push_rows = registry.counter("shard.pushdown_select")
-        self._ctr_fallback = registry.counter("shard.fallback_gather")
         self._ctr_tampered = registry.counter("shard.reply_tampered")
         self._ctr_replayed = registry.counter("shard.reply_replayed")
         self._ctr_lost = registry.counter("shard.reply_lost")
@@ -133,21 +142,27 @@ class ScatterRouter:
         return result
 
     def scatter(
-        self, shard_ids, op: str, payload_fn
+        self, shard_ids, op: str, payload_fn, resend=None
     ) -> list[Any]:
         """Run ``op`` on each shard concurrently; results in shard order.
 
-        ``payload_fn(shard_id)`` builds the per-shard payload. The
-        first worker error (typed, reconstructed) propagates after all
-        round trips settle.
+        ``payload_fn(shard_id)`` builds the per-shard payload; a shard
+        answering :data:`FRAGMENT_MISS` is asked once more with
+        ``resend(shard_id)``. The first worker error (typed,
+        reconstructed) propagates after all round trips settle.
         """
+
+        def one(shard_id: int) -> Any:
+            reply = self.call(shard_id, op, payload_fn(shard_id))
+            if reply is FRAGMENT_MISS and resend is not None:
+                reply = self.call(shard_id, op, resend(shard_id))
+            return reply
+
         shard_ids = sorted(shard_ids)
         if len(shard_ids) <= 1:
-            return [self.call(i, op, payload_fn(i)) for i in shard_ids]
+            return [one(i) for i in shard_ids]
         pool = self._pool()
-        futures = [
-            pool.submit(self.call, i, op, payload_fn(i)) for i in shard_ids
-        ]
+        futures = [pool.submit(one, i) for i in shard_ids]
         return [future.result() for future in futures]
 
     def _pool(self) -> ThreadPoolExecutor:
@@ -171,32 +186,29 @@ class ScatterRouter:
     # ------------------------------------------------------------------
     # SELECT pushdown
     # ------------------------------------------------------------------
-    def plan_select(
-        self, stmt: Select, params: tuple = ()
-    ) -> Optional[ShardGatherOp]:
-        """A scatter-gather plan for ``stmt``, or None for gather mode."""
+    def plan_select(self, stmt: Select) -> Optional[PhysicalOp]:
+        """A scatter-gather template for ``stmt``, or None for gather mode."""
         if (
             len(stmt.tables) != 1
             or stmt.joins
             or statement_has_subqueries(stmt)
         ):
-            self._ctr_fallback.inc()
             return None
-        table_ref = stmt.tables[0]
-        info = self.catalog.lookup(table_ref.name)
-        shard_key = self.config.shard_key_for(info.name, info.schema)
-        partitioner = partitioner_for(self.config, info.name)
+        prune = None
         if self.config.prune:
-            shard_ids = prune_shards(
-                stmt.where,
-                shard_key,
-                partitioner,
-                params,
-                binding=table_ref.binding,
-            )
-        else:
-            shard_ids = set(range(self.shard_count))
-        pruned = self.shard_count - len(shard_ids)
+            table_ref = stmt.tables[0]
+            info = self.catalog.lookup(table_ref.name)
+            shard_key = self.config.shard_key_for(info.name, info.schema)
+            partitioner = partitioner_for(self.config, info.name)
+
+            def prune(params: tuple) -> set[int]:
+                return prune_shards(
+                    stmt.where,
+                    shard_key,
+                    partitioner,
+                    params,
+                    binding=table_ref.binding,
+                )
 
         aggregates: list[Aggregate] = []
         for item in stmt.items:
@@ -207,44 +219,46 @@ class ScatterRouter:
             aggregates.extend(find_aggregates(item.expr))
 
         if aggregates or stmt.group_by:
-            plan = self._plan_aggregate_pushdown(
-                stmt, aggregates, shard_ids, pruned, params
-            )
-        else:
-            plan = self._plan_row_pushdown(stmt, shard_ids, pruned, params)
-        if plan is None:
-            self._ctr_fallback.inc()
-            return plan
-        self._ctr_scattered.inc()
-        self._ctr_pruned.inc(pruned)
-        return plan
+            return self._plan_aggregate_pushdown(stmt, aggregates, prune)
+        return self._plan_row_pushdown(stmt, prune)
 
-    def _scatter_fragments(self, fragments, params: tuple) -> list[dict]:
-        stmts = dict(fragments)
+    def _fragments(self, stmt: Select, output: RowSchema):
+        return [
+            ShardFragmentOp(shard_id, stmt, output)
+            for shard_id in range(self.shard_count)
+        ]
+
+    def _scatter_fragments(self, gather, fragments, params: tuple) -> list[dict]:
+        """Run one gather's participating fragments; books the routing
+        counters, so they count executions, never plannings."""
+        self._ctr_scattered.inc()
+        self._ctr_pruned.inc(len(gather.fragments) - len(fragments))
+        if gather.mode == "agg":
+            self._ctr_push_agg.inc()
+        else:
+            self._ctr_push_rows.inc()
+        stmts = {f.shard_id: f.stmt for f in fragments}
         # propagate a sampled trace to the workers (the engine's own
         # registry ledger asks nothing of them): the qid rides inside
         # the pickled payload, so it is covered by the request MAC. The
         # trace is read here, on the query thread, because the scatter
         # pool threads never see the coordinator's ContextVar.
         trace = current_trace()
-        trace_info = (
-            {"qid": trace.qid} if trace is not None and trace.sampled else None
+        body = {"fragment": gather.fragment_id, "params": params}
+        if trace is not None and trace.sampled:
+            body["trace"] = {"qid": trace.qid}
+
+        replies = self.scatter(
+            stmts,
+            "stmt",
+            lambda _shard_id: body,
+            resend=lambda shard_id: {**body, "stmt": stmts[shard_id]},
         )
-
-        def payload(shard_id: int) -> dict:
-            body = {"stmt": stmts[shard_id], "params": params}
-            if trace_info is not None:
-                body["trace"] = trace_info
-            return body
-
-        replies = self.scatter(stmts.keys(), "stmt", payload)
         self._ctr_merge_rows.inc(sum(r["rowcount"] for r in replies))
         return replies
 
     # -- partial aggregation -------------------------------------------
-    def _plan_aggregate_pushdown(
-        self, stmt, aggregates, shard_ids, pruned, params
-    ):
+    def _plan_aggregate_pushdown(self, stmt, aggregates, prune):
         if stmt.star:
             return None  # the planner rejects SELECT * in grouped queries
         unique_aggs: list[Aggregate] = []
@@ -296,19 +310,15 @@ class ScatterRouter:
         fragment_output = RowSchema(
             [(None, item.alias) for item in items]
         )
-        fragments = [
-            ShardFragmentOp(shard_id, fragment_stmt, fragment_output)
-            for shard_id in sorted(shard_ids)
-        ]
         gather = ShardGatherOp(
             self._scatter_fragments,
-            fragments,
+            next(self._fragment_ids),
+            self._fragments(fragment_stmt, fragment_output),
             output,
+            prune,
             mode="agg",
             group_count=len(group_exprs),
             merges=merges,
-            params=params,
-            pruned=pruned,
         )
         mapping = {expr: ColumnRef(f"__g{i}") for i, expr in enumerate(group_exprs)}
         for i, agg in enumerate(unique_aggs):
@@ -317,11 +327,10 @@ class ScatterRouter:
         if stmt.having is not None:
             plan = FilterOp(plan, substitute(stmt.having, mapping))
         plan = self.planner._plan_projection_order_limit(plan, stmt, mapping)
-        self._ctr_push_agg.inc()
         return self.planner._stamp(plan)
 
     # -- row pushdown ---------------------------------------------------
-    def _plan_row_pushdown(self, stmt, shard_ids, pruned, params):
+    def _plan_row_pushdown(self, stmt, prune):
         info = self.catalog.lookup(stmt.tables[0].name)
         if stmt.star:
             names = list(info.schema.column_names)
@@ -351,17 +360,12 @@ class ScatterRouter:
             limit=stmt.limit,
         )
         output = RowSchema([(None, name) for name in names])
-        fragments = [
-            ShardFragmentOp(shard_id, fragment_stmt, output)
-            for shard_id in sorted(shard_ids)
-        ]
         plan = ShardGatherOp(
             self._scatter_fragments,
-            fragments,
+            next(self._fragment_ids),
+            self._fragments(fragment_stmt, output),
             output,
-            mode="rows",
-            params=params,
-            pruned=pruned,
+            prune,
         )
         if sort_items and stmt.limit is not None and not stmt.distinct:
             plan = TopNOp(plan, sort_items, stmt.limit)
@@ -372,7 +376,6 @@ class ScatterRouter:
                 plan = DistinctOp(plan)
             if stmt.limit is not None:
                 plan = LimitOp(plan, stmt.limit)
-        self._ctr_push_rows.inc()
         return self.planner._stamp(plan)
 
     @staticmethod

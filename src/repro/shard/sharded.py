@@ -10,9 +10,10 @@ holding one partition of every table:
   :class:`~repro.shard.proxy.ShardProxyStore` in the coordinator
   catalog, so the coordinator's own planner/executor see a normal
   table;
-* SELECTs go to the :class:`~repro.shard.router.ScatterRouter` first —
-  pushdown-eligible queries execute as scatter-gather plans with
-  verified partial-aggregate merge; everything else runs through the
+* the coordinator engine plans every SELECT through the
+  :class:`~repro.shard.router.ScatterRouter` first — a pushdown-eligible
+  query's cached plan *is* its scatter-gather template (verified
+  partial-aggregate merge included); everything else runs through the
   unmodified engine over the proxy stores (gather mode);
 * the coordinator runs its own enclave and portal, so attested clients
   submit MAC'd queries exactly as against a single instance — the
@@ -46,17 +47,24 @@ from repro.sgx.attestation import PlatformQuotingKey
 from repro.sgx.costs import CycleMeter
 from repro.sgx.enclave import Enclave
 from repro.shard.envelope import link_key_purpose
+from repro.shard.plan import ShardGatherOp
 from repro.shard.proxy import ShardProxyStore
 from repro.shard.router import ScatterRouter
 from repro.shard.transport import build_link
-from repro.sql.ast_nodes import CreateTable, Explain, Select
+from repro.sql.ast_nodes import CreateTable, Select
 from repro.sql.executor import (
     ExecutionResult,
     PreparedStatement,
     QueryEngine,
 )
-from repro.sql import params as _params
 from repro.storage.engine import StorageEngine
+
+
+def _pushed(plan) -> bool:
+    """Whether a SELECT plan scatters fragments (vs gather mode)."""
+    return plan is not None and any(
+        isinstance(op, ShardGatherOp) for op in plan.walk()
+    )
 
 
 class ShardedDatabase:
@@ -101,7 +109,12 @@ class ShardedDatabase:
             coordinator_storage, keychain=keychain, registry=self.obs
         )
         self.catalog = Catalog()
-        self.engine = QueryEngine(self.catalog, self.storage, epc=self.enclave.epc)
+        self.engine = QueryEngine(
+            self.catalog,
+            self.storage,
+            epc=self.enclave.epc,
+            select_planner=self._plan_select,
+        )
         self.router = ScatterRouter(
             self.links, self.config, self.catalog, self.engine.planner, self.obs
         )
@@ -119,6 +132,7 @@ class ShardedDatabase:
         self._fleet_round = 0
         self.fleet_digest: Optional[bytes] = None
         self._ctr_epoch_closes = self.obs.counter("shard.epoch_closes")
+        self._ctr_fallback = self.obs.counter("shard.fallback_gather")
         self.monitor = HealthMonitor(
             poll=lambda shard_id: self.router.call(shard_id, "health", {}),
             shard_ids=range(self.config.shard_count),
@@ -170,27 +184,19 @@ class ShardedDatabase:
 
     sql = execute  # admin-path alias, mirroring VeriDB.sql
 
+    def _plan_select(self, stmt: Select, join_hint: Optional[str]):
+        pushed = self.router.plan_select(stmt)
+        if pushed is not None:
+            return pushed
+        # gather mode: the unmodified planner over the proxy stores
+        return self.engine.planner.plan_select(stmt, join_hint)
+
     def _execute_entry(self, entry, values: tuple, join_hint=None):
         stmt = entry.stmt
         if isinstance(stmt, CreateTable):
             return self._run_create(stmt)
-        if isinstance(stmt, Explain):
-            pushed = self.router.plan_select(stmt.select, values)
-            if pushed is not None:
-                rows = [(line,) for line in pushed.explain().splitlines()]
-                return ExecutionResult(
-                    columns=["plan"], rows=rows, rowcount=len(rows)
-                )
-        if isinstance(stmt, Select):
-            pushed = self.router.plan_select(stmt, values)
-            if pushed is not None:
-
-                def run() -> ExecutionResult:
-                    with _params.bound(values):
-                        return self.engine._run_plan(pushed)
-
-                return self.engine._metered(run)
-        # gather mode: the unmodified engine over the proxy stores
+        if isinstance(stmt, Select) and not _pushed(entry.select_template):
+            self._ctr_fallback.inc()
         return self.engine.execute_prepared(entry, values, join_hint=join_hint)
 
     def prepare(self, statement: str, join_hint: Optional[str] = None):

@@ -27,7 +27,12 @@ from typing import Any, Optional
 
 from repro.crypto.mac import MessageAuthenticator
 from repro.errors import ShardReplyLost, ShardWorkerDown
-from repro.shard.envelope import ReplyVerifier, decode_error, seal_request
+from repro.shard.envelope import (
+    FRAGMENT_MISS,
+    ReplyVerifier,
+    decode_error,
+    seal_request,
+)
 from repro.shard.worker import ShardWorker, worker_main
 
 # workers are forked where the platform allows (cheap, inherits the
@@ -51,7 +56,8 @@ class _BaseShardLink:
         self.reply_filter = None
 
     def call(self, op: str, payload: Any) -> Any:
-        """One authenticated round trip; raises the worker's typed error."""
+        """One authenticated round trip; raises the worker's typed error
+        and returns :data:`FRAGMENT_MISS` for a fragment-miss reply."""
         with self._lock:
             self._request_id += 1
             request_id = self._request_id
@@ -70,7 +76,7 @@ class _BaseShardLink:
             status, data = self._verifier.open(reply, request_id)
         if status == "err":
             raise decode_error(data, self.shard_id)
-        return data
+        return FRAGMENT_MISS if status == "miss" else data
 
     def _transfer(self, blob: bytes) -> Optional[bytes]:
         raise NotImplementedError

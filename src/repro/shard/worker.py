@@ -36,6 +36,7 @@ from repro.obs.fleet import FederationState, serialize_trace_segment
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace_context import TraceContext
 from repro.shard.envelope import (
+    FRAGMENT_MISS,
     encode_error,
     link_key_purpose,
     open_request,
@@ -102,7 +103,10 @@ class ShardWorker:
             )
             self._last_request_id = request_id
             result = self._dispatch(op, payload)
-            status, reply_payload = "ok", result
+            if result is FRAGMENT_MISS:
+                status, reply_payload = "miss", None
+            else:
+                status, reply_payload = "ok", result
         except VeriDBError as error:
             request_id = claimed
             status, reply_payload = "err", encode_error(error)
@@ -124,8 +128,15 @@ class ShardWorker:
         return handler(payload)
 
     # -- SQL execution -------------------------------------------------
-    def _op_stmt(self, payload: dict) -> dict:
-        """Execute a pushed-down statement fragment (a pickled AST).
+    def _op_stmt(self, payload: dict) -> Any:
+        """Execute a pushed-down fragment by its coordinator-assigned id.
+
+        The plan lives in the engine's plan cache under the fragment id,
+        stamped with this worker's ``schema_version``; the request
+        carries only ``fragment`` and ``params``. An id not held here
+        (first use, eviction, restart) answers :data:`FRAGMENT_MISS`
+        unless the request also carries the fragment's AST (``stmt``,
+        the coordinator's resend), which is planned and cached.
 
         A request carrying ``trace`` (the coordinator's propagated
         trace/qid, MAC-covered inside the payload) executes under a
@@ -133,16 +144,20 @@ class ShardWorker:
         serialized into the reply as a ``segment`` the coordinator
         stitches into its own EXPLAIN ANALYZE tree.
         """
+        params = payload["params"]
         trace_info = payload.get("trace")
         trace = None if trace_info is None else TraceContext(qid=trace_info["qid"])
+        engine = self.db.engine
         start = perf_counter()
         with trace if trace is not None else nullcontext():
-            result = self.db.engine.execute(
-                payload["stmt"], params=payload.get("params")
+            entry = engine.fragment_entry(
+                payload["fragment"], len(params), payload.get("stmt")
             )
+            if entry is None:
+                return FRAGMENT_MISS
+            result = engine.execute_prepared(entry, params)
         reply = {
-            "columns": list(result.columns),
-            "rows": list(result.rows),
+            "rows": result.rows,
             "rowcount": result.rowcount,
             "elapsed": perf_counter() - start,
         }

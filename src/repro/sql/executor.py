@@ -86,7 +86,16 @@ def scan_split(plan: PhysicalOp, trace: TraceContext) -> tuple[float, float]:
 class QueryEngine:
     """Parses, plans and executes SQL against a catalog of tables."""
 
-    def __init__(self, catalog: Catalog, storage: StorageEngine, epc=None):
+    def __init__(
+        self,
+        catalog: Catalog,
+        storage: StorageEngine,
+        epc=None,
+        select_planner=None,
+    ):
+        """``select_planner(stmt, join_hint)`` replaces the planner's own
+        SELECT planning for every top-level SELECT (a sharded
+        coordinator plans pushed-down scatter-gather templates there)."""
         self.catalog = catalog
         self.storage = storage
         self.obs = storage.obs if storage is not None else default_registry()
@@ -119,6 +128,7 @@ class QueryEngine:
             spill=spill,
             batch_size=storage.config.batch_size if storage is not None else None,
         )
+        self._plan_select = select_planner or self.planner.plan_select
 
     # ------------------------------------------------------------------
     # plan cache
@@ -129,17 +139,50 @@ class QueryEngine:
         join_hint: Optional[str] = None,
         tenant: Optional[str] = None,
     ) -> CacheEntry:
-        """Resolve statement text to a (possibly cached) entry.
-
-        This is the single hit/miss accounting point: a valid cached
-        entry counts one ``sql.plan_cache_hits``; building an entry for
-        a query/DML statement counts one ``sql.plan_cache_misses``
-        (control statements — EXPLAIN, transaction control, DDL — are
-        never cached and count neither). A cached entry whose schema
-        version no longer matches the catalog is discarded (one
-        ``sql.plan_cache_invalidations``) and rebuilt.
-        """
+        """Resolve statement text to a (possibly cached) entry."""
         key = (normalize_sql(sql), join_hint)
+        return self._cached_entry(
+            key,
+            lambda _stale: self._build_entry(key[0], sql, join_hint, tenant),
+            tenant,
+        )
+
+    def fragment_entry(
+        self,
+        fragment_id: int,
+        param_count: int,
+        stmt: Optional[Statement] = None,
+    ) -> Optional[CacheEntry]:
+        """The cached plan of a statement its sender numbered ``fragment_id``.
+
+        A sharded coordinator ships a pushed-down fragment's AST only
+        when this engine lacks the id; the plan is then cached under
+        ``("fragment", id)`` beside the statement-text entries. None
+        means the id is neither cached nor supplied. A stale stamp
+        re-plans from the stored AST.
+        """
+
+        def build(stale: Optional[CacheEntry]) -> Optional[CacheEntry]:
+            source = stmt if stmt is not None else getattr(stale, "stmt", None)
+            if source is None:
+                return None
+            return self._plan_entry(
+                source, param_count, self.catalog.schema_version
+            )
+
+        return self._cached_entry(("fragment", fragment_id), build)
+
+    def _cached_entry(self, key, build, tenant: Optional[str] = None):
+        """The single hit/miss accounting point of the plan cache.
+
+        A valid cached entry counts one ``sql.plan_cache_hits``;
+        building an entry for a query/DML statement counts one
+        ``sql.plan_cache_misses`` (control statements — EXPLAIN,
+        transaction control, DDL — are never cached and count neither).
+        A cached entry whose schema version no longer matches the
+        catalog is discarded (one ``sql.plan_cache_invalidations``) and
+        ``build(stale_entry)`` replaces it.
+        """
         entry = self.plan_cache.get(key)
         if entry is not None:
             if entry.schema_version == self.catalog.schema_version:
@@ -155,7 +198,9 @@ class QueryEngine:
                 return entry
             self._ctr_cache_invalidations.inc()
             self.plan_cache.invalidate(key)
-        entry = self._build_entry(key[0], sql, join_hint, tenant)
+        entry = build(entry)
+        if entry is None:
+            return None
         if isinstance(entry.stmt, (Select, Insert, Update, Delete)):
             self._ctr_cache_misses.inc()
         self.plan_cache.put(key, entry)  # no-op unless entry.cacheable
@@ -174,18 +219,29 @@ class QueryEngine:
         version = self.catalog.schema_version
         stmt, param_count = parse_statement_with_params(sql)
         self._ctr_parsed.inc()
+        return self._plan_entry(
+            stmt, param_count, version, normalized, join_hint, tenant
+        )
+
+    def _plan_entry(
+        self,
+        stmt: Statement,
+        param_count: int,
+        version: int,
+        normalized: str = "",
+        join_hint: Optional[str] = None,
+        tenant: Optional[str] = None,
+    ) -> CacheEntry:
         cacheable = isinstance(
             stmt, (Select, Insert, Update, Delete)
         ) and not statement_has_subqueries(stmt)
         select_template = filter_template = None
-        if cacheable and isinstance(stmt, Select):
-            select_template = self.planner.plan_select(stmt, join_hint)
-            self._ctr_planned.inc()
-        elif cacheable and isinstance(stmt, (Update, Delete)):
-            filter_template = self.planner.plan_table_filter(
-                stmt.table, stmt.where
-            )
-            self._ctr_planned.inc()
+        if cacheable and isinstance(stmt, (Select, Update, Delete)):
+            plan = self._plan_now(stmt, join_hint)
+            if isinstance(stmt, Select):
+                select_template = plan
+            else:
+                filter_template = plan
         return CacheEntry(
             sql=normalized,
             stmt=stmt,
@@ -204,24 +260,10 @@ class QueryEngine:
         """Parse and plan once; execute many times with bound values."""
         return PreparedStatement(self, sql, join_hint)
 
-    def uncached_entry(
-        self, stmt: Statement, join_hint: Optional[str], param_count: int
-    ) -> CacheEntry:
-        """The entry form of a pre-parsed statement: no template, so it
-        is planned when it runs; its arity is whatever its sender bound."""
-        return CacheEntry(
-            sql="",
-            stmt=stmt,
-            param_count=param_count,
-            join_hint=join_hint,
-            schema_version=self.catalog.schema_version,
-            cacheable=False,
-        )
-
     # ------------------------------------------------------------------
     def execute(
         self,
-        sql: str | Statement,
+        sql: str,
         join_hint: Optional[str] = None,
         undo: Optional[list] = None,
         params: Optional[tuple] = None,
@@ -235,14 +277,10 @@ class QueryEngine:
         ``params`` binds the statement's ``?`` placeholders in order.
         ``tenant`` attributes plan-cache accounting (cross-tenant hit
         counting) to the submitting tenant; execution is identical.
-        Statement text goes through the plan cache; a pre-parsed
-        ``Statement`` bypasses it.
+        Statement text goes through the plan cache.
         """
         values = () if params is None else tuple(params)
-        if isinstance(sql, str):
-            entry = self.statement_entry(sql, join_hint, tenant=tenant)
-        else:
-            entry = self.uncached_entry(sql, join_hint, len(values))
+        entry = self.statement_entry(sql, join_hint, tenant=tenant)
         return self.execute_prepared(
             entry, values, join_hint=join_hint, undo=undo
         )
@@ -329,10 +367,10 @@ class QueryEngine:
         raise ExecutionError(f"unsupported statement {type(stmt).__name__}")
 
     def _plan_now(self, stmt, join_hint: Optional[str]) -> PhysicalOp:
-        """Plan a statement whose entry carries no template."""
+        """Plan a SELECT, or an UPDATE/DELETE's row filter."""
         self._ctr_planned.inc()
         if isinstance(stmt, Select):
-            return self.planner.plan_select(stmt, join_hint)
+            return self._plan_select(stmt, join_hint)
         return self.planner.plan_table_filter(stmt.table, stmt.where)
 
     def _record_plan_metrics(self, plan: PhysicalOp, trace: TraceContext) -> None:

@@ -169,6 +169,7 @@ def _render(node: dict, indent: int, lines: list[str]) -> None:
         extra = (
             f" scatter={_fmt_seconds(node['scatter_seconds'])}"
             f" merge={_fmt_seconds(node['merge_seconds'])}"
+            f" pruned={node['pruned']}"
         )
     lines.append(
         "  " * indent

@@ -51,6 +51,11 @@ def resolve(index: int) -> Any:
     return values[index]
 
 
+def bound_values() -> tuple:
+    """Every value bound for this execution (empty when none are)."""
+    return _ACTIVE.get() or ()
+
+
 def resolve_maybe(value: Any) -> Any:
     """Pass literals through; resolve :class:`ParamMarker` stand-ins."""
     if isinstance(value, ParamMarker):

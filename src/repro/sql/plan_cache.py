@@ -31,13 +31,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.sql.ast_nodes import SUBQUERY_NODES, Statement, walk
 from repro.sql.operators.base import PhysicalOp
 
-#: key type: (normalized SQL, join hint)
-CacheKey = tuple[str, Optional[str]]
+#: key type: (normalized SQL, join hint), or ("fragment", id) for a
+#: sharded worker's pushed-down fragment (an int is never a join hint)
+CacheKey = tuple[str, Union[str, int, None]]
 
 
 def normalize_sql(sql: str) -> str:

@@ -106,7 +106,7 @@ class Session:
 
     def execute(
         self,
-        sql: str | Statement,
+        sql: str,
         join_hint: Optional[str] = None,
         params: Optional[tuple] = None,
     ) -> ExecutionResult:
@@ -114,10 +114,7 @@ class Session:
         # session reads the statement type for transaction control /
         # locking off the cached entry, so repeated shapes skip parsing
         values = () if params is None else tuple(params)
-        if isinstance(sql, str):
-            entry = self.engine.statement_entry(sql, join_hint)
-        else:
-            entry = self.engine.uncached_entry(sql, join_hint, len(values))
+        entry = self.engine.statement_entry(sql, join_hint)
         return self._run(entry, join_hint, values)
 
     def prepare(

@@ -140,3 +140,41 @@ def test_attack_does_not_poison_results(shard_count):
             link.reply_filter = None
             assert total(db) == 380
         db.verify_now()  # and the fleet still closes its epoch
+
+
+# ----------------------------------------------------------------------
+# the same alarms on warm fragments, whose requests carry only an id
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shard_count", SHARD_COUNTS)
+@pytest.mark.parametrize(
+    "attack, alarm",
+    [
+        ("tamper", ShardReplyTampered),
+        ("replay", ShardReplyReplayed),
+        ("drop", ShardReplyLost),
+    ],
+)
+def test_attacks_on_id_only_requests(shard_count, attack, alarm):
+    with fleet(shard_count) as db:
+        assert total(db) == 380  # every worker now holds the fragment
+        link = db.links[-1]
+        stash = []
+
+        def record(reply):
+            stash.append(reply)
+            return reply
+
+        link.reply_filter = record
+        requests = counter(db, "shard.requests")
+        assert total(db) == 380
+        # id-only: one request per shard, no miss and no resend
+        assert counter(db, "shard.requests") - requests == shard_count
+        link.reply_filter = {
+            "tamper": lambda r: r[:-1] + bytes([r[-1] ^ 0xFF]),
+            "replay": lambda _r: stash[0],
+            "drop": lambda _r: None,
+        }[attack]
+        with pytest.raises(alarm):
+            total(db)
+        link.reply_filter = None
+        assert total(db) == 380

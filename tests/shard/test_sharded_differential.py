@@ -11,9 +11,11 @@ approximately instead.
 
 Comparisons: queries under a unique total ORDER BY must match the
 single enclave *exactly* (order and all); everything else compares as
-canonically sorted multisets. Every query also runs twice on the fleet
-— the second execution rides the plan/statement caches and must not
-change the answer. Each sweep ends with a fleet-wide epoch close.
+canonically sorted multisets. Every query runs four times on the
+fleet — twice as text, twice through ``prepare`` — so the later runs
+ride the coordinator's cached template and the workers' cached
+fragments (id and parameters only); all four must agree byte for byte.
+Each sweep ends with a fleet-wide epoch close.
 """
 
 import random
@@ -164,8 +166,14 @@ def _sweep(seed, shard_count, prune, queries=25, reseed_every=13):
                 f"seed={seed} index={index} shards={shard_count} "
                 f"prune={prune} sql={sql!r} params={params!r}"
             )
-            fleet_rows = sharded.execute(sql, params=params or None).rows
-            cached = sharded.execute(sql, params=params or None).rows
+            prepared = sharded.prepare(sql)
+            runs = []
+            for _ in range(2):
+                runs.append(sharded.execute(sql, params=params or None).rows)
+                runs.append(prepared.execute(params).rows)
+            fleet_rows = runs[0]
+            for rows in runs[1:]:
+                assert list(rows) == list(fleet_rows), tag
             single_rows = single.sql(sql, params=params or None).rows
             sqlite_rows = [
                 tuple(r) for r in connection.execute(sql, params).fetchall()
@@ -174,12 +182,10 @@ def _sweep(seed, shard_count, prune, queries=25, reseed_every=13):
                 # unique total order: the fleet answer must be
                 # byte-identical to the single enclave's
                 assert list(fleet_rows) == list(single_rows), tag
-                assert list(cached) == list(single_rows), tag
                 assert list(single_rows) == sqlite_rows, tag
             else:
                 assert len(fleet_rows) == len(sqlite_rows), tag
                 assert _canon(fleet_rows) == _canon(single_rows), tag
-                assert _canon(cached) == _canon(single_rows), tag
                 assert _canon(single_rows) == _canon(sqlite_rows), tag
         sharded.verify_now()
         single.verify_now()
