@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from bisect import bisect_right
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,92 +26,15 @@ from repro.errors import (
 )
 from repro.faults.retry import CLIENT_RETRY, RetryPolicy
 from repro.core.portal import (
-    UNVERIFIED_MARKER,
     AuthenticatedQuery,
     EndorsedResult,
+    IntervalSet,
     digest_result,
+    endorsement_parts,
+    query_parts,
 )
 from repro.obs import default_registry
 from repro.sgx.attestation import verify_quote
-
-
-class IntervalSet:
-    """Integers stored as merged, sorted, disjoint [lo, hi] intervals.
-
-    This is the paper's optimization for the client's sequence-number
-    log: under normal operation the received numbers are consecutive, so
-    storage stays O(1) regardless of query volume.
-    """
-
-    def __init__(self):
-        self._intervals: list[list[int]] = []  # sorted [lo, hi] pairs
-
-    # ------------------------------------------------------------------
-    # persistence: the audit log must survive the client's own restarts,
-    # otherwise a rollback attack staged across client sessions goes
-    # unnoticed (Section 5.1 requires the user to "maintain a small
-    # piece of data")
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += len(self._intervals).to_bytes(4, "little")
-        for lo, hi in self._intervals:
-            out += int(lo).to_bytes(8, "little")
-            out += int(hi).to_bytes(8, "little")
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "IntervalSet":
-        instance = cls()
-        count = int.from_bytes(blob[:4], "little")
-        expected = 4 + count * 16
-        if len(blob) != expected:
-            raise ValueError("malformed interval-set blob")
-        offset = 4
-        previous_hi = None
-        for _ in range(count):
-            lo = int.from_bytes(blob[offset : offset + 8], "little")
-            hi = int.from_bytes(blob[offset + 8 : offset + 16], "little")
-            offset += 16
-            if lo > hi or (previous_hi is not None and lo <= previous_hi + 1):
-                raise ValueError("interval-set blob is not canonical")
-            instance._intervals.append([lo, hi])
-            previous_hi = hi
-        return instance
-
-    def add(self, value: int) -> bool:
-        """Insert; returns False (without change) if already present."""
-        intervals = self._intervals
-        i = bisect_right(intervals, [value, float("inf")])
-        if i > 0 and intervals[i - 1][1] >= value:
-            return False  # already covered
-        # attach to the left neighbour?
-        extends_left = i > 0 and intervals[i - 1][1] == value - 1
-        extends_right = i < len(intervals) and intervals[i][0] == value + 1
-        if extends_left and extends_right:
-            intervals[i - 1][1] = intervals[i][1]
-            del intervals[i]
-        elif extends_left:
-            intervals[i - 1][1] = value
-        elif extends_right:
-            intervals[i][0] = value
-        else:
-            intervals.insert(i, [value, value])
-        return True
-
-    def __contains__(self, value: int) -> bool:
-        i = bisect_right(self._intervals, [value, float("inf")])
-        return i > 0 and self._intervals[i - 1][1] >= value
-
-    def __len__(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self._intervals)
-
-    @property
-    def interval_count(self) -> int:
-        return len(self._intervals)
-
-    def intervals(self) -> list[tuple[int, int]]:
-        return [tuple(pair) for pair in self._intervals]
 
 
 @dataclass
@@ -197,14 +120,10 @@ class VeriDBClient:
         from by calling :meth:`execute` again (a fresh qid); see the
         exception's docstring for why the audit state stays sound.
         """
-        from repro.storage.record import RecordCodec
-
         qid = self._fresh_qid()
-        mac_parts = [qid, sql.encode("utf-8")]
         if params is not None:
             params = tuple(params)
-            mac_parts.append(RecordCodec().encode(params))
-        mac = self._mac.tag(*mac_parts)
+        mac = self._mac.tag(*query_parts(qid, sql, params))
         query = AuthenticatedQuery(
             qid=qid, sql=sql, mac=mac, join_hint=join_hint,
             tenant=self.tenant, params=params,
@@ -212,19 +131,20 @@ class VeriDBClient:
         # Resubmit the *same* authenticated query on transient faults:
         # the portal records a qid only after success, so the retry is
         # accepted as this qid's first execution, never as a replay.
-        retried = False
-
-        def note_retry(_attempt, _err):
-            nonlocal retried
-            retried = True
-            self._ctr_retries.inc()
-
+        policy, start, attempt = self._retry_policy, time.monotonic(), 0
         try:
-            endorsed: EndorsedResult = self._retry_policy.call(
-                lambda: self._submit(query), on_retry=note_retry
-            )
+            while True:
+                attempt += 1
+                try:
+                    endorsed: EndorsedResult = self._submit(query)
+                    break
+                except policy.retryable as error:
+                    delay = policy.next_delay(error, attempt, start)
+                    self._ctr_retries.inc()
+                    if delay > 0:
+                        time.sleep(delay)
         except QueryReplayError as rejection:
-            if not retried:
+            if attempt == 1:
                 # First attempt of a fresh qid rejected as a replay:
                 # somebody else burned our qid — a genuine forgery
                 # signal, not a lost response.
@@ -257,21 +177,13 @@ class VeriDBClient:
     def _check(self, qid: bytes, endorsed: EndorsedResult) -> None:
         if endorsed.qid != qid:
             raise AuthenticationError("response does not match the query id")
-        digest = digest_result(
-            endorsed.columns, endorsed.rows, endorsed.rowcount
-        )
+        digest = digest_result(endorsed.columns, endorsed.rows, endorsed.rowcount)
         if digest != endorsed.result_digest:
             raise AuthenticationError("result digest mismatch")
         # The verified flag is authenticated: it selects which MAC the
         # enclave must have produced, so a host flipping the flag in
         # either direction fails this check.
-        parts = [
-            qid,
-            endorsed.sequence_number.to_bytes(8, "little"),
-            endorsed.result_digest,
-        ]
-        if not endorsed.verified:
-            parts.append(UNVERIFIED_MARKER)
+        parts = endorsement_parts(qid, endorsed.sequence_number, digest, endorsed.verified)
         if not self._mac.verify(endorsed.endorsement, *parts):
             raise AuthenticationError(
                 "result endorsement invalid: not produced by the enclave"

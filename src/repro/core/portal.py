@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.crypto.mac import MessageAuthenticator
@@ -39,7 +41,7 @@ from repro.faults.retry import PORTAL_RETRY, RetryPolicy
 from repro.obs import default_event_sink, default_registry
 from repro.obs.trace_context import TraceContext
 from repro.sgx.counter import MonotonicCounter
-from repro.sql.executor import QueryEngine
+from repro.sql.executor import ExecutionResult, QueryEngine
 from repro.storage.record import RecordCodec
 
 #: fallback capacity for qids that do not follow the client library's
@@ -103,24 +105,142 @@ class EndorsedResult:
     verified: bool = True
 
 
+#: the protocol's canonical encoder of parameters, headers and rows
+_CODEC = RecordCodec()
+
+
+@lru_cache(maxsize=256)  # a cached statement answers with one header
+def _encoded_header(columns: tuple) -> bytes:
+    return _CODEC.encode(columns)
+
+
 def digest_result(columns: tuple, rows: tuple, rowcount: int) -> bytes:
     """Canonical digest of a query result (used in the endorsement)."""
-    codec = RecordCodec()
-    h = hashlib.sha256()
-    h.update(codec.encode(tuple(columns)))
-    h.update(rowcount.to_bytes(8, "little"))
-    for row in rows:
-        h.update(codec.encode(tuple(row)))
-    return h.digest()
+    header = _encoded_header(tuple(columns))
+    encoded = map(_CODEC.encode, rows)
+    return hashlib.sha256(b"".join([header, rowcount.to_bytes(8, "little"), *encoded])).digest()
+
+
+def query_parts(qid: bytes, sql: str, params: Optional[tuple]) -> list:
+    """What a query MAC covers. Parameter values are authenticated with
+    the SQL; param-less queries keep the original two-part MAC."""
+    parts = [qid, sql.encode("utf-8")]
+    if params is not None:
+        parts.append(_CODEC.encode(tuple(params)))
+    return parts
+
+
+def endorsement_parts(qid: bytes, seqno: int, digest: bytes, verified: bool) -> list:
+    """What an endorsement MAC covers. The degraded flag rides inside it:
+    stripping or adding the flag fails the client's check."""
+    parts = [qid, seqno.to_bytes(8, "little"), digest]
+    if not verified:
+        parts.append(UNVERIFIED_MARKER)
+    return parts
+
+
+def _endorse(mac, qid, seqno, result, verified) -> tuple:
+    """(columns, rows, digest, endorsement); engine rows are tuples already."""
+    columns, rows = tuple(result.columns), tuple(result.rows)
+    digest = digest_result(columns, rows, result.rowcount)
+    return columns, rows, digest, mac.tag(*endorsement_parts(qid, seqno, digest, verified))
+
+
+def _spanned(obs, name: str, fn, *args):
+    """``fn(*args)``, timed as span ``name`` only when ``obs`` records."""
+    if not obs.enabled:
+        return fn(*args)
+    with obs.span(name):
+        return fn(*args)
+
+
+class IntervalSet:
+    """Integers stored as merged, sorted, disjoint [lo, hi] intervals.
+
+    This is the paper's optimization for the client's sequence-number
+    log: under normal operation the received numbers are consecutive, so
+    storage stays O(1) regardless of query volume. The portal's replay
+    ledger keeps one per client qid salt.
+    """
+
+    def __init__(self):
+        self._intervals: list[list[int]] = []  # sorted [lo, hi] pairs
+
+    # ------------------------------------------------------------------
+    # persistence: the audit log must survive the client's own restarts,
+    # otherwise a rollback attack staged across client sessions goes
+    # unnoticed (Section 5.1 requires the user to "maintain a small
+    # piece of data")
+    # ------------------------------------------------------------------
+    def to_bytes(self) -> bytes:
+        out = bytearray()
+        out += len(self._intervals).to_bytes(4, "little")
+        for lo, hi in self._intervals:
+            out += int(lo).to_bytes(8, "little")
+            out += int(hi).to_bytes(8, "little")
+        return bytes(out)
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "IntervalSet":
+        instance = cls()
+        count = int.from_bytes(blob[:4], "little")
+        expected = 4 + count * 16
+        if len(blob) != expected:
+            raise ValueError("malformed interval-set blob")
+        offset = 4
+        previous_hi = None
+        for _ in range(count):
+            lo = int.from_bytes(blob[offset : offset + 8], "little")
+            hi = int.from_bytes(blob[offset + 8 : offset + 16], "little")
+            offset += 16
+            if lo > hi or (previous_hi is not None and lo <= previous_hi + 1):
+                raise ValueError("interval-set blob is not canonical")
+            instance._intervals.append([lo, hi])
+            previous_hi = hi
+        return instance
+
+    def add(self, value: int) -> bool:
+        """Insert; returns False (without change) if already present."""
+        intervals = self._intervals
+        i = bisect_right(intervals, [value, float("inf")])
+        if i > 0 and intervals[i - 1][1] >= value:
+            return False  # already covered
+        # attach to the left neighbour?
+        extends_left = i > 0 and intervals[i - 1][1] == value - 1
+        extends_right = i < len(intervals) and intervals[i][0] == value + 1
+        if extends_left and extends_right:
+            intervals[i - 1][1] = intervals[i][1]
+            del intervals[i]
+        elif extends_left:
+            intervals[i - 1][1] = value
+        elif extends_right:
+            intervals[i][0] = value
+        else:
+            intervals.insert(i, [value, value])
+        return True
+
+    def __contains__(self, value: int) -> bool:
+        i = bisect_right(self._intervals, [value, float("inf")])
+        return i > 0 and self._intervals[i - 1][1] >= value
+
+    def __len__(self) -> int:
+        return sum(hi - lo + 1 for lo, hi in self._intervals)
+
+    @property
+    def interval_count(self) -> int:
+        return len(self._intervals)
+
+    def intervals(self) -> list[tuple[int, int]]:
+        return [tuple(pair) for pair in self._intervals]
 
 
 class QidLedger:
     """Bounded replay memory for query ids.
 
-    Structured qids (16 bytes: salt ‖ counter) get per-salt interval
-    compression — the exact dual of the client's ``IntervalSet`` audit
-    log, so a client issuing consecutive counters costs one interval no
-    matter how many queries it sends. Non-conforming qids share a
+    Structured qids (16 bytes: salt ‖ counter) get one
+    :class:`IntervalSet` per salt — the exact dual of the client's
+    audit log, so a client issuing consecutive counters costs one
+    interval no matter how many queries it sends. Non-conforming qids share a
     fixed-capacity FIFO window (oldest entries are forgotten first).
 
     **Bounded-replay tradeoff.** Forgetting a windowed qid re-opens it
@@ -141,8 +261,7 @@ class QidLedger:
     def __init__(self, window: int = DEFAULT_REPLAY_WINDOW):
         if window < 1:
             raise ValueError("replay window must hold at least one qid")
-        # salt -> sorted disjoint [lo, hi] counter intervals
-        self._intervals: dict[bytes, list[list[int]]] = {}
+        self._intervals: dict[bytes, IntervalSet] = {}  # by salt
         self._window: OrderedDict[bytes, None] = OrderedDict()
         self._window_capacity = window
         self.window_evictions = 0
@@ -175,10 +294,7 @@ class QidLedger:
             return qid in self._window
         salt, n = structured
         intervals = self._intervals.get(salt)
-        if not intervals:
-            return False
-        i = bisect_right(intervals, [n, float("inf")])
-        return i > 0 and intervals[i - 1][1] >= n
+        return intervals is not None and n in intervals
 
     def add(self, qid: bytes) -> None:
         """Record a qid (caller has already checked membership)."""
@@ -190,19 +306,7 @@ class QidLedger:
             self._window[qid] = None
             return
         salt, n = structured
-        intervals = self._intervals.setdefault(salt, [])
-        i = bisect_right(intervals, [n, float("inf")])
-        extends_left = i > 0 and intervals[i - 1][1] == n - 1
-        extends_right = i < len(intervals) and intervals[i][0] == n + 1
-        if extends_left and extends_right:
-            intervals[i - 1][1] = intervals[i][1]
-            del intervals[i]
-        elif extends_left:
-            intervals[i - 1][1] = n
-        elif extends_right:
-            intervals[i][0] = n
-        else:
-            intervals.insert(i, [n, n])
+        self._intervals.setdefault(salt, IntervalSet()).add(n)
 
     # ------------------------------------------------------------------
     @property
@@ -211,7 +315,7 @@ class QidLedger:
 
     @property
     def interval_count(self) -> int:
-        return sum(len(v) for v in self._intervals.values())
+        return sum(s.interval_count for s in self._intervals.values())
 
     @property
     def window_size(self) -> int:
@@ -276,12 +380,8 @@ class QueryPortal:
         self._ctr_execute_retries = self.obs.counter("portal.execute_retries")
         self._ctr_unverified = self.obs.counter("portal.unverified_responses")
         self._ctr_traced = self.obs.counter("portal.traces_sampled")
-        self.obs.gauge_fn("portal.qid_ledger_size", self._ledger_size)
+        self.obs.gauge_fn("portal.qid_ledger_size", self.replay_state_size)
         self.obs.gauge_fn("portal.qid_salts", lambda: self._seen.salt_count)
-
-    def _ledger_size(self) -> int:
-        with self._lock:
-            return self._seen.state_size()
 
     def attach_wal(self, wal) -> None:
         """Flush ``wal`` (group commit) before endorsing each query.
@@ -316,8 +416,9 @@ class QueryPortal:
     def _authenticator(self, tenant: Optional[str]) -> MessageAuthenticator:
         if tenant is None:
             return self._mac
-        with self._lock:
-            mac = self._tenant_macs.get(tenant)
+        # lock-free: keys are only ever added, under the lock, and one
+        # dict read is atomic
+        mac = self._tenant_macs.get(tenant)
         if mac is None:
             self._ctr_auth_failures.inc()
             raise AuthenticationError(
@@ -328,94 +429,55 @@ class QueryPortal:
     # ------------------------------------------------------------------
     def submit(self, query: AuthenticatedQuery) -> EndorsedResult:
         """Authorize, execute and endorse one client query."""
+        qid = query.qid
         try:
-            QidLedger.validate(query.qid)
+            QidLedger.validate(qid)
         except AuthenticationError:
             self._ctr_degenerate.inc()
             self._ctr_auth_failures.inc()
             raise
         mac = self._authenticator(query.tenant)
-        with self.obs.span("portal.auth_seconds"):
-            auth_parts = [query.qid, query.sql.encode("utf-8")]
-            if query.params is not None:
-                # parameter values are authenticated alongside the SQL;
-                # param-less queries keep the original two-part MAC so
-                # existing clients stay compatible
-                auth_parts.append(RecordCodec().encode(tuple(query.params)))
-            authentic = mac.verify(query.mac, *auth_parts)
-        if not authentic:
+        obs = self.obs
+        parts = query_parts(qid, query.sql, query.params)
+        if not _spanned(obs, "portal.auth_seconds", mac.verify, query.mac, *parts):
             self._ctr_auth_failures.inc()
             raise AuthenticationError(
                 "query MAC invalid: not initiated by the client"
             )
         with self._lock:
-            if query.qid in self._seen or query.qid in self._pending:
+            if qid in self._seen or qid in self._pending:
                 self._ctr_replays.inc()
                 raise QueryReplayError(
-                    f"query id {query.qid.hex()} was already executed "
-                    f"(replay)",
-                    qid=query.qid,
+                    f"query id {qid.hex()} was already executed (replay)",
+                    qid=qid,
                 )
             # Reserve, don't record: a failed execution must leave the
             # qid available for an honest retry of the same query.
-            self._pending.add(query.qid)
-        trace = self._maybe_sample_trace(query.qid)
+            self._pending.add(qid)
+        trace = self._maybe_sample_trace(qid)
         try:
             sequence_number = self._counter.increment()
-            with self.obs.span("portal.execute_seconds"):
-                # Transient faults below the engine (host-memory read
-                # errors, ECall aborts) are retried within this submit;
-                # each attempt starts before any table mutation, so a
-                # retried execution is a clean re-run, not a partial one.
-                run = lambda: self._retry_policy.call(
-                    lambda: self._engine.execute(
-                        query.sql,
-                        join_hint=query.join_hint,
-                        params=query.params,
-                        tenant=query.tenant,
-                    ),
-                    on_retry=lambda _attempt, _err: (
-                        self._ctr_execute_retries.inc()
-                    ),
-                )
-                if trace is not None:
-                    with trace:
-                        result = run()
-                else:
-                    result = run()
+            result = _spanned(obs, "portal.execute_seconds", self._execute, query, trace)
             if self._wal is not None:
                 # durability before endorsement: whatever this statement
                 # appended must survive a crash once the client holds
                 # the endorsed result
-                with self.obs.span("portal.wal_commit_seconds"):
-                    self._wal.commit()
+                _spanned(obs, "portal.wal_commit_seconds", self._wal.commit)
             verified = not (
                 self._verifier_degraded is not None
                 and self._verifier_degraded()
             )
-            with self.obs.span("portal.endorse_seconds"):
-                columns = tuple(result.columns)
-                rows = tuple(tuple(row) for row in result.rows)
-                digest = digest_result(columns, rows, result.rowcount)
-                parts = [
-                    query.qid,
-                    sequence_number.to_bytes(8, "little"),
-                    digest,
-                ]
-                if not verified:
-                    # The degraded flag rides inside the MAC: stripping
-                    # it (to pass off an unaudited result as verified)
-                    # or adding it both fail endorsement checking.
-                    parts.append(UNVERIFIED_MARKER)
-                endorsement = mac.tag(*parts)
+            columns, rows, digest, endorsement = _spanned(
+                obs, "portal.endorse_seconds", _endorse, mac, qid, sequence_number, result, verified
+            )
         except BaseException:
             self._ctr_execute_errors.inc()
             with self._lock:
-                self._pending.discard(query.qid)
+                self._pending.discard(qid)
             raise
         with self._lock:
-            self._pending.discard(query.qid)
-            self._seen.add(query.qid)
+            self._pending.discard(qid)
+            self._seen.add(qid)
             self._executed += 1
         self._ctr_queries.inc()
         if not verified:
@@ -452,6 +514,29 @@ class QueryPortal:
             verified=verified,
         )
 
+    def _execute(self, query: AuthenticatedQuery, trace) -> ExecutionResult:
+        """Run the statement, inside ``trace`` when sampled.
+
+        Transient faults below the engine (host-memory read errors, ECall
+        aborts) are retried within this submit; each attempt starts before
+        any table mutation, so a retry is a clean re-run.
+        """
+        if trace is not None:
+            with trace:
+                return self._execute(query, None)
+        policy, start, attempt = self._retry_policy, time.monotonic(), 0
+        while True:
+            attempt += 1
+            try:
+                return self._engine.execute(
+                    query.sql, join_hint=query.join_hint, params=query.params, tenant=query.tenant
+                )
+            except policy.retryable as error:
+                delay = policy.next_delay(error, attempt, start)
+                self._ctr_execute_retries.inc()
+                if delay > 0:
+                    time.sleep(delay)
+
     def _maybe_sample_trace(self, qid: bytes) -> TraceContext | None:
         """Decide (deterministically) whether this query is traced."""
         rate = self._trace_sample_rate
@@ -473,4 +558,5 @@ class QueryPortal:
 
     def replay_state_size(self) -> int:
         """Size of the bounded replay-ledger (intervals + window)."""
-        return self._ledger_size()
+        with self._lock:
+            return self._seen.state_size()

@@ -88,33 +88,31 @@ class RetryPolicy:
             try:
                 return fn()
             except self.retryable as error:
-                if not getattr(error, "retryable", True):
-                    raise
-                if self.max_attempts == 1:
-                    # no retrying was ever on the table: propagate the
-                    # original untouched instead of wrapping it
-                    raise
-                if attempt >= self.max_attempts:
-                    raise RetryExhausted(
-                        f"gave up after {attempt} attempts: {error}",
-                        last_error=error,
-                        attempts=attempt,
-                    ) from error
-                delay = self.delay_before_attempt(attempt + 1)
-                if (
-                    self.timeout is not None
-                    and clock() - start + delay > self.timeout
-                ):
-                    raise RetryExhausted(
-                        f"retry time budget {self.timeout}s exhausted after "
-                        f"{attempt} attempts: {error}",
-                        last_error=error,
-                        attempts=attempt,
-                    ) from error
+                delay = self.next_delay(error, attempt, start, clock)
                 if on_retry is not None:
                     on_retry(attempt, error)
                 if delay > 0:
                     sleep(delay)
+
+    def next_delay(self, error, attempt: int, start: float, clock=time.monotonic) -> float:
+        """The backoff after failed ``attempt`` (1-based) of a call begun
+        at ``clock()`` time ``start``; raises when it must not retry (what
+        :meth:`call` and the client's and portal's own loops ask)."""
+        if not getattr(error, "retryable", True) or self.max_attempts == 1:
+            raise error  # the original, untouched: not retryable after all
+        if attempt >= self.max_attempts:
+            raise RetryExhausted(
+                f"gave up after {attempt} attempts: {error}", last_error=error, attempts=attempt
+            ) from error
+        delay = self.delay_before_attempt(attempt + 1)
+        if self.timeout is not None and clock() - start + delay > self.timeout:
+            raise RetryExhausted(
+                f"retry time budget {self.timeout}s exhausted after "
+                f"{attempt} attempts: {error}",
+                last_error=error,
+                attempts=attempt,
+            ) from error
+        return delay
 
 
 #: run exactly once; failures propagate

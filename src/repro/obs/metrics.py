@@ -497,14 +497,15 @@ def default_registry() -> MetricsRegistry | NullRegistry:
 def set_default_registry(
     registry: MetricsRegistry | NullRegistry,
 ) -> MetricsRegistry | NullRegistry:
-    """Install the process-wide default registry; returns it.
+    """Install the process-wide default registry; returns the previous
+    one, for the caller to restore.
 
     Components capture the default *at construction*, so install the
     registry before building the system you want to observe.
     """
     global _default_registry
-    _default_registry = registry
-    return registry
+    previous, _default_registry = _default_registry, registry
+    return previous
 
 
 @contextmanager

@@ -189,10 +189,10 @@ class TraceContext:
     # ------------------------------------------------------------------
     def __enter__(self) -> "TraceContext":
         global _active_traces
+        self.started_at = perf_counter()  # first: a raising clock leaves no trace active
         self._token = _current.set(self)
         with _active_lock:
             _active_traces += 1
-        self.started_at = perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:

@@ -143,12 +143,12 @@ class QueryService:
             credentials,
             quota if quota is not None else self.config.default_quota,
             clock=self._clock,
+            registry=self.obs,
         )
         # portal first: a tenant must never be routable before the
         # enclave can authenticate it
         self.db.portal.register_tenant_key(tenant_id, mac_key)
         self._directory.register(session)
-        self._tenant_counter("queries", tenant_id)
         return credentials
 
     def connect(
@@ -223,7 +223,6 @@ class QueryService:
             raise
         if not tenant.bucket.try_acquire():
             self._ctr_rej_rate.inc()
-            tenant.count_rejection()
             self._emit_reject(tenant, query, "rate_limited")
             raise TenantRateLimited(
                 f"tenant {tenant.tenant_id!r} exceeded "
@@ -231,7 +230,6 @@ class QueryService:
             )
         if not tenant.try_admit():
             self._ctr_rej_quota.inc()
-            tenant.count_rejection()
             self._emit_reject(tenant, query, "quota")
             raise TenantQuotaExceeded(
                 f"tenant {tenant.tenant_id!r} has "
@@ -241,13 +239,11 @@ class QueryService:
             if self._draining:
                 tenant.release()
                 self._ctr_rej_draining.inc()
-                tenant.count_rejection()
                 self._emit_reject(tenant, query, "draining")
                 raise ServiceDraining("service is draining; resubmit later")
             if self._in_flight >= self.config.max_in_flight:
                 tenant.release()
                 self._ctr_rej_overload.inc()
-                tenant.count_rejection()
                 self._emit_reject(tenant, query, "overload")
                 raise ServiceOverloaded(
                     f"service at max in-flight "
@@ -264,7 +260,7 @@ class QueryService:
                     "qid": query.qid.hex(),
                 }
             )
-        return tenant, time.perf_counter()
+        return tenant, time.perf_counter() if self.obs.enabled else 0.0
 
     def _dispatch(
         self,
@@ -299,14 +295,17 @@ class QueryService:
         admitted_at: float,
     ) -> EndorsedResult:
         """One ECall per query, fully accounted, on whichever thread runs it."""
-        self._hist_queue.observe(time.perf_counter() - admitted_at)
+        timed = self.obs.enabled  # no clock read for a registry that records nothing
+        if timed:
+            executing = time.perf_counter()
+            self._hist_queue.observe(executing - admitted_at)
         # the front-end worker dies before reaching the enclave: the qid
         # is unburned, an identical client retry is safe
         self.faults.check(fault_sites.SERVICE_DISPATCH_ABORT)
-        executing = time.perf_counter()
         result = self.db.enclave.ecall("submit_query", query)
-        done = time.perf_counter()
-        self._hist_execute.observe(done - executing)
+        if timed:
+            done = time.perf_counter()
+            self._hist_execute.observe(done - executing)
         # the transport drops the endorsed response *after* the portal
         # burned the qid — the client's same-qid retry will be rejected
         # as a replay and must surface a typed ResponseLost
@@ -315,7 +314,8 @@ class QueryService:
         except BaseException:
             self._ctr_responses_lost.inc()
             raise
-        self._hist_latency.observe(done - admitted_at)
+        if timed:
+            self._hist_latency.observe(done - admitted_at)
         return result
 
     def _finish(self, tenant: TenantSession, future: Future) -> None:
@@ -336,7 +336,7 @@ class QueryService:
         tenant.release()
         if ok:
             self._ctr_completed.inc()
-            self._tenant_counter("queries", tenant.tenant_id).inc()
+            tenant.ctr_queries.inc()
         else:
             self._ctr_errors.inc()
         with self._idle:
@@ -344,15 +344,9 @@ class QueryService:
             if self._in_flight == 0:
                 self._idle.notify_all()
 
-    def _tenant_counter(self, what: str, tenant_id: str):
-        """``service.tenant.queries`` / ``.rejected``, one series per tenant."""
-        return self.obs.counter(
-            f"service.tenant.{what}", labels={"tenant": tenant_id}
-        )
-
     def _emit_reject(self, tenant, query, reason: str) -> None:
         if tenant is not None:
-            self._tenant_counter("rejected", tenant.tenant_id).inc()
+            tenant.count_rejection()
         sink = default_event_sink()
         if sink.enabled:
             sink.emit(

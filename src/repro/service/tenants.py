@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import UnknownTenant
+from repro.obs import NULL_REGISTRY
 from repro.service.config import TenantQuota
 
 
@@ -73,6 +74,7 @@ class TenantSession:
         credentials: TenantCredentials,
         quota: TenantQuota,
         clock=time.monotonic,
+        registry=NULL_REGISTRY,
     ):
         self.credentials = credentials
         self.quota = quota
@@ -83,6 +85,9 @@ class TenantSession:
         self.in_flight = 0
         self.admitted = 0
         self.rejected = 0
+        labels = {"tenant": credentials.tenant_id}  # this tenant's series, bound once
+        self.ctr_queries = registry.counter("service.tenant.queries", labels)
+        self.ctr_rejected = registry.counter("service.tenant.rejected", labels)
 
     @property
     def tenant_id(self) -> str:
@@ -104,6 +109,7 @@ class TenantSession:
     def count_rejection(self) -> None:
         with self._lock:
             self.rejected += 1
+        self.ctr_rejected.inc()
 
 
 class TenantDirectory:

@@ -146,11 +146,13 @@ class ShardProxyStore:
                 return tuple(row)
         return None
 
-    def get(self, pk: Any) -> tuple[Optional[tuple], None]:
+    def get(self, pk: Any, columns: Optional[Sequence[str]] = None) -> tuple[Optional[tuple], None]:
         # the worker's enclave checked the point proof before answering
         # and the reply rode home under the link MAC; there is no
         # client-side proof object to re-check here
         row = self._lookup(pk)
+        if row is not None and columns is not None:
+            row = [row[self.schema.column_index(name)] for name in columns]
         return (None if row is None else tuple(row)), None
 
     def scan(

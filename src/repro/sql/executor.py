@@ -39,7 +39,7 @@ from repro.sql.ast_nodes import (
 from repro.sql.expressions import RowSchema, compile_expr
 from repro.sql.operators import FusedScanFilterProjectOp
 from repro.sql.operators.base import PhysicalOp
-from repro.sql.params import bound as bound_params
+from repro.sql.params import bind as bind_params, unbind as unbind_params
 from repro.sql.parser import parse_statement, parse_statement_with_params
 from repro.sql.plan_cache import (
     CacheEntry,
@@ -279,11 +279,8 @@ class QueryEngine:
         counting) to the submitting tenant; execution is identical.
         Statement text goes through the plan cache.
         """
-        values = () if params is None else tuple(params)
         entry = self.statement_entry(sql, join_hint, tenant=tenant)
-        return self.execute_prepared(
-            entry, values, join_hint=join_hint, undo=undo
-        )
+        return self.execute_prepared(entry, () if params is None else params, join_hint, undo)
 
     def execute_prepared(
         self,
@@ -304,31 +301,30 @@ class QueryEngine:
                 f"statement has {entry.param_count} parameter(s); "
                 f"{len(values)} value(s) bound"
             )
+        token = bind_params(values)
+        try:
+            if self.obs.enabled:
+                return self._metered(entry, join_hint, undo)
+            return self._dispatch_entry(entry, join_hint, undo)
+        finally:
+            unbind_params(token)
 
-        def run() -> ExecutionResult:
-            with bound_params(values):
-                return self._dispatch_entry(entry, join_hint, undo)
+    def _metered(self, entry: CacheEntry, join_hint, undo) -> ExecutionResult:
+        """Per-statement metrics envelope, for a real registry.
 
-        return self._metered(run)
-
-    def _metered(self, run) -> ExecutionResult:
-        """Per-statement metrics envelope shared by every execute path.
-
-        With a real registry the run needs a ledger to read its plan
-        metrics from: the one a caller entered to look at this run, or
-        else one opened here (another engine's own ledger — an in-process
-        coordinator's — is not this engine's to book to).
+        The run needs a ledger to read its plan metrics from: the one a
+        caller entered to look at this run, or else one opened here
+        (another engine's own ledger — an in-process coordinator's — is
+        not this engine's to book to).
         """
-        if not self.obs.enabled:
-            return run()
         self._ctr_statements.inc()
         trace = current_trace()
         with self.obs.span("sql.execute_seconds"):
             if trace is None or not trace.sampled:
                 with TraceContext(qid="", sampled=False) as trace:
-                    result = run()
+                    result = self._dispatch_entry(entry, join_hint, undo)
             else:
-                result = run()
+                result = self._dispatch_entry(entry, join_hint, undo)
         if result.plan is not None:
             self._record_plan_metrics(result.plan, trace)
         return result
@@ -340,17 +336,17 @@ class QueryEngine:
         undo: Optional[list],
     ) -> ExecutionResult:
         stmt = entry.stmt
+        if isinstance(stmt, Select):
+            plan = entry.select_template
+            if plan is None:
+                plan = self._plan_now(stmt, join_hint)
+            return self._run_plan(plan)
         if isinstance(stmt, Explain):
             plan = self._plan_now(stmt.select, join_hint)
             rows = [(line,) for line in plan.explain().splitlines()]
             return ExecutionResult(
                 columns=["plan"], rows=rows, rowcount=len(rows)
             )
-        if isinstance(stmt, Select):
-            plan = entry.select_template
-            if plan is None:
-                plan = self._plan_now(stmt, join_hint)
-            return self._run_plan(plan)
         if isinstance(stmt, Insert):
             return self._run_insert(stmt, undo)
         if isinstance(stmt, (Update, Delete)):

@@ -5,9 +5,10 @@ they emit has passed the storage layer's evidence checks (point proofs
 and range-scan chain verification), so the operators above can trust
 their inputs unconditionally.
 
-A scan emits only the ``columns`` the planner found the statement
-reading (None: the whole table): its output schema is that narrow, and
-the storage layer materialises nothing else from each record. The
+Each access method — sequential scan, range scan and point lookup —
+emits only the ``columns`` the planner found the statement reading
+(None: every column of the table): its output schema is that narrow,
+and the storage layer materialises nothing else from each record. The
 evidence checks do not depend on the projection.
 """
 
@@ -126,11 +127,12 @@ class PointLookupOp(PhysicalOp):
 
     is_scan = True
 
-    def __init__(self, table, binding: str, key: Any):
-        super().__init__(table_schema(table, binding), [])
+    def __init__(self, table, binding: str, key: Any, columns: Optional[Sequence[str]] = None):
+        super().__init__(table_schema(table, binding, columns), [])
         self.table = table
         self.binding = binding
         self.key = key
+        self.columns = columns
 
     def batches(self) -> Iterator[ColumnBatch]:
         key = resolve_maybe(self.key)
@@ -139,12 +141,13 @@ class PointLookupOp(PhysicalOp):
             # `pk = NULL` matches no row, and the verified get() path
             # must never be asked to prove a NULL key
             return
-        row, _proof = self.table.get(key)
+        row, _proof = self.table.get(key, self.columns)
         if row is not None:
             yield ColumnBatch.from_rows([row])
 
     def describe(self) -> str:
         return (
             f"IndexSearch({self.table.name} as {self.binding}, "
-            f"{self.table.schema.primary_key} = {self.key!r})"
+            f"{self.table.schema.primary_key} = {self.key!r}"
+            f"{_describe_columns(self.columns)})"
         )

@@ -4,7 +4,7 @@ A prepared statement's compiled closures and cached physical plan are
 shared across executions and threads, so parameter *values* can never
 live on the plan itself. Instead each execution binds its values into a
 :class:`contextvars.ContextVar` for exactly the duration of the
-statement (:func:`bound`), and everything compiled from a
+statement (:func:`bind` … :func:`unbind`), and everything compiled from a
 :class:`~repro.sql.ast_nodes.Parameter` node resolves through
 :func:`resolve` when it actually runs. Context variables are
 per-thread (and per-async-task), so two sessions executing the same
@@ -18,9 +18,8 @@ execution's binding scope.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import ExecutionError
 
@@ -63,11 +62,6 @@ def resolve_maybe(value: Any) -> Any:
     return value
 
 
-@contextmanager
-def bound(values: Sequence[Any] | None):
-    """Bind ``values`` as the active parameters for the enclosed scope."""
-    token = _ACTIVE.set(tuple(values) if values is not None else None)
-    try:
-        yield
-    finally:
-        _ACTIVE.reset(token)
+#: ``token = bind(values_tuple)`` makes the values active until
+#: ``unbind(token)``; the ContextVar's own methods, so no Python frame
+bind, unbind = _ACTIVE.set, _ACTIVE.reset

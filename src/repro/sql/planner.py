@@ -6,9 +6,10 @@ Pipeline for SELECT:
 2. choose an access path per table — verified point lookup for a
    primary-key equality, verified range scan when a chained column has
    sargable bounds, verified sequential scan otherwise — with residual
-   conjuncts as filters; scans are told which of the table's columns
-   the statement reads anywhere and emit only those (projection
-   pushdown: the storage layer materialises nothing else);
+   conjuncts as filters; access paths are told which of the table's
+   columns the statement reads anywhere and emit only those (projection
+   pushdown: the storage layer materialises nothing else; a point
+   lookup also drops the key its equality consumed);
 3. build a left-deep join tree in FROM order, picking the join
    algorithm (index-nested-loop through the inner table's primary key,
    hash, merge, or plain nested loops); callers may force one with
@@ -21,6 +22,7 @@ Pipeline for SELECT:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -81,6 +83,8 @@ class _Binding:
     #: the table's columns the statement reads, in schema order; None
     #: means all of them (``SELECT *``, DML)
     columns: Optional[tuple] = None
+    #: references to the primary key in the statement (0: not counted)
+    key_refs: int = 0
 
 
 @dataclass
@@ -321,16 +325,16 @@ class Planner:
         ]
         if len(table_order) < len(stmt.order_by):
             stmt = replace(stmt, order_by=table_order)
-        read: dict[str, set[str]] = {binding.name: set() for binding in bindings}
+        read: dict[str, Counter] = {binding.name: Counter() for binding in bindings}
         for node in walk(stmt):
             if isinstance(node, ColumnRef):
-                read[self._owner(node, bindings)].add(node.name)
+                read[self._owner(node, bindings)][node.name] += 1
         for binding in bindings:
             names = binding.info.schema.column_names
-            if len(read[binding.name]) < len(names):
-                binding.columns = tuple(
-                    name for name in names if name in read[binding.name]
-                )
+            counts = read[binding.name]
+            binding.key_refs = counts[binding.info.schema.primary_key]
+            if len(counts) < len(names):
+                binding.columns = tuple(name for name in names if name in counts)
 
     def _bindings_of(
         self, expr: Expr, bindings: list[_Binding]
@@ -395,7 +399,10 @@ class Planner:
                 equality = constraints[equality_index].value
                 used = {equality_index}
                 if column == schema.primary_key:
-                    plan = PointLookupOp(table, binding.name, equality)
+                    columns = binding.columns
+                    if binding.key_refs == 1:  # the absorbed equality is the key's only reader
+                        columns = tuple(c for c in columns or schema.column_names if c != column)
+                    plan = PointLookupOp(table, binding.name, equality, columns)
                 else:
                     plan = RangeScanOp(
                         table,
@@ -770,7 +777,13 @@ class Planner:
             return ProjectOp(plan, exprs, names)
         if sort_items:
             plan = SortOp(plan, sort_items, spill=self.spill)
-        plan = ProjectOp(plan, exprs, names)
+        # a point lookup already emitting exactly the select list is not projected
+        if not (
+            isinstance(plan, PointLookupOp)
+            and plan.output.names == names
+            and all(isinstance(e, ColumnRef) and e.name == n for e, n in zip(exprs, names))
+        ):
+            plan = ProjectOp(plan, exprs, names)
         if stmt.distinct:
             plan = DistinctOp(plan)
         if stmt.limit is not None:

@@ -275,6 +275,8 @@ class PointProof:
     found: bool
 
     def check(self) -> None:
+        if self.key is None:
+            raise ProofError("index returned a record outside the primary chain")
         if self.found:
             if self.key != self.target:
                 raise ProofError(

@@ -255,8 +255,8 @@ class RecordCodec:
 
     def __init__(self):
         #: records a plan's compiled decoder handed to the generic one.
-        #: A plain int: each table owns its codec and decodes with a
-        #: plan only under the table lock.
+        #: A plain int: a table's scans decode with a plan only under
+        #: the table lock (its lock-free point reads use another codec).
         self.fallbacks = 0
 
     def encode(self, values: tuple) -> bytes:

@@ -70,6 +70,8 @@ class VerifiableTable:
         self.engine = engine
         self.layout = ChainLayout(schema)
         self.codec = RecordCodec()
+        #: the lock-free point reads' codec, apart from the fallback tally scans read under the lock
+        self._point_codec = RecordCodec()
         self.stats = TableStats()
         self.obs = engine.obs
         self.faults = default_fault_plane()
@@ -167,7 +169,7 @@ class VerifiableTable:
             # Unlink from every chain: predecessor inherits our nKey.
             for chain_id in range(self.layout.n_chains):
                 ckey = stored.key(chain_id)
-                pred_rid, pred_stored = self._strict_predecessor(chain_id, ckey)
+                pred_rid, pred_stored = self._predecessor(chain_id, ckey, strict=True)
                 if pred_stored.next_key(chain_id) != ckey:
                     raise ProofError(
                         f"chain {chain_id} corrupt at delete: predecessor "
@@ -235,19 +237,25 @@ class VerifiableTable:
     # ------------------------------------------------------------------
     # read interface (secure access methods, Section 5.2)
     # ------------------------------------------------------------------
-    def get(self, pk: Any) -> tuple[tuple | None, PointProof]:
+    def get(self, pk: Any, columns: Sequence[str] | None = None) -> tuple[tuple | None, PointProof]:
         """Point lookup by primary key with a one-record proof.
 
+        Read-only: the record decodes through the primary chain's scan
+        plan for ``columns`` (None: every column), so its ``⟨key, nKey⟩``
+        evidence and the projected values are all that is built.
         Lock-free: a verified cell read is atomic, so the record itself
         is always consistent; a concurrent chain splice can transiently
         fail the evidence check, which is retried a bounded number of
         times (an honest race resolves immediately, a real attack keeps
         failing and the final failure propagates).
         """
+        plan = self.layout.scan_plan(0, columns)
         attempts = 0
         while True:
             try:
-                rid, stored, proof = self._locate_pk(pk)
+                payload = self.heap.read(self._pk_rid(pk))
+                sentinel_of, key, next_key, row = self._point_codec.decode(payload, plan)
+                proof = PointProof(pk, key, next_key, key == pk)
                 proof.check()
                 break
             except (IntegrityError, StorageError):
@@ -266,7 +274,10 @@ class VerifiableTable:
                     pass
         self.stats.point_lookups += 1
         self.stats.proofs_checked += 1
-        row = self.layout.row_from_stored(stored) if rid is not None else None
+        if not proof.found:
+            return None, proof
+        if sentinel_of != DATA_RECORD:
+            raise ProofError("sentinel records carry no user row")
         return row, proof
 
     def scan(
@@ -374,50 +385,38 @@ class VerifiableTable:
                 self.indexes[chain_id].insert(key, new_rid)
         return new_rid
 
-    def _predecessor(self, chain_id: int, ckey: Any) -> tuple[RecordId, StoredRecord]:
-        """Largest chain record with key <= ``ckey`` (validated)."""
-        hit = self.indexes[chain_id].search_le(ckey)
-        return self._validated_pred(chain_id, ckey, hit, allow_equal=False)
-
-    def _strict_predecessor(
-        self, chain_id: int, ckey: Any
+    def _predecessor(
+        self, chain_id: int, ckey: Any, strict: bool = False
     ) -> tuple[RecordId, StoredRecord]:
-        hit = self.indexes[chain_id].search_lt(ckey)
-        return self._validated_pred(chain_id, ckey, hit, allow_equal=False)
-
-    def _validated_pred(self, chain_id, ckey, hit, allow_equal):
+        """Largest chain record with key < ``ckey``, validated; the index
+        is asked at or below ``ckey`` (``strict``: below it)."""
+        index = self.indexes[chain_id]
+        hit = index.search_lt(ckey) if strict else index.search_le(ckey)
         if hit is None:
-            raise ProofError(
-                f"untrusted index lost the chain-{chain_id} sentinel"
-            )
-        _, rid = hit
+            raise ProofError(f"untrusted index lost the chain-{chain_id} sentinel")
+        rid = hit[1]
         stored = self._read_stored(rid)
         key = stored.key(chain_id)
         if key is None:
-            raise ProofError(
-                f"index returned a record outside chain {chain_id}"
-            )
-        if not (key < ckey or (allow_equal and key == ckey)):
-            raise ProofError(
-                f"index returned non-predecessor {key!r} for target {ckey!r}"
-            )
+            raise ProofError(f"index returned a record outside chain {chain_id}")
+        if not key < ckey:
+            raise ProofError(f"index returned non-predecessor {key!r} for target {ckey!r}")
         return rid, stored
 
-    def _locate_pk(
-        self, pk: Any
-    ) -> tuple[RecordId | None, StoredRecord, PointProof]:
-        """Index search of Section 5.2: one record proves hit or miss."""
+    def _locate_pk(self, pk: Any) -> tuple[RecordId | None, StoredRecord, PointProof]:
+        """Index search of Section 5.2 for a rewrite: the whole record."""
+        rid = self._pk_rid(pk)
+        stored = self._read_stored(rid)
+        key = stored.key(0)
+        proof = PointProof(pk, key, stored.next_key(0), key == pk)
+        return (rid if proof.found else None), stored, proof
+
+    def _pk_rid(self, pk: Any) -> RecordId:
+        """Where the untrusted index says the evidence for ``pk`` is."""
         hit = self.indexes[0].search_le(pk)
         if hit is None:
             raise ProofError("untrusted index lost the primary-key sentinel")
-        _, rid = hit
-        stored = self._read_stored(rid)
-        key = stored.key(0)
-        if key is None:
-            raise ProofError("index returned a record outside the primary chain")
-        found = key == pk
-        proof = PointProof(pk, key, stored.next_key(0), found)
-        return (rid if found else None), stored, proof
+        return hit[1]
 
     def _scan_chain(
         self,

@@ -400,6 +400,38 @@ def test_idle_submit_runs_on_the_callers_thread_and_counts_like_the_pool():
         assert inline_counts[f"service.{name}_seconds"] == 4
 
 
+def _poison_clocks(monkeypatch):
+    """Make every ``perf_counter`` a query can reach raise."""
+
+    def no_clock():
+        raise AssertionError("clock read with no registry recording")
+
+    original = time.perf_counter
+    monkeypatch.setattr(time, "perf_counter", no_clock)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "perf_counter", None) is original:
+            monkeypatch.setattr(module, "perf_counter", no_clock)
+
+
+def test_dark_serving_path_reads_no_clock(monkeypatch):
+    """Under the null registry nothing on the serving path reads a clock
+    only to feed no-op histograms: the inline and the pooled dispatch,
+    and the portal behind the plain ECall transport."""
+    svc = QueryService(build_db(), ServiceConfig(max_workers=2))
+    try:
+        creds = svc.register_tenant("acme")
+        clients = (svc.connect(creds), _pooled_client(svc, creds), svc.db.connect())
+        _poison_clocks(monkeypatch)
+        for n, client in enumerate(clients):
+            point = client.execute("SELECT v FROM kv WHERE k = ?", params=(n,))
+            assert point.rows == ((n * 10,),)
+            update = client.execute("UPDATE kv SET v = ? WHERE k = ?", params=(n, n))
+            assert update.rowcount == 1
+    finally:
+        monkeypatch.undo()
+        svc.close()
+
+
 def test_inline_execution_sees_none_of_the_callers_context(service, registry):
     client = service.connect(service.register_tenant("acme"))
     seen = []
@@ -422,11 +454,13 @@ def test_inline_execution_sees_none_of_the_callers_context(service, registry):
     process_defaults = contextvars.Context().run(
         lambda: (default_registry(), default_event_sink())
     )
+    token = params.bind((1, 2))
     with scoped_event_sink() as sink, TraceContext(qid="caller"):
-        with registry.span("caller.span"), params.bound((1, 2)):
+        with registry.span("caller.span"):
             assert default_registry() is registry
             assert default_event_sink() is sink
             client.execute("SELECT v FROM kv WHERE k = 3")
+    params.unbind(token)
     ident, trace, bound, span, inner_registry, inner_sink = seen[0]
     assert ident == threading.get_ident()
     assert (trace, bound, span) == (None, None, None)

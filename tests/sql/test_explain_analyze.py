@@ -192,6 +192,41 @@ def test_fused_pipeline_stats_sum_to_registry_deltas():
     )
 
 
+def test_prepared_point_select_books_its_read_to_the_lookup():
+    """A cached point SELECT is one node: its per-op stats equal the
+    registry deltas, and its verified read is the lookup's."""
+    reg = MetricsRegistry()
+    point = "SELECT v FROM t WHERE id = 7"
+    with scoped_registry(reg):
+        db = build_db(reg)
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v INT, w INT)")
+        db.load_rows("t", [(i, i * 3, i % 6) for i in range(40)])
+        db.prepare(point)  # the statement is cached before it is analyzed
+        before = reg.snapshot()
+        result = db.explain_analyze(point)
+        after = reg.snapshot()
+
+    assert result.rows == [(21,)]
+    assert counter_value(after, "sql.plan_cache_hits") - counter_value(
+        before, "sql.plan_cache_hits"
+    ) == 1
+    totals = result.totals()
+    for counter_name, field in COUNTED:
+        delta = counter_value(after, counter_name) - counter_value(
+            before, counter_name
+        )
+        assert totals[field] == delta, (
+            f"{field}: trace total {totals[field]} != "
+            f"registry delta {delta} ({counter_name})"
+        )
+    lookup = result.data["plan"]
+    assert lookup["op"] == "PointLookupOp" and lookup["children"] == []
+    assert "cols=[v]" in lookup["label"]
+    assert (lookup["rows_out"], lookup["batches_out"]) == (1, 1)
+    assert lookup["verified_reads"] == totals["verified_reads"] > 0
+    assert result.data["unattributed"]["verified_reads"] == 0
+
+
 # ----------------------------------------------------------------------
 # interleaved queries attribute disjointly
 # ----------------------------------------------------------------------

@@ -243,7 +243,8 @@ def test_row_and_batch_shells_match_the_reference(expr, table):
     keep_batch = compile_predicate_batch(expr, SCHEMA)
     expected = [outcome(lambda: reference(expr, row)) for row in table]
     keep = [value == ("bool", True) for value in expected]
-    with sql_params.bound(PARAMS):
+    token = sql_params.bind(PARAMS)
+    try:
         assert [outcome(lambda: row_fn(row)) for row in table] == expected
         for batch in (
             ColumnBatch.from_rows(list(table)),
@@ -253,6 +254,8 @@ def test_row_and_batch_shells_match_the_reference(expr, table):
             if "division by zero" not in expected:
                 assert keep_batch(batch) == keep
                 assert [keep_row(row) for row in table] == keep
+    finally:
+        sql_params.unbind(token)
 
 
 def test_a_bare_column_is_the_batch_s_own_list():
@@ -262,10 +265,10 @@ def test_a_bare_column_is_the_batch_s_own_list():
 
 def test_parameters_are_read_at_call_time():
     fn = compile_expr(BinaryOp("+", Parameter(0), ColumnRef("i")), SCHEMA)
-    with sql_params.bound((10,)):
-        assert fn((1, None, None, None)) == 11
-    with sql_params.bound((20,)):
-        assert fn((1, None, None, None)) == 21
+    for value in (10, 20):
+        token = sql_params.bind((value,))
+        assert fn((1, None, None, None)) == value + 1
+        sql_params.unbind(token)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.sql.operators import (
     MergeJoinOp,
     NestedLoopJoinOp,
     PointLookupOp,
+    ProjectOp,
     RangeScanOp,
     SeqScanOp,
 )
@@ -68,6 +69,51 @@ def test_pk_equality_uses_point_lookup(planner):
     root = plan(planner, "SELECT * FROM orders WHERE o_id = 5")
     assert ops_of(root, PointLookupOp)
     assert not ops_of(root, SeqScanOp)
+
+
+@pytest.mark.parametrize(
+    "sql, columns",
+    [
+        # the key read only by the absorbed equality is not emitted
+        ("SELECT o_total FROM orders WHERE o_id = ?", ("o_total",)),
+        ("SELECT o_total, o_cust FROM orders WHERE o_id = ?", ("o_cust", "o_total")),
+        ("SELECT o_id, o_cust, o_total FROM orders WHERE o_id = 5", None),
+        ("SELECT o_id FROM orders WHERE o_id = 5", ("o_id",)),
+        ("SELECT COUNT(*) FROM orders WHERE o_id = 5", ()),
+        ("SELECT * FROM orders WHERE o_id = 5", None),
+    ],
+)
+def test_point_lookup_emits_only_what_the_statement_reads(planner, sql, columns):
+    (lookup,) = ops_of(plan(planner, sql), PointLookupOp)
+    assert lookup.columns == columns
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT o_total FROM orders WHERE o_id = ?",
+        "SELECT o_id, o_cust, o_total FROM orders WHERE o_id = 5",
+        "SELECT orders.o_total FROM orders WHERE o_id = 5 LIMIT 1",
+    ],
+)
+def test_point_lookup_answering_the_select_list_is_not_projected(planner, sql):
+    root = plan(planner, sql)
+    assert not ops_of(root, ProjectOp)
+    (lookup,) = ops_of(root, PointLookupOp)
+    assert root.output.names == lookup.output.names
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT o_total AS t FROM orders WHERE o_id = 5",
+        "SELECT o_cust, o_total, o_id FROM orders WHERE o_id = 5",
+        "SELECT o_total + 1 FROM orders WHERE o_id = 5",
+        "SELECT o_total, o_total FROM orders WHERE o_id = 5",
+    ],
+)
+def test_point_lookup_keeps_a_projection_that_reshapes(planner, sql):
+    assert ops_of(plan(planner, sql), ProjectOp)
 
 
 def test_chained_range_uses_range_scan(planner):

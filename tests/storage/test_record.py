@@ -250,10 +250,11 @@ def test_compiled_decoder_never_differs_on_damaged_bytes(shape, data):
     payload = damaged(
         codec.encode(tuple(_value_of(kind, data.draw) for kind in shape)), data.draw
     )
-    generic = _outcome(lambda: plan.project(codec.decode(payload)))
-    assert _outcome(codec.decode, payload, plan) == generic
+    # compared by repr: a flipped float bit can make a NaN, equal to nothing
+    generic = repr(_outcome(lambda: plan.project(codec.decode(payload))))
+    assert repr(_outcome(codec.decode, payload, plan)) == generic
     fast = plan.fast(payload)
-    assert fast is None or fast == generic
+    assert fast is None or repr(fast) == generic
 
 
 def test_skipped_values_are_framed_but_not_validated():
