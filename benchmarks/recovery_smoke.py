@@ -1,4 +1,4 @@
-"""CI smoke for verified crash recovery: crash, recover, refuse tamper.
+"""CI smoke for verified recovery: crash, recover, snapshot, refuse tamper.
 
 Usage::
 
@@ -11,7 +11,10 @@ and passes a full verification pass. It then flips one byte of the log
 and asserts recovery *refuses* with a typed
 :class:`~repro.errors.RecoveryIntegrityError` — a recovery pipeline
 that accepts a tampered log is a failed smoke even if every happy path
-works.
+works. Last, it snapshots the recovered instance (a sealed,
+checkpoint-only log), restores the snapshot under the same identity and
+requires identical answers, and requires an enclave with another key
+seed to be refused (``unsealable``).
 
 Every ``wal_checkpoint`` / ``recovery_complete`` / ``recovery_refused``
 event emitted along the way is captured to ``OUTPUT`` (default
@@ -36,12 +39,13 @@ from _harness import bench_dir, scaled  # noqa: E402
 
 from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
-from repro.core.recovery import recover_from_wal
+from repro.core.recovery import recover_from_wal, snapshot_database
 from repro.errors import RecoveryIntegrityError
 from repro.obs import JsonlEventSink, scoped_event_sink
 
 N_ROWS = scaled(300)
 SEED = 83
+QUERY = "SELECT COUNT(*), SUM(balance) FROM accounts"
 
 
 def run_workload(db):
@@ -52,7 +56,7 @@ def run_workload(db):
     db.sql("UPDATE accounts SET balance = 0 WHERE id = 3")
     db.sql(f"DELETE FROM accounts WHERE id = {N_ROWS - 1}")
     db.wal.commit()
-    return db.sql("SELECT COUNT(*), SUM(balance) FROM accounts").rows
+    return db.sql(QUERY).rows
 
 
 def main() -> int:
@@ -73,7 +77,7 @@ def main() -> int:
     with scoped_event_sink(JsonlEventSink(path=output)) as sink:
         expected = run_workload(VeriDB(cfg))
         recovered = recover_from_wal(wal_dir, cfg)
-        got = recovered.sql("SELECT COUNT(*), SUM(balance) FROM accounts").rows
+        got = recovered.sql(QUERY).rows
         if got != expected:
             failures.append(f"recovered answers diverged: {got} != {expected}")
         try:
@@ -101,6 +105,25 @@ def main() -> int:
             print(
                 f"[recovery-smoke] tamper refused as designed: "
                 f"reason={refusal.reason}"
+            )
+
+        # snapshot: a sealed log restores under the same identity only
+        snapshot = os.path.join(workdir, "snapshot")
+        foreign_copy = os.path.join(workdir, "snapshot-foreign")
+        rows = snapshot_database(recovered, snapshot)
+        shutil.copytree(snapshot, foreign_copy)
+        restored = recover_from_wal(snapshot, VeriDBConfig(key_seed=SEED))
+        if restored.sql(QUERY).rows != expected:
+            failures.append("restored snapshot answers diverged")
+        try:
+            recover_from_wal(foreign_copy, VeriDBConfig(key_seed=SEED + 1))
+            failures.append("snapshot restored under a foreign enclave identity")
+        except RecoveryIntegrityError as refusal:
+            if refusal.reason != "unsealable":
+                failures.append(f"foreign identity refused as {refusal.reason}")
+            print(
+                f"[recovery-smoke] snapshot of {rows} rows restored; foreign "
+                f"identity refused: reason={refusal.reason}"
             )
         sink.close()
 

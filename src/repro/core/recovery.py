@@ -8,21 +8,22 @@ write interfaces*, which rebuilds the SGX synopsis as a side effect; the
 always-running verification then protects the replayed state like any
 other.
 
-Two sources share one replay path (:func:`_replay_ops`):
+There is one durable source and one rebuild path,
+:func:`recover_from_wal`. The write-ahead log (:mod:`repro.wal`) is
+verified first (:class:`~repro.wal.reader.WalReader` runs the MAC-chain
+/ anchor / checkpoint sequence and refuses with a typed
+:class:`~repro.errors.RecoveryIntegrityError` on truncation, reordering,
+splicing, bit flips, or rollback to an old checkpoint), then replayed,
+then cross-checked: the keyed content digest derived from the
+*recovered tables* must equal the digest derived from the *log*, and a
+full verification pass must close cleanly. Only then is the log resumed
+for appending and a fresh recovery checkpoint written.
 
-* :func:`recover_from_wal` — the write-ahead log (:mod:`repro.wal`).
-  The log is verified first (:class:`~repro.wal.reader.WalReader` runs
-  the MAC-chain / anchor / checkpoint sequence and refuses with a typed
-  :class:`~repro.errors.RecoveryIntegrityError` on truncation,
-  reordering, splicing, bit flips, or rollback to an old checkpoint),
-  then replayed, then cross-checked: the keyed content digest derived
-  from the *recovered tables* must equal the digest derived from the
-  *log*, and a full verification pass must close cleanly. Only then is
-  the log resumed for appending and a fresh recovery checkpoint
-  written.
-* :func:`recover_database` — a replica snapshot
-  (:class:`ReplicaSnapshot`), converted into the same DDL/DML op stream
-  and fed through the same applier.
+A replica snapshot is a log with a short history:
+:func:`snapshot_database` writes one DDL_CREATE per table, one INSERT
+per live row and one sealed CHECKPOINT, so a restore is
+:func:`recover_from_wal` over that directory and carries the same
+evidence as the log it stands in for.
 
 Rollback detection is layered: whole-log rollback is refused by the
 hardware-counter check in the reader (``stale-checkpoint``); rollback
@@ -36,17 +37,13 @@ already seen.
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Iterator
 
-from repro.catalog.schema import Schema, schema_from_dict, schema_to_dict
+from repro.catalog.schema import schema_from_dict
 from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
 from repro.crypto.mac import MessageAuthenticator
-from repro.crypto.sethash import SetHash
 from repro.errors import RecoveryIntegrityError
 from repro.faults import default_fault_plane, sites as fault_sites
 from repro.obs import default_event_sink, default_registry
@@ -56,11 +53,11 @@ from repro.wal import (
     DDL_DROP,
     DELETE,
     INSERT,
+    ROW_FIELDS,
     UPDATE,
+    ContentLedger,
     WalReader,
     WriteAheadLog,
-    content_sethash,
-    row_element,
 )
 
 #: how far the restored monotonic counter leaps past the highest value
@@ -70,38 +67,45 @@ from repro.wal import (
 #: observed, so an honest recovery never trips the rollback audit.
 COUNTER_SKIP = 1 << 16
 
-#: record types the replay path applies (HEADER/CHECKPOINT carry no state)
-_REPLAYABLE = (DDL_CREATE, DDL_DROP, INSERT, DELETE, UPDATE)
 
+def snapshot_database(db: VeriDB, directory: str | Path) -> int:
+    """Write ``db`` to ``directory`` as a sealed, checkpoint-only log.
 
-@dataclass
-class ReplicaSnapshot:
-    """What a (trusted-enough) replica ships for recovery: schemas + rows.
-
-    The snapshot needs no authentication of its own — tampered rows
-    replayed into the new instance are *that instance's* state, and the
-    divergence is caught the same way any stale data is: query results
-    simply reflect what was replayed, which the client cross-checks at
-    the application level (the paper's non-goal: VeriDB detects, it does
-    not tolerate).
+    The ordinary :class:`~repro.wal.WriteAheadLog`, keyed and sealed by
+    ``db``'s enclave, logs one DDL_CREATE per table and one INSERT per
+    row read back through verified scans, then one CHECKPOINT binding
+    their content digest. Restore it with :func:`recover_from_wal` under
+    the same ``key_seed`` — another enclave identity cannot unseal it —
+    which resumes the log in place: copy the directory first to restore
+    it twice. Returns the number of rows written; a directory left by a
+    call that raised holds a prefix of the log, not a snapshot.
     """
+    enclave = db.enclave
+    wal = WriteAheadLog(
+        directory,
+        key=enclave.keychain.key_for("wal"),
+        seal=enclave.seal,
+        unseal=enclave.unseal,
+        counter_read=enclave.counter.read,
+    )
+    rows = 0
+    try:
+        for name in db.catalog.table_names():
+            info = db.catalog.lookup(name)
+            wal.append_ddl_create(info.name, info.schema)
+            for row in info.store.seq_scan():
+                wal.append_insert(info.name, row)
+                rows += 1
+        wal.checkpoint(
+            epoch=db.storage.vmem.epoch,
+            counter=enclave.counter.read(),
+            rsws_hex=db._rsws_summary(),
+        )
+    finally:
+        wal.close()
+    return rows
 
-    tables: list[tuple[str, Schema, list[tuple]]]
 
-
-def snapshot_database(db: VeriDB) -> ReplicaSnapshot:
-    """Export every table (the replica's side of recovery)."""
-    tables = []
-    for name in db.catalog.table_names():
-        info = db.catalog.lookup(name)
-        rows = info.store.seq_scan()
-        tables.append((name, info.schema, rows))
-    return ReplicaSnapshot(tables)
-
-
-# ----------------------------------------------------------------------
-# the shared replay path
-# ----------------------------------------------------------------------
 def _apply_op(db: VeriDB, rtype: int, body: dict, codec: RecordCodec) -> None:
     """Apply one logged operation through the normal write interfaces."""
     if rtype == DDL_CREATE:
@@ -124,50 +128,29 @@ def _apply_op(db: VeriDB, rtype: int, body: dict, codec: RecordCodec) -> None:
         )
 
 
-def _replay_ops(db: VeriDB, ops: Iterable[tuple[int, dict]]) -> int:
-    """Replay an op stream; returns how many operations were applied.
+def _replay(db: VeriDB, records) -> int:
+    """Replay a verified log; returns how many operations were applied.
 
     Replay runs through ``create_table``/``insert``/``delete``/``update``
     — the verified write path — so the RS/WS synopsis, key chains,
     indexes and page digests are all rebuilt as a side effect, exactly
-    the paper's recovery story.
+    the paper's recovery story. HEADER and CHECKPOINT carry no state.
     """
     faults = default_fault_plane()
     codec = RecordCodec()
     applied = 0
-    for rtype, body in ops:
+    for record in records:
+        if record.rtype not in ROW_FIELDS:
+            continue
         # Injection site: replay dies mid-way through rebuilding state.
         # The log is read-only during replay and the half-built instance
         # is discarded, so a fresh recovery attempt is safe and succeeds.
         faults.check(fault_sites.WAL_REPLAY_ABORT)
-        _apply_op(db, rtype, body, codec)
+        _apply_op(db, record.rtype, record.body, codec)
         applied += 1
     return applied
 
 
-def recover_database(snapshot: ReplicaSnapshot, config=None) -> VeriDB:
-    """Build a fresh instance and replay the snapshot through the normal
-    write path, rebuilding all enclave-side verification state."""
-    db = VeriDB(config)
-    codec = RecordCodec()
-    _replay_ops(db, _snapshot_ops(snapshot, codec))
-    db.verify_now()  # the replayed state checks out immediately
-    return db
-
-
-def _snapshot_ops(
-    snapshot: ReplicaSnapshot, codec: RecordCodec
-) -> Iterator[tuple[int, dict]]:
-    """A snapshot as the equivalent DDL/DML op stream (WAL-record bodies)."""
-    for name, schema, rows in snapshot.tables:
-        yield DDL_CREATE, {"table": name, "schema": schema_to_dict(schema)}
-        for row in rows:
-            yield INSERT, {"table": name, "row": codec.encode(tuple(row)).hex()}
-
-
-# ----------------------------------------------------------------------
-# verified crash recovery from the write-ahead log
-# ----------------------------------------------------------------------
 def recover_from_wal(
     wal_dir: str | Path, config: VeriDBConfig | None = None, registry=None
 ) -> VeriDB:
@@ -193,14 +176,7 @@ def recover_from_wal(
     reader = WalReader(wal_dir, key=wal_key, unseal=db.enclave.unseal)
     try:
         state = reader.load()
-        applied = _replay_ops(
-            db,
-            (
-                (record.rtype, record.body)
-                for record in state.records
-                if record.rtype in _REPLAYABLE
-            ),
-        )
+        applied = _replay(db, state.records)
         _check_content_digests(db, state, wal_key)
         # a full pass over the replayed state must close cleanly before
         # the instance is trusted to serve
@@ -219,16 +195,16 @@ def recover_from_wal(
             )
         raise
     db.enclave.counter.restore(state.counter + COUNTER_SKIP)
-    wal = WriteAheadLog.resume(
+    wal = WriteAheadLog(
         wal_dir,
         key=wal_key,
         seal=db.enclave.seal,
         unseal=db.enclave.unseal,
-        state=state,
         counter_read=db.enclave.counter.read,
         group_commit=config.wal_group_commit,
         fsync=config.wal_fsync,
         registry=db.obs,
+        resume=state,
     )
     db.attach_wal(wal)
     # seal the recovered state: the next crash replays from here with
@@ -245,7 +221,7 @@ def recover_from_wal(
                 "wal_dir": str(wal_dir),
                 "records_replayed": applied,
                 "last_seq": state.last_seq,
-                "tables": sorted(state.row_counts),
+                "tables": sorted(state.ledger.counts),
                 "counter": state.counter + COUNTER_SKIP,
             }
         )
@@ -256,71 +232,19 @@ def _check_content_digests(db: VeriDB, state, wal_key: bytes) -> None:
     """The final gate: recovered tables must match the log's digest.
 
     The reader derived per-table keyed content digests from the *log*;
-    here the same digests are derived from the *replayed tables* (read
-    back through verified scans). Any divergence — an untrusted layer
-    lying during replay, an applier bug — is refused rather than served.
+    here the same ledger is folded over the *replayed tables* (read back
+    through verified scans). Any divergence — an untrusted layer lying
+    during replay, an applier bug — is refused rather than served.
     """
-    auth = MessageAuthenticator(wal_key)
+    derived = ContentLedger(MessageAuthenticator(wal_key))
     codec = RecordCodec()
-    derived: dict[str, SetHash] = {}
-    counts: dict[str, int] = {}
     for name in db.catalog.table_names():
-        info = db.catalog.lookup(name)
-        lname = info.name.lower()
-        digest = content_sethash()
-        rows = info.store.seq_scan()
-        for row in rows:
-            digest.add(row_element(auth, lname, codec.encode(tuple(row))))
-        derived[lname] = digest
-        counts[lname] = len(rows)
-    if counts != state.row_counts or derived != state.digests:
+        derived.apply(DDL_CREATE, name)
+        for row in db.table(name).seq_scan():
+            derived.apply(INSERT, name, codec.encode(tuple(row)))
+    if derived != state.ledger:
         raise RecoveryIntegrityError(
             "replayed tables do not match the log's content digest: "
-            f"log binds {state.row_counts}, replay produced {counts}",
+            f"log binds {state.ledger.counts}, replay produced {derived.counts}",
             reason="content-digest",
         )
-
-
-# ----------------------------------------------------------------------
-# disk persistence (what a replica would actually ship)
-# ----------------------------------------------------------------------
-_FORMAT_VERSION = 1
-
-
-def save_snapshot(snapshot: ReplicaSnapshot, path: str | Path) -> int:
-    """Write a snapshot to disk; returns the total row count.
-
-    Rows are serialized with the canonical record codec (hex-encoded in
-    a JSON envelope), so every SQL type — dates, floats, NULLs —
-    round-trips exactly.
-    """
-    codec = RecordCodec()
-    payload = {"version": _FORMAT_VERSION, "tables": []}
-    total = 0
-    for name, schema, rows in snapshot.tables:
-        payload["tables"].append(
-            {
-                "name": name,
-                "schema": schema_to_dict(schema),
-                "rows": [codec.encode(tuple(row)).hex() for row in rows],
-            }
-        )
-        total += len(rows)
-    Path(path).write_text(json.dumps(payload))
-    return total
-
-
-def load_snapshot(path: str | Path) -> ReplicaSnapshot:
-    """Read a snapshot written by :func:`save_snapshot`."""
-    codec = RecordCodec()
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported snapshot version {payload.get('version')!r}"
-        )
-    tables = []
-    for entry in payload["tables"]:
-        schema = schema_from_dict(entry["schema"])
-        rows = [codec.decode(bytes.fromhex(blob)) for blob in entry["rows"]]
-        tables.append((entry["name"], schema, rows))
-    return ReplicaSnapshot(tables)

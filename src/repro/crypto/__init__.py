@@ -7,8 +7,6 @@ portal, the MB-Tree baseline) builds on it.
 * :mod:`repro.crypto.keys` — key generation and derivation.
 * :mod:`repro.crypto.prf` — keyed pseudo-random function over structured
   inputs; the ``PRF(addr, data, ts)`` of Algorithm 1.
-* :mod:`repro.crypto.sethash` — XOR-homomorphic multiset hash, the
-  ``h(RS)`` / ``h(WS)`` accumulators.
 * :mod:`repro.crypto.mac` — message authentication for query
   authorization and result endorsement (Section 5.1).
 * :mod:`repro.crypto.merkle` — hash helpers for the MB-Tree baseline.
@@ -18,13 +16,11 @@ from repro.crypto.keys import KeyChain, derive_key, generate_key
 from repro.crypto.mac import MessageAuthenticator
 from repro.crypto.merkle import hash_interior, hash_leaf
 from repro.crypto.prf import PRF
-from repro.crypto.sethash import SetHash
 
 __all__ = [
     "KeyChain",
     "MessageAuthenticator",
     "PRF",
-    "SetHash",
     "derive_key",
     "generate_key",
     "hash_interior",

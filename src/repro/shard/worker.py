@@ -93,7 +93,13 @@ class ShardWorker:
 
     # ------------------------------------------------------------------
     def handle(self, blob: bytes) -> bytes:
-        """Verify one request, run it, and seal the reply."""
+        """Verify one request, run it, make it durable, and seal the reply.
+
+        A reply means durable: the worker's log is committed before any
+        reply is sealed, so nothing the coordinator has been told sits in
+        a group-commit buffer when the worker dies. A failed commit
+        answers with its error instead.
+        """
         # the claimed request id is echoed even on failure so the
         # coordinator can match the (authenticated) error to its request
         claimed = int.from_bytes(blob[8:16], "little") if len(blob) >= 16 else 0
@@ -103,13 +109,19 @@ class ShardWorker:
             )
             self._last_request_id = request_id
             result = self._dispatch(op, payload)
-            if result is FRAGMENT_MISS:
-                status, reply_payload = "miss", None
-            else:
-                status, reply_payload = "ok", result
         except VeriDBError as error:
-            request_id = claimed
-            status, reply_payload = "err", encode_error(error)
+            request_id, result = claimed, error
+        if self.db.wal is not None:
+            try:
+                self.db.wal.commit()
+            except VeriDBError as error:
+                result = error
+        if isinstance(result, VeriDBError):
+            status, reply_payload = "err", encode_error(result)
+        elif result is FRAGMENT_MISS:
+            status, reply_payload = "miss", None
+        else:
+            status, reply_payload = "ok", result
         self._seqno += 1
         return seal_reply(
             self._mac,
@@ -247,10 +259,6 @@ class ShardWorker:
         self.fleet_digest = payload["fleet_digest"]
         self._prepared = None
         return fleet_round
-
-    def _op_verify(self, payload: dict) -> bool:
-        self.db.verify_now()
-        return True
 
     # -- fleet observability -------------------------------------------
     def _op_metrics_snapshot(self, payload: dict) -> dict:

@@ -25,11 +25,12 @@ from repro.wal.records import (
     GENESIS_MAC,
     HEADER,
     INSERT,
+    ROW_FIELDS,
     UPDATE,
     WAL_VERSION,
+    ContentLedger,
     WalRecord,
     chain_mac,
-    content_sethash,
     encode_frame,
     parse_segment,
     row_element,
@@ -43,14 +44,15 @@ __all__ = [
     "GENESIS_MAC",
     "HEADER",
     "INSERT",
+    "ROW_FIELDS",
     "UPDATE",
     "WAL_VERSION",
+    "ContentLedger",
     "WalReader",
     "WalRecord",
     "WalState",
     "WriteAheadLog",
     "chain_mac",
-    "content_sethash",
     "encode_frame",
     "parse_segment",
     "row_element",

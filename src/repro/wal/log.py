@@ -77,7 +77,6 @@ import threading
 
 from repro.catalog.schema import Schema, schema_to_dict
 from repro.crypto.mac import TAG_SIZE, MessageAuthenticator
-from repro.crypto.sethash import SetHash
 from repro.errors import StorageError, TransientFault
 from repro.faults import default_fault_plane, sites as fault_sites
 from repro.obs import default_event_sink, default_registry
@@ -92,11 +91,10 @@ from repro.wal.records import (
     INSERT,
     UPDATE,
     WAL_VERSION,
+    ContentLedger,
     chain_mac,
-    content_sethash,
     encode_body,
     encode_frame,
-    row_element,
 )
 
 SEGMENT_PREFIX = "wal-"
@@ -137,6 +135,10 @@ class WriteAheadLog:
             snapshotted into every anchor.
         group_commit: records per sync (1 = sync every append).
         fsync: issue a real ``os.fsync`` per sync instead of a flush.
+        resume: the :class:`~repro.wal.reader.WalState` of a verified
+            log in ``directory`` — continue its chain instead of starting
+            a fresh log (the crash recovery path, see
+            :meth:`_open_resumed`).
     """
 
     def __init__(
@@ -150,7 +152,7 @@ class WriteAheadLog:
         fsync: bool = False,
         registry=None,
         faults=None,
-        _resume_state=None,
+        resume=None,
     ):
         if group_commit < 1:
             raise StorageError("wal group_commit must be >= 1")
@@ -179,14 +181,13 @@ class WriteAheadLog:
         self._anchor = None
         #: per-table keyed content digests + row counts; what checkpoints
         #: bind and recovery cross-checks against the replayed tables
-        self._digests: dict[str, SetHash] = {}
-        self._row_counts: dict[str, int] = {}
+        self._ledger = ContentLedger(self._auth)
 
         self._dir.mkdir(parents=True, exist_ok=True)
-        if _resume_state is None:
+        if resume is None:
             self._open_fresh()
         else:
-            self._open_resumed(_resume_state)
+            self._open_resumed(resume)
 
     # ------------------------------------------------------------------
     # construction paths
@@ -232,9 +233,8 @@ class WriteAheadLog:
         self._chain = state.last_mac
         self._checkpoint_seq = state.checkpoint_seq
         self._nv = state.nv
-        for name, digest in state.digests.items():
-            self._digests[name] = digest.copy()
-        self._row_counts.update(state.row_counts)
+        self._ledger.digests.update(state.ledger.digests)
+        self._ledger.counts.update(state.ledger.counts)
         self._segment_index = segment_index(state.segments[-1]) + 1
         with self._lock:
             self._open_segment_locked()
@@ -245,42 +245,12 @@ class WriteAheadLog:
             # any torn bytes at its end)
             self._compact_anchor_locked()
 
-    @classmethod
-    def resume(
-        cls,
-        directory: str | Path,
-        key: bytes,
-        seal: Callable[[bytes], bytes],
-        unseal: Callable[[bytes], bytes],
-        state,
-        counter_read: Callable[[], int] | None = None,
-        group_commit: int = 64,
-        fsync: bool = False,
-        registry=None,
-        faults=None,
-    ) -> "WriteAheadLog":
-        """Reopen a verified log for appending (see :meth:`_open_resumed`)."""
-        return cls(
-            directory,
-            key,
-            seal,
-            unseal,
-            counter_read=counter_read,
-            group_commit=group_commit,
-            fsync=fsync,
-            registry=registry,
-            faults=faults,
-            _resume_state=state,
-        )
-
     # ------------------------------------------------------------------
     # append interface (called by catalog/table under their own locks)
     # ------------------------------------------------------------------
     def append_ddl_create(self, table: str, schema: Schema) -> None:
         with self._lock:
-            name = table.lower()
-            self._digests[name] = content_sethash()
-            self._row_counts[name] = 0
+            self._ledger.apply(DDL_CREATE, table)
             self._append_locked(
                 DDL_CREATE, {"table": table, "schema": schema_to_dict(schema)}
             )
@@ -288,18 +258,14 @@ class WriteAheadLog:
 
     def append_ddl_drop(self, table: str) -> None:
         with self._lock:
-            name = table.lower()
-            self._digests.pop(name, None)
-            self._row_counts.pop(name, None)
+            self._ledger.apply(DDL_DROP, table)
             self._append_locked(DDL_DROP, {"table": table})
             self._maybe_sync_locked()
 
     def append_insert(self, table: str, row: Iterable[Any]) -> None:
         with self._lock:
             row_bytes = self._codec.encode(tuple(row))
-            name = table.lower()
-            self._digests[name].add(row_element(self._auth, name, row_bytes))
-            self._row_counts[name] += 1
+            self._ledger.apply(INSERT, table, row_bytes)
             self._append_locked(INSERT, {"table": table, "row": row_bytes.hex()})
             self._maybe_sync_locked()
 
@@ -308,9 +274,7 @@ class WriteAheadLog:
         content digest both have the removed element."""
         with self._lock:
             row_bytes = self._codec.encode(tuple(row))
-            name = table.lower()
-            self._digests[name].remove(row_element(self._auth, name, row_bytes))
-            self._row_counts[name] -= 1
+            self._ledger.apply(DELETE, table, row_bytes)
             self._append_locked(DELETE, {"table": table, "row": row_bytes.hex()})
             self._maybe_sync_locked()
 
@@ -320,10 +284,7 @@ class WriteAheadLog:
         with self._lock:
             old_bytes = self._codec.encode(tuple(old_row))
             new_bytes = self._codec.encode(tuple(new_row))
-            name = table.lower()
-            digest = self._digests[name]
-            digest.remove(row_element(self._auth, name, old_bytes))
-            digest.add(row_element(self._auth, name, new_bytes))
+            self._ledger.apply(UPDATE, table, old_bytes, new_bytes)
             self._append_locked(
                 UPDATE,
                 {"table": table, "old": old_bytes.hex(), "new": new_bytes.hex()},
@@ -362,9 +323,8 @@ class WriteAheadLog:
                         "epoch": epoch,
                         "counter": counter,
                         "nv": self._nv,
-                        "digest": self.content_digest_hex(),
                         "rsws": rsws_hex,
-                        "tables": dict(sorted(self._row_counts.items())),
+                        **self._ledger.binding(),
                     }
                 )
             )
@@ -418,14 +378,7 @@ class WriteAheadLog:
 
     def content_digest_hex(self) -> str:
         """Merged (XOR) keyed content digest over every table's rows."""
-        merged = content_sethash()
-        for digest in self._digests.values():
-            merged.merge(digest)
-        return merged.hex()
-
-    def row_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._row_counts)
+        return self._ledger.digest_hex()
 
     # ------------------------------------------------------------------
     # internals (all called with the lock held)

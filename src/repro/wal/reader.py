@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.crypto.mac import MessageAuthenticator
-from repro.crypto.sethash import SetHash
 from repro.errors import IntegrityError, RecoveryIntegrityError
 from repro.wal.log import (
     ANCHOR_FILE,
@@ -58,18 +57,13 @@ from repro.wal.log import (
 )
 from repro.wal.records import (
     CHECKPOINT,
-    DDL_CREATE,
-    DDL_DROP,
-    DELETE,
     GENESIS_MAC,
     HEADER,
-    INSERT,
-    UPDATE,
+    ROW_FIELDS,
     WAL_VERSION,
+    ContentLedger,
     WalRecord,
-    content_sethash,
     parse_segment,
-    row_element,
     verify_chain,
 )
 
@@ -86,8 +80,8 @@ class WalState:
     checkpoint: dict | None
     checkpoint_seq: int
     nv: int
-    digests: dict[str, SetHash] = field(default_factory=dict)
-    row_counts: dict[str, int] = field(default_factory=dict)
+    #: content digests and row counts the log derives (checkpoint-bound)
+    ledger: ContentLedger
     #: (segment path, offset) of a torn tail to truncate before resuming
     truncate: tuple[Path, int] | None = None
     segments: list[Path] = field(default_factory=list)
@@ -140,7 +134,7 @@ class WalReader:
         self._check_sequence(records)
         self._check_chain(records)
         self._check_anchor_binding(records, anchor)
-        digests, row_counts, checkpoint, checkpoint_seq = self._walk(records, anchor)
+        ledger, checkpoint, checkpoint_seq = self._walk(records, anchor)
         last = records[-1]
         return WalState(
             records=records,
@@ -151,8 +145,7 @@ class WalReader:
             checkpoint=checkpoint,
             checkpoint_seq=checkpoint_seq,
             nv=anchor["nv"],
-            digests=digests,
-            row_counts=row_counts,
+            ledger=ledger,
             truncate=truncate,
             segments=segments,
         )
@@ -302,52 +295,21 @@ class WalReader:
 
     def _walk(
         self, records: list[WalRecord], anchor: dict
-    ) -> tuple[dict[str, SetHash], dict[str, int], dict | None, int]:
+    ) -> tuple[ContentLedger, dict | None, int]:
         """Derive content digests and verify every checkpoint binding."""
-        digests: dict[str, SetHash] = {}
-        row_counts: dict[str, int] = {}
+        ledger = ContentLedger(self._auth)
         checkpoint: dict | None = None
         checkpoint_seq = 0
         for record in records:
-            body = record.body
+            rtype, body = record.rtype, record.body
             try:
-                if record.rtype == DDL_CREATE:
-                    name = body["table"].lower()
-                    digests[name] = content_sethash()
-                    row_counts[name] = 0
-                elif record.rtype == DDL_DROP:
-                    name = body["table"].lower()
-                    del digests[name]
-                    del row_counts[name]
-                elif record.rtype == INSERT:
-                    name = body["table"].lower()
-                    element = row_element(
-                        self._auth, name, bytes.fromhex(body["row"])
-                    )
-                    digests[name].add(element)
-                    row_counts[name] += 1
-                elif record.rtype == DELETE:
-                    name = body["table"].lower()
-                    element = row_element(
-                        self._auth, name, bytes.fromhex(body["row"])
-                    )
-                    digests[name].remove(element)
-                    row_counts[name] -= 1
-                elif record.rtype == UPDATE:
-                    name = body["table"].lower()
-                    digest = digests[name]
-                    digest.remove(
-                        row_element(self._auth, name, bytes.fromhex(body["old"]))
-                    )
-                    digest.add(
-                        row_element(self._auth, name, bytes.fromhex(body["new"]))
-                    )
-                elif record.rtype == CHECKPOINT:
-                    checkpoint = self._check_checkpoint(
-                        record, digests, row_counts
-                    )
+                if rtype == CHECKPOINT:
+                    checkpoint = self._check_checkpoint(record, ledger)
                     checkpoint_seq = record.seq
-            except (KeyError, ValueError, AttributeError) as err:
+                elif rtype in ROW_FIELDS:
+                    rows = (bytes.fromhex(body[f]) for f in ROW_FIELDS[rtype])
+                    ledger.apply(rtype, body["table"], *rows)
+            except (KeyError, ValueError, AttributeError, TypeError) as err:
                 raise RecoveryIntegrityError(
                     f"structurally impossible record at seq {record.seq} "
                     f"({err!r}): no honest writer produces this sequence",
@@ -360,14 +322,9 @@ class WalReader:
                 f"is at {checkpoint_seq}: stale segments were swapped in",
                 reason="stale-checkpoint",
             )
-        return digests, row_counts, checkpoint, checkpoint_seq
+        return ledger, checkpoint, checkpoint_seq
 
-    def _check_checkpoint(
-        self,
-        record: WalRecord,
-        digests: dict[str, SetHash],
-        row_counts: dict[str, int],
-    ) -> dict:
+    def _check_checkpoint(self, record: WalRecord, ledger: ContentLedger) -> dict:
         try:
             payload = json.loads(
                 self._unseal(bytes.fromhex(record.body["sealed"])).decode("utf-8")
@@ -377,12 +334,8 @@ class WalReader:
                 f"checkpoint at seq {record.seq} does not unseal: {err}",
                 reason="unsealable",
             ) from err
-        merged = content_sethash()
-        for digest in digests.values():
-            merged.merge(digest)
-        if payload.get("digest") != merged.hex() or payload.get("tables") != {
-            name: count for name, count in sorted(row_counts.items())
-        }:
+        binding = ledger.binding()
+        if any(payload.get(key) != value for key, value in binding.items()):
             raise RecoveryIntegrityError(
                 f"checkpoint at seq {record.seq} does not bind the "
                 f"log-derived content digest: the records before it were "

@@ -6,8 +6,7 @@ One log record is one *frame*::
 
 ``body`` is canonical JSON (sorted keys, UTF-8); rows inside bodies are
 hex-encoded through the canonical :class:`~repro.storage.record.RecordCodec`
-so every SQL type round-trips exactly, the same envelope
-``repro.core.recovery.save_snapshot`` already uses.
+so every SQL type round-trips exactly.
 
 The MAC chain (what makes the log tamper-evident on an untrusted disk)::
 
@@ -25,10 +24,9 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.mac import TAG_SIZE, MessageAuthenticator
-from repro.crypto.sethash import SetHash
 
 #: format version carried by the HEADER record
 WAL_VERSION = 1
@@ -43,6 +41,16 @@ UPDATE = 6
 CHECKPOINT = 7
 
 RECORD_TYPES = (HEADER, DDL_CREATE, DDL_DROP, INSERT, DELETE, UPDATE, CHECKPOINT)
+
+#: the replayable record types, each with the body fields holding its
+#: encoded rows in the order :meth:`ContentLedger.apply` folds them
+ROW_FIELDS = {
+    DDL_CREATE: (),
+    DDL_DROP: (),
+    INSERT: ("row",),
+    DELETE: ("row",),
+    UPDATE: ("old", "new"),
+}
 
 #: the chain value "before" the first record
 GENESIS_MAC = b"\x00" * TAG_SIZE
@@ -75,16 +83,6 @@ def row_element(auth: MessageAuthenticator, table: str, row_bytes: bytes) -> byt
     elements.
     """
     return auth.tag(b"row", table.lower().encode("utf-8"), row_bytes)
-
-
-def content_sethash() -> SetHash:
-    """A fresh accumulator sized for :func:`row_element` digests.
-
-    Row elements are full 32-byte MAC tags (not the 16-byte PRF digests
-    the memory checker folds), so content digests need the wider
-    accumulator.
-    """
-    return SetHash(digest_size=TAG_SIZE)
 
 
 def encode_frame(seq: int, rtype: int, body: bytes, mac: bytes) -> bytes:
@@ -141,6 +139,53 @@ def parse_segment(data: bytes) -> tuple[list[WalRecord], int]:
         offset = end
 
 
+@dataclass
+class ContentLedger:
+    """Per-table keyed content digests and row counts of a logged history.
+
+    A table's digest is the XOR of the :func:`row_element` tags of its
+    live rows, as one int; XOR is its own inverse, so a delete folds the
+    removed row's tag out again. The writer folds every op it appends,
+    the reader every op it verifies, and recovery the rows it scanned
+    back — one fold, three callers, and a checkpoint seals
+    :meth:`binding`.
+    """
+
+    auth: MessageAuthenticator = field(compare=False, repr=False)
+    digests: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
+
+    def apply(self, rtype: int, table: str, *rows: bytes) -> None:
+        """Fold one logged op: ``rows`` are its encoded rows — none for
+        DDL, the row for INSERT and DELETE, old then new for UPDATE.
+        Raises ``KeyError`` for a table the history never created."""
+        name = table.lower()
+        if rtype == DDL_CREATE:
+            self.digests[name] = 0
+            self.counts[name] = 0
+            return
+        if rtype == DDL_DROP:
+            del self.digests[name], self.counts[name]
+            return
+        delta = 0
+        for row in rows:
+            delta ^= int.from_bytes(row_element(self.auth, name, row), "little")
+        self.digests[name] ^= delta
+        if rtype != UPDATE:
+            self.counts[name] += 1 if rtype == INSERT else -1
+
+    def digest_hex(self) -> str:
+        """The merged (XOR) digest over every table."""
+        merged = 0
+        for digest in self.digests.values():
+            merged ^= digest
+        return merged.to_bytes(TAG_SIZE, "little").hex()
+
+    def binding(self) -> dict:
+        """The content half of a checkpoint's sealed body."""
+        return {"digest": self.digest_hex(), "tables": dict(sorted(self.counts.items()))}
+
+
 def verify_chain(
     auth: MessageAuthenticator, prev_mac: bytes, record: WalRecord
 ) -> bool:
@@ -162,8 +207,10 @@ __all__ = [
     "INSERT",
     "MAX_BODY_BYTES",
     "RECORD_TYPES",
+    "ROW_FIELDS",
     "UPDATE",
     "WAL_VERSION",
+    "ContentLedger",
     "WalRecord",
     "chain_mac",
     "encode_body",

@@ -1,23 +1,21 @@
-"""Disk persistence of replica snapshots."""
+"""Disk persistence of replica snapshots.
 
-import json
+A snapshot on disk is a sealed, checkpoint-only log; it comes back
+through ``recover_from_wal`` under the enclave identity that wrote it.
+"""
 
 import pytest
 
 from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
-from repro.core.recovery import (
-    load_snapshot,
-    recover_database,
-    save_snapshot,
-    snapshot_database,
-)
-from repro.errors import StorageError
+from repro.core.recovery import recover_from_wal, snapshot_database
+
+SEED = 88
 
 
 @pytest.fixture
 def db():
-    database = VeriDB(VeriDBConfig(key_seed=88))
+    database = VeriDB(VeriDBConfig(key_seed=SEED))
     database.sql(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, d DATE, f FLOAT, "
         "s TEXT, b BOOLEAN, CHAIN (d))"
@@ -33,21 +31,22 @@ def db():
 
 def test_save_load_roundtrip(db, tmp_path):
     path = tmp_path / "replica.snapshot"
-    total = save_snapshot(snapshot_database(db), path)
+    total = snapshot_database(db, path)
     assert total == 2
-    loaded = load_snapshot(path)
-    assert [name for name, _, _ in loaded.tables] == ["empty", "t"]
-    name, schema, rows = loaded.tables[1]
+    loaded = recover_from_wal(path, VeriDBConfig(key_seed=SEED))
+    assert sorted(n.lower() for n in loaded.catalog.table_names()) == ["empty", "t"]
+    schema = loaded.table("t").schema
     assert schema.chains == ("id", "d")
+    rows = sorted(loaded.table("t").seq_scan())
     assert len(rows) == 2
-    original = snapshot_database(db).tables[1][2]
-    assert rows == original
+    assert rows == sorted(db.table("t").seq_scan())
+    assert list(loaded.table("empty").seq_scan()) == []
 
 
 def test_recover_from_disk(db, tmp_path):
     path = tmp_path / "replica.snapshot"
-    save_snapshot(snapshot_database(db), path)
-    recovered = recover_database(load_snapshot(path), VeriDBConfig(key_seed=89))
+    snapshot_database(db, path)
+    recovered = recover_from_wal(path, VeriDBConfig(key_seed=SEED))
     assert recovered.sql("SELECT * FROM t ORDER BY id").rows == db.sql(
         "SELECT * FROM t ORDER BY id"
     ).rows
@@ -56,26 +55,6 @@ def test_recover_from_disk(db, tmp_path):
         "SELECT id FROM t WHERE d >= DATE '2000-01-01'"
     ).rows == [(1,)]
     recovered.verify_now()
-
-
-def test_unsupported_version_rejected(db, tmp_path):
-    path = tmp_path / "replica.snapshot"
-    save_snapshot(snapshot_database(db), path)
-    payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
-        load_snapshot(path)
-
-
-def test_corrupted_rows_rejected(db, tmp_path):
-    path = tmp_path / "replica.snapshot"
-    save_snapshot(snapshot_database(db), path)
-    payload = json.loads(path.read_text())
-    payload["tables"][1]["rows"][0] = "deadbeef"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(StorageError):
-        load_snapshot(path)
 
 
 def test_decimal_schema_roundtrip(tmp_path):
@@ -93,8 +72,8 @@ def test_decimal_schema_roundtrip(tmp_path):
     db.create_table("money", schema)
     db.table("money").insert((1, 12345))
     path = tmp_path / "snap"
-    save_snapshot(snapshot_database(db), path)
-    loaded = load_snapshot(path)
-    _, restored_schema, rows = loaded.tables[0]
-    assert restored_schema.column("price").type == DecimalType(scale=4)
-    assert rows == [(1, 12345)]
+    snapshot_database(db, path)
+    loaded = recover_from_wal(path, VeriDBConfig(key_seed=90))
+    restored = loaded.table("money")
+    assert restored.schema.column("price").type == DecimalType(scale=4)
+    assert list(restored.seq_scan()) == [(1, 12345)]

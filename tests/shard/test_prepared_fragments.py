@@ -199,10 +199,7 @@ def test_worker_replans_a_stale_fragment_from_its_stored_ast():
 
 
 def test_restarted_worker_misses_and_gets_one_resend(tmp_path):
-    # group commit 1: the restarted worker recovers every loaded row
-    base = VeriDBConfig(
-        key_seed=19, wal_dir=str(tmp_path / "wal"), wal_group_commit=1
-    )
+    base = VeriDBConfig(key_seed=19, wal_dir=str(tmp_path / "wal"))
     with fleet(base=base) as db:
         load(db)
         agg = db.prepare(AGG)

@@ -14,12 +14,7 @@ from repro import (
     VerificationFailure,
 )
 from repro.core.incident import investigate
-from repro.core.recovery import (
-    load_snapshot,
-    recover_database,
-    save_snapshot,
-    snapshot_database,
-)
+from repro.core.recovery import recover_from_wal, snapshot_database
 from repro.memory.adversary import Adversary
 from repro.memory.cells import make_addr
 
@@ -88,8 +83,8 @@ def test_transactional_maintenance_then_recovery(db, tmp_path):
     before = database.sql("SELECT COUNT(*), SUM(amount) FROM orders").rows
 
     path = tmp_path / "replica"
-    save_snapshot(snapshot_database(database), path)
-    recovered = recover_database(load_snapshot(path), VeriDBConfig(key_seed=100))
+    snapshot_database(database, path)
+    recovered = recover_from_wal(path, VeriDBConfig(key_seed=99))
     assert recovered.sql("SELECT COUNT(*), SUM(amount) FROM orders").rows == before
     # verified range access works on the recovered chains
     assert recovered.sql(

@@ -349,9 +349,7 @@ def test_restarted_shard_worker_recovers_its_partition(tmp_path, transport):
     from repro.core.config import ShardConfig
     from repro.shard import ShardedDatabase
 
-    # group commit 1: a worker's statement is durable when it replies
-    # (the coordinator has no log of its own to commit before endorsing)
-    base = config(tmp_path, wal_group_commit=1)
+    base = config(tmp_path)
     db = ShardedDatabase(
         ShardConfig(shard_count=2, transport=transport, base=base)
     )
@@ -379,6 +377,31 @@ def test_restarted_shard_worker_recovers_its_partition(tmp_path, transport):
         client.execute("INSERT INTO t VALUES (100, 1)")
         assert len(client.execute("SELECT k FROM t").rows) == 24
         db.verify_now()
+    finally:
+        db.close()
+
+
+def test_shard_reply_is_durable_at_default_group_commit(tmp_path):
+    """A worker commits its log before it replies: with no log of its
+    own, the coordinator endorses only over replies, so a restarted
+    worker must hold every row the fleet acknowledged — at the default
+    group commit, not only at 1."""
+    from repro.core.config import ShardConfig
+    from repro.shard import ShardedDatabase
+
+    assert VeriDBConfig().wal_group_commit > 24
+    db = ShardedDatabase(
+        ShardConfig(shard_count=2, transport="inproc", base=config(tmp_path))
+    )
+    try:
+        client = db.connect()
+        client.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+        for i in range(24):
+            client.execute(f"INSERT INTO t VALUES ({i}, {i * 3})")
+        db.restart_worker(0)
+        assert client.execute("SELECT k, v FROM t ORDER BY k").rows == tuple(
+            (i, i * 3) for i in range(24)
+        )
     finally:
         db.close()
 

@@ -19,12 +19,7 @@ Two sites invert the expectation by design: ``wal.fsync_lost`` is a
 recovery must refuse rather than serve a state missing acknowledged
 writes; ``wal.replay_abort`` fires during recovery itself, and a fresh
 attempt must succeed because replay never mutates the log.
-
-``REPRO_RECOVERY_SITES`` (comma-separated site names) reduces the
-matrix — the CI recovery-smoke job runs the WAL sites only.
 """
-
-import os
 
 import pytest
 
@@ -32,10 +27,10 @@ from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
 from repro.core.recovery import recover_from_wal
 from repro.crypto.keys import KeyChain
-from repro.crypto.mac import MessageAuthenticator
+from repro.crypto.mac import TAG_SIZE, MessageAuthenticator
 from repro.errors import RecoveryIntegrityError, StorageError, TransientFault, VeriDBError
 from repro.faults import ChaosPlane, ChaosSchedule, scoped_fault_plane, sites
-from repro.wal import content_sethash, row_element
+from repro.wal import row_element
 from repro.storage.record import RecordCodec
 
 #: sites the matrix kills at, with the documented recovery expectation
@@ -49,13 +44,6 @@ MATRIX = {
     sites.TRANSIENT_READ_ERROR: "recover",
     sites.EPC_SWAP_ERROR: "recover",
 }
-
-_selected = os.environ.get("REPRO_RECOVERY_SITES")
-SITES = (
-    [s for s in MATRIX if s in set(_selected.split(","))]
-    if _selected
-    else list(MATRIX)
-)
 
 SEED = 31
 
@@ -103,20 +91,21 @@ def apply_shadow(shadow, op):
 
 def shadow_digest_hex(shadow, schema_rows_fn):
     """The content digest the log should bind, recomputed from the
-    shadow model alone (same key derivation, independent bookkeeping)."""
+    shadow model alone (same key derivation, independent bookkeeping:
+    the XOR of every live row's keyed tag)."""
     auth = MessageAuthenticator(KeyChain(seed=SEED).key_for("wal"))
     codec = RecordCodec()
-    digest = content_sethash()
+    digest = 0
     for row in schema_rows_fn(shadow):
-        digest.add(row_element(auth, "t", codec.encode(row)))
-    return digest.hex()
+        digest ^= int.from_bytes(row_element(auth, "t", codec.encode(row)), "little")
+    return digest.to_bytes(TAG_SIZE, "little").hex()
 
 
 def rows_of(shadow):
     return [(k, v) for k, v in sorted(shadow.items())]
 
 
-@pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize("site", list(MATRIX))
 def test_crash_at_site_then_recover(tmp_path, site):
     expectation = MATRIX[site]
     if expectation == "replay-retry":

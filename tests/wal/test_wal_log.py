@@ -8,6 +8,8 @@ an existing log. End-to-end write→crash→recover behaviour lives in
 mutations in ``test_tamper.py``.
 """
 
+import json
+
 import pytest
 
 from repro.core.config import VeriDBConfig
@@ -18,14 +20,20 @@ from repro.crypto.mac import MessageAuthenticator
 from repro.errors import RecoveryIntegrityError, StorageError
 from repro.obs import MetricsRegistry
 from repro.wal import (
+    DDL_CREATE,
+    DDL_DROP,
+    DELETE,
     GENESIS_MAC,
     HEADER,
     INSERT,
+    UPDATE,
+    ContentLedger,
     WalReader,
     chain_mac,
     encode_frame,
     parse_segment,
 )
+from repro.wal.log import ANCHOR_FILE, ANCHOR_PLAIN_BYTES
 from repro.wal.records import encode_body, verify_chain, WalRecord
 
 
@@ -42,6 +50,31 @@ def make_db(tmp_path, group_commit=1, registry=None, seed=11):
     db = VeriDB(cfg, registry=registry)
     db.sql("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
     return db, cfg
+
+
+# ----------------------------------------------------------------------
+# the content ledger: one XOR fold per table, order-free, self-inverse
+# ----------------------------------------------------------------------
+def test_content_ledger_folds_every_logged_op():
+    rows = [bytes([i]) * 5 for i in range(6)]
+    forward, backward = ContentLedger(auth()), ContentLedger(auth())
+    for ledger, order in ((forward, rows), (backward, rows[::-1])):
+        ledger.apply(DDL_CREATE, "T")
+        for row in order:
+            ledger.apply(INSERT, "t", row)
+    assert forward == backward and forward.counts == {"t": 6}
+    # an update is a delete plus an insert; undoing it restores the digest
+    forward.apply(UPDATE, "t", rows[0], b"new")
+    assert forward != backward and forward.counts == {"t": 6}
+    forward.apply(UPDATE, "t", b"new", rows[0])
+    assert forward == backward
+    for row in rows:
+        forward.apply(DELETE, "t", row)
+    assert forward.binding() == {"digest": "00" * 32, "tables": {"t": 0}}
+    forward.apply(DDL_DROP, "t")
+    assert forward.binding() == {"digest": "00" * 32, "tables": {}}
+    with pytest.raises(KeyError):
+        forward.apply(INSERT, "t", rows[0])
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +260,21 @@ def test_reader_returns_verified_state_for_honest_log(tmp_path):
         unseal=db.enclave.unseal,
     ).load()
     assert state.last_seq == len(state.records)
-    assert state.row_counts == {"t": 1}
+    assert state.ledger.counts == {"t": 1}
     assert state.checkpoint is not None
     assert state.checkpoint["tables"] == {"t": 1}
     assert state.nv == 1
+
+
+def test_unsupported_version_is_refused(tmp_path):
+    """A log sealed under this enclave but of a version the reader does
+    not speak is refused, not guessed at."""
+    db, cfg = make_db(tmp_path)
+    db.checkpoint()
+    anchor = tmp_path / "wal" / ANCHOR_FILE
+    payload = json.loads(db.enclave.unseal(anchor.read_bytes()))
+    payload["version"] = 99
+    anchor.write_bytes(db.enclave.seal(encode_body(payload).ljust(ANCHOR_PLAIN_BYTES)))
+    with pytest.raises(RecoveryIntegrityError) as caught:
+        recover_from_wal(str(tmp_path / "wal"), cfg)
+    assert caught.value.reason == "version"
