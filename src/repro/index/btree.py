@@ -107,12 +107,12 @@ class BPlusTree:
             leaf = self._find_leaf(lo)
             i = bisect_left(leaf.keys, lo)
         while leaf is not None:
-            while i < len(leaf.keys):
-                key = leaf.keys[i]
-                if hi is not None and key > hi:
-                    return
-                yield key, leaf.values[i]
-                i += 1
+            # a leaf at a time: up to its first key past ``hi``
+            keys = leaf.keys
+            end = len(keys) if hi is None else bisect_right(keys, hi, i)
+            yield from zip(keys[i:end], leaf.values[i:end])
+            if end < len(keys):
+                return
             leaf = leaf.next
             i = 0
 

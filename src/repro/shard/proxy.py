@@ -3,7 +3,7 @@
 A :class:`ShardProxyStore` registers in the coordinator catalog where a
 local :class:`~repro.storage.table_store.VerifiableTable` normally
 would, presenting the same storage surface — ``insert``/``update``/
-``delete``/``get``/``scan``/``seq_scan``/``row_count`` — so the
+``delete``/``get``/``scan_chunks``/``scan``/``seq_scan``/``row_count`` — so the
 coordinator's planner and executor run *unchanged* over a sharded
 fleet. Each call routes to the owning shard when the partitioner can
 decide ownership, and scatters (through MAC'd envelopes) when it
@@ -17,7 +17,9 @@ cannot:
 * ``scan`` prunes the shard set when scanning the shard-key column,
   then merges the per-shard runs with a heap merge on the chain order
   ``(value, primary key)`` — the exact order a local chain scan emits —
-  so the planner's sort-elision and merge-join decisions stay valid.
+  so the planner's sort-elision and merge-join decisions stay valid;
+  the scan operators pull the merged rows as column chunks
+  (``scan_chunks``), as they do from a local table.
 
 This is the *gather-mode* fallback path; queries the router can push
 down never reach these per-row methods.
@@ -26,10 +28,12 @@ down never reach these per-row methods.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Optional, Sequence
+from itertools import islice, repeat
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
+from repro.storage.config import DEFAULT_BATCH_SIZE
 
 
 class ShardProxyStore:
@@ -155,7 +159,7 @@ class ShardProxyStore:
             row = [row[self.schema.column_index(name)] for name in columns]
         return (None if row is None else tuple(row)), None
 
-    def scan(
+    def scan_chunks(
         self,
         column: Optional[str] = None,
         lo: Any = None,
@@ -164,7 +168,10 @@ class ShardProxyStore:
         include_hi: bool = True,
         batch_size: Optional[int] = None,
         columns: Optional[Sequence[str]] = None,
-    ) -> list[tuple]:
+    ) -> Iterator[tuple[int, list[list]]]:
+        """The gathered scan as ``(length, values)`` column chunks of
+        ``batch_size`` rows, in chain order: the stream a local
+        :meth:`VerifiableTable.scan_chunks` yields."""
         column = column or self.schema.primary_key
         if self.schema.chain_id(column) is None:
             raise StorageError(
@@ -203,9 +210,24 @@ class ShardProxyStore:
             rows = heapq.merge(
                 *runs, key=lambda row: (row[value_index], row[pk_index])
             )
-        if len(wire) == len(names):
-            return [tuple(row) for row in rows]
-        return [tuple(row[: len(names)]) for row in rows]
+        return _column_chunks(rows, batch_size or DEFAULT_BATCH_SIZE, len(names))
+
+    def scan(
+        self,
+        column: Optional[str] = None,
+        lo: Any = None,
+        hi: Any = None,
+        include_lo: bool = True,
+        include_hi: bool = True,
+        batch_size: Optional[int] = None,
+        columns: Optional[Sequence[str]] = None,
+    ) -> list[tuple]:
+        rows: list[tuple] = []
+        for length, values in self.scan_chunks(
+            column, lo, hi, include_lo, include_hi, batch_size, columns
+        ):
+            rows += zip(*values) if values else repeat((), length)
+        return rows
 
     def seq_scan(
         self,
@@ -225,3 +247,12 @@ class ShardProxyStore:
 
     def destroy(self) -> None:
         self.router.broadcast("drop_table", {"name": self.name})
+
+
+def _column_chunks(
+    rows: Iterable[tuple], size: int, width: int
+) -> Iterator[tuple[int, list[list]]]:
+    """``size`` rows at a time, as lists of their first ``width`` columns."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, size)):
+        yield len(chunk), [list(column) for column in islice(zip(*chunk), width)]

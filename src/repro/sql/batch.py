@@ -9,15 +9,16 @@ A batch is *dual-backed*. It is authoritative in whichever
 representation it was built from and derives the other lazily, caching
 the result:
 
-* **row-backed** — built by :func:`ColumnBatch.from_rows` (scans and
-  other row producers at the storage boundary). Columns are derived
-  per-column on first access, so a predicate touching two of ten
-  columns never pays for the other eight.
-* **column-backed** — built directly from per-column lists (projection
-  and the fused scan→filter→project pipeline). Row tuples are
-  materialized exactly once, at a row-major boundary: spill
-  (:meth:`to_rows`), executor result assembly, or a row-wise operator
-  such as a join build side.
+* **row-backed** — built by :func:`ColumnBatch.from_rows` (row
+  producers: joins, sort, DISTINCT, the shard merge, the aggregate's
+  output). Columns are derived per-column on first access, so a
+  predicate touching two of ten columns never pays for the other eight.
+* **column-backed** — built directly from per-column lists (the chain
+  scans, from the storage layer's column chunks; projection and the
+  fused scan→filter→project pipeline). Row tuples are materialized
+  exactly once, at a row-major boundary: spill (:meth:`to_rows`),
+  executor result assembly, or a row-wise operator such as a join
+  build side.
 
 The batch size fallback for directly-constructed operators is a
 re-export of :data:`repro.storage.config.DEFAULT_BATCH_SIZE` — one
@@ -121,12 +122,9 @@ class ColumnBatch:
         tuples are built), a column-backed batch compacts each column.
         """
         if self._rows is not None:
-            kept = [row for row, keep in zip(self._rows, mask) if keep]
+            kept = list(itertools.compress(self._rows, mask))
             return ColumnBatch.from_rows(kept, self.ordering)
-        columns = [
-            [value for value, keep in zip(column, mask) if keep]
-            for column in self._columns
-        ]
+        columns = [list(itertools.compress(column, mask)) for column in self._columns]
         length = len(columns[0]) if columns else sum(map(bool, mask))
         return ColumnBatch(columns, length, self.ordering)
 

@@ -16,7 +16,6 @@ not-satisfied.
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from typing import Any, Callable, Optional
 
@@ -103,20 +102,13 @@ def _not3(a):
     return None if a is None else (not a)
 
 
-def _null_guard(fn):
-    def wrapped(a, b):
-        if a is None or b is None:
-            return None
-        return fn(a, b)
-
-    return wrapped
-
-
 def _negate(a):
     return None if a is None else -a
 
 
 def _divide(a, b):
+    if a is None or b is None:
+        return None
     if b == 0:
         raise ZeroDivisionError("division by zero in SQL expression")
     if isinstance(a, int) and isinstance(b, int) and a % b == 0:
@@ -152,20 +144,20 @@ def _in_set(value, values, had_null):
     return None if had_null else False
 
 
-_BINARY = {
-    "AND": _and3,
-    "OR": _or3,
-    "/": _null_guard(_divide),
-    "+": _null_guard(operator.add),
-    "-": _null_guard(operator.sub),
-    "*": _null_guard(operator.mul),
-    "%": _null_guard(operator.mod),
-    "=": _null_guard(operator.eq),
-    "!=": _null_guard(operator.ne),
-    "<": _null_guard(operator.lt),
-    "<=": _null_guard(operator.le),
-    ">": _null_guard(operator.gt),
-    ">=": _null_guard(operator.ge),
+_BINARY = {"AND": _and3, "OR": _or3, "/": _divide}
+
+#: operators spelled inline, each behind its NULL guard
+_INLINE = {
+    "+": "+",
+    "-": "-",
+    "*": "*",
+    "%": "%",
+    "=": "==",
+    "!=": "!=",
+    "<": "<",
+    "<=": "<=",
+    ">": ">",
+    ">=": ">=",
 }
 
 
@@ -194,6 +186,7 @@ class _Source:
         self.column_text = column_text
         self.positions: set[int] = set()
         self.params: set[int] = set()
+        self.temps = 0
         #: k0, k1, …: helpers, literals, LIKE matchers, IN sets. Values
         #: are never spelled into the source, so one statement shape is
         #: one source text whatever its literals are.
@@ -211,6 +204,29 @@ class _Source:
     def const(self, value: Any) -> str:
         self.constants.append(value)
         return f"k{len(self.constants) - 1}"
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+
+def _guarded(op: str, operands: list, args: list[str], src: _Source) -> str:
+    """``a op b``, or NULL when either side is: both sides are always
+    evaluated (``|``, not ``or``), so a NULL never hides an error in
+    the other operand. A column, parameter or constant is read where it
+    stands; anything else is computed once into a temporary. A non-NULL
+    literal needs no guard."""
+    guards, names = [], []
+    for operand, text in zip(operands, args):
+        if not isinstance(operand, (Literal, ColumnRef, Parameter)):
+            name = src.temp()
+            guards.append(f"(({name} := {text}) is None)")
+            text = name
+        elif not (isinstance(operand, Literal) and operand.value is not None):
+            guards.append(f"({text} is None)")
+        names.append(text)
+    value = f"{names[0]} {_INLINE[op]} {names[1]}"
+    return f"(None if {' | '.join(guards)} else {value})" if guards else f"({value})"
 
 
 def _emit(expr: Expr, src: _Source) -> str:
@@ -233,7 +249,9 @@ def _emit(expr: Expr, src: _Source) -> str:
         )
     args = [_emit(child, src) for child in children(expr)]
     negated = getattr(expr, "negated", False)
-    if isinstance(expr, BinaryOp) and expr.op in _BINARY:
+    if isinstance(expr, BinaryOp) and expr.op in _INLINE:
+        text = _guarded(expr.op, [expr.left, expr.right], args, src)
+    elif isinstance(expr, BinaryOp) and expr.op in _BINARY:
         text = f"{src.const(_BINARY[expr.op])}({args[0]}, {args[1]})"
     elif isinstance(expr, UnaryOp) and expr.op == "NOT":
         text, negated = args[0], True

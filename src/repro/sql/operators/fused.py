@@ -3,17 +3,14 @@
 The planner rewrites ``Project(Filter*(scan))`` and ``Filter+(scan)``
 chains over a base-table scan into one
 :class:`FusedScanFilterProjectOp`. The fused node pulls the scan's
-row-backed batches — whose rows hold only the columns the statement
-reads (projection pushdown, see :mod:`repro.sql.operators.scan`); every
+column-backed batches — holding only the columns the statement reads
+(projection pushdown, see :mod:`repro.sql.operators.scan`); every
 expression here is compiled against that narrow schema — and, in a
 single pass per batch:
 
 1. evaluates every filter conjunct column-at-a-time into one AND-ed
-   keep-mask (only predicate-referenced columns are ever derived from
-   the scan's tuples);
-2. compacts the batch by the mask in its authoritative representation
-   (the scan's existing row-tuple references — no new tuples are
-   built);
+   keep-mask;
+2. compacts the batch's columns by the mask (no row tuple is built);
 3. evaluates the projection expressions over the compacted batch,
    emitting a *column-backed* batch.
 

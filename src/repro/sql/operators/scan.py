@@ -10,13 +10,18 @@ emits only the ``columns`` the planner found the statement reading
 (None: every column of the table): its output schema is that narrow,
 and the storage layer materialises nothing else from each record. The
 evidence checks do not depend on the projection.
+
+The two chain scans stream: each chunk of chain records the storage
+layer has verified becomes one column-backed batch, so an operator
+above that stops pulling (a LIMIT) stops the scan, and the evidence
+covers the verified prefix it saw.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
 
-from repro.sql.batch import ColumnBatch, batched
+from repro.sql.batch import ColumnBatch
 from repro.sql.expressions import RowSchema
 from repro.sql.operators.base import PhysicalOp
 from repro.sql.params import ParamMarker, resolve_maybe
@@ -33,6 +38,23 @@ def _describe_columns(columns: Optional[Sequence[str]]) -> str:
     return "" if columns is None else f", cols=[{', '.join(columns)}]"
 
 
+def _chain_order(binding: str, keys: Sequence[str], columns) -> list[tuple]:
+    """The chain order a scan emitting ``columns`` can advertise: the
+    longest prefix of its sort ``keys`` it emits."""
+    order = []
+    for key in keys:
+        if columns is not None and key not in columns:
+            break
+        order.append((binding, key, True))
+    return order
+
+
+def _column_batches(chunks, ordering: list) -> Iterator[ColumnBatch]:
+    ordering = tuple(ordering)
+    for length, values in chunks:
+        yield ColumnBatch(values, length, ordering)
+
+
 class SeqScanOp(PhysicalOp):
     """Full verified sequential scan (a (⊥, ⊤) range scan, Example 5.4)."""
 
@@ -46,15 +68,15 @@ class SeqScanOp(PhysicalOp):
         self.binding = binding
         self.columns = columns
         # the primary chain yields rows in primary-key order
-        self.ordering = [(binding, table.schema.primary_key, True)]
+        self.ordering = _chain_order(binding, [table.schema.primary_key], columns)
 
     def batches(self) -> Iterator[ColumnBatch]:
         # the storage layer fetches chain records through the batched
         # verified-read path at the same granularity the engine consumes
-        rows = self.table.seq_scan(
-            batch_size=self.batch_size, columns=self.columns
+        return _column_batches(
+            self.table.scan_chunks(batch_size=self.batch_size, columns=self.columns),
+            self.ordering,
         )
-        return batched(rows, self.batch_size, tuple(self.ordering))
 
     def describe(self) -> str:
         return (
@@ -88,9 +110,9 @@ class RangeScanOp(PhysicalOp):
         self.include_lo, self.include_hi = include_lo, include_hi
         # a chain scan walks its (key, nKey) chain: rows come back
         # ordered by the chained column (ties broken by primary key)
-        self.ordering = [(binding, column, True)]
-        if column != table.schema.primary_key:
-            self.ordering.append((binding, table.schema.primary_key, True))
+        self.ordering = _chain_order(
+            binding, list(dict.fromkeys([column, table.schema.primary_key])), columns
+        )
 
     def batches(self) -> Iterator[ColumnBatch]:
         # parameterized bounds resolve inside the execution's binding
@@ -101,7 +123,7 @@ class RangeScanOp(PhysicalOp):
             hi is None and isinstance(self.hi, ParamMarker)
         ):
             return iter(())
-        rows = self.table.scan(
+        chunks = self.table.scan_chunks(
             self.column,
             lo,
             hi,
@@ -110,7 +132,7 @@ class RangeScanOp(PhysicalOp):
             batch_size=self.batch_size,
             columns=self.columns,
         )
-        return batched(rows, self.batch_size, tuple(self.ordering))
+        return _column_batches(chunks, self.ordering)
 
     def describe(self) -> str:
         lo_bracket = "[" if self.include_lo else "("

@@ -23,7 +23,7 @@ Pipeline for SELECT:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.catalog.catalog import Catalog
@@ -83,8 +83,8 @@ class _Binding:
     #: the table's columns the statement reads, in schema order; None
     #: means all of them (``SELECT *``, DML)
     columns: Optional[tuple] = None
-    #: references to the primary key in the statement (0: not counted)
-    key_refs: int = 0
+    #: references to each column in the statement (empty: not counted)
+    refs: Counter = field(default_factory=Counter)
 
 
 @dataclass
@@ -332,7 +332,7 @@ class Planner:
         for binding in bindings:
             names = binding.info.schema.column_names
             counts = read[binding.name]
-            binding.key_refs = counts[binding.info.schema.primary_key]
+            binding.refs = counts
             if len(counts) < len(names):
                 binding.columns = tuple(name for name in names if name in counts)
 
@@ -371,11 +371,14 @@ class Planner:
         table = binding.info.store
         schema = binding.info.schema
         constraints: list[_Constraint] = []
+        #: the conjunct each constraint came from (each reads its column once)
+        origins: list[int] = []
         residual: list[Expr] = []
-        for conjunct in conjuncts:
+        for position, conjunct in enumerate(conjuncts):
             extracted = self._sargable(conjunct, schema)
             if extracted:
                 constraints.extend(extracted)
+                origins += [position] * len(extracted)
                 # equality/range info is fully captured by the bounds for
                 # single constraints; Between expands to two constraints
                 continue
@@ -388,6 +391,7 @@ class Planner:
             used: set[int] = set()
         else:
             column, indexes = chosen
+            columns = binding.columns
             equality_index = next(
                 (i for i in indexes if constraints[i].op == "="), None
             )
@@ -398,10 +402,9 @@ class Planner:
                 # silently drop contradictions like ``a = 1 AND a = 0``.
                 equality = constraints[equality_index].value
                 used = {equality_index}
+                if _only_readers(binding, column, indexes, used, origins):
+                    columns = tuple(c for c in columns or schema.column_names if c != column)
                 if column == schema.primary_key:
-                    columns = binding.columns
-                    if binding.key_refs == 1:  # the absorbed equality is the key's only reader
-                        columns = tuple(c for c in columns or schema.column_names if c != column)
                     plan = PointLookupOp(table, binding.name, equality, columns)
                 else:
                     plan = RangeScanOp(
@@ -410,7 +413,7 @@ class Planner:
                         column,
                         equality,
                         equality,
-                        columns=binding.columns,
+                        columns=columns,
                     )
             else:
                 # bounds combine exactly: the tightest of each side wins.
@@ -441,6 +444,8 @@ class Planner:
                         ):
                             hi, include_hi = candidate
                         used.add(i)
+                if _only_readers(binding, column, indexes, used, origins):
+                    columns = tuple(c for c in columns or schema.column_names if c != column)
                 plan = RangeScanOp(
                     table,
                     binding.name,
@@ -449,7 +454,7 @@ class Planner:
                     hi,
                     include_lo,
                     include_hi,
-                    columns=binding.columns,
+                    columns=columns,
                 )
         # constraints on other columns stay as ordinary filters
         for i, constraint in enumerate(constraints):
@@ -829,6 +834,22 @@ class Planner:
             self._bindings_of(conjunct, [binding])  # validates columns
         plan = self._fuse_pipelines(self._access_path(binding, conjuncts))
         return self._stamp(plan)
+
+
+def _only_readers(
+    binding: _Binding,
+    column: str,
+    indexes: list[int],
+    used: set[int],
+    origins: list[int],
+) -> bool:
+    """Whether the constraints the access path absorbed on ``column``
+    are the statement's only references to it: every constraint on it
+    absorbed (a leftover comes back as a filter reading it), and no
+    reference anywhere but in their conjuncts."""
+    if not set(indexes) <= used:
+        return False
+    return binding.refs[column] == len({origins[i] for i in indexes})
 
 
 def _output_names(stmt: Select) -> list[str]:

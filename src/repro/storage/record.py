@@ -17,7 +17,10 @@ unpacks the fixed-width fields with precomputed ``struct`` runs, checks
 every tag in one tuple compare, steps over unread TEXT by its length
 prefix, and hands any record that deviates from the shape (NULLs,
 ``⊥``/``⊤``) to the generic decoder, which stays the canonical codec
-and the only writer.
+and the only writer. The plan comes in two forms generated from the
+same text: ``fast`` decodes one record to a tuple (point reads), and
+``chunk`` decodes a whole chunk of records into one list per projected
+value (scans).
 """
 
 from __future__ import annotations
@@ -99,13 +102,19 @@ class DecodePlan:
     ``fast(payload)`` returns the projected values, or None for any
     payload that is not exactly ``shape`` — it never raises and never
     answers differently from the generic decoder on the values it
-    reads. ``project(values)`` produces the same projection from a
-    generically decoded record and owns the field-count check.
-    ``fields_skipped`` is how many stored values ``fast`` leaves
-    unmaterialised per record.
+    reads. ``chunk(payloads, miss)`` decodes many records in one
+    generated loop into one list per projected value (a nested
+    template at the top level gives one list per member), in payload
+    order; a record ``fast`` would miss is appended from ``miss(payload)``
+    instead, so a chunk holds exactly what ``fast``-or-generic answers
+    record by record, and the first record the generic decoder refuses
+    raises its error. ``project(values)`` produces the same projection
+    from a generically decoded record and owns the field-count check.
+    ``fields_skipped`` is how many stored values the compiled path
+    leaves unmaterialised per record.
     """
 
-    __slots__ = ("fast", "project", "fields_skipped")
+    __slots__ = ("fast", "chunk", "project", "fields_skipped")
 
     def __init__(
         self,
@@ -113,7 +122,7 @@ class DecodePlan:
         template: tuple,
         project: Callable[[tuple], tuple],
     ):
-        self.fast, self.fields_skipped = _compile(shape, template)
+        self.fast, self.chunk, self.fields_skipped = _compile(shape, template)
         self.project = project
 
 
@@ -133,14 +142,31 @@ def _compile(shape: Sequence, template: tuple):
     past TEXT by its length, and only then compares the field count,
     every tag and the final offset in one expression; nothing is
     returned before that passes, so a length taken from a mis-tagged
-    field can only end in a miss.
+    field can only end in a miss. The chunk form wraps the same lines
+    in a loop over payloads that appends to per-value lists.
     """
+    env: dict[str, Any] = {"date": datetime.date.fromordinal, "malformed": _MALFORMED}
+    # the chunk form's lists, each with the value's source on a miss
+    columns = []
+    for i, item in enumerate(template):
+        if isinstance(item, Ref):
+            columns.append((item, f"r[{i}]"))
+        else:
+            columns.extend((sub, f"r[{i}][{j}]") for j, sub in enumerate(item))
+    lists = ", ".join(f"x{i}" for i in range(len(columns)))
+    chunk_head = [
+        "def chunk(ps, miss):",
+        *(f" x{i} = []; a{i} = x{i}.append" for i in range(len(columns))),
+        " for p in ps:",
+    ]
+    chunk_miss = ["  r = miss(p)", *(f"  a{i}({at})" for i, (_, at) in enumerate(columns))]
+    chunk_tail = [f" return [{lists}]"]
     kinds = [k for kind in shape for k in (kind if isinstance(kind, tuple) else (kind,))]
     if None in kinds:
-        return _miss, 0
+        exec("\n".join(chunk_head + chunk_miss + chunk_tail), env)  # noqa: S102
+        return _miss, env["chunk"], 0
     wanted: set[tuple] = set()
     _collect(template, shape, wanted)
-    env: dict[str, Any] = {"date": datetime.date.fromordinal, "malformed": _MALFORMED}
     body: list[str] = ["o = 0"]
     checks, expect = ["n"], [len(shape)]
     fmt, targets = ["<I"], ["n"]
@@ -209,14 +235,32 @@ def _compile(shape: Sequence, template: tuple):
     if targets:
         flush()
     env["expect"] = tuple(expect)
-    body.append(f"if o != len(p) or ({', '.join(checks)}) != expect: return None")
-    body.extend(dates)
-    body.append(f"return {_render(template, shape, names)}")
-    source = "def fast(p):\n try:\n  {}\n except malformed:\n  return None".format(
-        "\n  ".join(body)
-    )
-    exec(source, env)  # noqa: S102 - source is built from shape kinds only
-    return env["fast"], len(kinds) - len(names)
+    tags = f"({', '.join(checks)})"
+    fast = [
+        "def fast(p):",
+        " try:",
+        *(f"  {line}" for line in body),
+        f"  if o != len(p) or {tags} != expect: return None",
+        *(f"  {line}" for line in dates),
+        f"  return {_render(template, shape, names)}",
+        " except malformed:",
+        "  return None",
+    ]
+    chunk = [
+        *chunk_head,
+        "  try:",
+        *(f"   {line}" for line in body),
+        f"   if o == len(p) and {tags} == expect:",
+        *(f"    {line}" for line in dates),
+        *(f"    a{i}({_item(item, shape, names)})" for i, (item, _) in enumerate(columns)),
+        "    continue",
+        "  except malformed:",
+        "   pass",
+        *chunk_miss,
+        *chunk_tail,
+    ]
+    exec("\n".join(fast + chunk), env)  # noqa: S102 - source is built from shape kinds only
+    return env["fast"], env["chunk"], len(kinds) - len(names)
 
 
 def _addresses(ref: Ref, shape: Sequence) -> list[tuple]:
@@ -238,16 +282,16 @@ def _collect(template: tuple, shape: Sequence, wanted: set) -> None:
 
 def _render(template: tuple, shape: Sequence, names: dict) -> str:
     """Source of the tuple expression a template denotes."""
-    parts = []
-    for item in template:
-        if not isinstance(item, Ref):
-            parts.append(_render(item, shape, names))
-        elif item.member is None and isinstance(shape[item.field], tuple):
-            members = (names[address] for address in _addresses(item, shape))
-            parts.append("(" + "".join(f"{name}, " for name in members) + ")")
-        else:
-            parts.append(names[tuple(item)])
-    return "(" + "".join(f"{part}, " for part in parts) + ")"
+    return "(" + "".join(f"{_item(item, shape, names)}, " for item in template) + ")"
+
+
+def _item(item, shape: Sequence, names: dict) -> str:
+    """Source of one template item: a nested template or a Ref's value."""
+    if not isinstance(item, Ref):
+        return _render(item, shape, names)
+    if item.member is None and isinstance(shape[item.field], tuple):
+        return _render(tuple(Ref(*address) for address in _addresses(item, shape)), shape, names)
+    return names[tuple(item)]
 
 
 class RecordCodec:

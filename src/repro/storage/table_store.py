@@ -12,10 +12,13 @@ relocation) over the heap, and the access methods of Section 5.2 on top:
 * sequential scan as a full-chain range scan.
 
 Scans take the list of columns their caller reads and decode each
-record through the layout's compiled plan for that projection: the
-scanned chain's ``key``/``nKey`` (all Figure 5 looks at) plus those
-columns, nothing else. ``columns=None`` is the widest projection, not
-a different path.
+chunk of records through the layout's compiled plan for that
+projection: the scanned chain's ``key``/``nKey`` (all Figure 5 looks
+at) plus those columns, nothing else, one list per value.
+``columns=None`` is the widest projection, not a different path. A
+scan is one generator (:meth:`VerifiableTable.scan_chunks`) that
+checks Figure 5 a chunk at a time and yields the chunk's columns;
+``scan``, ``seq_scan`` and ``scan_with_proof`` drain it into rows.
 
 All structural operations serialize on a per-table lock; cell-level
 integrity is independently protected by the write-read consistent
@@ -28,8 +31,11 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, compress, count, islice, repeat
+from operator import and_, eq, is_, ne, not_, or_
 from time import perf_counter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import Schema
 from repro.catalog.types import BOTTOM, TOP
@@ -280,6 +286,44 @@ class VerifiableTable:
             raise ProofError("sentinel records carry no user row")
         return row, proof
 
+    def scan_chunks(
+        self,
+        column: str | None = None,
+        lo: Any = None,
+        hi: Any = None,
+        include_lo: bool = True,
+        include_hi: bool = True,
+        batch_size: int | None = None,
+        columns: Sequence[str] | None = None,
+    ) -> Iterator[tuple[int, list[list]]]:
+        """Verified range scan as a stream of column chunks.
+
+        Yields ``(length, values)`` per chunk of chain records that
+        holds a matching row: ``values`` has one list per name in
+        ``columns`` (default: every column in schema order), each
+        ``length`` long, in chain order. ``batch_size`` is how many
+        chain records one batched verified read fetches (default:
+        ``StorageConfig.batch_size``). Figure 5 is checked chunk by
+        chunk before the chunk is yielded, so whatever a consumer has
+        seen is a verified prefix of the range; the right boundary is
+        checked at exhaustion, and the generator's return value (the
+        ``StopIteration`` value) is the complete :class:`RangeProof`.
+        The table lock is held from the first chunk until exhaustion
+        or ``close()``.
+        """
+        column = column or self.schema.primary_key
+        chain_id = self.schema.chain_id(column)
+        if chain_id is None:
+            raise StorageError(
+                f"column {column!r} has no key chain; scan the primary key "
+                f"and filter, or declare it in Schema.chain_columns"
+            )
+        if batch_size is None:
+            batch_size = self.engine.config.batch_size
+        return self._scan_chain(
+            chain_id, columns, lo, hi, include_lo, include_hi, batch_size
+        )
+
     def scan(
         self,
         column: str | None = None,
@@ -308,30 +352,23 @@ class VerifiableTable:
     ) -> tuple[list[tuple], RangeProof]:
         """Verified range scan returning rows plus the checked evidence.
 
-        ``batch_size`` controls how many chain records are fetched per
-        batched verified read (default: ``StorageConfig.batch_size``);
-        the adjacency proof itself is checked record by record either
-        way, so the evidence is identical at every batch size.
-        ``columns`` names the values each returned row holds, in that
-        order (default: every column in schema order); the evidence is
-        the same for every projection.
+        A drain of :meth:`scan_chunks` into row tuples. The adjacency
+        proof is checked per chunk of ``batch_size`` records, link by
+        link across chunk boundaries, so the evidence is identical at
+        every batch size. ``columns`` names the values each returned
+        row holds, in that order; the evidence is the same for every
+        projection.
         """
-        column = column or self.schema.primary_key
-        chain_id = self.schema.chain_id(column)
-        if chain_id is None:
-            raise StorageError(
-                f"column {column!r} has no key chain; scan the primary key "
-                f"and filter, or declare it in Schema.chain_columns"
-            )
-        if batch_size is None:
-            batch_size = self.engine.config.batch_size
-        with self._lock:
-            result = self._scan_chain(
-                chain_id, columns, lo, hi, include_lo, include_hi, batch_size
-            )
-        self.stats.range_scans += 1
-        self.stats.proofs_checked += 1
-        return result
+        chunks = self.scan_chunks(
+            column, lo, hi, include_lo, include_hi, batch_size, columns
+        )
+        rows: list[tuple] = []
+        while True:
+            try:
+                length, values = next(chunks)
+            except StopIteration as done:
+                return rows, done.value
+            rows += zip(*values) if values else repeat((), length)
 
     def seq_scan(
         self,
@@ -426,14 +463,15 @@ class VerifiableTable:
         hi,
         include_lo,
         include_hi,
-        batch_size: int = 1,
-    ) -> tuple[list[tuple], RangeProof]:
+        batch_size: int,
+    ) -> Iterator[tuple[int, list[list]]]:
         layout = self.layout
-        # every record is decoded once, through the plan for this chain
-        # and projection: (sentinel_of, key, nKey, row)
+        # every record is decoded once, a chunk at a time, through the
+        # plan for this chain and projection: sentinel_of, key and nKey
+        # lists, then one list per projected column
         plan = layout.scan_plan(chain_id, columns)
-        decode = self.codec.decode
-        fallbacks_before = self.codec.fallbacks
+        codec = self.codec
+        miss = partial(codec.decode, plan=plan)
         index = self.indexes[chain_id]
         # The chain-key bound the scan must *cover* on each side.
         if lo is None:
@@ -451,72 +489,136 @@ class VerifiableTable:
         proof = RangeProof(
             low=lo_bound, high=hi_bound, right_inclusive=include_hi
         )
-        seed = index.search_le(lo_bound)
-        if seed is None:
-            raise ProofError(f"untrusted index lost the chain-{chain_id} sentinel")
         # Unbounded full-table sweeps bypass cache admission so one large
         # sequential scan cannot evict the hot working set (scan
         # resistance); bounded range reads still warm the cache.
         admit = not (lo_bound is BOTTOM and hi_bound is TOP)
-        # The loop below runs once per record of every scan: Figure 5's
-        # checks are spelled out in it, not called, and the proof object
-        # gets its tallies once, after the loop.
         bounded = hi_bound is not TOP  # else no key lies past the right end
         past = operator.gt if include_hi else operator.ge
-        below = operator.lt if include_lo else operator.le
-        rows: list[tuple] = []
-        expected: Any = None
-        records_read = 0
+        # The range filter compares chain keys: on chain 0 a key is the
+        # column value itself; a secondary key (value, pk) lies below or
+        # past the value bounds exactly when it lies below or past the
+        # chain-key bounds computed from them.
+        outside = []
+        if lo is not None:
+            below = operator.lt if chain_id or include_lo else operator.le
+            outside.append((below, lo_bound))
+        if hi is not None:
+            outside.append((operator.gt if chain_id else past, hi_bound))
+        expected: Any = None  # the last nKey read: the next chunk's first key
+        records_read = decoded = fallbacks = 0
         finished = False
-        # Records are fetched ``batch_size`` at a time. Which records is
-        # a prefetch hint from the *untrusted* index — the seed, then
-        # every entry it does not claim is past the bound; termination
-        # and omission detection rest exclusively on the trusted nKey
-        # chain below, so a lying index cannot truncate a scan.
-        items = index.items(seed[0], hi_bound if bounded else None) or [seed]
-        if len(items) > 1 and past(items[-1][0], hi_bound):
-            items.pop()  # the exclusive bound itself
-        for start in range(0, len(items), batch_size):
-            if finished:
-                break
-            rids = [rid for _ikey, rid in items[start : start + batch_size]]
-            for payload in self.heap.read_many(rids, admit=admit):
-                sentinel_of, key, next_key, row = decode(payload, plan)
-                if key is None:
-                    raise ProofError(
-                        f"index returned a record outside chain {chain_id}"
-                    )
-                if expected is None:
-                    proof.first_key = key
-                    proof.check_left()  # condition 1
-                elif key != expected:
-                    proof.check_link(expected, key)  # condition 3: raises
-                records_read += 1
-                if sentinel_of == DATA_RECORD:
-                    # a chain key is the column value, paired with the
-                    # primary key on secondary chains, or a sentinel
-                    value = key[0] if type(key) is tuple else key
-                    if not (
-                        (lo is not None and below(value, lo))
-                        or (hi is not None and past(value, hi))
+        with self._lock:
+            seed = index.search_le(lo_bound)
+            if seed is None:
+                raise ProofError(f"untrusted index lost the chain-{chain_id} sentinel")
+            # Records are fetched ``batch_size`` at a time. Which records
+            # is a prefetch hint from the *untrusted* index — the seed,
+            # then every entry it does not claim is past the bound;
+            # termination and omission detection rest exclusively on the
+            # trusted nKey chain below, so a lying index cannot truncate
+            # a scan.
+            items = index.items(seed[0], hi_bound if bounded else None) or [seed]
+            if len(items) > 1 and past(items[-1][0], hi_bound):
+                items.pop()  # the exclusive bound itself
+            try:
+                for start in range(0, len(items), batch_size):
+                    rids = [rid for _ikey, rid in items[start : start + batch_size]]
+                    payloads = self.heap.read_many(rids, admit=admit)
+                    before = codec.fallbacks
+                    sentinels, keys, next_keys, *values = plan.chunk(payloads, miss)
+                    fallbacks += codec.fallbacks - before
+                    n = len(keys)
+                    decoded += n
+                    # Figure 5 in record order: condition 1 on the scan's
+                    # first record; then the first record outside the
+                    # chain or breaking condition 3 (its key is not its
+                    # predecessor's nKey, across chunks too) ...
+                    linked = records_read > 0
+                    if not linked and keys[0] is not None:
+                        proof.first_key = keys[0]
+                        proof.check_left()
+                    stop = n
+                    if (
+                        None in keys
+                        or (linked and keys[0] != expected)
+                        or keys[1:] != next_keys[:-1]
                     ):
-                        rows.append(row)
-                expected = next_key
-                if next_key is TOP or (bounded and past(next_key, hi_bound)):
-                    finished = True
-                    break
-        proof.records_read = records_read
-        proof.links_checked = records_read - 1 if records_read else 0
-        proof.last_next_key = expected
-        if not finished and expected is not TOP:
-            raise ProofError(
-                f"untrusted index omitted chain-{chain_id} records: chain "
-                f"expects successor {expected!r}"
-            )
-        proof.check_right()  # condition 2
-        fallbacks = self.codec.fallbacks - fallbacks_before
-        self._ctr_fallbacks.inc(fallbacks)
-        self._ctr_skipped.inc(
-            plan.fields_skipped * (proof.records_read - fallbacks)
-        )
-        return rows, proof
+                        stop = _first_break(keys, next_keys, expected, linked)
+                    # ... unless the chain ends before it: at the first
+                    # nKey that is ⊤ or past the right end
+                    ends = (
+                        map(past, islice(next_keys, stop), repeat(hi_bound))
+                        if bounded
+                        else map(is_, islice(next_keys, stop), repeat(TOP))
+                    )
+                    end = _first(ends, stop)
+                    if end < stop:
+                        finished = True
+                        if end + 1 < n:
+                            n = end + 1
+                            sentinels, keys, next_keys = sentinels[:n], keys[:n], next_keys[:n]
+                            values = [column[:n] for column in values]
+                    elif stop < n:
+                        if keys[stop] is None:
+                            raise ProofError(
+                                f"index returned a record outside chain {chain_id}"
+                            )
+                        # condition 3: raises
+                        proof.check_link(next_keys[stop - 1] if stop else expected, keys[stop])
+                    records_read += n
+                    expected = next_keys[-1]
+                    keep = _keep_mask(sentinels, keys, outside)
+                    if keep is not None:
+                        n = keep.count(True)
+                        values = [list(compress(column, keep)) for column in values]
+                    if n:
+                        yield n, values
+                    if finished:
+                        break
+            finally:
+                self._ctr_fallbacks.inc(fallbacks)
+                self._ctr_skipped.inc(plan.fields_skipped * (decoded - fallbacks))
+            proof.records_read = records_read
+            proof.links_checked = records_read - 1 if records_read else 0
+            proof.last_next_key = expected
+            if not finished and expected is not TOP:
+                raise ProofError(
+                    f"untrusted index omitted chain-{chain_id} records: chain "
+                    f"expects successor {expected!r}"
+                )
+            proof.check_right()  # condition 2
+            self.stats.range_scans += 1
+            self.stats.proofs_checked += 1
+        return proof
+
+
+def _first(flags: Iterable, default: int) -> int:
+    """Position of the first true flag, or ``default``."""
+    return next(compress(count(), flags), default)
+
+
+def _first_break(keys: list, next_keys: list, expected: Any, linked: bool) -> int:
+    """The first record of a chunk whose key is missing (a record
+    outside the chain) or is not its predecessor's nKey; ``expected``
+    is the nKey before the chunk, a link only when ``linked``."""
+    links = (
+        map(ne, keys, chain((expected,), next_keys))
+        if linked
+        else chain((False,), map(ne, keys[1:], next_keys))
+    )
+    return _first(map(or_, map(is_, keys, repeat(None)), links), len(keys))
+
+
+def _keep_mask(sentinels: list, keys: list, outside: list) -> list | None:
+    """The range filter on one chunk: which records emit a row — data
+    records whose chain key no ``(test, bound)`` of ``outside`` rejects.
+    None when every record does."""
+    keep = None
+    if sentinels.count(DATA_RECORD) != len(sentinels):
+        keep = list(map(eq, sentinels, repeat(DATA_RECORD)))
+    for test, bound in outside:
+        out = list(map(test, keys, repeat(bound)))
+        if any(out):
+            keep = list(map(and_, keep or repeat(True), map(not_, out)))
+    return keep

@@ -18,11 +18,13 @@ from repro.sql.operators import (
     ProjectOp,
     RangeScanOp,
     SeqScanOp,
+    SortOp,
 )
 from repro.sql.parser import parse_statement
 from repro.sql.planner import Planner
 from repro.storage.engine import StorageEngine
 from repro.storage.table_store import VerifiableTable
+from repro.workloads import tpch
 
 
 @pytest.fixture
@@ -252,9 +254,15 @@ def scan_columns(root):
     "sql, expected",
     [
         ("SELECT o_total FROM orders", {"orders": ("o_total",)}),
-        # WHERE, GROUP BY, HAVING and ORDER BY references all count
+        # a bound the range scan absorbed reads nothing at run time ...
         (
             "SELECT o_total FROM orders WHERE o_cust > 3",
+            {"orders": ("o_total",)},
+        ),
+        # ... while WHERE (a parameter bound stays a filter), GROUP BY,
+        # HAVING and ORDER BY references all count
+        (
+            "SELECT o_total FROM orders WHERE o_cust > ?",
             {"orders": ("o_cust", "o_total")},
         ),
         (
@@ -293,9 +301,70 @@ def test_explain_shows_projection_only_when_narrower(planner):
     narrow = plan(planner, "SELECT o_total FROM orders WHERE o_cust BETWEEN 1 AND 5")
     line = next(l for l in narrow.explain().splitlines() if "RangeScan(" in l)
     assert line.strip().startswith("RangeScan(orders as orders, o_cust in [1, 5]")
-    assert line.endswith(", cols=[o_cust, o_total])")
+    assert line.endswith(", cols=[o_total])")
     wide = plan(planner, "SELECT * FROM orders")
     assert wide.explain().strip() == "SeqScan(orders as orders)"
+
+
+@pytest.fixture
+def tpch_planner():
+    catalog = Catalog()
+    engine = StorageEngine()
+    for name, schema in (
+        ("lineitem", tpch.lineitem_schema()),
+        ("part", tpch.part_schema()),
+    ):
+        catalog.register(TableInfo(name, schema, VerifiableTable(name, schema, engine)))
+    return Planner(catalog)
+
+
+def range_scan_line(root):
+    return next(l for l in root.explain().splitlines() if "RangeScan(" in l).strip()
+
+
+@pytest.mark.parametrize("query", ["Q1", "Q6"])
+def test_absorbed_shipdate_bounds_leave_shipdate_unprojected(tpch_planner, query):
+    root = plan(tpch_planner, tpch.QUERIES[query])
+    (scan,) = ops_of(root, RangeScanOp)
+    assert scan.column == "l_shipdate"
+    assert "l_shipdate" not in scan.columns
+    # the chain order is not advertised for a column the scan drops
+    assert scan.ordering == []
+    line = range_scan_line(root)
+    assert "cols=[" in line and "l_shipdate" not in line.split("cols=")[1]
+
+
+def test_order_by_the_range_column_keeps_it_and_its_order(tpch_planner):
+    root = plan(
+        tpch_planner,
+        "SELECT l_id FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' "
+        "ORDER BY l_shipdate",
+    )
+    (scan,) = ops_of(root, RangeScanOp)
+    assert scan.columns == ("l_id", "l_shipdate")
+    assert range_scan_line(root).endswith("cols=[l_id, l_shipdate])")
+    assert not ops_of(root, SortOp)  # the chain order still serves the sort
+
+
+@pytest.mark.parametrize(
+    "where, kept",
+    [
+        ("o_cust = 4", False),  # an equality on a secondary chain
+        ("o_cust >= 1 AND o_cust < 9", False),
+        ("o_cust BETWEEN 1 AND 9 AND o_cust < 5", False),  # bounds intersect exactly
+        ("o_cust > 1 AND o_cust != 4", True),  # a filter reads it
+        ("o_cust = 4 AND o_cust = 5", True),  # the second equality is a filter
+        ("o_cust > 1 AND o_total > o_cust", True),
+        ("o_id = 5 AND o_id > 3", True),  # the point lookup's key, read by a filter
+    ],
+)
+def test_a_column_is_dropped_only_when_absorbed_bounds_are_its_only_readers(
+    planner, where, kept
+):
+    root = plan(planner, f"SELECT o_total FROM orders WHERE {where}")
+    (access,) = ops_of(root, (RangeScanOp, PointLookupOp))
+    column = "o_id" if isinstance(access, PointLookupOp) else "o_cust"
+    assert (column in access.columns) == kept
 
 
 def test_dml_filters_scan_every_column(planner):

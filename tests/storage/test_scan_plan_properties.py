@@ -7,10 +7,12 @@ schemas (INT/FLOAT/TEXT/DATE/BOOL columns, nullable or not, one or two
 chains), random data records (NULLs, ``⊤`` successors), every chain's
 ``⊥`` sentinel and random projections, ``decode(payload, plan)`` must
 return exactly that, and on damaged bytes it must never answer with
-different values.
+different values. The chunk form a scan runs must equal that decode
+record by record, and fail where it fails.
 """
 
 import datetime
+from functools import partial
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -201,3 +203,74 @@ def test_reference_and_plan_agree_on_a_known_record():
     plan = layout.scan_plan(1, ["ok", "day"])
     assert plan.fast(payload) == (DATA_RECORD, (day, 7), (day, 8), (True, day))
     assert plan.fields_skipped == 3  # the id chain's key and nKey, and name
+
+
+# ----------------------------------------------------------------------
+# the chunk form: a scan decodes a whole chunk of records in one loop
+# ----------------------------------------------------------------------
+@st.composite
+def chunk_cases(draw):
+    layout = draw(layouts())
+    records = draw(st.lists(stored_records(layout), min_size=3, max_size=8))
+    chain_id = draw(st.integers(0, layout.n_chains - 1))
+    names = layout.schema.column_names
+    columns = draw(st.one_of(st.none(), st.lists(st.sampled_from(names), max_size=4)))
+    return layout, records, chain_id, columns
+
+
+def record_by_record(codec, payloads, plan):
+    """What the chunk form must equal: ``decode(payload, plan)`` per
+    record, as lists of sentinel_of, key, nKey and each projected value."""
+    decoded = [codec.decode(payload, plan) for payload in payloads]
+    return [
+        [record[0] for record in decoded],
+        [record[1] for record in decoded],
+        [record[2] for record in decoded],
+        *([list(values) for values in zip(*(row for *_, row in decoded))]),
+    ]
+
+
+def chunked(codec, payloads, plan):
+    return plan.chunk(payloads, partial(codec.decode, plan=plan))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=chunk_cases())
+def test_chunk_decode_is_the_record_by_record_decode(case):
+    layout, records, chain_id, columns = case
+    codec = RecordCodec()
+    payloads = [codec.encode(layout.to_tuple(stored)) for stored in records]
+    plan = layout.scan_plan(chain_id, columns)
+    expected = record_by_record(codec, payloads, plan)
+    misses = codec.fallbacks
+    got = chunked(codec, payloads, plan)
+    width = len(layout.schema.column_names if columns is None else columns)
+    assert len(got) == 3 + width
+    assert repr(got) == repr(expected)  # True is not 1
+    assert codec.fallbacks == 2 * misses  # the same records took the generic path
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=chunk_cases(), where=st.sampled_from(["start", "middle", "end"]), data=st.data())
+def test_a_damaged_record_fails_a_chunk_as_it_fails_alone(case, where, data):
+    """A damaged record at the start, middle or end of a chunk: the
+    chunk raises the typed error the record raises on its own, or, if
+    that record decodes, equals the record-by-record decode."""
+    layout, records, chain_id, columns = case
+    codec = RecordCodec()
+    payloads = [codec.encode(layout.to_tuple(stored)) for stored in records]
+    at = {"start": 0, "middle": len(payloads) // 2, "end": len(payloads) - 1}[where]
+    payloads[at] = damaged(payloads[at], data.draw)
+    plan = layout.scan_plan(chain_id, columns)
+
+    def attempt(fn):
+        try:
+            return fn(codec, payloads, plan), None
+        except (StorageError, IntegrityError) as exc:
+            return None, exc
+
+    expected, expected_error = attempt(record_by_record)
+    got, error = attempt(chunked)
+    assert type(error) is type(expected_error)
+    if error is None:
+        assert repr(got) == repr(expected)
