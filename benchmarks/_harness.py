@@ -1,9 +1,9 @@
-"""Shared machinery for the figure-reproduction benchmarks.
+"""Shared machinery for the five figure mains (``test_fig9`` … ``test_fig13``).
 
-Each ``test_fig*.py`` module both (a) exposes pytest-benchmark tests and
-(b) can be run directly (``python benchmarks/test_fig9_rw_latency.py``)
-to print the corresponding paper figure as a table. Sizes are scaled for
-a pure-Python engine; set ``REPRO_BENCH_SCALE`` (default 1.0) to grow or
+Each figure module holds a ``_shape`` test (the figure's qualitative
+claims, run under pytest) and a ``__main__`` that prints the figure as
+a table and writes ``BENCH_<name>.json``. Sizes are scaled for a
+pure-Python engine; set ``REPRO_BENCH_SCALE`` (default 1.0) to grow or
 shrink every workload proportionally.
 
 The paper's absolute numbers come from a C++/SGX prototype; what these
@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from contextlib import contextmanager
 
 from repro.baselines.mbtree import MBTree
-from repro.baselines.plain import PlainKVStore
 from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
 from repro.obs import (
@@ -88,28 +86,6 @@ def build_mbtree(n_initial: int, seed: int = 0) -> tuple[MBTreeKV, MicroWorkload
     return kv, workload
 
 
-def build_plain(n_initial: int, seed: int = 0) -> tuple[PlainKVStore, MicroWorkload]:
-    kv = PlainKVStore()
-    workload = MicroWorkload(n_initial=n_initial, seed=seed)
-    for key, value in workload.initial_pairs():
-        kv.insert(key, value.encode("utf-8"))
-
-    class _Adapter:
-        def get(self, key):
-            return kv.get(key)
-
-        def insert(self, key, value):
-            kv.insert(key, value.encode("utf-8"))
-
-        def update(self, key, value):
-            return kv.update(key, value.encode("utf-8"))
-
-        def delete(self, key):
-            return kv.delete(key)
-
-    return _Adapter(), workload
-
-
 # ----------------------------------------------------------------------
 # figure experiments
 # ----------------------------------------------------------------------
@@ -120,37 +96,23 @@ FIG9_CONFIGS = {
 }
 
 
-def run_fig9(n_initial: int, n_ops: int) -> dict[str, LatencyRecorder]:
-    """Latency of reads/writes under the three Figure 9 configurations."""
-    results = {}
+def run_fig9(
+    n_initial: int, n_ops: int
+) -> tuple[dict[str, LatencyRecorder], dict[str, int]]:
+    """Latency of reads/writes under the three Figure 9 configurations,
+    and the RS/WS digest updates each configuration made (Section 4.3's
+    metadata-exclusion claim is the ratio of the two RSWS counts)."""
+    results, rsws_ops = {}, {}
     for label, config in FIG9_CONFIGS.items():
         # One registry serves the whole run; zero it per configuration so
         # the printed breakdown reflects the last measured phase, not the
         # aggregate of every repetition (no-op under the NullRegistry).
         default_registry().reset()
-        kv, _engine, workload = build_kv(config, n_initial)
+        kv, engine, workload = build_kv(config, n_initial)
+        before = engine.vmem.rsws.total_operations()
         results[label] = run_operations(kv, workload.operations(n_ops))
-    return results
-
-
-def run_seq_scan(
-    config: StorageConfig, n_rows: int, repeats: int = 3, seed: int = 0
-) -> float:
-    """Best-of wall time (seconds) for one full verified sequential scan.
-
-    The scan-heavy counterpart to the Figure 9 mixed op stream: this is
-    the workload the vectorized read path (``StorageConfig.batch_size``)
-    amortizes, so the batch-size ablation and the CI perf smoke both
-    drive it.
-    """
-    kv, _engine, _workload = build_kv(config, n_rows, seed)
-    best = None
-    for _ in range(repeats):
-        rows, elapsed = timed(lambda: list(kv.table.seq_scan()))
-        assert len(rows) == n_rows
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+        rsws_ops[label] = engine.vmem.rsws.total_operations() - before
+    return results, rsws_ops
 
 
 FIG10_FREQUENCIES = (50, 100, 200, 500, 1000)
@@ -343,21 +305,15 @@ def print_fig13_table(results: dict[str, dict[int, float]]) -> None:
         print(f"{label:<20}{cells}")
 
 
-def timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
-
-
 # ----------------------------------------------------------------------
 # machine-readable results
 # ----------------------------------------------------------------------
 def bench_dir() -> str:
     """The run-artifact directory: ``REPRO_BENCH_DIR`` or ``.bench/``.
 
-    Benchmark JSON documents and event traces land here instead of
-    littering the repo root; the directory is created on demand and is
-    gitignored (committed reference numbers live in
+    Benchmark JSON documents, smoke snapshots and event traces land here
+    instead of littering the repo root; the directory is created on
+    demand and is gitignored (committed reference numbers live in
     ``benchmarks/baselines/``, a separate, tracked directory).
     """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -369,11 +325,11 @@ def bench_dir() -> str:
 def write_bench_json(name: str, payload: dict) -> str:
     """Write a benchmark's results to ``BENCH_<name>.json`` in bench_dir.
 
-    Every ``__main__`` benchmark run emits its numbers this way (in
-    addition to the printed tables) so CI can upload them as artifacts
-    and runs can be diffed across commits. The payload is wrapped with
-    the benchmark name and the scale the run used; values must already
-    be JSON-serializable (plain dicts/lists/numbers/strings).
+    Every figure ``__main__`` emits its numbers this way (in addition to
+    the printed table) so CI can upload them as artifacts and compare
+    them with the committed baselines. The payload is wrapped with the
+    benchmark name and the scale the run used; values must already be
+    JSON-serializable (plain dicts/lists/numbers/strings).
     """
     path = os.path.join(bench_dir(), f"BENCH_{name}.json")
     doc = {"benchmark": name, "scale": SCALE, "results": payload}
@@ -391,6 +347,9 @@ def write_bench_json(name: str, payload: dict) -> str:
 #: where reference BENCH_*.json documents live, committed to the repo so
 #: CI (and anyone re-running a figure) can diff against a known run
 BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "baselines")
+
+#: a latency-like metric that grew by more than this fraction regressed
+THRESHOLD = 0.25
 
 #: deltas on metrics below these floors are noise, not regressions
 NOISE_FLOOR_SECONDS = 1e-3
@@ -422,8 +381,8 @@ def flatten_numeric(payload, prefix: str = "") -> dict[str, float]:
 def _latency_unit(path: str) -> str | None:
     """``"s"``/``"us"`` when the path names a latency, else None.
 
-    The unit marker may sit on any segment — ``seq_scan_seconds.256`` and
-    ``mean_latency_us.RSWS.get`` are both latencies — so every segment is
+    The unit marker may sit on any segment — ``mean_latency_us.RSWS.get``
+    and ``queries.0.total_s`` are both latencies — so every segment is
     checked, not just the leaf.
     """
     for segment in path.split("."):
@@ -439,25 +398,18 @@ def _latency_unit(path: str) -> str | None:
     return None
 
 
-def _is_latency_metric(path: str) -> bool:
-    """Latency-like metrics: bigger is worse, and they gate the CI job."""
-    return _latency_unit(path) is not None
-
-
 def _above_noise_floor(path: str, value: float) -> bool:
     if _latency_unit(path) == "s":
         return value >= NOISE_FLOOR_SECONDS
     return value >= NOISE_FLOOR_US
 
 
-def compare_with_baseline(
-    doc: dict, baseline: dict, threshold: float
-) -> tuple[list[dict], list[dict]]:
+def compare_with_baseline(doc: dict, baseline: dict) -> tuple[list[dict], list[dict]]:
     """Diff a run against a baseline document.
 
     Returns ``(regressions, comparisons)``: every latency-like metric
     present in both documents is compared, and those whose relative
-    increase exceeds ``threshold`` (and whose baseline *and* absolute
+    increase exceeds ``THRESHOLD`` (and whose baseline *and* absolute
     increase both clear the noise floor) are regressions. Non-matching
     scales return no comparisons at all — a scale-0.05 run against a
     scale-0.2 baseline proves nothing.
@@ -469,7 +421,7 @@ def compare_with_baseline(
     comparisons: list[dict] = []
     regressions: list[dict] = []
     for path in sorted(set(current) & set(reference)):
-        if not _is_latency_metric(path):
+        if _latency_unit(path) is None:
             continue
         base, now = reference[path], current[path]
         if base <= 0.0 or not _above_noise_floor(path, base):
@@ -479,14 +431,12 @@ def compare_with_baseline(
         comparisons.append(row)
         # a regression must be big in relative AND absolute terms: a 25%
         # jump on a 70 us metric is scheduler jitter, not a slowdown
-        if ratio > threshold and _above_noise_floor(path, now - base):
+        if ratio > THRESHOLD and _above_noise_floor(path, now - base):
             regressions.append(row)
     return regressions, comparisons
 
 
-def print_baseline_comparison(
-    name: str, doc: dict, threshold: float = 0.25
-) -> None:
+def print_baseline_comparison(name: str, doc: dict) -> None:
     """Informational diff against the committed baseline (never fails).
 
     The CI gate lives in ``benchmarks/perf_trend.py``; this printout
@@ -502,14 +452,14 @@ def print_baseline_comparison(
             "skipping comparison"
         )
         return
-    regressions, comparisons = compare_with_baseline(doc, baseline, threshold)
+    regressions, comparisons = compare_with_baseline(doc, baseline)
     if not comparisons:
         print(f"[baseline] {name}: no comparable latency metrics")
         return
     worst = max(comparisons, key=lambda row: row["delta"])
     print(
         f"[baseline] {name}: {len(comparisons)} latency metrics compared, "
-        f"{len(regressions)} above +{threshold:.0%}; worst "
+        f"{len(regressions)} above +{THRESHOLD:.0%}; worst "
         f"{worst['metric']} {worst['delta']:+.1%}"
     )
     for row in regressions:
@@ -518,11 +468,6 @@ def print_baseline_comparison(
             f"{row['baseline']:.4g} -> {row['current']:.4g} "
             f"({row['delta']:+.1%})"
         )
-
-
-def recorder_summary(recorder: LatencyRecorder) -> dict:
-    """JSON-ready per-kind mean latencies (us) from a LatencyRecorder."""
-    return recorder.report()
 
 
 # ----------------------------------------------------------------------
@@ -534,9 +479,9 @@ def obs_scope():
 
     Every system built inside the block (engines, portals, cycle meters)
     binds real instruments instead of the zero-cost no-op defaults, so a
-    direct benchmark run can print the per-layer breakdown afterwards.
-    The pytest-benchmark path never enters this scope and keeps the
-    unobserved fast path.
+    direct figure run can print the per-layer breakdown afterwards. The
+    ``_shape`` tests never enter this scope and keep the unobserved fast
+    path.
     """
     with scoped_registry(MetricsRegistry()) as registry:
         yield registry

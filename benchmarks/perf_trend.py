@@ -5,13 +5,12 @@ Usage::
     python benchmarks/perf_trend.py [BENCH_*.json ...]
 
 With no arguments, every ``BENCH_*.json`` in the bench-artifact
-directory (``REPRO_BENCH_DIR``, default ``.bench/`` — the output
-of a fresh benchmark run) is checked against its committed counterpart
-in ``benchmarks/baselines/``. A latency-like metric (``*_s``, ``*_us``,
-``*_seconds``, or a per-kind mean from a :class:`LatencyRecorder`) that
-grew by more than the threshold — default 25%, override with
-``REPRO_PERF_THRESHOLD`` (a fraction, e.g. ``0.25``) — fails the run
-with exit code 1.
+directory (``REPRO_BENCH_DIR``, default ``.bench/`` — the output of a
+fresh run of the five figure mains) is checked against its committed
+counterpart in ``benchmarks/baselines/``. A latency-like metric
+(``*_s``, ``*_us``, ``*_seconds``, or a per-kind mean from a
+:class:`LatencyRecorder`) that grew by more than 25% fails the run with
+exit code 1.
 
 Guard rails against false alarms:
 
@@ -34,12 +33,15 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _harness import bench_dir, compare_with_baseline, load_baseline  # noqa: E402
+from _harness import (  # noqa: E402
+    THRESHOLD,
+    bench_dir,
+    compare_with_baseline,
+    load_baseline,
+)
 
-DEFAULT_THRESHOLD = 0.25
 
-
-def check_document(path: str, threshold: float) -> tuple[str, list[dict]]:
+def check_document(path: str) -> tuple[str, list[dict]]:
     """Return (status-line, regressions) for one fresh BENCH document."""
     with open(path) as fh:
         doc = json.load(fh)
@@ -53,33 +55,32 @@ def check_document(path: str, threshold: float) -> tuple[str, list[dict]]:
             f"(run={doc.get('scale')}, baseline={baseline.get('scale')})",
             [],
         )
-    regressions, comparisons = compare_with_baseline(doc, baseline, threshold)
+    regressions, comparisons = compare_with_baseline(doc, baseline)
     if not comparisons:
         return f"SKIP  {name}: no comparable latency metrics", []
     if regressions:
         return (
             f"FAIL  {name}: {len(regressions)}/{len(comparisons)} latency "
-            f"metrics regressed more than {threshold:.0%}",
+            f"metrics regressed more than {THRESHOLD:.0%}",
             regressions,
         )
     worst = max(comparisons, key=lambda row: row["delta"])
     return (
-        f"OK    {name}: {len(comparisons)} metrics within {threshold:.0%} "
+        f"OK    {name}: {len(comparisons)} metrics within {THRESHOLD:.0%} "
         f"(worst {worst['metric']} {worst['delta']:+.1%})",
         [],
     )
 
 
 def main(argv: list[str]) -> int:
-    threshold = float(os.environ.get("REPRO_PERF_THRESHOLD", DEFAULT_THRESHOLD))
     paths = argv or sorted(glob.glob(os.path.join(bench_dir(), "BENCH_*.json")))
     if not paths:
         print("perf-trend: no BENCH_*.json documents to check")
         return 0
-    print(f"perf-trend: threshold +{threshold:.0%}\n")
+    print(f"perf-trend: threshold +{THRESHOLD:.0%}\n")
     failed = False
     for path in paths:
-        line, regressions = check_document(path, threshold)
+        line, regressions = check_document(path)
         print(line)
         for row in regressions:
             print(

@@ -10,15 +10,11 @@ one page per 1000 operations the overhead over plain RSWS is 1-4%.
 Run ``python benchmarks/test_fig10_verification_freq.py`` for the table.
 """
 
-import pytest
-
 from _harness import (
-    FIG10_FREQUENCIES,
     build_kv,
     obs_scope,
     print_latency_table,
     print_metrics_breakdown,
-    recorder_summary,
     run_fig10,
     scaled,
     write_bench_json,
@@ -28,19 +24,6 @@ from repro.workloads.runner import run_operations
 
 N_INITIAL = scaled(2000)
 N_OPS = scaled(1200)
-
-
-@pytest.mark.parametrize("frequency", FIG10_FREQUENCIES)
-def test_fig10_ops_per_scan(benchmark, frequency):
-    def setup():
-        kv, engine, workload = build_kv(StorageConfig(), N_INITIAL)
-        engine.enable_continuous_verification(frequency)
-        return (kv, workload.operations(N_OPS)), {}
-
-    recorder = benchmark.pedantic(run_operations, setup=setup, rounds=3)
-    benchmark.extra_info.update(
-        {kind: round(recorder.mean_us(kind), 2) for kind in recorder.report()}
-    )
 
 
 def _run_with_frequency(frequency):
@@ -84,8 +67,7 @@ def main():
             "fig10_verification_freq",
             {
                 "mean_latency_us": {
-                    freq: recorder_summary(rec)
-                    for freq, rec in results.items()
+                    freq: rec.report() for freq, rec in results.items()
                 },
                 "n_initial": N_INITIAL,
                 "n_ops": N_OPS,

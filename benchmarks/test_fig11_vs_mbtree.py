@@ -10,44 +10,16 @@ Run ``python benchmarks/test_fig11_vs_mbtree.py`` for the table.
 """
 
 from _harness import (
-    build_kv,
-    build_mbtree,
     obs_scope,
     print_latency_table,
     print_metrics_breakdown,
-    recorder_summary,
     run_fig11,
     scaled,
     write_bench_json,
 )
-from repro.storage.config import StorageConfig
-from repro.workloads.runner import run_operations
 
 N_INITIAL = scaled(2000)
 N_OPS = scaled(800)
-
-
-def test_fig11_veridb(benchmark):
-    def setup():
-        kv, engine, workload = build_kv(StorageConfig(), N_INITIAL)
-        engine.enable_continuous_verification(1000)
-        return (kv, workload.operations(N_OPS)), {}
-
-    recorder = benchmark.pedantic(run_operations, setup=setup, rounds=3)
-    benchmark.extra_info.update(
-        {kind: round(recorder.mean_us(kind), 2) for kind in recorder.report()}
-    )
-
-
-def test_fig11_mbtree(benchmark):
-    def setup():
-        kv, workload = build_mbtree(N_INITIAL)
-        return (kv, workload.operations(N_OPS)), {}
-
-    recorder = benchmark.pedantic(run_operations, setup=setup, rounds=3)
-    benchmark.extra_info.update(
-        {kind: round(recorder.mean_us(kind), 2) for kind in recorder.report()}
-    )
 
 
 def test_fig11_shape():
@@ -95,7 +67,7 @@ def main():
             "fig11_vs_mbtree",
             {
                 "mean_latency_us": {
-                    label: recorder_summary(rec)
+                    label: rec.report()
                     for label, rec in results["latency"].items()
                 },
                 "crypto_work_per_op": work,

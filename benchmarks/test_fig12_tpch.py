@@ -10,40 +10,17 @@ and largest for scan-bound ones (Q1/Q6: up to ~39%).
 Run ``python benchmarks/test_fig12_tpch.py`` for the table.
 """
 
-import pytest
-
 from _harness import (
     FIG12_QUERIES,
     SCALE,
-    build_tpch,
     obs_scope,
     print_fig12_table,
     print_metrics_breakdown,
     run_fig12,
     write_bench_json,
 )
-from repro.workloads.tpch import QUERIES
 
 SCALE_FACTOR = 0.0005 * SCALE  # 3000 lineitems, 100 parts at scale 1
-
-
-@pytest.fixture(scope="module")
-def databases():
-    return {
-        "VeriDB (w/ RSWS)": build_tpch(True, SCALE_FACTOR),
-        "Baseline": build_tpch(False, SCALE_FACTOR),
-    }
-
-
-@pytest.mark.parametrize("label,query,hint", FIG12_QUERIES)
-@pytest.mark.parametrize("config", ["VeriDB (w/ RSWS)", "Baseline"])
-def test_fig12_query(benchmark, databases, label, query, hint, config):
-    db = databases[config]
-    sql = QUERIES[query]
-    analyzed = benchmark(lambda: db.explain_analyze(sql, join_hint=hint))
-    seconds = analyzed.seconds()
-    benchmark.extra_info["scan_s"] = round(seconds["scan_s"], 4)
-    benchmark.extra_info["other_s"] = round(seconds["other_s"], 4)
 
 
 def test_fig12_shape():

@@ -5,8 +5,6 @@
   Section 6.2. Every write recomputes the path to the root hash and
   every read ships an ADS; the global root lock is the concurrency
   bottleneck the paper measures against.
-* :mod:`repro.baselines.plain` — an unverified in-memory KV store, the
-  no-security reference point for micro-benchmarks.
 """
 
 from repro.baselines.mbtree import (
@@ -15,12 +13,10 @@ from repro.baselines.mbtree import (
     verify_point_proof,
     verify_range_proof,
 )
-from repro.baselines.plain import PlainKVStore
 
 __all__ = [
     "MBTree",
     "MBTreeProof",
-    "PlainKVStore",
     "verify_point_proof",
     "verify_range_proof",
 ]

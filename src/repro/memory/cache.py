@@ -31,7 +31,7 @@ the cache treats it as a whole-cache loss (the enclave cannot trust
 swapped-out plaintext) — an *eviction storm* — and the swap cost is
 billed through the EPC's :class:`~repro.sgx.costs.CycleMeter`. An
 over-sized cache therefore gets slower, reproducing the paper's
-EPC-pressure cliff; ``benchmarks/test_ablation_cache.py`` measures it.
+EPC-pressure cliff; ``benchmarks/test_gates.py`` gates it.
 
 Eviction is least-recently-used inside the byte budget. Large
 sequential scans bypass admission entirely (``admit=False`` through the

@@ -294,17 +294,6 @@ class LoadGenerator:
         self.obs.histogram(CLIENT_LATENCY_METRIC).reset()
         return self.run(sql_for, target_qps, total_ops)
 
-    def saturation_sweep(
-        self,
-        sql_for,
-        qps_targets,
-        ops_per_target: int,
-    ) -> list[LoadReport]:
-        """One fixed-rate run per target, reusing the same clients."""
-        return [
-            self._fresh_run(sql_for, qps, ops_per_target) for qps in qps_targets
-        ]
-
     def find_knee(
         self,
         sql_for,

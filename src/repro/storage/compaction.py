@@ -1,7 +1,7 @@
 """Space-reclamation policies (Section 4.3).
 
-The paper's progression, all implemented here and compared in the
-compaction ablation benchmark:
+The paper's progression, all implemented here and told apart by
+``benchmarks/test_gates.py::test_compaction_modes``:
 
 1. **eager** — the classic slotted-page contract: unused space is one
    contiguous region, so every delete slides later records down

@@ -51,7 +51,7 @@ class StorageConfig:
     #: rows per :class:`~repro.sql.batch.ColumnBatch` pulled through the
     #: operator tree, and cells per batched verified read beneath it.
     #: 1 degenerates to the original row-at-a-time execution; the
-    #: default is the winner of ``benchmarks/test_ablation_batch_size``
+    #: default sits on the plateau of the batch-size sweep (EXPERIMENTS)
     batch_size: int = DEFAULT_BATCH_SIZE
     #: statement shapes kept in the engine's bounded LRU plan cache
     #: (normalized SQL + join hint → parsed statement and, for cacheable
@@ -62,7 +62,7 @@ class StorageConfig:
     #: (:class:`~repro.memory.cache.RecordCache`); 0 disables caching.
     #: Residency is accounted against the EPC, so budgets beyond the
     #: enclave's protected memory thrash instead of helping — see
-    #: ``benchmarks/test_ablation_cache.py``
+    #: ``benchmarks/test_gates.py``
     cache_bytes: int = 0
 
     def __post_init__(self):

@@ -35,7 +35,7 @@ def run_operations(store, operations: Iterable[Operation]) -> LatencyRecorder:
     """Replay a micro-workload op stream, timing each operation.
 
     ``store`` is anything with the KV interface (KVTable, MBTree
-    adapter, PlainKVStore).
+    adapter).
     """
     recorder = LatencyRecorder()
     for op in operations:

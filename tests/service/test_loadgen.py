@@ -15,7 +15,7 @@ from repro.service import (
     ServiceConfig,
     print_sweep_table,
 )
-from repro.service.loadgen import CLIENT_LATENCY_METRIC
+from repro.service.loadgen import CLIENT_LATENCY_METRIC, KNEE_FRACTIONS
 
 
 def build_db(seed=31):
@@ -96,21 +96,6 @@ def test_report_dict_shape(registry):
     )
 
 
-def test_saturation_sweep_resets_histogram_per_point(registry, capsys):
-    with QueryService(build_db(), registry=registry) as svc:
-        gen = LoadGenerator(svc, n_clients=4, registry=registry)
-        reports = gen.saturation_sweep(
-            "SELECT COUNT(*) FROM kv", qps_targets=[100, 200], ops_per_target=10
-        )
-        # histogram was reset between points: only the last run's samples
-        assert registry.histogram(CLIENT_LATENCY_METRIC).count == 10
-    assert [r.target_qps for r in reports] == [100, 200]
-    assert all(r.completed == 10 for r in reports)
-    print_sweep_table(reports)
-    out = capsys.readouterr().out
-    assert "target qps" in out and "p99 ms" in out
-
-
 def test_clients_spread_over_tenants(registry):
     with QueryService(build_db(), registry=registry) as svc:
         gen = LoadGenerator(svc, n_clients=6, tenants=3, registry=registry)
@@ -123,12 +108,13 @@ def test_clients_spread_over_tenants(registry):
             assert registry.counter("service.tenant.queries", labels=labels).value == 4
 
 
-def test_saturation_sweep_on_the_null_registry():
+def test_run_on_the_null_registry():
     with QueryService(build_db(), registry=NULL_REGISTRY) as svc:
         gen = LoadGenerator(svc, n_clients=2, registry=NULL_REGISTRY)
-        reports = gen.saturation_sweep(
-            "SELECT COUNT(*) FROM kv", qps_targets=[200, 400], ops_per_target=4
-        )
+        reports = [
+            gen.run("SELECT COUNT(*) FROM kv", target_qps=qps, total_ops=4)
+            for qps in (200, 400)
+        ]
     assert [r.completed for r in reports] == [4, 4]
     assert all(r.p99_ms == 0.0 for r in reports)
 
@@ -162,6 +148,27 @@ def test_latency_is_timed_from_the_schedule(registry):
     assert report.lag_mean_ms > 20
     assert report.p99_ms > 60
     assert report.p99_ms >= report.lag_max_ms
+
+
+def test_saturation_sweep_resets_histogram_per_point(registry, capsys):
+    """Every rate point of the knee search empties the latency histogram
+    first, so each report's percentiles describe that point alone."""
+    with _slow_service(registry, 0.01) as svc:
+        gen = LoadGenerator(svc, n_clients=4, registry=registry)
+        knee = gen.find_knee(
+            "SELECT COUNT(*) FROM kv", start_qps=20, seconds_per_point=0.1,
+            repeats=1,
+        )
+        assert knee.knee_qps > 0
+        last = knee.near[KNEE_FRACTIONS[-1]][-1]
+        # only the last run's samples are left
+        assert registry.histogram(CLIENT_LATENCY_METRIC).count == last.completed
+    runs = knee.points + [r for near in knee.near.values() for r in near]
+    assert sum(r.completed for r in runs) > last.completed
+    assert [p.target_qps for p in knee.points][:2] == [20, 40]
+    print_sweep_table(knee.points)
+    out = capsys.readouterr().out
+    assert "target qps" in out and "p99 ms" in out
 
 
 def test_find_knee_against_a_service_of_known_capacity(registry):
