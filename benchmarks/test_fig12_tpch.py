@@ -43,9 +43,9 @@ def test_fig12_shape():
     assert scan_delta > other_delta
 
     # scan time dominates the verified configuration of every scan-bound
-    # plan; the nested-loop join is computation-bound (the paper's lowest
-    # overhead) and since the restamp kernel its scan and its join weigh
-    # about the same
+    # plan; the nested-loop join is exempt: in the paper it is the
+    # computation-bound plan (the lowest overhead), while here, its keys
+    # compared as whole columns, it weighs about what the merge join does
     for label, _, hint in FIG12_QUERIES:
         veridb = by_key[(label, "VeriDB (w/ RSWS)")]
         baseline = by_key[(label, "Baseline")]

@@ -1,11 +1,11 @@
 """Performance gates: each test tells two code paths apart.
 
-A gate runs the same work down two paths — batched vs row-at-a-time,
-cached vs uncached, compiled vs generic, logged vs unlogged, one shard
-vs four — and asserts the ratio the alternative exists for. Ratios
-carry across machines where absolute times do not; the two gates that
-need real parallelism (4-shard scaling, federation overhead) run only
-where this process may use 4+ CPUs and skip elsewhere.
+A gate runs the same work down two paths — cached vs uncached,
+compiled vs generic, logged vs unlogged, one shard vs four — and
+asserts the ratio the alternative exists for. Ratios carry across
+machines where absolute times do not; the two gates that need real
+parallelism (4-shard scaling, federation overhead) run only where this
+process may use 4+ CPUs and skip elsewhere.
 
 Every size is fixed here — nothing reads ``REPRO_BENCH_SCALE`` — so a
 local run measures what CI measures::
@@ -38,7 +38,7 @@ from repro.sgx.epc import EnclavePageCache
 from repro.shard import ShardedDatabase
 from repro.sql.executor import QueryEngine
 from repro.sql.operators import RangeScanOp
-from repro.storage.config import DEFAULT_BATCH_SIZE, StorageConfig
+from repro.storage.config import BATCH_ROWS, StorageConfig
 from repro.storage.engine import StorageEngine
 from repro.storage.keychain import ChainLayout
 from repro.storage.record import RecordCodec
@@ -68,37 +68,6 @@ def sql_db(config: StorageConfig, n_rows: int = 2000) -> VeriDB:
     db.sql("CREATE TABLE t (id INT PRIMARY KEY, v INT, w INT)")
     db.load_rows("t", [(i, i * 13 % 1000, i % 7) for i in range(n_rows)])
     return db
-
-
-# ----------------------------------------------------------------------
-# batched vs row-at-a-time (StorageConfig.batch_size)
-# ----------------------------------------------------------------------
-def test_batched_scan_beats_row_at_a_time():
-    """``batch_size=1`` is the pre-vectorization engine: one simulated
-    ECall, one partition-lock run and one tuple per cell. The default
-    must beat it on the verified sequential scan by 1.2x (measured
-    ~1.5x) and on a fused scan→filter→project statement by 1.15x."""
-    scan_row = seq_scan_seconds(StorageConfig(batch_size=1), 3000)
-    scan_default = seq_scan_seconds(StorageConfig(), 3000)
-    assert scan_row > scan_default * 1.2, (
-        f"sequential scan: batch_size=1 took {scan_row * 1e3:.1f}ms vs "
-        f"{scan_default * 1e3:.1f}ms at the default"
-    )
-
-    sql = "SELECT id, v + w, w FROM t WHERE v > 250 AND w <> 3"
-    expected = sum(1 for i in range(2000) if i * 13 % 1000 > 250 and i % 7 != 3)
-
-    def pipeline_seconds(batch_size):
-        db = sql_db(StorageConfig(batch_size=batch_size))
-        assert db.sql(sql).rowcount == expected
-        return best_seconds(lambda: db.sql(sql))
-
-    row_at_a_time = pipeline_seconds(1)
-    columnar = pipeline_seconds(DEFAULT_BATCH_SIZE)
-    assert row_at_a_time > columnar * 1.15, (
-        f"scan→filter→project: batch_size=1 took {row_at_a_time * 1e3:.1f}ms "
-        f"vs {columnar * 1e3:.1f}ms fused columnar"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +158,8 @@ def test_compiled_decoder_beats_generic():
     plan = layout.scan_plan(1, Q1_COLUMNS)  # the l_shipdate chain
     miss = partial(codec.decode, plan=plan)
     chunks = [
-        payloads[start : start + DEFAULT_BATCH_SIZE]
-        for start in range(0, len(payloads), DEFAULT_BATCH_SIZE)
+        payloads[start : start + BATCH_ROWS]
+        for start in range(0, len(payloads), BATCH_ROWS)
     ]
 
     def generic():

@@ -15,9 +15,9 @@ statement shape like every other plan in the engine:
   parameters can reach, scatters them over the links (in parallel),
   verifies every MAC'd reply, and merges:
 
-  - ``rows`` mode emits each shard's reply as one batch, as it arrived
-    (post-ops — sort, distinct, limit — stack on top as ordinary
-    operators; a single participating shard's rows *are* the result);
+  - ``rows`` mode emits each shard's reply as one batch, as it arrived,
+    transposed to columns once (post-ops — sort, distinct, limit —
+    stack on top as ordinary operators);
   - ``agg`` mode combines per-shard *partial* aggregates: COUNT partials
     add, SUM partials add, MIN/MAX partials fold, and AVG merges its
     (SUM, COUNT) pair — emitting the same ``__g*``/``__a*`` output
@@ -38,7 +38,7 @@ from typing import Any, Iterator, Optional
 
 from repro.obs.trace_context import TraceContext, current_trace
 from repro.sql.ast_nodes import Statement
-from repro.sql.batch import ColumnBatch, batched
+from repro.sql.batch import ColumnBatch, transpose
 from repro.sql.expressions import RowSchema
 from repro.sql.operators.base import PhysicalOp
 from repro.sql.params import bound_values
@@ -105,12 +105,12 @@ class ShardGatherOp(PhysicalOp):
             fragments = [f for f in fragments if f.shard_id in shard_ids]
         replies = self._scatter(self, fragments, params)
         scattered = perf_counter() if trace is not None else 0.0
+        # each reply's rows (or the merged partials) are transposed once
         if self.mode == "agg":
-            out = batched(self._merge_partials(replies), self.batch_size)
+            rows = self._merge_partials(replies)
+            out = [transpose(rows)] if rows else []
         else:
-            # each reply is already a finished row list: no concatenation
-            # and no re-batching
-            out = [ColumnBatch.from_rows(r["rows"]) for r in replies if r["rows"]]
+            out = [transpose(r["rows"]) for r in replies if r["rows"]]
         if trace is not None:
             merged = perf_counter() - scattered
             self._book(trace, fragments, replies, scattered - start, merged)

@@ -33,7 +33,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
-from repro.storage.config import DEFAULT_BATCH_SIZE
+from repro.storage import config as storage_config
 
 
 class ShardProxyStore:
@@ -166,11 +166,10 @@ class ShardProxyStore:
         hi: Any = None,
         include_lo: bool = True,
         include_hi: bool = True,
-        batch_size: Optional[int] = None,
         columns: Optional[Sequence[str]] = None,
     ) -> Iterator[tuple[int, list[list]]]:
         """The gathered scan as ``(length, values)`` column chunks of
-        ``batch_size`` rows, in chain order: the stream a local
+        ``BATCH_ROWS`` rows, in chain order: the stream a local
         :meth:`VerifiableTable.scan_chunks` yields."""
         column = column or self.schema.primary_key
         if self.schema.chain_id(column) is None:
@@ -210,7 +209,7 @@ class ShardProxyStore:
             rows = heapq.merge(
                 *runs, key=lambda row: (row[value_index], row[pk_index])
             )
-        return _column_chunks(rows, batch_size or DEFAULT_BATCH_SIZE, len(names))
+        return _column_chunks(rows, storage_config.BATCH_ROWS, len(names))
 
     def scan(
         self,
@@ -219,22 +218,17 @@ class ShardProxyStore:
         hi: Any = None,
         include_lo: bool = True,
         include_hi: bool = True,
-        batch_size: Optional[int] = None,
         columns: Optional[Sequence[str]] = None,
     ) -> list[tuple]:
         rows: list[tuple] = []
         for length, values in self.scan_chunks(
-            column, lo, hi, include_lo, include_hi, batch_size, columns
+            column, lo, hi, include_lo, include_hi, columns
         ):
             rows += zip(*values) if values else repeat((), length)
         return rows
 
-    def seq_scan(
-        self,
-        batch_size: Optional[int] = None,
-        columns: Optional[Sequence[str]] = None,
-    ) -> list[tuple]:
-        return self.scan(batch_size=batch_size, columns=columns)
+    def seq_scan(self, columns: Optional[Sequence[str]] = None) -> list[tuple]:
+        return self.scan(columns=columns)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle

@@ -326,8 +326,7 @@ class ScatterRouter:
         plan = gather
         if stmt.having is not None:
             plan = FilterOp(plan, substitute(stmt.having, mapping))
-        plan = self.planner._plan_projection_order_limit(plan, stmt, mapping)
-        return self.planner._stamp(plan)
+        return self.planner._plan_projection_order_limit(plan, stmt, mapping)
 
     # -- row pushdown ---------------------------------------------------
     def _plan_row_pushdown(self, stmt, prune):
@@ -376,7 +375,7 @@ class ScatterRouter:
                 plan = DistinctOp(plan)
             if stmt.limit is not None:
                 plan = LimitOp(plan, stmt.limit)
-        return self.planner._stamp(plan)
+        return plan
 
     @staticmethod
     def _output_name_for(expr, stmt, names: list[str]) -> Optional[str]:

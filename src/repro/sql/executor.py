@@ -126,7 +126,6 @@ class QueryEngine:
             catalog,
             subquery_executor=lambda select: self._run_select(select, None).rows,
             spill=spill,
-            batch_size=storage.config.batch_size if storage is not None else None,
         )
         self._plan_select = select_planner or self.planner.plan_select
 
@@ -409,11 +408,11 @@ class QueryEngine:
         return self._run_plan(self.planner.plan_select(stmt, join_hint))
 
     def _run_plan(self, plan: PhysicalOp) -> ExecutionResult:
-        # result assembly is a row-major boundary: each (possibly
-        # column-backed) batch materializes its row tuples exactly once
+        # result assembly is a row-major boundary: the portal digests
+        # rows, so each batch is transposed here, once
         rows: list[tuple] = []
         for batch in plan.timed_batches():
-            rows.extend(batch.to_rows())
+            rows += batch.rows
         return ExecutionResult(
             columns=plan.output.names, rows=rows, rowcount=len(rows), plan=plan
         )

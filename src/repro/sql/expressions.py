@@ -298,7 +298,7 @@ def _compile(expr: Expr, schema: RowSchema, batch: bool, predicate: bool):
     if batch:
         positions = sorted(src.positions)
         names = [f"c{position}" for position in positions]
-        columns = [f"batch.column({position})" for position in positions]
+        columns = [f"batch.columns[{position}]" for position in positions]
         if text in names:
             text = columns[names.index(text)]
         elif len(names) > 1:
@@ -320,11 +320,6 @@ def _compile(expr: Expr, schema: RowSchema, batch: bool, predicate: bool):
 def compile_expr(expr: Expr, schema: RowSchema) -> RowFn:
     """Compile an expression to a row → value function."""
     return _compile(expr, schema, batch=False, predicate=False)
-
-
-def compile_predicate(expr: Expr, schema: RowSchema) -> Callable[[tuple], bool]:
-    """Compile a boolean expression; NULL results count as not-satisfied."""
-    return _compile(expr, schema, batch=False, predicate=True)
 
 
 def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:

@@ -1,8 +1,8 @@
 """Physical (volcano-model) operators.
 
-Operators produce rows through Python iterators; the leaf operators are
-the secure access methods of Section 5.2 and carry the verification; the
-rest are ordinary relational operators that run inside the enclave and
+Operators produce column batches through Python iterators; the leaf
+operators are the secure access methods of Section 5.2 and carry the
+verification; the rest are ordinary relational operators that run inside the enclave and
 are trusted given verified inputs (Section 5.4). Every operator tracks
 its own wall-clock time so the TPC-H benchmark can split execution cost
 into scan nodes vs other nodes exactly like Figure 12.

@@ -8,7 +8,7 @@ from typing import Any, Iterator, Sequence
 
 from repro.errors import PlanningError
 from repro.sql.ast_nodes import Aggregate, Expr
-from repro.sql.batch import ColumnBatch, batched
+from repro.sql.batch import ColumnBatch
 from repro.sql.expressions import RowSchema, compile_expr_batch
 from repro.sql.operators.base import PhysicalOp
 
@@ -165,14 +165,14 @@ class HashAggregateOp(PhysicalOp):
                     state.fold(rows if column is None else take(column))
         if not groups and not self.group_exprs:
             # global aggregate over an empty input still yields one row
-            states = [_AggState(agg) for agg in self.aggregates]
-            yield ColumnBatch.from_rows([tuple(state.result() for state in states)])
-            return
-        output = [
-            key + tuple(state.result() for state in states)
-            for key, states in groups.items()
+            groups[()] = [_AggState(agg) for agg in self.aggregates]
+        # one column per group key, then one per aggregate
+        columns = [list(values) for values in zip(*groups)]
+        columns += [
+            [states[i].result() for states in groups.values()]
+            for i in range(len(self.aggregates))
         ]
-        yield from batched(output, self.batch_size)
+        yield from ColumnBatch(columns, len(groups)).take_chunks(range(len(groups)))
 
     def describe(self) -> str:
         aggs = ", ".join(repr(a) for a in self.aggregates)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.obs.trace_context import current_trace
-from repro.sql.batch import DEFAULT_BATCH_SIZE, ColumnBatch
+from repro.sql.batch import ColumnBatch
 from repro.sql.expressions import RowSchema
 
 
@@ -25,19 +25,15 @@ class PhysicalOp:
     #: operators whose self-time counts as "scan nodes" in Figure 12
     is_scan = False
 
-    #: rows per batch this operator emits; the planner stamps the
-    #: configured ``StorageConfig.batch_size`` onto every plan node
-    batch_size = DEFAULT_BATCH_SIZE
-
     def __init__(self, output: RowSchema, children: list["PhysicalOp"]):
         self.output = output
         self.children = children
         #: the "interesting order" this operator's output is known to
         #: satisfy: a list of (qualifier, column, ascending) triples.
-        #: Chain scans emit rows in key order, and the planner uses this
-        #: to elide redundant sorts. Operators that preserve their input
-        #: order (Filter, Limit) propagate it; order-destroying operators
-        #: leave it empty.
+        #: Chain scans emit rows in key order, and the planner reads this
+        #: while it decides on a sort, to elide a redundant one: only the
+        #: operators planned below that decision (scans, and the filters
+        #: over them, which propagate it) set it.
         self.ordering: list[tuple] = []
 
     # ------------------------------------------------------------------

@@ -14,8 +14,8 @@ class FilterOp(PhysicalOp):
     """Emit input rows satisfying a predicate (NULL counts as false).
 
     Columnar: the predicate evaluates column-at-a-time into a keep-mask
-    and the batch compacts itself in its authoritative representation —
-    a batch where everything survives is passed through untouched.
+    and the batch compacts its columns by it — a batch where everything
+    survives is passed through untouched.
     """
 
     def __init__(self, child: PhysicalOp, predicate: Expr):

@@ -3,25 +3,25 @@
 The planner rewrites ``Project(Filter*(scan))`` and ``Filter+(scan)``
 chains over a base-table scan into one
 :class:`FusedScanFilterProjectOp`. The fused node pulls the scan's
-column-backed batches — holding only the columns the statement reads
-(projection pushdown, see :mod:`repro.sql.operators.scan`); every
-expression here is compiled against that narrow schema — and, in a
-single pass per batch:
+batches — holding only the columns the statement reads (projection
+pushdown, see :mod:`repro.sql.operators.scan`); every expression here
+is compiled against that narrow schema — and, in a single pass per
+batch:
 
 1. evaluates every filter conjunct column-at-a-time into one AND-ed
    keep-mask;
 2. compacts the batch's columns by the mask (no row tuple is built);
 3. evaluates the projection expressions over the compacted batch,
-   emitting a *column-backed* batch.
+   emitting a batch of the result columns.
 
-No intermediate row tuples are materialized anywhere between the
-storage layer and the next row-major boundary (executor result
-assembly, spill, a join build side). The scan stays a real child node:
-``walk()``/``explain()`` still surface it, verified-read and cycle
-costs still attribute to the leaf, and plan-shape assertions
-(``SeqScan``/``RangeScan`` in EXPLAIN output) hold — but there is only
-one operator hop, one timing lap and one trace frame for the whole
-filter+project stage, all attributed to this fusion node.
+No row tuple is built anywhere between the storage layer and the
+next row-major boundary (executor result assembly, spill). The scan
+stays a real child node: ``walk()``/``explain()`` still surface it,
+verified-read and cycle costs still attribute to the leaf, and
+plan-shape assertions (``SeqScan``/``RangeScan`` in EXPLAIN output)
+hold — but there is only one operator hop, one timing lap and one
+trace frame for the whole filter+project stage, all attributed to this
+fusion node.
 """
 
 from __future__ import annotations
@@ -51,14 +51,10 @@ class FusedScanFilterProjectOp(PhysicalOp):
         # their evaluators run here as they are
         self._pred_fns = [node.batch_fn for node in filters]
         self._expr_fns = None if project is None else project.batch_fns
-        # filtering preserves the scan's interesting order; a projection
-        # re-shapes the row and drops it (same contract as ProjectOp)
-        self.ordering = list(scan.ordering) if project is None else []
 
     def batches(self) -> Iterator[ColumnBatch]:
         pred_fns = self._pred_fns
         expr_fns = self._expr_fns
-        ordering = tuple(self.ordering)
         for batch in self.children[0].timed_batches():
             mask = None
             for fn in pred_fns:
@@ -73,13 +69,9 @@ class FusedScanFilterProjectOp(PhysicalOp):
                 if not batch:
                     continue
             if expr_fns is None:
-                if ordering and batch.ordering != ordering:
-                    batch.ordering = ordering
                 yield batch
             else:
-                yield ColumnBatch(
-                    [fn(batch) for fn in expr_fns], len(batch), ordering
-                )
+                yield ColumnBatch([fn(batch) for fn in expr_fns], len(batch))
 
     def describe(self) -> str:
         stages = []

@@ -14,7 +14,6 @@ class LimitOp(PhysicalOp):
     def __init__(self, child: PhysicalOp, limit: int):
         super().__init__(child.output, [child])
         self.limit = limit
-        self.ordering = list(child.ordering)  # a prefix preserves order
 
     def batches(self) -> Iterator[ColumnBatch]:
         if self.limit <= 0:
@@ -22,8 +21,6 @@ class LimitOp(PhysicalOp):
         remaining = self.limit
         for batch in self.children[0].timed_batches():
             if len(batch) >= remaining:
-                # slice in the batch's authoritative representation — a
-                # column-backed prefix never transposes to rows here
                 yield batch.slice(remaining)
                 return
             remaining -= len(batch)

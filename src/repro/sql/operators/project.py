@@ -14,10 +14,7 @@ class ProjectOp(PhysicalOp):
     """Compute output columns from each input row.
 
     Columnar: each output expression is evaluated over the whole input
-    batch, producing one column list; the columns *stay* columnar — the
-    emitted batch is column-backed, and row tuples are materialized only
-    once at a row-major boundary (executor result assembly, spill, a
-    row-wise consumer such as a join build side).
+    batch, producing one column list of the emitted batch.
     """
 
     def __init__(
@@ -39,9 +36,6 @@ class ProjectOp(PhysicalOp):
     def batches(self) -> Iterator[ColumnBatch]:
         fns = self.batch_fns
         for batch in self.children[0].timed_batches():
-            if not fns:
-                yield ColumnBatch([], len(batch))
-                continue
             yield ColumnBatch([fn(batch) for fn in fns], len(batch))
 
     def describe(self) -> str:

@@ -12,9 +12,9 @@ and the storage layer materialises nothing else from each record. The
 evidence checks do not depend on the projection.
 
 The two chain scans stream: each chunk of chain records the storage
-layer has verified becomes one column-backed batch, so an operator
-above that stops pulling (a LIMIT) stops the scan, and the evidence
-covers the verified prefix it saw.
+layer has verified becomes one batch, so an operator above that stops
+pulling (a LIMIT) stops the scan, and the evidence covers the verified
+prefix it saw.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ def _chain_order(binding: str, keys: Sequence[str], columns) -> list[tuple]:
     return order
 
 
-def _column_batches(chunks, ordering: list) -> Iterator[ColumnBatch]:
-    ordering = tuple(ordering)
+def _column_batches(chunks) -> Iterator[ColumnBatch]:
     for length, values in chunks:
-        yield ColumnBatch(values, length, ordering)
+        yield ColumnBatch(values, length)
 
 
 class SeqScanOp(PhysicalOp):
@@ -73,10 +72,7 @@ class SeqScanOp(PhysicalOp):
     def batches(self) -> Iterator[ColumnBatch]:
         # the storage layer fetches chain records through the batched
         # verified-read path at the same granularity the engine consumes
-        return _column_batches(
-            self.table.scan_chunks(batch_size=self.batch_size, columns=self.columns),
-            self.ordering,
-        )
+        return _column_batches(self.table.scan_chunks(columns=self.columns))
 
     def describe(self) -> str:
         return (
@@ -129,10 +125,9 @@ class RangeScanOp(PhysicalOp):
             hi,
             self.include_lo,
             self.include_hi,
-            batch_size=self.batch_size,
             columns=self.columns,
         )
-        return _column_batches(chunks, self.ordering)
+        return _column_batches(chunks)
 
     def describe(self) -> str:
         lo_bracket = "[" if self.include_lo else "("
@@ -165,7 +160,7 @@ class PointLookupOp(PhysicalOp):
             return
         row, _proof = self.table.get(key, self.columns)
         if row is not None:
-            yield ColumnBatch.from_rows([row])
+            yield ColumnBatch([[value] for value in row], 1)
 
     def describe(self) -> str:
         return (

@@ -1,25 +1,27 @@
-"""Ordering operator."""
+"""Ordering operators."""
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.sql.ast_nodes import OrderItem
-from repro.sql.batch import ColumnBatch, batched
-from repro.sql.expressions import compile_expr
+from repro.sql.batch import ColumnBatch, concat, transpose
+from repro.sql.expressions import compile_expr_batch
 from repro.sql.operators.base import PhysicalOp
+from repro.storage import config
 
 
 class SortOp(PhysicalOp):
     """Materialize and sort the input by the ORDER BY items.
 
-    NULLs sort first on ascending keys (a documented convention); mixed
-    ascending/descending items are handled by composing per-key rank
-    tuples (ascending) with negation-free reverse flags via multi-pass
-    stable sorting in memory, or — when a spill manager is attached and
-    the input exceeds the enclave budget — by an external merge sort
-    whose runs live in the verifiable storage (Section 5.4).
+    NULLs sort first on ascending keys (a documented convention). In
+    memory the sort permutes an index vector over the key columns, one
+    stable pass per item, last item first, so mixed ascending/descending
+    items compose; the rows are gathered once, in output order. When a
+    spill manager is attached and every item runs one direction, the
+    input instead goes through an external merge sort whose runs live
+    in the verifiable storage (Section 5.4).
     """
 
     def __init__(
@@ -31,138 +33,96 @@ class SortOp(PhysicalOp):
         super().__init__(child.output, [child])
         self.items = items
         self.spill = spill
-        self._fns = [compile_expr(item.expr, child.output) for item in items]
-        from repro.sql.ast_nodes import ColumnRef
-
-        self.ordering = [
-            (item.expr.qualifier, item.expr.name, item.ascending)
-            for item in items
-            if isinstance(item.expr, ColumnRef)
-        ]
+        self._fns = [compile_expr_batch(item.expr, child.output) for item in items]
+        self._directions = [item.ascending for item in items]
 
     def batches(self) -> Iterator[ColumnBatch]:
-        source = (
-            row
-            for batch in self.children[0].timed_batches()
-            for row in batch.rows
-        )
-        ordering = tuple(self.ordering)
-        if self.spill is not None:
-            return batched(self._external(source), self.batch_size, ordering)
-        rows = list(source)
-        # last key first: stable sorts compose right-to-left
-        for item, fn in reversed(list(zip(self.items, self._fns))):
-            rows.sort(
-                key=lambda row: _null_key(fn(row)),
-                reverse=not item.ascending,
-            )
-        return batched(rows, self.batch_size, ordering)
+        width = len(self.output)
+        if self.spill is not None and len(set(self._directions)) == 1:
+            return self._external(width)
+        batch = concat(self.children[0].timed_batches(), width)
+        order = _sort_order([fn(batch) for fn in self._fns], self._directions)
+        return batch.take_chunks(order)
 
-    def _external(self, source) -> Iterator[tuple]:
-        """Spill-backed sort: one composite key, single merge pass.
-
-        Mixed ASC/DESC needs a single total-order key; descending
-        components are inverted where possible (numbers) and otherwise
-        fall back to in-memory sorting for that pathological mix.
-        """
+    def _external(self, width: int) -> Iterator[ColumnBatch]:
+        """Spill-backed sort: each row carries its key values behind it
+        through the runs, and loses them again on the way out."""
         from repro.sql.spill import external_sort
 
-        if all(item.ascending for item in self.items):
-            fns = self._fns
+        fns = self._fns
 
-            def key(row):
-                return tuple(_null_key(fn(row)) for fn in fns)
+        def keyed_rows():
+            for batch in self.children[0].timed_batches():
+                keys = zip(*[fn(batch) for fn in fns])
+                yield from map(tuple.__add__, batch.rows, keys)
 
-            return external_sort(source, key, self.spill)
-        if all(not item.ascending for item in self.items):
-            fns = self._fns
+        def key(row):
+            return tuple(map(_null_key, row[width:]))
 
-            def key(row):
-                return tuple(_null_key(fn(row)) for fn in fns)
-
-            return external_sort(source, key, self.spill, reverse=True)
-        # mixed directions: multi-pass stable in-memory sort
-        rows = list(source)
-        for item, fn in reversed(list(zip(self.items, self._fns))):
-            rows.sort(
-                key=lambda row: _null_key(fn(row)),
-                reverse=not item.ascending,
-            )
-        return iter(rows)
+        rows = external_sort(
+            keyed_rows(), key, self.spill, reverse=not self._directions[0]
+        )
+        size = config.BATCH_ROWS
+        while chunk := [row[:width] for _, row in zip(range(size), rows)]:
+            yield transpose(chunk)
 
     def describe(self) -> str:
-        parts = [
-            f"{item.expr!r} {'ASC' if item.ascending else 'DESC'}"
-            for item in self.items
-        ]
-        return f"Sort({', '.join(parts)})"
+        return f"Sort({_describe_items(self.items)})"
 
 
 class TopNOp(PhysicalOp):
-    """Fused ORDER BY + LIMIT: keep only the top N rows via a heap.
+    """Fused ORDER BY + LIMIT: keep only the top N rows.
 
-    O(n log N) time and O(N) space instead of materializing and sorting
-    the whole input — the planner substitutes this for Sort+Limit, which
-    also keeps the intermediate state inside any enclave budget without
-    spilling.
+    The operator holds at most N candidate rows plus one input batch:
+    each batch is sorted together with the candidates (which stay in
+    output order, ties in arrival order) and cut back to N. That is
+    O(N) state instead of materializing the whole input — the planner
+    substitutes this for Sort+Limit, which also keeps the intermediate
+    state inside any enclave budget without spilling.
     """
 
     def __init__(self, child: PhysicalOp, items: list[OrderItem], limit: int):
         super().__init__(child.output, [child])
         self.items = items
         self.limit = limit
-        self._fns = [compile_expr(item.expr, child.output) for item in items]
+        self._fns = [compile_expr_batch(item.expr, child.output) for item in items]
         self._directions = [item.ascending for item in items]
 
     def batches(self) -> Iterator[ColumnBatch]:
         if self.limit <= 0:
-            return iter(())
-        import heapq
-
-        fns, directions = self._fns, self._directions
-
-        def key(row):
-            return _DirectedKey(
-                tuple(_null_key(fn(row)) for fn in fns), directions
-            )
-
-        source = (
-            row
-            for batch in self.children[0].timed_batches()
-            for row in batch.rows
-        )
-        top = heapq.nsmallest(self.limit, source, key=key)
-        return batched(top, self.batch_size)
+            return
+        width = len(self.output)
+        top = None
+        for batch in self.children[0].timed_batches():
+            pool = batch if top is None else concat((top, batch), width)
+            order = _sort_order([fn(pool) for fn in self._fns], self._directions)
+            top = pool.take(order[: self.limit])
+        if top is not None:
+            yield top
 
     def describe(self) -> str:
-        parts = [
-            f"{item.expr!r} {'ASC' if item.ascending else 'DESC'}"
-            for item in self.items
-        ]
-        return f"TopN({self.limit}, by {', '.join(parts)})"
+        return f"TopN({self.limit}, by {_describe_items(self.items)})"
 
 
-@functools.total_ordering
-class _DirectedKey:
-    """Composite sort key honouring per-component ASC/DESC directions."""
+def _sort_order(keys: list[list], ascending: Sequence[bool]) -> list[int]:
+    """The stable sort permutation of rows by key columns ``keys``.
 
-    __slots__ = ("values", "directions")
+    One stable pass per key, last key first, each in its own direction
+    (a reversed stable sort keeps ties in order); NULL sorts below every
+    value.
+    """
+    order = list(range(len(keys[0])))
+    for values, up in zip(reversed(keys), reversed(ascending)):
+        if None in values:
+            values = list(map(_null_key, values))
+        order.sort(key=values.__getitem__, reverse=not up)
+    return order
 
-    def __init__(self, values: tuple, directions: list[bool]):
-        self.values = values
-        self.directions = directions
 
-    def __eq__(self, other):
-        return self.values == other.values
-
-    def __lt__(self, other):
-        for mine, theirs, ascending in zip(
-            self.values, other.values, self.directions
-        ):
-            if mine == theirs:
-                continue
-            return mine < theirs if ascending else mine > theirs
-        return False
+def _describe_items(items: list[OrderItem]) -> str:
+    return ", ".join(
+        f"{item.expr!r} {'ASC' if item.ascending else 'DESC'}" for item in items
+    )
 
 
 @functools.total_ordering

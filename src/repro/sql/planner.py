@@ -104,7 +104,6 @@ class Planner:
         catalog: Catalog,
         subquery_executor=None,
         spill=None,
-        batch_size: Optional[int] = None,
     ):
         self.catalog = catalog
         #: callable(Select) -> list[tuple]; installed by the QueryEngine.
@@ -114,18 +113,6 @@ class Planner:
         #: optional SpillManager: materializing operators overflow their
         #: intermediate state into verifiable storage (Section 5.4)
         self.spill = spill
-        #: rows per batch on every stamped plan node; 1 degenerates to
-        #: row-at-a-time execution. None keeps each operator's class
-        #: default (DEFAULT_BATCH_SIZE).
-        self.batch_size = batch_size
-
-    def _stamp(self, plan: PhysicalOp) -> PhysicalOp:
-        """Propagate the batch size to every plan node (the last write
-        a node ever sees: a returned plan is immutable)."""
-        if self.batch_size is not None:
-            for op in plan.walk():
-                op.batch_size = self.batch_size
-        return plan
 
     # ------------------------------------------------------------------
     # SELECT
@@ -206,8 +193,7 @@ class Planner:
 
         plan, agg_output_map = self._plan_aggregation(plan, stmt)
         plan = self._plan_projection_order_limit(plan, stmt, agg_output_map)
-        plan = self._fuse_pipelines(plan)
-        return self._stamp(plan)
+        return self._fuse_pipelines(plan)
 
     # ------------------------------------------------------------------
     # pipeline fusion (single-pass columnar scan→filter→project)
@@ -832,8 +818,7 @@ class Planner:
         conjuncts = split_conjuncts(where)
         for conjunct in conjuncts:
             self._bindings_of(conjunct, [binding])  # validates columns
-        plan = self._fuse_pipelines(self._access_path(binding, conjuncts))
-        return self._stamp(plan)
+        return self._fuse_pipelines(self._access_path(binding, conjuncts))
 
 
 def _only_readers(

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-#: the single source of truth for the engine's batch size. Both
-#: ``StorageConfig.batch_size`` (planner-stamped plans) and
-#: ``repro.sql.batch.DEFAULT_BATCH_SIZE`` (directly-constructed
-#: operators) derive from this constant, so the two can never drift.
-DEFAULT_BATCH_SIZE = 256
+#: the engine's chunk length: chain records per batched verified read,
+#: so rows per scan batch, and rows per batch a sort or an aggregate
+#: emits. Read at call time (``config.BATCH_ROWS``, never a copied
+#: name), so a test can patch this one name to 1 or 7 to put chunk
+#: boundaries everywhere. 256 sits on the plateau of the batch-size
+#: sweep (EXPERIMENTS).
+BATCH_ROWS = 256
 
 #: default capacity of the engine's plan cache (distinct statement
 #: shapes retained); see ``StorageConfig.plan_cache_size``
@@ -48,11 +50,6 @@ class StorageConfig:
     #: enclave memory (the Section 5.4 future-work direction); None
     #: keeps all intermediate state in the enclave
     spill_threshold_rows: int | None = None
-    #: rows per :class:`~repro.sql.batch.ColumnBatch` pulled through the
-    #: operator tree, and cells per batched verified read beneath it.
-    #: 1 degenerates to the original row-at-a-time execution; the
-    #: default sits on the plateau of the batch-size sweep (EXPERIMENTS)
-    batch_size: int = DEFAULT_BATCH_SIZE
     #: statement shapes kept in the engine's bounded LRU plan cache
     #: (normalized SQL + join hint → parsed statement and, for cacheable
     #: statements, a physical plan template validated against the
@@ -80,8 +77,6 @@ class StorageConfig:
             raise ConfigurationError("touched_group_size must be >= 1")
         if self.spill_threshold_rows is not None and self.spill_threshold_rows < 1:
             raise ConfigurationError("spill_threshold_rows must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         if self.plan_cache_size < 0:
             raise ConfigurationError("plan_cache_size must be >= 0")
         if self.cache_bytes < 0:

@@ -41,6 +41,7 @@ from repro.catalog.schema import Schema
 from repro.catalog.types import BOTTOM, TOP
 from repro.errors import IntegrityError, ProofError, StorageError
 from repro.faults import default_fault_plane, sites as fault_sites
+from repro.storage import config
 from repro.storage.compaction import CompactionPolicy
 from repro.storage.locking import POINT_READ_RETRIES, ThreadSafeIndex
 from repro.storage.engine import StorageEngine
@@ -293,7 +294,6 @@ class VerifiableTable:
         hi: Any = None,
         include_lo: bool = True,
         include_hi: bool = True,
-        batch_size: int | None = None,
         columns: Sequence[str] | None = None,
     ) -> Iterator[tuple[int, list[list]]]:
         """Verified range scan as a stream of column chunks.
@@ -301,13 +301,13 @@ class VerifiableTable:
         Yields ``(length, values)`` per chunk of chain records that
         holds a matching row: ``values`` has one list per name in
         ``columns`` (default: every column in schema order), each
-        ``length`` long, in chain order. ``batch_size`` is how many
-        chain records one batched verified read fetches (default:
-        ``StorageConfig.batch_size``). Figure 5 is checked chunk by
-        chunk before the chunk is yielded, so whatever a consumer has
-        seen is a verified prefix of the range; the right boundary is
-        checked at exhaustion, and the generator's return value (the
-        ``StopIteration`` value) is the complete :class:`RangeProof`.
+        ``length`` long, in chain order. A chunk is one batched verified
+        read of ``config.BATCH_ROWS`` chain records. Figure 5 is checked
+        chunk by chunk before the chunk is yielded, so whatever a
+        consumer has seen is a verified prefix of the range; the right
+        boundary is checked at exhaustion, and the generator's return
+        value (the ``StopIteration`` value) is the complete
+        :class:`RangeProof`.
         The table lock is held from the first chunk until exhaustion
         or ``close()``.
         """
@@ -318,11 +318,7 @@ class VerifiableTable:
                 f"column {column!r} has no key chain; scan the primary key "
                 f"and filter, or declare it in Schema.chain_columns"
             )
-        if batch_size is None:
-            batch_size = self.engine.config.batch_size
-        return self._scan_chain(
-            chain_id, columns, lo, hi, include_lo, include_hi, batch_size
-        )
+        return self._scan_chain(chain_id, columns, lo, hi, include_lo, include_hi)
 
     def scan(
         self,
@@ -331,12 +327,11 @@ class VerifiableTable:
         hi: Any = None,
         include_lo: bool = True,
         include_hi: bool = True,
-        batch_size: int | None = None,
         columns: Sequence[str] | None = None,
     ) -> list[tuple]:
         """Verified range scan; returns the matching rows."""
         rows, _ = self.scan_with_proof(
-            column, lo, hi, include_lo, include_hi, batch_size, columns
+            column, lo, hi, include_lo, include_hi, columns
         )
         return rows
 
@@ -347,20 +342,18 @@ class VerifiableTable:
         hi: Any = None,
         include_lo: bool = True,
         include_hi: bool = True,
-        batch_size: int | None = None,
         columns: Sequence[str] | None = None,
     ) -> tuple[list[tuple], RangeProof]:
         """Verified range scan returning rows plus the checked evidence.
 
         A drain of :meth:`scan_chunks` into row tuples. The adjacency
-        proof is checked per chunk of ``batch_size`` records, link by
-        link across chunk boundaries, so the evidence is identical at
-        every batch size. ``columns`` names the values each returned
-        row holds, in that order; the evidence is the same for every
-        projection.
+        proof is checked per chunk of records, link by link across chunk
+        boundaries, so the evidence is identical at every chunk length.
+        ``columns`` names the values each returned row holds, in that
+        order; the evidence is the same for every projection.
         """
         chunks = self.scan_chunks(
-            column, lo, hi, include_lo, include_hi, batch_size, columns
+            column, lo, hi, include_lo, include_hi, columns
         )
         rows: list[tuple] = []
         while True:
@@ -370,13 +363,9 @@ class VerifiableTable:
                 return rows, done.value
             rows += zip(*values) if values else repeat((), length)
 
-    def seq_scan(
-        self,
-        batch_size: int | None = None,
-        columns: Sequence[str] | None = None,
-    ) -> list[tuple]:
+    def seq_scan(self, columns: Sequence[str] | None = None) -> list[tuple]:
         """Full verified sequential scan (range (⊥, ⊤) on the primary key)."""
-        return self.scan(batch_size=batch_size, columns=columns)
+        return self.scan(columns=columns)
 
     # ------------------------------------------------------------------
     # introspection
@@ -463,7 +452,6 @@ class VerifiableTable:
         hi,
         include_lo,
         include_hi,
-        batch_size: int,
     ) -> Iterator[tuple[int, list[list]]]:
         layout = self.layout
         # every record is decoded once, a chunk at a time, through the
@@ -512,7 +500,7 @@ class VerifiableTable:
             seed = index.search_le(lo_bound)
             if seed is None:
                 raise ProofError(f"untrusted index lost the chain-{chain_id} sentinel")
-            # Records are fetched ``batch_size`` at a time. Which records
+            # Records are fetched ``BATCH_ROWS`` at a time. Which records
             # is a prefetch hint from the *untrusted* index — the seed,
             # then every entry it does not claim is past the bound;
             # termination and omission detection rest exclusively on the
@@ -521,9 +509,10 @@ class VerifiableTable:
             items = index.items(seed[0], hi_bound if bounded else None) or [seed]
             if len(items) > 1 and past(items[-1][0], hi_bound):
                 items.pop()  # the exclusive bound itself
+            size = config.BATCH_ROWS
             try:
-                for start in range(0, len(items), batch_size):
-                    rids = [rid for _ikey, rid in items[start : start + batch_size]]
+                for start in range(0, len(items), size):
+                    rids = [rid for _ikey, rid in items[start : start + size]]
                     payloads = self.heap.read_many(rids, admit=admit)
                     before = codec.fallbacks
                     sentinels, keys, next_keys, *values = plan.chunk(payloads, miss)

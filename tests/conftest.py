@@ -5,11 +5,16 @@ tests that wait on a background thread (the verifier daemon, a crashing
 pass) poll the observable condition with a deadline instead of sleeping
 a fixed interval — fixed sleeps are simultaneously too slow on fast
 machines and flaky on loaded ones.
+
+``chunk_rows`` is the one way a test sets the engine's chunk length.
 """
 
+import contextlib
 import time
 
 import pytest
+
+from repro.storage import config as storage_config
 
 
 def poll_until(predicate, timeout=5.0, interval=0.005):
@@ -31,3 +36,19 @@ def poll_until(predicate, timeout=5.0, interval=0.005):
 def poll_until_fixture():
     """The polling helper as a fixture, for tests that prefer injection."""
     return poll_until
+
+
+@contextlib.contextmanager
+def chunk_rows(rows: int):
+    """Run the engine at a chunk length of ``rows`` inside the block.
+
+    ``repro.storage.config.BATCH_ROWS`` is the one chunk length the
+    scans, sorts and aggregates read at call time; tests sweep it (1 and
+    7 put chunk boundaries everywhere) through this.
+    """
+    saved = storage_config.BATCH_ROWS
+    storage_config.BATCH_ROWS = rows
+    try:
+        yield
+    finally:
+        storage_config.BATCH_ROWS = saved

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sql.ast_nodes import Aggregate, ColumnRef
-from repro.sql.batch import ColumnBatch
+from repro.sql.batch import transpose
 from repro.sql.expressions import RowSchema
 from repro.sql.operators import HashAggregateOp
 from repro.sql.operators.base import PhysicalOp
@@ -26,19 +26,14 @@ FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 class Rows(PhysicalOp):
     """A leaf emitting fixed rows in batches of ``batch_size``."""
 
-    def __init__(self, rows, batch_size, columnar):
+    def __init__(self, rows, batch_size):
         super().__init__(SCHEMA, [])
         self.rows = rows
         self.batch_size = batch_size
-        self.columnar = columnar
 
     def batches(self):
         for start in range(0, len(self.rows), self.batch_size):
-            chunk = self.rows[start : start + self.batch_size]
-            if self.columnar:
-                yield ColumnBatch([list(c) for c in zip(*chunk)], len(chunk))
-            else:
-                yield ColumnBatch.from_rows(chunk)
+            yield transpose(self.rows[start : start + self.batch_size])
 
 
 # ----------------------------------------------------------------------
@@ -138,20 +133,19 @@ aggregates = st.lists(
     aggs=aggregates,
     grouping=st.sampled_from([(), (0,), (0, 1)]),
     batch_size=st.sampled_from([1, 7, 256]),
-    columnar=st.booleans(),
 )
-def test_column_fold_is_the_row_fold(values, data, aggs, grouping, batch_size, columnar):
+def test_column_fold_is_the_row_fold(values, data, aggs, grouping, batch_size):
     rows = [(data.draw(keys), data.draw(keys), value) for value in values]
     group_exprs = [ColumnRef(("g1", "g2")[i]) for i in grouping]
     names = [f"g{i}" for i in grouping] + [f"a{i}" for i in range(len(aggs))]
-    op = HashAggregateOp(Rows(rows, batch_size, columnar), group_exprs, aggs, names)
+    op = HashAggregateOp(Rows(rows, batch_size), group_exprs, aggs, names)
     expected, expected_error = None, None
     try:
         expected = reference(rows, grouping, aggs)
     except TypeError as exc:
         expected_error = exc
     try:
-        got = [row for batch in op.batches() for row in batch.to_rows()]
+        got = [row for batch in op.batches() for row in batch.rows]
     except TypeError as exc:
         assert expected_error is not None, exc
         return
@@ -165,8 +159,8 @@ def test_empty_input(grouping, batch_size):
     aggs = [Aggregate("COUNT", None), *(Aggregate(f, ColumnRef("x")) for f in FUNCS)]
     names = [f"g{i}" for i in grouping] + [f"a{i}" for i in range(len(aggs))]
     group_exprs = [ColumnRef("g1") for _ in grouping]
-    op = HashAggregateOp(Rows([], batch_size, True), group_exprs, aggs, names)
-    got = [row for batch in op.batches() for row in batch.to_rows()]
+    op = HashAggregateOp(Rows([], batch_size), group_exprs, aggs, names)
+    got = [row for batch in op.batches() for row in batch.rows]
     # a global aggregate answers one row over nothing; a grouped one none
     assert got == ([] if grouping else [(0, 0, None, None, None, None)])
 
@@ -179,9 +173,9 @@ def test_min_max_carry_their_best_into_the_next_batch(func):
     rows = [(None, None, v) for v in (5.0, 5.0, float("nan"), better)]
     for batch_size in (1, 2, 3):
         op = HashAggregateOp(
-            Rows(rows, batch_size, True), [], [Aggregate(func, ColumnRef("x"))], ["m"]
+            Rows(rows, batch_size), [], [Aggregate(func, ColumnRef("x"))], ["m"]
         )
-        got = [row for batch in op.batches() for row in batch.to_rows()]
+        got = [row for batch in op.batches() for row in batch.rows]
         assert repr(got) == repr(reference(rows, (), op.aggregates))
 
 
@@ -195,7 +189,7 @@ def test_a_float_sum_is_folded_left_to_right_not_compensated():
         expected += v
     for batch_size in (1, 3, 256):
         op = HashAggregateOp(
-            Rows(rows, batch_size, True), [], [Aggregate("SUM", ColumnRef("x"))], ["s"]
+            Rows(rows, batch_size), [], [Aggregate("SUM", ColumnRef("x"))], ["s"]
         )
-        (got,) = [row for batch in op.batches() for row in batch.to_rows()]
+        (got,) = [row for batch in op.batches() for row in batch.rows]
         assert repr(got) == repr((expected,))

@@ -1,15 +1,14 @@
 """ColumnBatch unit tests and the fused-pipeline execution contract.
 
-Covers the dual-backed batch (row-backed vs column-backed, lazy
-derivation, authoritative-representation compaction),
-the single source of truth for the engine batch size, and the
-scan→filter→project fusion the planner installs over base tables.
+Covers the one batch representation (columns plus a length; rows are a
+transpose built on demand), the transpose rows arrive through, the
+structural transforms, and the scan→filter→project fusion the planner
+installs over base tables.
 """
 
 from repro.obs import MetricsRegistry
-from repro.sql import batch as batch_module
-from repro.sql.batch import ColumnBatch, batched
-from repro.storage.config import DEFAULT_BATCH_SIZE, StorageConfig
+from repro.sql.batch import ColumnBatch, concat, transpose
+from tests.conftest import chunk_rows
 
 
 ROWS = [
@@ -21,98 +20,75 @@ ROWS = [
 
 
 # ----------------------------------------------------------------------
-# dual backing
+# columns, rows and the transpose between them
 # ----------------------------------------------------------------------
-def test_row_backed_batch_derives_columns_lazily():
-    batch = ColumnBatch.from_rows(list(ROWS))
-    assert len(batch) == 4
-    assert batch.width == 3
-    # only the requested column is derived
-    assert batch.column(1) == ["a", None, "c", "d"]
-    assert batch._columns[0] is None
-    assert batch._columns[2] is None
-    assert batch.column(1) is batch.column(1)  # cached, not recomputed
-
-
 def test_column_backed_batch_materializes_rows_once():
-    batch = ColumnBatch(
-        [[1, 2, 3], ["x", "y", "z"]], 3
-    )
-    rows = batch.to_rows()
+    """Each access to ``rows`` materializes the row tuples once, from
+    the batch's own columns; nothing is cached on the batch."""
+    columns = [[1, 2, 3], ["x", "y", "z"]]
+    batch = ColumnBatch(columns, 3)
+    assert batch.columns is columns  # no copy, no second form
+    rows = batch.rows
     assert rows == [(1, "x"), (2, "y"), (3, "z")]
-    # idempotent one-shot transpose: the same list object comes back
-    assert batch.to_rows() is rows
-    assert list(batch) == rows
+    # not cached: every access is a fresh transpose of the columns
+    assert batch.rows == rows and batch.rows is not rows
 
 
 def test_rows_round_trip_through_both_backings():
-    row_backed = ColumnBatch.from_rows(list(ROWS))
-    column_backed = ColumnBatch(
-        [list(col) for col in zip(*ROWS)], len(ROWS)
-    )
-    assert row_backed.to_rows() == column_backed.to_rows() == ROWS
-    assert row_backed.columns == column_backed.columns
+    """Rows → columns (:func:`transpose`) → rows gives the rows back,
+    and a batch built by transposing rows equals one built from the
+    same columns directly."""
+    transposed = transpose(ROWS)
+    built = ColumnBatch([list(col) for col in zip(*ROWS)], len(ROWS))
+    assert transposed.columns == built.columns
+    assert transposed.rows == built.rows == ROWS
+    # the rows' own value objects, not copies
+    assert transposed.rows[0][1] is ROWS[0][1]
 
 
 def test_zero_width_batch_keeps_cardinality():
     batch = ColumnBatch([], 5)
     assert len(batch) == 5
-    assert batch.to_rows() == [()] * 5
+    assert batch.rows == [()] * 5
+    assert len(batch.take_mask([True, False, True, False, False])) == 2
+    assert len(batch.take([0, 0, 4])) == 3
+    assert len(transpose([(), ()])) == 2
 
 
 # ----------------------------------------------------------------------
-# compaction and slicing stay in the authoritative representation
+# structural transforms
 # ----------------------------------------------------------------------
-def test_take_mask_row_backed_reuses_tuples():
-    batch = ColumnBatch.from_rows(list(ROWS))
-    kept = batch.take_mask([True, False, True, False])
-    assert kept.to_rows() == [ROWS[0], ROWS[2]]
-    # the surviving tuples are the same objects, not rebuilt
-    assert kept.to_rows()[0] is ROWS[0]
-
-
 def test_take_mask_column_backed_compacts_columns():
     batch = ColumnBatch([[1, 2, 3, 4], [10, 20, 30, 40]], 4)
     kept = batch.take_mask([False, True, True, False])
-    assert kept._rows is None  # still column-backed
-    assert kept.column(1) == [20, 30]
-    assert kept.to_rows() == [(2, 20), (3, 30)]
+    assert kept.columns == [[2, 3], [20, 30]]
+    assert kept.rows == [(2, 20), (3, 30)]
 
 
-def test_take_mask_preserves_ordering():
-    batch = ColumnBatch.from_rows(list(ROWS), ordering=(("t", "id", True),))
-    assert batch.take_mask([True] * 4).ordering == (("t", "id", True),)
+def test_take_gathers_positions_in_order():
+    batch = transpose(ROWS)
+    assert batch.take([3, 0, 0]).rows == [ROWS[3], ROWS[0], ROWS[0]]
+    assert batch.take([]).rows == []
 
 
-def test_slice_both_backings():
-    row_backed = ColumnBatch.from_rows(list(ROWS))
-    assert row_backed.slice(2).to_rows() == ROWS[:2]
-    column_backed = ColumnBatch([[1, 2, 3], [4, 5, 6]], 3)
-    sliced = column_backed.slice(2)
-    assert sliced._rows is None
-    assert sliced.to_rows() == [(1, 4), (2, 5)]
+def test_slice_takes_a_prefix():
+    batch = ColumnBatch([[1, 2, 3], [4, 5, 6]], 3)
+    assert batch.slice(2).rows == [(1, 4), (2, 5)]
     # slicing past the end returns the batch itself
-    assert row_backed.slice(99) is row_backed
+    assert batch.slice(99) is batch
 
 
 def test_batched_chunks_and_ordering():
-    batches = list(batched([(i,) for i in range(10)], 4))
-    assert [len(b) for b in batches] == [4, 4, 2]
-    lazy = list(batched(((i,) for i in range(5)), 2, ordering=("o",)))
-    assert [len(b) for b in lazy] == [2, 2, 1]
-    assert all(b.ordering == ("o",) for b in lazy)
-
-
-# ----------------------------------------------------------------------
-# single source of truth for the batch size
-# ----------------------------------------------------------------------
-def test_batch_size_has_one_source_of_truth():
-    """`repro.sql.batch.DEFAULT_BATCH_SIZE` is a re-export of the
-    storage-config constant, and the config default equals both — the
-    regression this pins is a drift between directly-constructed
-    operators and planner-stamped plans."""
-    assert batch_module.DEFAULT_BATCH_SIZE is DEFAULT_BATCH_SIZE
-    assert StorageConfig().batch_size == DEFAULT_BATCH_SIZE
+    """``concat`` and ``take_chunks`` cut and join batches at
+    ``BATCH_ROWS`` and keep the row order."""
+    parts = [transpose(ROWS[:1]), transpose(ROWS[1:])]
+    whole = concat(parts, 3)
+    assert whole.rows == ROWS
+    assert concat([], 3).columns == [[], [], []]
+    with chunk_rows(3):
+        chunks = list(whole.take_chunks([3, 2, 1, 0]))
+    assert [len(chunk) for chunk in chunks] == [3, 1]
+    assert [row for chunk in chunks for row in chunk.rows] == ROWS[::-1]
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,11 @@ from repro.sql.ast_nodes import (
     Literal,
     UnaryOp,
 )
+from repro.sql.batch import ColumnBatch
 from repro.sql.expressions import (
     RowSchema,
     compile_expr,
-    compile_predicate,
+    compile_predicate_batch,
     find_aggregates,
     referenced_columns,
     split_conjuncts,
@@ -90,8 +91,8 @@ def test_three_valued_and_or():
 
 
 def test_predicate_null_is_false():
-    pred = compile_predicate(BinaryOp("=", ColumnRef("b"), Literal(None)), SCHEMA)
-    assert pred((1, 2, 3)) is False
+    pred = compile_predicate_batch(BinaryOp("=", ColumnRef("b"), Literal(None)), SCHEMA)
+    assert pred(ColumnBatch([[1], [2], [3]], 1)) == [False]
 
 
 def test_is_null():

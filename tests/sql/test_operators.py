@@ -12,7 +12,7 @@ from repro.sql.ast_nodes import (
     Literal,
     OrderItem,
 )
-from repro.sql.batch import batched
+from repro.sql.batch import transpose
 from repro.sql.expressions import RowSchema
 from repro.sql.operators import (
     FilterOp,
@@ -38,10 +38,11 @@ class RowsOp(PhysicalOp):
 
     def __init__(self, bindings, rows):
         super().__init__(RowSchema(bindings), [])
-        self._rows = rows
+        self.rows = rows
 
     def batches(self):
-        return batched(self._rows, self.batch_size)
+        if self.rows:
+            yield transpose(self.rows)
 
 
 def drain(op):

@@ -17,14 +17,21 @@ from repro.catalog.catalog import Catalog
 from repro.obs import NULL_REGISTRY, MetricsRegistry, TraceContext
 from repro.sql.executor import QueryEngine
 from repro.sql.operators import FusedScanFilterProjectOp
-from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
+from tests.conftest import chunk_rows
 
 ROWS = 400
 
 
+@pytest.fixture(autouse=True)
+def _chunks_of_64():
+    """Several chunks per scan, so concurrent runs interleave mid-scan."""
+    with chunk_rows(64):
+        yield
+
+
 def make_engine(registry):
-    storage = StorageEngine(StorageConfig(batch_size=64), registry=registry)
+    storage = StorageEngine(registry=registry)
     engine = QueryEngine(Catalog(), storage)
     engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
     for start in range(0, ROWS, 50):
@@ -211,12 +218,9 @@ def test_no_plan_node_attribute_is_written_outside_init_and_planner():
     assert not offenders, offenders
 
     # nor does any module that handles plans write a node's attribute
-    # through another name (`op.batch_size = …`, `fragment.rows_out = …`)
+    # through another name (`op.ordering = …`, `fragment.rows_out = …`)
     # — only the planner, before it returns. `self.x` stores belong to
-    # the (other) class being defined; a ColumnBatch carries its own
-    # `ordering`.
-    node_attrs |= {"batch_size"}
-    node_attrs -= {"ordering"}
+    # the (other) class being defined.
     for path, tree in trees.items():
         where = path.relative_to(root)
         if where.parts[0] not in ("sql", "shard", "obs") or where == Path(

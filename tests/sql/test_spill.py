@@ -8,6 +8,7 @@ from repro.sql.executor import QueryEngine
 from repro.sql.spill import SpillManager, external_sort
 from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
+from tests.conftest import chunk_rows
 
 
 @pytest.fixture
@@ -216,16 +217,11 @@ def test_spill_and_verification_coexist(spilling_engine):
 
 # ----------------------------------------------------------------------
 # spilled results are byte-identical to in-memory results at every
-# batch size: the columnar→row boundary at the spill buffer hands the
+# chunk length: the columnar→row boundary at the spill buffer hands the
 # same row tuples to storage that in-enclave execution would keep
 # ----------------------------------------------------------------------
-def _build_engine(batch_size, spill_threshold_rows):
-    storage = StorageEngine(
-        StorageConfig(
-            batch_size=batch_size,
-            spill_threshold_rows=spill_threshold_rows,
-        )
-    )
+def _build_engine(spill_threshold_rows):
+    storage = StorageEngine(StorageConfig(spill_threshold_rows=spill_threshold_rows))
     qe = QueryEngine(Catalog(), storage)
     qe.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, w TEXT)"
@@ -250,15 +246,16 @@ SPILL_QUERIES = [
 
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
 def test_spilled_results_byte_identical_to_in_memory(batch_size):
-    """Spilling is invisible: same bytes row for row, every batch size."""
+    """Spilling is invisible: same bytes row for row, every chunk length."""
     from repro.storage.record import RecordCodec
 
     codec = RecordCodec()
-    in_memory = _build_engine(batch_size, spill_threshold_rows=None)
-    spilling = _build_engine(batch_size, spill_threshold_rows=4)
+    in_memory = _build_engine(spill_threshold_rows=None)
+    spilling = _build_engine(spill_threshold_rows=4)
     for sql, hint in SPILL_QUERIES:
-        expected = in_memory.execute(sql, join_hint=hint).rows
-        got = spilling.execute(sql, join_hint=hint).rows
+        with chunk_rows(batch_size):
+            expected = in_memory.execute(sql, join_hint=hint).rows
+            got = spilling.execute(sql, join_hint=hint).rows
         expected_bytes = [codec.encode(row) for row in expected]
         got_bytes = [codec.encode(row) for row in got]
         if "ORDER BY" not in sql:

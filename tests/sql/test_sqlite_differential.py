@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.catalog.catalog import Catalog
 from repro.sql.executor import QueryEngine
 from repro.storage.engine import StorageEngine
+from tests.conftest import chunk_rows
 
 # ----------------------------------------------------------------------
 # data generation
@@ -198,6 +199,34 @@ def test_parameterized_select_matches_sqlite(rows, col, op, value, other):
     _approx_equal(ours, theirs)
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT a.id, b.id FROM a, b WHERE a.x = b.y",
+        "SELECT a.id, b.id FROM a LEFT JOIN b ON a.x = b.y",
+    ],
+)
+@pytest.mark.parametrize("hint", [None, "merge", "nested_loop"])
+def test_null_join_keys_equal_nothing(hint, sql):
+    """``a.x = b.y`` is unknown when either key is NULL, so every join
+    plan pairs a NULL key with nothing, not with the other side's NULL;
+    under LEFT JOIN that row comes out NULL-extended."""
+    engine = QueryEngine(Catalog(), StorageEngine())
+    connection = sqlite3.connect(":memory:")
+    for name, key, rows in (
+        ("a", "x", [(1, None), (2, 5)]),
+        ("b", "y", [(10, None), (11, 5)]),
+    ):
+        ddl = f"CREATE TABLE {name} (id INTEGER PRIMARY KEY, {key} INTEGER)"
+        engine.execute(ddl)
+        connection.execute(ddl)
+        for row in rows:
+            engine.catalog.lookup(name).store.insert(row)
+            connection.execute(f"INSERT INTO {name} VALUES (?, ?)", row)
+    theirs = [tuple(row) for row in connection.execute(sql)]
+    assert _canon(engine.execute(sql, join_hint=hint).rows) == _canon(theirs)
+
+
 # ----------------------------------------------------------------------
 # seeded random-query fuzzer: joins, aggregates, NULLs, ORDER/LIMIT
 #
@@ -208,6 +237,10 @@ def test_parameterized_select_matches_sqlite(rows, col, op, value, other):
 # ----------------------------------------------------------------------
 class QueryFuzzer:
     """Composes random two-table queries in the shared dialect subset."""
+
+    #: equi-join conditions: two on NOT NULL keys, and ``t.b = u.c`` with
+    #: NULLs on both sides, where a NULL key must equal nothing
+    JOINS = ("t.a = u.a", "t.id = u.id", "t.b = u.c")
 
     def __init__(self, rng: random.Random):
         self.rng = rng
@@ -238,21 +271,15 @@ class QueryFuzzer:
         return f"SELECT id, a, b FROM t WHERE {where}", False
 
     def inner_join(self):
-        key = self.rng.choice(["a", "id"])
+        on = self.rng.choice(self.JOINS)
         where = self.predicate(["t.a", "t.b", "u.c", "u.id"])
-        sql = (
-            "SELECT t.id, u.id, t.a, u.c FROM t "
-            f"JOIN u ON t.{key} = u.{'a' if key == 'a' else 'id'} "
-            f"WHERE {where}"
-        )
+        sql = f"SELECT t.id, u.id, t.a, u.c FROM t JOIN u ON {on} WHERE {where}"
         return sql, False
 
     def left_join(self):
+        on = self.rng.choice((self.JOINS[0], self.JOINS[2]))
         where = self.predicate(["t.a", "t.b"])
-        sql = (
-            "SELECT t.id, u.c FROM t LEFT JOIN u ON t.a = u.a "
-            f"WHERE {where}"
-        )
+        sql = f"SELECT t.id, u.c FROM t LEFT JOIN u ON {on} WHERE {where}"
         return sql, False
 
     def join_aggregate(self):
@@ -367,18 +394,18 @@ def test_fuzzer_ci_corpus(seed):
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
 @pytest.mark.parametrize("plan_cache_size", [0, 128])
 def test_fuzzer_batch_and_cache_matrix(batch_size, plan_cache_size):
-    """Batch granularity × cache-on/off never changes results.
+    """Chunk length × cache-on/off never changes results.
 
-    batch_size=1 degenerates the columnar pipeline to row-at-a-time;
+    A chunk length of 1 puts a chunk boundary between every two rows;
     plan_cache_size=0 disables plan reuse entirely — every combination
     must agree with SQLite on the same corpus.
     """
     from repro.storage.config import StorageConfig
 
-    config = StorageConfig(
-        batch_size=batch_size, plan_cache_size=plan_cache_size
-    )
-    _fuzz_corpus(5, queries=30, storage_config=config)
+    with chunk_rows(batch_size):
+        _fuzz_corpus(
+            5, queries=30, storage_config=StorageConfig(plan_cache_size=plan_cache_size)
+        )
 
 
 @pytest.mark.slow
@@ -394,7 +421,7 @@ def test_fuzzer_deep_corpus(seed):
 # decoder compiled for that projection. This corpus reads one to three
 # columns of a seven-column TEXT/FLOAT/DATE/NULL table, all of them,
 # only a chained column, columns referenced by nothing but a WHERE,
-# ORDER BY, HAVING, join or subquery — at every batch size. The sharded
+# ORDER BY, HAVING, join or subquery — at every chunk length. The sharded
 # differential (tests/shard) runs the same corpus across a fleet.
 # ----------------------------------------------------------------------
 WIDE_DDL = (
@@ -432,6 +459,8 @@ WIDE_QUERIES = [
     ("SELECT w.name, v.label FROM w JOIN v ON w.k = v.k WHERE w.qty > 1", False),
     ("SELECT w.note, v.label FROM w JOIN v ON w.qty = v.id", False),
     ("SELECT w.id, v.label FROM w LEFT JOIN v ON w.id = v.id", False),
+    # NULL on both sides of the key: a NULL note equals no NULL label
+    ("SELECT w.id, v.id, w.note FROM w LEFT JOIN v ON w.note = v.label", False),
     ("SELECT * FROM w JOIN v ON w.k = v.k WHERE v.label IS NULL", False),
     ("SELECT name FROM w WHERE price > (SELECT AVG(price) FROM w)", False),
     (
@@ -510,9 +539,12 @@ def assert_wide_rows(ours, theirs, ordered, tag):
 
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
 def test_wide_table_projections_match_sqlite(batch_size):
-    from repro.storage.config import StorageConfig
+    with chunk_rows(batch_size):
+        _wide_table_matches_sqlite(batch_size)
 
-    storage = StorageEngine(StorageConfig(batch_size=batch_size))
+
+def _wide_table_matches_sqlite(batch_size):
+    storage = StorageEngine()
     engine = QueryEngine(Catalog(), storage)
     for ddl, chain in zip(WIDE_DDL, WIDE_CHAINS):
         engine.execute(ddl.format(chain=chain))
@@ -522,7 +554,7 @@ def test_wide_table_projections_match_sqlite(batch_size):
             engine.catalog.lookup(name).store.insert(row)
     connection = wide_sqlite(w, v)
     for sql, ordered in WIDE_QUERIES:
-        tag = f"batch_size={batch_size} sql={sql!r}"
+        tag = f"chunk length {batch_size} sql={sql!r}"
         theirs = wide_expected(connection, sql)
         assert_wide_rows(engine.execute(sql).rows, theirs, ordered, tag)
         # second run: plan-cache hit, decoder memo hit

@@ -17,8 +17,8 @@ from repro import VeriDB, VeriDBConfig
 from repro.catalog.schema import Column, Schema
 from repro.catalog.types import IntegerType
 from repro.errors import ExecutionError
-from repro.storage.config import DEFAULT_BATCH_SIZE
-from tests.conftest import poll_until
+from repro.storage import config
+from tests.conftest import chunk_rows, poll_until
 
 ROWS = 10_000
 
@@ -55,7 +55,7 @@ def insert_from_another_thread(db, row) -> threading.Thread:
 def test_limit_over_a_scan_reads_at_most_two_chunks(db, sql, first):
     result = db.explain_analyze(sql)
     assert [tuple(row) for row in db.sql(sql).rows] == first
-    assert result.data["totals"]["verified_reads"] <= 2 * DEFAULT_BATCH_SIZE
+    assert result.data["totals"]["verified_reads"] <= 2 * config.BATCH_ROWS
     assert result.data["rowcount"] == 5
 
 
@@ -69,8 +69,9 @@ def test_a_returned_limit_query_leaves_the_table_writable(db):
 
 def test_the_lock_is_held_between_chunks_and_released_on_close(db):
     table = db.table("t")
-    chunks = table.scan_chunks(batch_size=64, columns=["k"])
-    length, (keys,) = next(chunks)
+    chunks = table.scan_chunks(columns=["k"])
+    with chunk_rows(64):
+        length, (keys,) = next(chunks)
     assert keys == list(range(length))
     held = []
     probe = threading.Thread(
@@ -102,17 +103,18 @@ def test_chunks_drain_to_the_rows_and_proof_of_the_whole_scan(db, batch_size):
         {"lo": 17, "hi": 2000, "include_hi": False},
         {"column": "v", "lo": 50, "hi": 90},
     ):
-        rows, proof = table.scan_with_proof(**bounds, batch_size=batch_size, columns=["v", "k"])
-        streamed = []
-        chunks = table.scan_chunks(**bounds, batch_size=batch_size, columns=["v", "k"])
-        while True:
-            try:
-                length, (values, keys) = next(chunks)
-            except StopIteration as done:
-                assert done.value == proof
-                break
-            assert 0 < length <= batch_size and len(values) == len(keys) == length
-            streamed += zip(values, keys)
+        with chunk_rows(batch_size):
+            rows, proof = table.scan_with_proof(**bounds, columns=["v", "k"])
+            streamed = []
+            chunks = table.scan_chunks(**bounds, columns=["v", "k"])
+            while True:
+                try:
+                    length, (values, keys) = next(chunks)
+                except StopIteration as done:
+                    assert done.value == proof
+                    break
+                assert 0 < length <= batch_size and len(values) == len(keys) == length
+                streamed += zip(values, keys)
         assert streamed == rows
         assert proof.records_read == proof.links_checked + 1
 

@@ -20,11 +20,12 @@ from repro.catalog.types import IntegerType, TextType
 from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
 from repro.storage.table_store import VerifiableTable
+from tests.conftest import chunk_rows
 
 CACHE_BYTES = 256 * 1024
 
 
-def make_table(batch_size: int, cache_bytes: int):
+def make_table(cache_bytes: int):
     schema = Schema(
         columns=[
             Column("pk", IntegerType()),
@@ -37,7 +38,6 @@ def make_table(batch_size: int, cache_bytes: int):
     engine = StorageEngine(
         StorageConfig(
             page_size=1024,
-            batch_size=batch_size,
             cache_bytes=cache_bytes,
         )
     )
@@ -100,25 +100,26 @@ def apply(table, engine, op):
 @given(ops=st.lists(_op, max_size=50))
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
 def test_cache_is_result_invisible(batch_size, ops):
-    plain_table, plain_engine = make_table(batch_size, 0)
-    cached_table, cached_engine = make_table(batch_size, CACHE_BYTES)
-    assert cached_engine.cache is not None
-    for op in ops:
-        plain_out = apply(plain_table, plain_engine, op)
-        cached_out = apply(cached_table, cached_engine, op)
-        assert plain_out == cached_out, op
-    # final contents agree row for row
-    assert cached_table.seq_scan() == plain_table.seq_scan()
-    # the untrusted stores hold identical data at identical addresses
-    plain_cells = {
-        addr: cell.data for addr, cell in plain_engine.memory.cells()
-    }
-    cached_cells = {
-        addr: cell.data for addr, cell in cached_engine.memory.cells()
-    }
-    assert cached_cells == plain_cells
-    # both histories are honest: the epoch closes with no alarm, and
-    # the close leaves the cache empty (epoch-flush regression guard)
-    plain_engine.verify_now()
-    cached_engine.verify_now()
-    assert len(cached_engine.cache) == 0
+    with chunk_rows(batch_size):
+        plain_table, plain_engine = make_table(0)
+        cached_table, cached_engine = make_table(CACHE_BYTES)
+        assert cached_engine.cache is not None
+        for op in ops:
+            plain_out = apply(plain_table, plain_engine, op)
+            cached_out = apply(cached_table, cached_engine, op)
+            assert plain_out == cached_out, op
+        # final contents agree row for row
+        assert cached_table.seq_scan() == plain_table.seq_scan()
+        # the untrusted stores hold identical data at identical addresses
+        plain_cells = {
+            addr: cell.data for addr, cell in plain_engine.memory.cells()
+        }
+        cached_cells = {
+            addr: cell.data for addr, cell in cached_engine.memory.cells()
+        }
+        assert cached_cells == plain_cells
+        # both histories are honest: the epoch closes with no alarm, and
+        # the close leaves the cache empty (epoch-flush regression guard)
+        plain_engine.verify_now()
+        cached_engine.verify_now()
+        assert len(cached_engine.cache) == 0

@@ -20,6 +20,7 @@ from repro.memory.cells import make_addr
 from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
 from repro.storage.table_store import VerifiableTable
+from tests.conftest import chunk_rows
 
 
 def make_table(**config_kwargs):
@@ -143,8 +144,8 @@ PROJECTIONS = [None, ("note",), ("count",), ("id",), (), ("note", "id", "note")]
 def test_lying_index_caught_under_every_projection(lie, columns, batch_size):
     table, _ = make_table()
     bounds = lie(table)
-    with pytest.raises(ProofError):
-        table.scan(**bounds, batch_size=batch_size, columns=columns)
+    with chunk_rows(batch_size), pytest.raises(ProofError):
+        table.scan(**bounds, columns=columns)
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
@@ -159,9 +160,8 @@ def test_projection_changes_rows_not_evidence(columns, batch_size):
         {"column": "count", "lo": 21, "hi": 21},
     ):
         rows, proof = table.scan_with_proof(**bounds)
-        narrow, narrow_proof = table.scan_with_proof(
-            **bounds, batch_size=batch_size, columns=columns
-        )
+        with chunk_rows(batch_size):
+            narrow, narrow_proof = table.scan_with_proof(**bounds, columns=columns)
         assert narrow_proof == proof
         assert narrow == [
             tuple(row[names.index(name)] for name in columns) for row in rows

@@ -24,6 +24,7 @@ from repro.crypto.mac import TAG_SIZE, MessageAuthenticator
 from repro.storage.config import StorageConfig
 from repro.storage.record import RecordCodec
 from repro.wal import row_element
+from tests.conftest import chunk_rows
 
 SEED = 59
 
@@ -142,10 +143,9 @@ def _wide_history(db):
     db.sql("DELETE FROM w WHERE day = DATE '1995-01-03'")
 
 
-def _storage_batch_config(tmp_path, batch_size, with_wal):
+def _wide_config(tmp_path, with_wal):
     return VeriDBConfig(
         key_seed=SEED,
-        storage=StorageConfig(batch_size=batch_size),
         wal_dir=str(tmp_path / "wal") if with_wal else None,
         wal_group_commit=7,
     )
@@ -153,17 +153,22 @@ def _storage_batch_config(tmp_path, batch_size, with_wal):
 
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
 def test_content_digest_covers_whole_rows_under_projection(tmp_path, batch_size):
-    crashed = VeriDB(_storage_batch_config(tmp_path, batch_size, with_wal=True))
+    with chunk_rows(batch_size):
+        _digest_covers_whole_rows(tmp_path)
+
+
+def _digest_covers_whole_rows(tmp_path):
+    crashed = VeriDB(_wide_config(tmp_path, with_wal=True))
     crashed.sql(_WIDE_DDL)
     _wide_history(crashed)
     crashed.wal.commit()
 
-    twin = VeriDB(_storage_batch_config(tmp_path, batch_size, with_wal=False))
+    twin = VeriDB(_wide_config(tmp_path, with_wal=False))
     twin.sql(_WIDE_DDL)
     _wide_history(twin)
 
     recovered = recover_from_wal(
-        str(tmp_path / "wal"), _storage_batch_config(tmp_path, batch_size, True)
+        str(tmp_path / "wal"), _wide_config(tmp_path, True)
     )
     for query in (
         "SELECT * FROM w ORDER BY id",
