@@ -91,7 +91,9 @@ def main():
     from repro.core.portal import AuthenticatedQuery
 
     forged = AuthenticatedQuery(
-        qid=b"evil", sql="DELETE FROM acct", mac=b"\x00" * 32
+        qid=b"evil-qid" + (0).to_bytes(8, "little"),  # salt ‖ counter
+        sql="DELETE FROM acct",
+        mac=b"\x00" * 32,
     )
     expect(
         "forged MAC", AuthenticationError, lambda: db.portal.submit(forged)

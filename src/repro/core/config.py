@@ -18,9 +18,6 @@ class VeriDBConfig:
     — the Figure 10 knob — scanning one page per N operations; None
     leaves verification to explicit :meth:`VeriDB.verify_now` calls or a
     background thread started by the caller.
-    ``verifier_workers`` is the default parallelism of every
-    verification pass (the "multiple verifiers" of Figure 2); explicit
-    ``run_pass(workers=...)`` calls still override it.
     ``trace_sample_rate`` is the fraction of portal queries executed
     under a per-query :class:`~repro.obs.trace_context.TraceContext`
     (0.0 = never, the zero-cost default; 1.0 = every query). Sampling
@@ -43,15 +40,12 @@ class VeriDBConfig:
     storage: StorageConfig = field(default_factory=StorageConfig)
     ops_per_page_scan: int | None = None
     key_seed: int | None = None  # deterministic keys for tests/benchmarks
-    verifier_workers: int = 1
     trace_sample_rate: float = 0.0
     wal_dir: str | None = None
     wal_group_commit: int = 64
     wal_fsync: bool = False
 
     def __post_init__(self):
-        if self.verifier_workers < 1:
-            raise ConfigurationError("verifier_workers must be >= 1")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigurationError(
                 "trace_sample_rate must be within [0.0, 1.0]"

@@ -63,10 +63,6 @@ class VeriDB:
         # record-cache residency competes for EPC with everything else
         # inside the enclave; over-budget caches thrash, not win
         self.storage.attach_epc(self.enclave.epc)
-        if self.storage.verifier is not None:
-            self.storage.verifier.set_default_workers(
-                self.config.verifier_workers
-            )
         self.catalog = Catalog()
         self.engine = QueryEngine(self.catalog, self.storage, epc=self.enclave.epc)
         self.incidents = IncidentLog(registry=self.obs)

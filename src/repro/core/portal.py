@@ -14,14 +14,15 @@ Responsibilities:
   result digest), standing in for the SGX-signed channel of Step 7 in
   Figure 2.
 
-Replay state is *bounded*: client-structured qids (an 8-byte session
-salt plus a little-endian 8-byte counter, which is what
-:class:`~repro.core.client.VeriDBClient` emits) are compressed into one
-interval set per salt — mirroring the client's own sequence-number log,
-O(1) per well-behaved client regardless of query volume — and anything
-else falls into a fixed-size FIFO window. A qid is recorded only after
-its query *succeeds*; a failed execution leaves the qid unburned so an
-honest client may retry the same authenticated query.
+Replay state is exact and small: a qid is an 8-byte session salt plus
+a little-endian 8-byte counter (what
+:class:`~repro.core.client.VeriDBClient` emits), and the portal keeps
+one interval set per salt — mirroring the client's own sequence-number
+log, O(1) per well-behaved client regardless of query volume. A qid of
+any other length is refused before its MAC is checked. A qid is
+recorded only after its query *succeeds*; a failed execution leaves the
+qid unburned so an honest client may retry the same authenticated
+query.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import hashlib
 import threading
 import time
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -44,15 +44,9 @@ from repro.sgx.counter import MonotonicCounter
 from repro.sql.executor import ExecutionResult, QueryEngine
 from repro.storage.record import RecordCodec
 
-#: fallback capacity for qids that do not follow the client library's
-#: salt+counter layout (each structured salt costs O(intervals) instead)
-DEFAULT_REPLAY_WINDOW = 4096
-
-#: degenerate-qid bound: the replay ledger refuses empty qids (every
-#: client would collide on them) and anything longer than this (an
-#: untrusted client could otherwise feed unbounded bytes into the FIFO
-#: window and the endorsement MAC)
-MAX_QID_BYTES = 64
+#: the one query-id layout the portal accepts: the client library's
+#: 8-byte salt ‖ 8-byte little-endian counter
+QID_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -235,78 +229,39 @@ class IntervalSet:
 
 
 class QidLedger:
-    """Bounded replay memory for query ids.
+    """Exact replay memory for query ids.
 
-    Structured qids (16 bytes: salt ‖ counter) get one
-    :class:`IntervalSet` per salt — the exact dual of the client's
-    audit log, so a client issuing consecutive counters costs one
-    interval no matter how many queries it sends. Non-conforming qids share a
-    fixed-capacity FIFO window (oldest entries are forgotten first).
-
-    **Bounded-replay tradeoff.** Forgetting a windowed qid re-opens it
-    for replay — churn of more than ``window`` non-structured qids
-    between a query and its replay defeats the check. That is the price
-    of bounded state; a deployment exposing the portal to *untrusted*
-    clients through the service layer should ensure its clients emit
-    structured qids (the client library always does), for which replay
-    memory is exact and permanent. Window evictions are counted (the
-    portal exports them as ``portal.qid_window_evictions``) so the
-    exposure is observable, and degenerate qids — empty, or longer than
-    :data:`MAX_QID_BYTES` — are rejected outright instead of being
-    allowed to thrash the window.
+    A qid is 16 bytes, salt ‖ counter, as the client library emits it.
+    The ledger keeps one :class:`IntervalSet` per salt — the exact dual
+    of the client's audit log — so a client issuing consecutive counters
+    costs one interval no matter how many queries it sends, and no qid
+    is ever forgotten. Any other length is degenerate and is refused
+    before it reaches the ledger (:meth:`validate`).
 
     Not thread-safe; the portal serializes access under its own lock.
     """
 
-    def __init__(self, window: int = DEFAULT_REPLAY_WINDOW):
-        if window < 1:
-            raise ValueError("replay window must hold at least one qid")
+    def __init__(self):
         self._intervals: dict[bytes, IntervalSet] = {}  # by salt
-        self._window: OrderedDict[bytes, None] = OrderedDict()
-        self._window_capacity = window
-        self.window_evictions = 0
-
-    @staticmethod
-    def _split(qid: bytes) -> tuple[bytes, int] | None:
-        if len(qid) != 16:
-            return None
-        return qid[:8], int.from_bytes(qid[8:], "little")
 
     @staticmethod
     def validate(qid: bytes) -> None:
-        """Reject degenerate qids before they reach the ledger.
-
-        Empty qids are a single global collision point and oversized
-        ones let an untrusted client pump unbounded bytes through the
-        FIFO window; both raise :class:`AuthenticationError`.
-        """
-        if not qid:
-            raise AuthenticationError("degenerate query id: empty")
-        if len(qid) > MAX_QID_BYTES:
+        """Refuse a qid that is not salt ‖ counter (:class:`AuthenticationError`)."""
+        if len(qid) != QID_BYTES:
             raise AuthenticationError(
-                f"degenerate query id: {len(qid)} bytes exceeds the "
-                f"{MAX_QID_BYTES}-byte bound"
+                f"degenerate query id: {len(qid)} bytes, not the "
+                f"{QID_BYTES}-byte salt and counter"
             )
 
     def __contains__(self, qid: bytes) -> bool:
-        structured = self._split(qid)
-        if structured is None:
-            return qid in self._window
-        salt, n = structured
-        intervals = self._intervals.get(salt)
-        return intervals is not None and n in intervals
+        intervals = self._intervals.get(qid[:8])
+        return intervals is not None and int.from_bytes(qid[8:], "little") in intervals
 
     def add(self, qid: bytes) -> None:
         """Record a qid (caller has already checked membership)."""
-        structured = self._split(qid)
-        if structured is None:
-            if len(self._window) >= self._window_capacity:
-                self._window.popitem(last=False)
-                self.window_evictions += 1
-            self._window[qid] = None
-            return
-        salt, n = structured
-        self._intervals.setdefault(salt, IntervalSet()).add(n)
+        self._intervals.setdefault(qid[:8], IntervalSet()).add(
+            int.from_bytes(qid[8:], "little")
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -317,17 +272,10 @@ class QidLedger:
     def interval_count(self) -> int:
         return sum(s.interval_count for s in self._intervals.values())
 
-    @property
-    def window_size(self) -> int:
-        return len(self._window)
-
     def state_size(self) -> int:
-        """Bounded-structure size: intervals kept plus windowed qids.
-
-        This is what grows with *state held*, not with queries served —
-        the figure the ``portal.qid_ledger_size`` gauge reports.
-        """
-        return self.interval_count + len(self._window)
+        """Intervals kept: grows with *state held*, not with queries
+        served — the figure the ``portal.qid_ledger_size`` gauge reports."""
+        return self.interval_count
 
 
 class QueryPortal:
@@ -339,7 +287,6 @@ class QueryPortal:
         mac_key: bytes,
         counter: MonotonicCounter,
         registry=None,
-        replay_window: int = DEFAULT_REPLAY_WINDOW,
         retry_policy: RetryPolicy = PORTAL_RETRY,
         verifier_degraded=None,
         incidents=None,
@@ -350,7 +297,7 @@ class QueryPortal:
         #: tenant name -> per-tenant authenticator (service deployments)
         self._tenant_macs: dict[str, MessageAuthenticator] = {}
         self._counter = counter
-        self._seen = QidLedger(window=replay_window)
+        self._seen = QidLedger()
         self._pending: set[bytes] = set()
         self._executed = 0
         self._lock = threading.Lock()
@@ -372,10 +319,6 @@ class QueryPortal:
         self._ctr_auth_failures = self.obs.counter("portal.auth_failures")
         self._ctr_replays = self.obs.counter("portal.replays_rejected")
         self._ctr_degenerate = self.obs.counter("portal.degenerate_qids")
-        self.obs.gauge_fn(
-            "portal.qid_window_evictions",
-            lambda: self._seen.window_evictions,
-        )
         self._ctr_execute_errors = self.obs.counter("portal.execute_errors")
         self._ctr_execute_retries = self.obs.counter("portal.execute_retries")
         self._ctr_unverified = self.obs.counter("portal.unverified_responses")
@@ -557,6 +500,6 @@ class QueryPortal:
             return self._executed
 
     def replay_state_size(self) -> int:
-        """Size of the bounded replay-ledger (intervals + window)."""
+        """Size of the replay ledger (intervals kept)."""
         with self._lock:
             return self._seen.state_size()

@@ -19,9 +19,9 @@ uses them for page metadata when the "exclude page metadata" optimization
 (Section 4.3) is on.
 
 Trusted state held here: the PRF key (via the PRF object), the partition
-digests, the page→epoch-parity map, the touched-page set, and — when the
-touched-page verification strategy is active — one per-page open-cell
-digest. All of it is small and is what the paper keeps inside SGX.
+digests, the page→epoch-parity map, and — only for the touched-page
+verification strategy — the touched-page set and one open-cell digest
+per page. All of it is small and is what the paper keeps inside SGX.
 """
 
 from __future__ import annotations
@@ -71,15 +71,11 @@ class VerifiedMemory:
         prf: keyed PRF whose key lives inside the enclave.
         rsws: partitioned digest state; ``RSWSGroup(n_partitions=...)``
             controls the lock granularity studied in Figure 13.
-        page_digests: besides the 1-bit-per-page "touched since last
-            scan" set (Section 4.3), maintain a per-page digest of all
-            currently-open cells, enabling the touched-page verification
-            strategy (scan only touched pages). Costs two extra XORs per
-            operation, no extra PRF evaluations.
-        touched_group_size: granularity of touched tracking. Section 4.3
-            suggests grouping (e.g. 16 pages per bit) to shrink the
-            enclave-resident tracking structure for very large memories;
-            touching any page marks its whole group for the next scan.
+        page_digests: keep the "touched since last scan" page set
+            (Section 4.3) and a per-page digest of all currently-open
+            cells, enabling the touched-page verification strategy (scan
+            only touched pages). Costs a set insert and two extra XORs
+            per operation, no extra PRF evaluations.
     """
 
     def __init__(
@@ -88,17 +84,12 @@ class VerifiedMemory:
         prf: PRF | None = None,
         rsws: RSWSGroup | None = None,
         page_digests: bool = False,
-        touched_group_size: int = 1,
         registry=None,
     ):
-        if touched_group_size < 1:
-            raise StorageError("touched_group_size must be >= 1")
         self.memory = memory if memory is not None else UntrustedMemory()
         self.prf = prf if prf is not None else PRF(b"\x00" * 32)
         self.rsws = rsws if rsws is not None else RSWSGroup()
         self.stats = MemoryStats()
-        self.page_digests_enabled = page_digests
-        self.touched_group_size = touched_group_size
 
         self.obs = registry if registry is not None else default_registry()
         self._obs_on = self.obs.enabled
@@ -130,8 +121,9 @@ class VerifiedMemory:
         self._registry_lock = threading.Lock()
         self._pages: dict[int, Callable[[int], None] | None] = {}
         self._page_parity: dict[int, int] = {}
-        self._touched: set[int] = set()
-        self._page_digest: dict[int, int] = {}
+        #: touched-mode state, None without page digests
+        self._touched: set[int] | None = set() if page_digests else None
+        self._page_digest: dict[int, int] | None = {} if page_digests else None
         self._epoch = 0
         self._in_pass = False
         # post-operation hooks (the non-quiescent verifier's trigger)
@@ -168,28 +160,39 @@ class VerifiedMemory:
             # epoch: the pass's closing check only covers its snapshot.
             parity = (self._epoch + 1) & 1 if self._in_pass else self._epoch & 1
             self._page_parity[page_id] = parity
-            if self.page_digests_enabled:
+            if self._page_digest is not None:
                 self._page_digest[page_id] = 0
 
     def deregister_page(self, page_id: int) -> None:
-        """Remove a page, retiring all of its live cells."""
+        """Remove a page, retiring all of its live cells.
+
+        The page leaves the registry under its partition lock, where the
+        verifier reads whether a page it is about to scan still exists.
+        """
         for checked, free in ((True, self.free), (False, self.free_unverified)):
             for addr in self.memory.page_addresses(page_id, checked):
                 if self._try_read_retried(addr) is not None:
                     free(addr)
-        with self._registry_lock:
-            self._pages.pop(page_id, None)
-            self._page_parity.pop(page_id, None)
-            self._touched.discard(page_id)
-            self._page_digest.pop(page_id, None)
+        partition = self.rsws.partition_for_page(page_id)
+        partition.acquire()
+        try:
+            with self._registry_lock:
+                self._pages.pop(page_id, None)
+                self._page_parity.pop(page_id, None)
+                if self._page_digest is not None:
+                    self._touched.discard(page_id)
+                    self._page_digest.pop(page_id, None)
+        finally:
+            partition.release()
 
     def registered_pages(self) -> list[int]:
         with self._registry_lock:
             return sorted(self._pages)
 
-    def scan_hook(self, page_id: int) -> Callable[[int], None] | None:
+    def scan_hook(self, page_id: int) -> Callable[[int], None] | None | bool:
+        """The page's ``on_scan`` callback; False if it is not registered."""
         with self._registry_lock:
-            return self._pages.get(page_id)
+            return self._pages.get(page_id, False)
 
     def is_registered(self, page_id: int) -> bool:
         with self._registry_lock:
@@ -246,7 +249,8 @@ class VerifiedMemory:
         or owes an op hook.
         """
         check, lookup, keyed, clock, partitions = self._kernel
-        page_digests = self._page_digest if self.page_digests_enabled else None
+        page_digests = self._page_digest
+        touched = None if scan else self._touched
         out: list = []
         partition = None
         page = -1
@@ -265,8 +269,8 @@ class VerifiedMemory:
                     # read under the lock: an epoch scan flips its page's
                     # parity while holding the partition
                     parity = self._parity_of(page)
-                    if not scan:
-                        self._touched.add(page // self.touched_group_size)
+                    if touched is not None:
+                        touched.add(page)
                 try:
                     check(TRANSIENT_READ_ERROR)
                     cell = lookup(addr)
@@ -379,10 +383,10 @@ class VerifiedMemory:
             opened = self.prf.cell(addr, data, new_ts)
             partition.record_write(parity, opened)
             self.memory.raw_write(addr, data, new_ts)
-            if self.page_digests_enabled:
+            if self._page_digest is not None:
                 delta = _from_bytes(consumed, "little") ^ _from_bytes(opened, "little")
                 self._page_digest[page] ^= delta
-            self._mark_touched(page)
+                self._touched.add(page)
             if self.cache is not None:
                 # write-through under the partition lock: a cached entry
                 # always reflects the latest verified value
@@ -408,9 +412,9 @@ class VerifiedMemory:
             opened = self.prf.cell(addr, data, new_ts)
             partition.record_write(parity, opened)
             self.memory.raw_write(addr, data, new_ts)
-            if self.page_digests_enabled:
+            if self._page_digest is not None:
                 self._page_digest[page] ^= _from_bytes(opened, "little")
-            self._mark_touched(page)
+                self._touched.add(page)
         finally:
             partition.release()
         self.stats.allocs += 1
@@ -430,9 +434,9 @@ class VerifiedMemory:
             consumed = self.prf.cell(addr, cell.data, cell.timestamp)
             partition.record_read(parity, consumed)
             self.memory.remove(addr)
-            if self.page_digests_enabled:
+            if self._page_digest is not None:
                 self._page_digest[page] ^= _from_bytes(consumed, "little")
-            self._mark_touched(page)
+                self._touched.add(page)
             data = cell.data
             if self.cache is not None:
                 # deletes and compaction relocations travel through
@@ -501,6 +505,10 @@ class VerifiedMemory:
     def epoch(self) -> int:
         return self._epoch
 
+    @property
+    def page_digests_enabled(self) -> bool:
+        return self._page_digest is not None
+
     def flip_parity(self, page_id: int) -> int:
         """Move a page into the next epoch; returns the *old* parity."""
         with self._registry_lock:
@@ -509,26 +517,19 @@ class VerifiedMemory:
             return old
 
     def touched_pages(self) -> set[int]:
-        """Registered pages whose tracking group was touched since last
-        cleared. With group size 1 this is exact per-page tracking."""
+        """Pages operated on since their last touched-mode scan."""
+        if self._touched is None:
+            raise StorageError("page digests are not enabled")
         with self._registry_lock:
-            if self.touched_group_size == 1:
-                return set(self._touched)
-            return {
-                page
-                for page in self._pages
-                if page // self.touched_group_size in self._touched
-            }
+            return set(self._touched)
 
     def clear_touched(self, pages: Iterable[int]) -> None:
         with self._registry_lock:
-            self._touched.difference_update(
-                page // self.touched_group_size for page in pages
-            )
+            self._touched.difference_update(pages)
 
     def page_digest(self, page_id: int) -> int:
         """XOR-sum (as an integer) of the page's open cells' digests."""
-        if not self.page_digests_enabled:
+        if self._page_digest is None:
             raise StorageError("page digests are not enabled")
         return self._page_digest[page_id]
 
@@ -538,14 +539,11 @@ class VerifiedMemory:
         per_partition = 4 * digest_bytes  # two generations of (rs, ws)
         with self._registry_lock:
             n_pages = len(self._pages)
-            page_digest_bytes = len(self._page_digest) * digest_bytes
-        return (
-            self.rsws.n_partitions * per_partition
-            # touched bitmap: 1 bit per tracking group (Section 4.3)
-            + n_pages // (8 * self.touched_group_size)
-            + n_pages // 8  # parity bitmap
-            + page_digest_bytes
-        )
+        state = self.rsws.n_partitions * per_partition + n_pages // 8  # parity bitmap
+        if self._page_digest is not None:
+            # touched mode: a touched bit and an open-cell digest per page
+            state += n_pages // 8 + n_pages * digest_bytes
+        return state
 
     def add_op_hook(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` after every verified operation (verifier trigger)."""
@@ -586,9 +584,6 @@ class VerifiedMemory:
         if parity is None:
             raise StorageError(f"page {page_id} is not registered for verification")
         return parity
-
-    def _mark_touched(self, page_id: int) -> None:
-        self._touched.add(page_id // self.touched_group_size)
 
     def _fire_hooks(self, count: int = 1) -> None:
         """Run the op hooks once per operation done — later, under a hold."""

@@ -20,12 +20,12 @@ Two strategies are provided (DESIGN.md discusses the trade-off):
   maintained incrementally inside the enclave. The paper budgets one
   *bit* of enclave state per page and leaves the mechanism unspecified;
   we keep one 16-byte digest per page instead (still far inside the EPC
-  budget at database scale, and coarse page-grouping would shrink it
-  further).
+  budget at database scale).
 
-Verification can run synchronously (:meth:`Verifier.run_pass`), step-wise
-driven by an operation-count trigger — the paper's "scan one page every
-x operations" knob of Figure 10 — or on a background thread.
+Both strategies share one pass loop. It runs synchronously
+(:meth:`Verifier.run_pass`), a page at a time driven by an
+operation-count trigger — the paper's "scan one page every x operations"
+knob of Figure 10 — or on a background thread.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class Verifier:
         mode: str = "full",
         registry=None,
         faults=None,
-        default_workers: int = 1,
     ):
         if mode not in ("full", "touched"):
             raise ConfigurationError(f"unknown verifier mode {mode!r}")
@@ -66,11 +65,8 @@ class Verifier:
             raise ConfigurationError(
                 "touched-page verification requires VerifiedMemory(page_digests=True)"
             )
-        if default_workers < 1:
-            raise ConfigurationError("verifier workers must be >= 1")
         self.vmem = vmem
         self.mode = mode
-        self.default_workers = default_workers
         self.faults = faults if faults is not None else default_fault_plane()
         self.stats = VerifierStats()
         self.obs = registry if registry is not None else default_registry()
@@ -85,14 +81,11 @@ class Verifier:
             "verifier.page_lock_hold_seconds"
         )
         self._gauge_bg_alive = self.obs.gauge("verifier.background_alive")
-        # the verification parallelism actually used by the last pass
-        # (benchmark breakdowns read this; defaults until a pass runs)
-        self._gauge_workers = self.obs.gauge("verifier.workers")
-        self._gauge_workers.set(default_workers)
-        self._pass_lock = threading.Lock()
-        # state of an in-progress incremental pass
-        self._pending_pages: list[int] | None = None
-        self._step_lock = threading.Lock()
+        #: serializes all verification activity: one pass is open at a time
+        self._lock = threading.Lock()
+        #: the open pass's pages still to scan, next one last (None: no
+        #: pass is open)
+        self._pending: list[int] | None = None
         self._trigger_count = 0
         self._trigger_interval = 0
         self._trigger_hook = None
@@ -106,171 +99,89 @@ class Verifier:
         self.on_pass_complete = None
 
     # ------------------------------------------------------------------
-    # synchronous full pass
+    # the pass loop
     # ------------------------------------------------------------------
-    def set_default_workers(self, workers: int) -> None:
-        """Set the worker count used when :meth:`run_pass` gets none."""
-        if workers < 1:
-            raise ConfigurationError("verifier workers must be >= 1")
-        self.default_workers = workers
-        self._gauge_workers.set(workers)
-
-    def run_pass(self, workers: int | None = None) -> None:
+    def run_pass(self) -> None:
         """Scan and close one full epoch; raises on detected inconsistency.
 
-        If an *incremental* pass (driven by the op-count trigger) is
-        currently open, it is completed and closed first — scanning a
-        page twice within one pass would corrupt both epoch generations,
-        so all verification activity serializes on the step lock.
-
-        ``workers`` defaults to :attr:`default_workers` (wired from
-        ``VeriDBConfig.verifier_workers``). With more than one, the
-        fresh pass's page snapshot is split into disjoint sections
-        scanned by parallel threads — the "multiple verifiers" of
-        Figure 2. Pages are independent units of scanning (each scan
-        holds only its page's RSWS partition lock), so the only
-        synchronization point is the epoch close after all workers
-        join. The count actually used is exported as the
-        ``verifier.workers`` gauge.
+        A pass the op-count trigger left open is finished and closed
+        first — scanning a page twice within one pass would corrupt both
+        epoch generations — and then one fresh pass is opened and
+        closed, both by the loop :meth:`step` runs.
         """
-        if workers is None:
-            workers = self.default_workers
-        if workers < 1:
-            raise ConfigurationError("verifier workers must be >= 1")
-        self._gauge_workers.set(workers)
-        with self._pass_lock:
+        with self._lock:
             start = perf_counter()
             # Compaction hooks issue verified operations; the re-entrancy
             # guard stops those from re-triggering the op-count stepper.
             self._in_step.active = True
             try:
-                with self._step_lock:
-                    self._drain_open_pass_locked()
-                    pages = self._snapshot_pages()
-                    self.vmem.begin_pass()
+                if self._pending is not None:
+                    self._advance(one_page=False)
+                self._open_pass()
+                self._advance(one_page=False)
+            except BaseException as scan_error:
+                if self._pending is not None:
+                    # A scan aborted mid-pass must still close the epoch
+                    # (or the memory stays wedged in-pass), but the
+                    # half-restamped generations inevitably fail the
+                    # digest check — that alarm is a consequence of the
+                    # abort, not evidence of tampering, and must not mask
+                    # the original error.
+                    self._pending = None
                     try:
-                        if workers <= 1 or len(pages) < 2:
-                            for page_id in pages:
-                                self._scan_page(page_id)
-                        else:
-                            self._scan_parallel(pages, workers)
-                    except BaseException as scan_error:
-                        # A scan aborted mid-pass must still close the
-                        # epoch (or the memory stays wedged in-pass), but
-                        # the half-restamped generations inevitably fail
-                        # the digest check — that alarm is a consequence
-                        # of the abort, not evidence of tampering, and
-                        # must not mask the original error.
-                        try:
-                            self._close_epoch()
-                        except VerificationFailure as close_error:
-                            scan_error.__context__ = close_error
-                        raise
-                    else:
                         self._close_epoch()
-                        if self.on_pass_complete is not None:
-                            self.on_pass_complete()
+                    except VerificationFailure as close_error:
+                        scan_error.__context__ = close_error
+                raise
             finally:
                 self._in_step.active = False
                 self._hist_pass.observe(perf_counter() - start)
 
-    def _drain_open_pass_locked(self) -> None:
-        """Finish and close a trigger-driven pass left mid-flight.
-
-        Caller holds the step lock. The open pass's remaining pages are
-        scanned and its epoch closed, so the fresh full pass that follows
-        starts from a clean generation.
-        """
-        if self._pending_pages is None:
-            return
-        while self._pending_pages:
-            page_id = self._pending_pages.pop()
-            if self.vmem.is_registered(page_id):
-                self._scan_page(page_id)
-        self._pending_pages = None
-        self._close_epoch()
-
-    def _scan_parallel(self, pages: list[int], workers: int) -> None:
-        """Fan page scanning out to ``workers`` verifier threads."""
-        sections = [pages[i::workers] for i in range(workers)]
-        failures: list[BaseException] = []
-
-        def scan_section(section: list[int]) -> None:
-            self._in_step.active = True  # thread-local: set per worker
-            try:
-                for page_id in section:
-                    self._scan_page(page_id)
-            except BaseException as exc:
-                failures.append(exc)
-            finally:
-                self._in_step.active = False
-
-        threads = [
-            threading.Thread(target=scan_section, args=(section,))
-            for section in sections
-            if section
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise self._aggregate_failures(failures)
-
-    @staticmethod
-    def _aggregate_failures(failures: list[BaseException]) -> BaseException:
-        """Combine worker failures so none is silently dropped.
-
-        A single failure propagates unchanged. With several, the summary
-        exception lists them all (``.failures`` holds the originals) and
-        is a :class:`VerificationFailure` whenever any worker raised one,
-        so detection semantics survive aggregation.
-        """
-        if len(failures) == 1:
-            return failures[0]
-        detected = [f for f in failures if isinstance(f, VerificationFailure)]
-        message = f"{len(failures)} verifier workers failed: " + "; ".join(
-            f"{type(f).__name__}: {f}" for f in failures
-        )
-        if detected:
-            error: BaseException = VerificationFailure(
-                message, partition=detected[0].partition
-            )
-        else:
-            error = VeriDBError(message)
-        error.failures = list(failures)  # type: ignore[attr-defined]
-        return error
-
-    # ------------------------------------------------------------------
-    # incremental (non-quiescent) stepping
-    # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Scan the next page of the current pass; close the epoch when done.
+        """Scan the next page of the open pass, opening one if none is;
+        close the epoch when no page is left.
 
         Returns True when this step completed a pass.
         """
-        with self._step_lock:
+        with self._lock:
             self._in_step.active = True
             try:
-                if self._pending_pages is None:
-                    pages = self._snapshot_pages()
-                    self.vmem.begin_pass()
-                    self._pending_pages = pages
-                while self._pending_pages:
-                    page_id = self._pending_pages.pop()
-                    if self.vmem.is_registered(page_id):
-                        self._scan_page(page_id)
-                        if self._pending_pages:
-                            return False
-                        break
-                self._pending_pages = None
-                self._close_epoch()
-                if self.on_pass_complete is not None:
-                    self.on_pass_complete()
-                return True
+                if self._pending is None:
+                    self._open_pass()
+                return self._advance(one_page=True)
             finally:
                 self._in_step.active = False
 
+    def _open_pass(self) -> None:
+        vmem = self.vmem
+        pages = vmem.registered_pages()
+        if self.mode == "touched":
+            touched = vmem.touched_pages()
+            scanned = [p for p in pages if p in touched]
+            self.stats.pages_skipped_untouched += len(pages) - len(scanned)
+            pages = scanned
+        vmem.begin_pass()
+        pages.reverse()  # popped from the end: ascending page order
+        self._pending = pages
+
+    def _advance(self, one_page: bool) -> bool:
+        """Scan the open pass's pages, passing over any deregistered since
+        it opened; with ``one_page``, stop after one scanned page while
+        others remain (returns False). Otherwise close the epoch and
+        return True."""
+        pending = self._pending
+        while pending:
+            if self._scan_page(pending.pop()) and one_page and pending:
+                return False
+        self._pending = None
+        self._close_epoch()
+        if self.on_pass_complete is not None:
+            self.on_pass_complete()
+        return True
+
+    # ------------------------------------------------------------------
+    # the op-count trigger (Figure 10)
+    # ------------------------------------------------------------------
     def install_trigger(self, ops_per_step: int) -> None:
         """Scan one page after every ``ops_per_step`` verified operations.
 
@@ -384,23 +295,20 @@ class Verifier:
     # ------------------------------------------------------------------
     # scanning internals
     # ------------------------------------------------------------------
-    def _snapshot_pages(self) -> list[int]:
-        if self.mode == "touched":
-            touched = self.vmem.touched_pages()
-            all_pages = self.vmem.registered_pages()
-            self.stats.pages_skipped_untouched += len(all_pages) - len(
-                touched.intersection(all_pages)
-            )
-            return sorted(p for p in all_pages if p in touched)
-        return self.vmem.registered_pages()
+    def _scan_page(self, page_id: int) -> bool:
+        """Scan one page under its partition lock, then run its scan hook.
 
-    def _scan_page(self, page_id: int) -> None:
-        """Scan one page under its partition lock, then run its scan hook."""
+        False, with nothing scanned, for a page deregistered since the
+        pass opened: deregistration happens under the same lock.
+        """
         vmem = self.vmem
         partition = vmem.rsws.partition_for_page(page_id)
         partition.acquire()
         hold_start = perf_counter() if self._obs_on else 0.0
         try:
+            hook = vmem.scan_hook(page_id)
+            if hook is False:
+                return False
             if self.mode == "touched":
                 cells = self._check_page_digest(page_id, partition)
             else:
@@ -413,9 +321,9 @@ class Verifier:
             self.stats.pages_scanned += 1
             self._ctr_cells.inc(cells)
             self._ctr_pages.inc()
-            hook = vmem.scan_hook(page_id)
             if hook is not None:
                 hook(page_id)
+            return True
         finally:
             partition.release()
             if self._obs_on:
@@ -452,38 +360,15 @@ class Verifier:
         # the epoch not yet advanced. Nothing is lost — the next pass
         # re-covers everything — but a background loop goes degraded.
         self.faults.check(fault_sites.VERIFIER_CRASH_BEFORE_END_PASS)
-        if self.mode == "touched":
-            # Per-page checks already ran; just advance the epoch marker.
-            vmem.end_pass()
-            self.stats.passes_completed += 1
-            self._ctr_passes.inc()
-            if vmem.cache is not None:
-                # epoch boundary: cached copies were verified under the
-                # generation that just closed, so they are retired with it
-                vmem.cache.flush()
-            self._emit_epoch_event(alarm_partitions=[])
-            # Injection site: crash right after the epoch advanced.
-            # Placed after the pass bookkeeping so a fired crash never
-            # masks an alarm (touched-mode alarms raise per page, above).
-            self.faults.check(fault_sites.VERIFIER_CRASH_AFTER_END_PASS)
-            return
-        old_parity = vmem.epoch & 1
-        bad: list[int] = []
-        for partition in vmem.rsws.partitions:
-            partition.acquire()
-            try:
-                if not partition.consistent(old_parity):
-                    bad.append(partition.index)
-                partition.reset_generation(old_parity)
-            finally:
-                partition.release()
+        # touched mode checked each page against its digest as it went
+        bad = [] if self.mode == "touched" else self._close_partitions()
         vmem.end_pass()
         self.stats.passes_completed += 1
         self._ctr_passes.inc()
         if vmem.cache is not None:
-            # epoch boundary (clean or alarming): flush before any alarm
-            # below raises, so deferred verification semantics never see
-            # a cached value that outlived its epoch
+            # epoch boundary (clean or alarming): cached copies were
+            # verified under the generation that just closed, so they go
+            # with it, before any alarm below raises
             vmem.cache.flush()
         self._emit_epoch_event(alarm_partitions=bad)
         if bad:
@@ -498,6 +383,21 @@ class Verifier:
         # when no alarm is pending, so an injected crash can never mask
         # a real detection.
         self.faults.check(fault_sites.VERIFIER_CRASH_AFTER_END_PASS)
+
+    def _close_partitions(self) -> list[int]:
+        """Algorithm 2's closing check: the partitions whose closing
+        generation has h(RS) != h(WS). Every closing generation is reset."""
+        old_parity = self.vmem.epoch & 1
+        bad: list[int] = []
+        for partition in self.vmem.rsws.partitions:
+            partition.acquire()
+            try:
+                if not partition.consistent(old_parity):
+                    bad.append(partition.index)
+                partition.reset_generation(old_parity)
+            finally:
+                partition.release()
+        return bad
 
     def _emit_epoch_event(self, alarm_partitions: list[int]) -> None:
         """Structured-event marker for one closed verification epoch."""

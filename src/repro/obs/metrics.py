@@ -479,8 +479,8 @@ _default_registry: MetricsRegistry | NullRegistry = NULL_REGISTRY
 #: context-local override installed by :func:`scoped_registry`. Kept in
 #: a ContextVar rather than the process global so two scopes entered
 #: concurrently on different threads (e.g. parallel test workers, or a
-#: benchmark main racing ``Verifier.run_pass`` worker threads) cannot
-#: clobber each other's default on exit.
+#: benchmark main racing the background verifier thread) cannot clobber
+#: each other's default on exit.
 _scoped_override: ContextVar[MetricsRegistry | NullRegistry | None] = ContextVar(
     "veridb_scoped_registry", default=None
 )

@@ -17,7 +17,8 @@ from time import perf_counter
 # The open-span stack rides a ContextVar: per-thread like the previous
 # thread-local (each thread starts from a fresh context), but also
 # correct for asyncio tasks, and immune to the cross-thread clobbering
-# a process-global would suffer under parallel verifier workers.
+# a process-global would suffer under concurrent service workers and
+# the background verifier thread.
 _stack: ContextVar["list[Span] | None"] = ContextVar(
     "veridb_span_stack", default=None
 )

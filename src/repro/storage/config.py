@@ -42,9 +42,6 @@ class StorageConfig:
     compact_threshold: float = 0.25
     rsws_partitions: int = 16
     verifier_mode: str = "full"
-    #: pages per touched-tracking bit (Section 4.3 suggests e.g. 16 to
-    #: shrink the enclave-resident bitmap for very large memories)
-    touched_group_size: int = 1
     #: when set, operators spill intermediate state beyond this many
     #: rows into temporary verifiable tables instead of holding it in
     #: enclave memory (the Section 5.4 future-work direction); None
@@ -73,8 +70,6 @@ class StorageConfig:
             raise ConfigurationError("compact_threshold must be in [0, 1]")
         if self.rsws_partitions < 1:
             raise ConfigurationError("rsws_partitions must be >= 1")
-        if self.touched_group_size < 1:
-            raise ConfigurationError("touched_group_size must be >= 1")
         if self.spill_threshold_rows is not None and self.spill_threshold_rows < 1:
             raise ConfigurationError("spill_threshold_rows must be >= 1")
         if self.plan_cache_size < 0:

@@ -39,7 +39,6 @@ class StorageEngine:
             prf=PRF(self.keychain.prf_key),
             rsws=RSWSGroup(n_partitions=self.config.rsws_partitions),
             page_digests=(self.config.verifier_mode == "touched"),
-            touched_group_size=self.config.touched_group_size,
             registry=self.obs,
         )
         self.verifier = (

@@ -17,7 +17,12 @@ def db():
     return database
 
 
-def make_query(db, sql, qid=b"qid-0001"):
+def qid_of(salt: bytes, n: int = 0) -> bytes:
+    """A well-formed qid: 8-byte salt ‖ 8-byte little-endian counter."""
+    return salt.ljust(8, b"\0")[:8] + n.to_bytes(8, "little")
+
+
+def make_query(db, sql, qid=qid_of(b"qid", 1)):
     mac = MessageAuthenticator(db.enclave.keychain.mac_key)
     return AuthenticatedQuery(qid=qid, sql=sql, mac=mac.tag(qid, sql.encode()))
 
@@ -29,14 +34,14 @@ def test_authorized_query_executes(db):
 
 
 def test_sequence_numbers_increase(db):
-    r1 = db.portal.submit(make_query(db, "SELECT * FROM t", qid=b"q1"))
-    r2 = db.portal.submit(make_query(db, "SELECT * FROM t", qid=b"q2"))
+    r1 = db.portal.submit(make_query(db, "SELECT * FROM t", qid=qid_of(b"q", 1)))
+    r2 = db.portal.submit(make_query(db, "SELECT * FROM t", qid=qid_of(b"q", 2)))
     assert r2.sequence_number > r1.sequence_number
 
 
 def test_forged_mac_rejected(db):
     query = AuthenticatedQuery(
-        qid=b"evil", sql="DELETE FROM t", mac=b"\x00" * 32
+        qid=qid_of(b"evil"), sql="DELETE FROM t", mac=b"\x00" * 32
     )
     with pytest.raises(AuthenticationError):
         db.portal.submit(query)
@@ -87,7 +92,7 @@ def test_seen_query_count(db):
 
 
 # ----------------------------------------------------------------------
-# degenerate qids and the bounded replay window
+# degenerate qids and the exact replay ledger
 # ----------------------------------------------------------------------
 def test_empty_qid_rejected(db):
     from repro.obs import MetricsRegistry, scoped_registry
@@ -101,15 +106,24 @@ def test_empty_qid_rejected(db):
         assert registry.counter("portal.auth_failures").value == 1
 
 
-def test_oversized_qid_rejected(db):
-    from repro.core.portal import MAX_QID_BYTES
+def test_oversized_qid_rejected():
+    """Only salt ‖ counter is a qid: any other length is refused, even
+    under a valid MAC, before the MAC is checked."""
+    from repro.obs import MetricsRegistry, scoped_registry
 
-    huge = b"x" * (MAX_QID_BYTES + 1)
-    with pytest.raises(AuthenticationError, match="degenerate"):
-        db.portal.submit(make_query(db, "SELECT * FROM t", qid=huge))
-    # a qid exactly at the bound is fine
-    edge = b"x" * MAX_QID_BYTES
-    assert db.portal.submit(make_query(db, "SELECT * FROM t", qid=edge)).rowcount == 2
+    with scoped_registry(MetricsRegistry()) as registry:
+        database = VeriDB(VeriDBConfig(key_seed=1))
+        database.sql("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        for size in (1, 8, 15, 17, 64):
+            with pytest.raises(AuthenticationError, match="degenerate"):
+                database.portal.submit(
+                    make_query(database, "SELECT * FROM t", qid=b"x" * size)
+                )
+        assert registry.counter("portal.degenerate_qids").value == 5
+        assert database.portal.seen_query_count() == 0
+        # the 16-byte layout is accepted
+        edge = make_query(database, "SELECT * FROM t", qid=b"x" * 16)
+        assert database.portal.submit(edge).rowcount == 0
 
 
 def test_degenerate_qid_never_reaches_ledger(db):
@@ -118,28 +132,14 @@ def test_degenerate_qid_never_reaches_ledger(db):
     assert db.portal.seen_query_count() == 0
 
 
-def test_window_evictions_counted():
-    from repro.core.portal import QidLedger
-
-    ledger = QidLedger(window=4)
-    # non-structured qids (not 16 bytes) share the FIFO window
-    for i in range(10):
-        ledger.add(b"odd-%d" % i)
-    assert ledger.window_evictions == 6
-    # the forgotten qid is replayable again: the documented tradeoff
-    assert b"odd-0" not in ledger
-    assert b"odd-9" in ledger
-
-
 def test_structured_qids_never_evict():
     from repro.core.portal import QidLedger
 
-    ledger = QidLedger(window=4)
-    salt = b"s" * 8
+    ledger = QidLedger()
     for i in range(1000):
-        ledger.add(salt + i.to_bytes(8, "little"))
-    assert ledger.window_evictions == 0
-    assert salt + (0).to_bytes(8, "little") in ledger
+        ledger.add(qid_of(b"s", i))
+    assert all(qid_of(b"s", i) in ledger for i in range(1000))
+    assert ledger.state_size() == 1
 
 
 def test_replay_rejection_is_typed(db):

@@ -3,8 +3,7 @@
 Covers two production bugs:
 
 * the replay ledger (formerly an ever-growing ``set``) is now bounded —
-  structured client qids compress into per-salt intervals and arbitrary
-  qids fall into a fixed FIFO window;
+  client qids (salt ‖ counter) compress into per-salt intervals;
 * a query whose execution *fails* no longer burns its qid, so an honest
   client may retry the same authenticated query.
 """
@@ -15,12 +14,7 @@ import pytest
 
 from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
-from repro.core.portal import (
-    AuthenticatedQuery,
-    DEFAULT_REPLAY_WINDOW,
-    QidLedger,
-    QueryPortal,
-)
+from repro.core.portal import AuthenticatedQuery, QidLedger
 from repro.crypto.mac import MessageAuthenticator
 from repro.errors import AuthenticationError
 from repro.obs import MetricsRegistry, scoped_registry
@@ -34,7 +28,11 @@ def db():
     return database
 
 
-def make_query(db, sql, qid=b"qid-0001"):
+def make_qid(salt: bytes, n: int) -> bytes:
+    return salt.ljust(8, b"\0")[:8] + n.to_bytes(8, "little")
+
+
+def make_query(db, sql, qid=make_qid(b"qid", 1)):
     mac = MessageAuthenticator(db.enclave.keychain.mac_key)
     return AuthenticatedQuery(qid=qid, sql=sql, mac=mac.tag(qid, sql.encode()))
 
@@ -42,9 +40,6 @@ def make_query(db, sql, qid=b"qid-0001"):
 # ----------------------------------------------------------------------
 # QidLedger unit behaviour
 # ----------------------------------------------------------------------
-def make_qid(salt: bytes, n: int) -> bytes:
-    return salt.ljust(8, b"\0")[:8] + n.to_bytes(8, "little")
-
 
 def test_consecutive_counters_compress_to_one_interval():
     ledger = QidLedger()
@@ -74,21 +69,6 @@ def test_salts_are_independent():
     assert make_qid(b"bbbb", 5) not in ledger
     ledger.add(make_qid(b"bbbb", 5))
     assert ledger.salt_count == 2
-
-
-def test_unstructured_qids_use_bounded_fifo_window():
-    ledger = QidLedger(window=8)
-    for i in range(20):
-        ledger.add(b"odd-%03d" % i)  # not 16 bytes -> windowed
-    assert ledger.window_size == 8
-    assert ledger.state_size() == 8
-    assert b"odd-019" in ledger
-    assert b"odd-000" not in ledger  # oldest forgotten first
-
-
-def test_window_must_hold_at_least_one_entry():
-    with pytest.raises(ValueError):
-        QidLedger(window=0)
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +118,7 @@ def test_replay_rejected_for_compressed_interval_members(db):
 # bug 2: failed execution leaves the qid retryable
 # ----------------------------------------------------------------------
 def test_failed_execution_allows_honest_retry(db):
-    bad = make_query(db, "SELECT * FROM missing_table", qid=b"retry-me")
+    bad = make_query(db, "SELECT * FROM missing_table", qid=make_qid(b"retry", 0))
     with pytest.raises(Exception):
         db.portal.submit(bad)
     db.sql("CREATE TABLE missing_table (id INTEGER PRIMARY KEY)")
@@ -151,7 +131,7 @@ def test_failed_execution_allows_honest_retry(db):
 
 
 def test_failed_execution_not_counted_as_seen(db):
-    bad = make_query(db, "SELECT * FROM nope", qid=b"gone")
+    bad = make_query(db, "SELECT * FROM nope", qid=make_qid(b"gone", 0))
     with pytest.raises(Exception):
         db.portal.submit(bad)
     assert db.portal.seen_query_count() == 0
@@ -161,7 +141,7 @@ def test_failed_execution_not_counted_as_seen(db):
 def test_execute_error_metrics():
     with scoped_registry(MetricsRegistry()) as reg:
         database = VeriDB(VeriDBConfig(key_seed=5))
-        bad = make_query(database, "SELECT * FROM nope", qid=b"x1")
+        bad = make_query(database, "SELECT * FROM nope", qid=make_qid(b"x", 1))
         with pytest.raises(Exception):
             database.portal.submit(bad)
         snap = reg.snapshot()
@@ -181,7 +161,7 @@ def test_concurrent_duplicate_submission_executes_once(db):
         return original_execute(sql, **kwargs)
 
     db.portal._engine.execute = slow_execute
-    query = make_query(db, "SELECT * FROM t", qid=b"in-flight")
+    query = make_query(db, "SELECT * FROM t", qid=make_qid(b"inflight", 0))
     outcomes = []
 
     def first():
@@ -197,9 +177,3 @@ def test_concurrent_duplicate_submission_executes_once(db):
     t.join(5)
     assert len(outcomes) == 1
     assert db.portal.seen_query_count() == 1
-
-
-def test_default_window_constant_is_sane():
-    assert DEFAULT_REPLAY_WINDOW >= 1
-    portal_window = QueryPortal.__init__.__defaults__
-    assert DEFAULT_REPLAY_WINDOW in portal_window

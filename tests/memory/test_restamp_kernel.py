@@ -69,8 +69,8 @@ def state(vmem, fired, registry):
         },
         "prf_calls": vmem.prf.calls,
         "memory_stats": dataclasses.astuple(vmem.stats),
-        "touched": vmem.touched_pages(),
-        "page_digests": dict(vmem._page_digest),
+        "touched": vmem.touched_pages() if vmem.page_digests_enabled else None,
+        "page_digests": None if vmem._page_digest is None else dict(vmem._page_digest),
         "hooks": len(fired),
         "retries": registry.counter("memory.transient_read_retries").value,
         "cached": None if vmem.cache is None else vmem.cache.lookup_many(
@@ -115,7 +115,8 @@ def ref_read(vmem, addr, admit=True):
             raise VerificationFailure("vanished", partition=partition.index)
         parity = vmem._parity_of(page)
         ref_restamp(vmem, partition, addr, cell, parity, parity)
-        vmem._mark_touched(page)
+        if vmem.page_digests_enabled:
+            vmem._touched.add(page)
         if admit and vmem.cache is not None:
             vmem.cache.admit(addr, cell.data)
     vmem.stats.verified_reads += 1
@@ -158,7 +159,7 @@ def drive_reference(vmem, addrs, stepped, batches, admit):
     """A pass opens and scans ``stepped`` pages (none: no pass opens);
     the batches are read; the open pass completes; a full pass runs."""
     pages = vmem.registered_pages()
-    pending = list(pages)
+    pending = pages[::-1]  # a pass scans pages in ascending order
     if stepped:
         vmem.begin_pass()
     for _ in range(stepped):

@@ -104,12 +104,37 @@ def test_unverified_ops_do_not_touch_rsws(vmem):
     assert vmem.stats.unverified_ops == 4
 
 
-def test_touched_pages_tracking(vmem):
+def test_touched_pages_tracking():
+    vmem = VerifiedMemory(
+        prf=PRF(b"t" * 32), rsws=RSWSGroup(n_partitions=2), page_digests=True
+    )
+    vmem.register_page(0)
+    vmem.register_page(1)
     assert vmem.touched_pages() == set()
     vmem.alloc(make_addr(1, 0), b"x")
     assert vmem.touched_pages() == {1}
     vmem.clear_touched([1])
     assert vmem.touched_pages() == set()
+    vmem.read(make_addr(1, 0))
+    vmem.deregister_page(1)
+    assert vmem.touched_pages() == set()
+
+
+def test_full_mode_holds_no_touched_state(vmem):
+    """Touched-page state exists only for the touched strategy, and the
+    trusted synopsis counts it only there."""
+    addr = make_addr(1, 0)
+    vmem.alloc(addr, b"x")
+    vmem.read(addr)
+    vmem.write(addr, b"y")
+    assert vmem._touched is None and vmem._page_digest is None
+    with pytest.raises(StorageError):
+        vmem.touched_pages()
+    touched = VerifiedMemory(rsws=RSWSGroup(n_partitions=2), page_digests=True)
+    touched.register_page(0)
+    touched.register_page(1)
+    # per page: a touched bit and a 16-byte open-cell digest
+    assert touched.enclave_state_bytes() - vmem.enclave_state_bytes() == 2 * 16
 
 
 def test_deregister_retires_cells(vmem):

@@ -1,5 +1,7 @@
 """Unit tests for Algorithm 2: non-quiescent epoch verification."""
 
+import sys
+
 import pytest
 
 from repro.crypto.prf import PRF
@@ -136,6 +138,74 @@ def test_background_verifier_runs_and_stops():
         vmem.read(make_addr(0, (i % 8) * 64))
     verifier.stop_background()
     assert verifier.stats.passes_completed >= 1
+
+
+@pytest.mark.parametrize("mode", ["full", "touched"])
+def test_pass_tolerates_a_page_dropped_mid_pass(mode):
+    """A DROP TABLE landing mid-pass: page 0's scan hook deregisters page
+    3, in the other partition, after the pass took its page snapshot.
+    The pass passes over page 3 and closes clean."""
+    vmem = make_vmem(pages=0, page_digests=(mode == "touched"))
+    dropped = []
+
+    def drop_page_3(page_id):
+        if not dropped:
+            dropped.append(page_id)
+            vmem.deregister_page(3)
+
+    vmem.register_page(0, drop_page_3)
+    for p in (1, 2, 3):
+        vmem.register_page(p)
+    fill(vmem)
+    verifier = Verifier(vmem, mode=mode)
+    verifier.run_pass()
+    assert dropped == [0]
+    assert verifier.stats.alarms == 0
+    assert verifier.stats.pages_scanned == 3
+    verifier.run_pass()
+    assert verifier.stats.alarms == 0
+
+
+def test_background_passes_survive_pages_dropped_concurrently():
+    """Pages come and go on one thread while passes run on the verifier
+    thread, with a short switch interval: no pass dies, none alarms."""
+    vmem = make_vmem()
+    fill(vmem)
+    verifier = Verifier(vmem)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        verifier.start_background()
+        for page in range(100, 400):
+            vmem.register_page(page)
+            vmem.alloc(make_addr(page, 0), b"short-lived")
+            vmem.deregister_page(page)
+        verifier.stop_background(timeout=30)  # re-raises what killed it
+    finally:
+        sys.setswitchinterval(interval)
+    assert not verifier.background_alive()
+    assert verifier.stats.passes_completed >= 1
+    assert verifier.stats.alarms == 0
+
+
+def test_aborted_pass_closes_its_epoch_and_raises_the_original_error():
+    """A scan that raises still closes the epoch; the alarm the half-done
+    pass causes is chained, not raised in place of the error."""
+    from repro.errors import VerificationFailure
+
+    def broken_hook(page_id):
+        raise RuntimeError("scan hook bug")
+
+    vmem = make_vmem(pages=0)
+    vmem.register_page(0, broken_hook)
+    for p in (1, 2, 3):
+        vmem.register_page(p)
+    fill(vmem)
+    verifier = Verifier(vmem)
+    with pytest.raises(RuntimeError, match="scan hook bug") as caught:
+        verifier.run_pass()
+    assert isinstance(caught.value.__context__, VerificationFailure)
+    assert vmem.epoch == 1  # not wedged mid-pass
 
 
 def test_touched_mode_requires_page_digests():

@@ -118,44 +118,3 @@ def test_background_restart_after_crash():
         verifier.stop_background()
     except VeriDBError:
         pass
-
-
-# ----------------------------------------------------------------------
-# parallel-worker failure aggregation
-# ----------------------------------------------------------------------
-def test_aggregate_single_failure_unchanged():
-    original = RuntimeError("solo")
-    assert Verifier._aggregate_failures([original]) is original
-
-
-def test_aggregate_prefers_verification_failure():
-    crash = RuntimeError("worker crashed")
-    alarm = VerificationFailure("digest mismatch", partition=3)
-    error = Verifier._aggregate_failures([crash, alarm])
-    assert isinstance(error, VerificationFailure)
-    assert error.partition == 3
-    assert "RuntimeError" in str(error)
-    assert "digest mismatch" in str(error)
-    assert list(error.failures) == [crash, alarm]
-
-
-def test_aggregate_plain_crashes_stay_veridb_error():
-    failures = [RuntimeError("a"), ValueError("b")]
-    error = Verifier._aggregate_failures(failures)
-    assert isinstance(error, VeriDBError)
-    assert not isinstance(error, VerificationFailure)
-    assert list(error.failures) == failures
-
-
-def test_parallel_pass_reports_all_worker_failures():
-    hooks = {
-        0: lambda page_id: (_ for _ in ()).throw(RuntimeError("w0")),
-        3: lambda page_id: (_ for _ in ()).throw(RuntimeError("w3")),
-    }
-    vmem = make_vmem(pages=4, hooks=hooks)
-    verifier = Verifier(vmem)
-    with pytest.raises(VeriDBError) as excinfo:
-        # workers=4: pages 0 and 3 land in different sections
-        verifier.run_pass(workers=4)
-    failures = getattr(excinfo.value, "failures", [excinfo.value])
-    assert len(failures) == 2

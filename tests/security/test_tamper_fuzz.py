@@ -119,7 +119,7 @@ def test_any_single_mutation_detected_touched_mode(
     # mark the page touched through trusted bookkeeping (any verified op
     # on the page would do this; poking the set directly avoids reading
     # the possibly-erased cell itself)
-    engine.vmem._mark_touched(page)
+    engine.vmem._touched.add(page)
     with pytest.raises(VerificationFailure):
         engine.verify_now()
 

@@ -189,7 +189,7 @@ def test_parallel_verifier_during_workload():
     thread = threading.Thread(target=churn)
     thread.start()
     while not done.is_set():
-        engine.verifier.run_pass(workers=3)
+        engine.verifier.run_pass()
     thread.join()
-    engine.verifier.run_pass(workers=3)
+    engine.verifier.run_pass()
     assert table.row_count == 450
