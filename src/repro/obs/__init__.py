@@ -1,6 +1,7 @@
 """``repro.obs`` — dependency-free metrics, tracing, and exporters.
 
-See :mod:`repro.obs.metrics` for the instrument/registry model,
+See :mod:`repro.obs.metrics` for the instrument/registry model (and the
+one module that knows the histogram bucket format),
 :mod:`repro.obs.trace` for spans,
 :mod:`repro.obs.trace_context` for the per-query run ledger,
 :mod:`repro.obs.export` for the Prometheus/JSONL exporters,
@@ -22,7 +23,6 @@ from repro.obs.export import (
     write_prometheus_snapshot,
 )
 from repro.obs.fleet import (
-    COUNTED_FIELDS,
     FederationState,
     HealthMonitor,
     SloTracker,
@@ -49,6 +49,7 @@ from repro.obs.metrics import (
 from repro.obs.promlint import lint_prometheus, parse_prometheus
 from repro.obs.trace import Span, current_span
 from repro.obs.trace_context import (
+    COUNTED_FIELDS,
     OpStats,
     TraceContext,
     current_trace,

@@ -4,8 +4,8 @@ Two export surfaces on top of :mod:`repro.obs.metrics`:
 
 * :func:`render_prometheus` — point-in-time Prometheus text exposition
   (version 0.0.4) of a registry snapshot. Counters and gauges map
-  directly; the sparse power-of-two histograms map to cumulative
-  ``_bucket{le=...}`` series with the bucket upper bound ``2**(e+1)``.
+  directly; histograms map to cumulative ``_bucket{le=...}`` series
+  read through :func:`repro.obs.metrics.cumulative_buckets`.
   Metric names are prefixed ``veridb_`` and dots become underscores, so
   ``memory.verified_reads`` scrapes as ``veridb_memory_verified_reads``.
   Labeled series (federated per-shard metrics most of all) render as
@@ -30,13 +30,17 @@ totally ordered after the fact.
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from repro.obs.metrics import default_registry, split_series_key
+from repro.obs.metrics import (
+    cumulative_buckets,
+    default_registry,
+    escape_label_value,
+    split_series_key,
+)
 
 # ----------------------------------------------------------------------
 # Prometheus text exposition
@@ -51,19 +55,10 @@ def _prom_name(name: str) -> str:
     return _PROM_PREFIX + "".join(out)
 
 
-def _escape_label_value(value: str) -> str:
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
 def _label_str(labels: dict, extra: "tuple[str, str] | None" = None) -> str:
     """Render a label set (plus an optional ``le``-style pair) or ``""``."""
     pairs = [
-        (k, _escape_label_value(v)) for k, v in sorted(labels.items())
+        (k, escape_label_value(v)) for k, v in sorted(labels.items())
     ]
     if extra is not None:
         pairs.append(extra)
@@ -77,9 +72,8 @@ def render_prometheus(registry) -> str:
 
     Works on anything with the registry ``snapshot()`` shape; a
     :class:`~repro.obs.metrics.NullRegistry` renders to an empty
-    string. Histogram buckets are cumulative with power-of-two upper
-    bounds (the native bucketing of :class:`~repro.obs.metrics.
-    Histogram`); the zero bucket maps to the smallest finite bound.
+    string. Histogram buckets are cumulative, in the order and with
+    the bounds :func:`~repro.obs.metrics.cumulative_buckets` gives.
     Series of one metric family (same base name, different labels) are
     grouped under a single ``# HELP``/``# TYPE`` header.
     """
@@ -106,14 +100,7 @@ def render_prometheus(registry) -> str:
                 rendered = "NaN" if value is None else f"{value:g}"
                 lines.append(f"{prom}{label_str} {rendered}")
             else:
-                buckets = data.get("buckets", {})
-                finite = sorted(e for e in buckets if e is not None)
-                cumulative = buckets.get(None, 0)  # the zero bucket
-                bounds: list[tuple[float, int]] = []
-                for exponent in finite:
-                    cumulative += buckets[exponent]
-                    bounds.append((2.0 ** (exponent + 1), cumulative))
-                for bound, count in bounds:
+                for bound, count in cumulative_buckets(data):
                     le = _label_str(labels, ("le", f"{bound:g}"))
                     lines.append(f"{prom}_bucket{le} {count}")
                 inf = _label_str(labels, ("le", "+Inf"))
@@ -251,30 +238,3 @@ def scoped_event_sink(sink=None):
     finally:
         _scoped_sink.reset(token)
 
-
-# ----------------------------------------------------------------------
-# convenience: histogram percentile bounds for dashboards
-# ----------------------------------------------------------------------
-def bucket_upper_bound(exponent: int | None) -> float:
-    """The inclusive upper bound of a sparse log2 bucket."""
-    if exponent is None:
-        return 0.0
-    return 2.0 ** (exponent + 1)
-
-
-def histogram_quantile(data: dict, q: float) -> float:
-    """Approximate quantile from a histogram *snapshot* dict."""
-    count = data.get("count", 0)
-    if not count:
-        return 0.0
-    buckets = data.get("buckets", {})
-    target = q * count
-    seen = 0
-    ordered = sorted(
-        buckets.items(), key=lambda kv: -math.inf if kv[0] is None else kv[0]
-    )
-    for exponent, n in ordered:
-        seen += n
-        if seen >= target:
-            return min(bucket_upper_bound(exponent), data.get("max", math.inf))
-    return data.get("max", 0.0)

@@ -34,26 +34,15 @@ import threading
 from time import monotonic, perf_counter
 from typing import Any, Callable, Optional
 
-from repro.obs.export import (
-    default_event_sink,
-    histogram_quantile,
+from repro.obs.export import default_event_sink
+from repro.obs.metrics import (
+    Histogram,
+    default_registry,
+    histogram_delta,
+    quantile,
+    split_series_key,
 )
-from repro.obs.metrics import default_registry, split_series_key
-from repro.obs.trace_context import TraceContext
-
-#: OpStats fields that are exact counters (mirrored 1:1 by registry
-#: counters), as opposed to measured wall time. Stitched remote totals
-#: over these fields equal the sum of the worker registry deltas — the
-#: sharded extension of the PR 5 exactness invariant.
-COUNTED_FIELDS = (
-    "verified_reads",
-    "cache_hits",
-    "cache_misses",
-    "ecalls",
-    "batched_read_crossings",
-    "simulated_cycles",
-    "epc_swaps",
-)
+from repro.obs.trace_context import COUNTED_FIELDS, TraceContext
 
 #: the rolling-window SLO: the window's width, its p99 latency target
 #: and the error rate that burns the whole error budget
@@ -110,11 +99,8 @@ def snapshot_delta(current: dict, baseline: dict) -> dict:
 
     Counters become increments (zero increments are dropped), gauges
     report their current value (level, not rate), histograms report
-    per-bucket increments plus count/sum increments — the form
-    :meth:`~repro.obs.metrics.Histogram.merge_snapshot` consumes on the
-    coordinator. min/max carry the *cumulative* extremes (extremes of a
-    window cannot be recovered from cumulative data; folding still
-    keeps them correct as all-time bounds).
+    :func:`~repro.obs.metrics.histogram_delta` (unchanged ones are
+    dropped).
     """
     delta: dict = {}
     for key, data in current.items():
@@ -133,26 +119,9 @@ def snapshot_delta(current: dict, baseline: dict) -> dict:
                 entry["labels"] = dict(data["labels"])
             delta[key] = entry
         elif kind == "histogram":
-            base_buckets = (base or {}).get("buckets", {})
-            buckets = {}
-            for exponent, count in data.get("buckets", {}).items():
-                increment = count - base_buckets.get(exponent, 0)
-                if increment:
-                    buckets[exponent] = increment
-            count_inc = data["count"] - (base["count"] if base else 0)
-            if not count_inc:
-                continue
-            entry = {
-                "type": "histogram",
-                "count": count_inc,
-                "sum": data["sum"] - (base["sum"] if base else 0.0),
-                "min": data.get("min"),
-                "max": data.get("max"),
-                "buckets": buckets,
-            }
-            if data.get("labels"):
-                entry["labels"] = dict(data["labels"])
-            delta[key] = entry
+            entry = histogram_delta(data, base)
+            if entry is not None:
+                delta[key] = entry
     return delta
 
 
@@ -222,32 +191,25 @@ class SloTracker:
         self.window_seconds = window_seconds
         self.p99_target = p99_target
         self.error_rate_target = error_rate_target
-        #: (timestamp, merged cumulative histogram dict, error count)
+        #: (timestamp, merged cumulative histogram snapshot, error count)
         self._samples: list[tuple[float, dict, int]] = []
         self._lock = threading.Lock()
 
     @staticmethod
     def _cumulative(registry_snapshot: dict) -> tuple[dict, int]:
-        merged = {"count": 0, "sum": 0.0, "max": 0.0, "buckets": {}}
+        merged = Histogram("shard.request_seconds")
         errors = 0
         for key, data in registry_snapshot.items():
             base, _labels = split_series_key(key)
             if base == "shard.request_seconds" and data.get("type") == "histogram":
-                merged["count"] += data["count"]
-                merged["sum"] += data["sum"]
-                if data.get("max") is not None:
-                    merged["max"] = max(merged["max"], data["max"])
-                for exponent, count in data.get("buckets", {}).items():
-                    merged["buckets"][exponent] = (
-                        merged["buckets"].get(exponent, 0) + count
-                    )
+                merged.merge_snapshot(data)
             elif base in (
                 "shard.reply_tampered",
                 "shard.reply_replayed",
                 "shard.reply_lost",
             ):
                 errors += data.get("value", 0)
-        return merged, errors
+        return merged.snapshot(), errors
 
     def sample(self, registry_snapshot: dict, now: Optional[float] = None) -> dict:
         """Record one cumulative sample and return the windowed SLO view."""
@@ -261,19 +223,10 @@ class SloTracker:
             while len(self._samples) >= 2 and self._samples[1][0] <= edge:
                 self._samples.pop(0)
             base_ts, base, base_errors = self._samples[0]
-        window = {
-            "count": cumulative["count"] - base["count"],
-            "sum": cumulative["sum"] - base["sum"],
-            "max": cumulative["max"],
-            "buckets": {
-                exponent: count - base["buckets"].get(exponent, 0)
-                for exponent, count in cumulative["buckets"].items()
-                if count - base["buckets"].get(exponent, 0)
-            },
-        }
-        requests = window["count"]
+        window = histogram_delta(cumulative, base) or {}
+        requests = window.get("count", 0)
         window_errors = errors - base_errors
-        p99 = histogram_quantile(window, 0.99) if requests else 0.0
+        p99 = quantile(window, 0.99)
         error_rate = (
             window_errors / (requests + window_errors)
             if (requests + window_errors)
@@ -504,7 +457,6 @@ class HealthMonitor:
 
 
 __all__ = [
-    "COUNTED_FIELDS",
     "serialize_trace_segment",
     "sum_segment_totals",
     "snapshot_delta",

@@ -31,6 +31,7 @@ series, which scrapers aggregate, not in names, which they cannot.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -38,16 +39,38 @@ from time import perf_counter
 from typing import Callable, Iterator, Optional
 
 
+def escape_label_value(value) -> str:
+    """A label value as it sits between the quotes of ``k="..."``."""
+    return (
+        str(value)
+        .replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
+
+
+_LABEL_PAIR = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
+_ESCAPED = re.compile(r"\\(.)")
+
+
+def _unescape(match: "re.Match") -> str:
+    char = match.group(1)
+    return "\n" if char == "n" else char
+
+
 def series_key(name: str, labels: "dict[str, str] | None") -> str:
     """Canonical registry key for a (metric name, labels) series.
 
     Unlabeled series key as the bare name, so everything predating
     labels is unchanged; labeled series append ``{k="v",...}`` with
-    keys sorted, which is also valid Prometheus sample syntax.
+    keys sorted and values escaped, which is also valid Prometheus
+    sample syntax.
     """
     if not labels:
         return name
-    inner = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
+    inner = ",".join(
+        f'{k}="{escape_label_value(labels[k])}"' for k in sorted(labels)
+    )
     return f"{name}{{{inner}}}"
 
 
@@ -56,13 +79,84 @@ def split_series_key(key: str) -> "tuple[str, dict[str, str]]":
     brace = key.find("{")
     if brace < 0:
         return key, {}
-    labels: dict[str, str] = {}
-    for part in key[brace + 1 : key.rindex("}")].split(","):
-        if not part:
-            continue
-        k, _, v = part.partition("=")
-        labels[k] = v.strip('"')
+    labels = {
+        k: _ESCAPED.sub(_unescape, v)
+        for k, v in _LABEL_PAIR.findall(key, brace + 1)
+    }
     return key[:brace], labels
+
+
+# ----------------------------------------------------------------------
+# the histogram bucket format: the only code that knows bucket keys
+# ----------------------------------------------------------------------
+# Bucket ``e`` counts observations ``v`` with ``2**e <= v < 2**(e+1)``
+# (``e`` may be negative: sub-second latencies land in negative
+# exponents); zero observations get their own bucket, keyed ``None``.
+def _bucket_of(value: float) -> "int | None":
+    # frexp is exact where floor(log2(v)) rounds up just below a power of two
+    return None if value == 0 else math.frexp(value)[1] - 1
+
+
+def cumulative_buckets(data: dict) -> Iterator[tuple[float, int]]:
+    """``(upper bound, cumulative count)`` per bucket of a histogram
+    snapshot, ascending; the zero bucket, if any, first with bound 0."""
+    buckets = data.get("buckets", {})
+    seen = buckets.get(None, 0)
+    if seen:
+        yield 0.0, seen
+    for exponent in sorted(e for e in buckets if e is not None):
+        seen += buckets[exponent]
+        yield 2.0 ** (exponent + 1), seen
+
+
+def quantile(data: dict, q: float) -> float:
+    """Approximate ``q``-quantile (``q`` in [0, 1]) of a histogram
+    snapshot or delta; 0.0 when it is empty.
+
+    The answer is the upper bound of the bucket holding the quantile,
+    clamped to the maximum: never below the true quantile, and at most
+    twice it.
+    """
+    count = data.get("count", 0)
+    if not count:
+        return 0.0
+    target = q * count
+    for bound, seen in cumulative_buckets(data):
+        if seen >= target:
+            return min(bound, data["max"])
+    return data["max"]
+
+
+def histogram_delta(current: dict, base: "dict | None") -> "dict | None":
+    """What a histogram observed between two of its snapshots, or None.
+
+    Count, sum and per-bucket increments — the form
+    :meth:`Histogram.merge_snapshot` folds. ``min``/``max`` carry the
+    *cumulative* extremes (those of a window cannot be recovered from
+    cumulative data; folding still keeps them correct as all-time
+    bounds).
+    """
+    base = base or {}
+    count = current["count"] - base.get("count", 0)
+    if not count:
+        return None
+    base_buckets = base.get("buckets", {})
+    buckets = {}
+    for exponent, n in current.get("buckets", {}).items():
+        increment = n - base_buckets.get(exponent, 0)
+        if increment:
+            buckets[exponent] = increment
+    delta = {
+        "type": "histogram",
+        "count": count,
+        "sum": current["sum"] - base.get("sum", 0.0),
+        "min": current.get("min"),
+        "max": current.get("max"),
+        "buckets": buckets,
+    }
+    if current.get("labels"):
+        delta["labels"] = dict(current["labels"])
+    return delta
 
 
 class Counter:
@@ -157,7 +251,7 @@ class Histogram:
     def observe(self, value: float) -> None:
         if value < 0:
             value = 0.0
-        key = None if value == 0 else math.floor(math.log2(value))
+        key = _bucket_of(value)
         with self._lock:
             self.count += 1
             self.total += value
@@ -181,20 +275,8 @@ class Histogram:
             self.buckets = {}
 
     def percentile(self, q: float) -> float:
-        """Approximate percentile (bucket upper bound), ``q`` in [0, 1]."""
-        with self._lock:
-            if not self.count:
-                return 0.0
-            target = q * self.count
-            seen = 0
-            ordered = sorted(
-                self.buckets.items(), key=lambda kv: -math.inf if kv[0] is None else kv[0]
-            )
-            for exponent, n in ordered:
-                seen += n
-                if seen >= target:
-                    return 0.0 if exponent is None else min(2.0 ** (exponent + 1), self.max)
-        return self.max
+        """:func:`quantile` of this histogram, ``q`` in [0, 1]."""
+        return quantile(self.snapshot(), q)
 
     def merge_snapshot(self, data: dict) -> None:
         """Fold another histogram's snapshot (or delta) into this one.

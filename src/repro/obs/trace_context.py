@@ -67,6 +67,20 @@ def current_trace() -> "TraceContext | None":
     return _current.get()
 
 
+#: OpStats fields that are exact counters (mirrored 1:1 by registry
+#: counters), as opposed to measured wall time. Stitched remote totals
+#: over these fields equal the sum of the worker registry deltas.
+COUNTED_FIELDS = (
+    "verified_reads",
+    "cache_hits",
+    "cache_misses",
+    "ecalls",
+    "batched_read_crossings",
+    "simulated_cycles",
+    "epc_swaps",
+)
+
+
 class OpStats:
     """One ledger frame: what one run charged to a single plan node.
 
@@ -124,27 +138,15 @@ class OpStats:
         return max(0.0, self.wall_seconds)
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "verified_reads": self.verified_reads,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "ecalls": self.ecalls,
-            "batched_read_crossings": self.batched_read_crossings,
-            "simulated_cycles": self.simulated_cycles,
-            "epc_swaps": self.epc_swaps,
-            "wall_seconds": self.wall_seconds,
-        }
+        out = {"label": self.label}
+        for field in COUNTED_FIELDS:
+            out[field] = getattr(self, field)
+        out["wall_seconds"] = self.wall_seconds
+        return out
 
     def add(self, other: "OpStats") -> None:
-        self.verified_reads += other.verified_reads
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.ecalls += other.ecalls
-        self.batched_read_crossings += other.batched_read_crossings
-        self.simulated_cycles += other.simulated_cycles
-        self.epc_swaps += other.epc_swaps
-        self.wall_seconds += other.wall_seconds
+        for field in (*COUNTED_FIELDS, "wall_seconds"):
+            setattr(self, field, getattr(self, field) + getattr(other, field))
 
 
 #: what a plan node that never produced under a context reports (read-only)

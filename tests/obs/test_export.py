@@ -18,7 +18,7 @@ from repro.obs import (
     set_default_event_sink,
     write_prometheus_snapshot,
 )
-from repro.obs.export import histogram_quantile
+from repro.obs.metrics import quantile
 
 
 # ----------------------------------------------------------------------
@@ -71,15 +71,15 @@ def test_write_prometheus_snapshot(tmp_path):
     assert "veridb_a_b 1" in content
 
 
-def test_histogram_quantile_from_snapshot():
+def test_quantile_from_snapshot():
     reg = MetricsRegistry()
     hist = reg.histogram("x.y")
     for v in (1.0, 1.5, 3.0, 100.0):
         hist.observe(v)
     snap = reg.snapshot()["x.y"]
-    assert histogram_quantile(snap, 0.5) <= 4.0
-    assert histogram_quantile(snap, 1.0) == 100.0
-    assert histogram_quantile({"count": 0}, 0.5) == 0.0
+    assert quantile(snap, 0.5) <= 4.0
+    assert quantile(snap, 1.0) == 100.0
+    assert quantile({"count": 0}, 0.5) == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,13 @@ monitor's raise/clear state machine, and the Prometheus renderer +
 linter over labeled series.
 """
 
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.export import (
     JsonlEventSink,
-    histogram_quantile,
     render_prometheus,
 )
 from repro.obs.fleet import (
@@ -22,6 +24,7 @@ from repro.obs.fleet import (
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
+    quantile,
     series_key,
     split_series_key,
 )
@@ -38,6 +41,28 @@ def test_series_key_round_trip():
     assert base == "shard.request_seconds"
     assert labels == {"shard": "3", "op": "stmt"}
     assert split_series_key("plain.name") == ("plain.name", {})
+
+
+LABEL_NAMES = st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_]{0,8}", fullmatch=True)
+
+
+@settings(max_examples=200, deadline=None)
+@example(labels={"tenant": 'a,b="c"\\d\ne'})
+@given(labels=st.dictionaries(LABEL_NAMES, st.text(max_size=12), max_size=4))
+def test_split_series_key_inverts_series_key(labels):
+    key = series_key("service.tenant.queries", labels)
+    assert split_series_key(key) == ("service.tenant.queries", labels)
+
+
+def test_federated_label_values_survive_the_fold():
+    worker = MetricsRegistry()
+    worker.counter("service.tenant.queries", labels={"tenant": "acme,inc"}).inc(3)
+    coordinator = MetricsRegistry()
+    fold_metric_delta(
+        coordinator, snapshot_delta(worker.snapshot(), {}), {"shard": "0"}
+    )
+    text = render_prometheus(coordinator)
+    assert 'veridb_service_tenant_queries{shard="0",tenant="acme,inc"} 3' in text
 
 
 def test_labeled_series_are_distinct_instruments():
@@ -88,18 +113,55 @@ def test_histogram_merge_empty_snapshot_is_noop():
 
 
 # ----------------------------------------------------------------------
-# histogram_quantile edge cases
+# the one quantile
 # ----------------------------------------------------------------------
+OBSERVATIONS = st.lists(
+    st.floats(min_value=0.0, max_value=1e300, allow_nan=False), max_size=40
+)
+QS = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _fed(values):
+    h = Histogram("h")
+    for value in values:
+        h.observe(value)
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@example(values=[], q=0.99)
+@example(values=[3.0], q=0.5)
+@given(values=OBSERVATIONS, q=QS)
+def test_quantile_brackets_the_true_quantile(values, q):
+    result = quantile(_fed(values).snapshot(), q)
+    if not values:
+        assert result == 0.0
+        return
+    ordered = sorted(values)
+    true_q = ordered[max(1, math.ceil(q * len(values))) - 1]
+    assert true_q <= result <= min(2 * true_q, ordered[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@example(fast=[0.01] * 99, slow=[10.0], q=0.995)
+@given(fast=OBSERVATIONS, slow=OBSERVATIONS, q=QS)
+def test_quantile_of_merged_snapshots_equals_one_histogram(fast, slow, q):
+    merged = Histogram("h")
+    merged.merge_snapshot(_fed(fast).snapshot())
+    merged.merge_snapshot(_fed(slow).snapshot())
+    assert quantile(merged.snapshot(), q) == quantile(_fed(fast + slow).snapshot(), q)
+
+
 def test_quantile_empty_histogram_is_zero():
-    assert histogram_quantile(Histogram("h").snapshot(), 0.99) == 0.0
+    assert quantile(Histogram("h").snapshot(), 0.99) == 0.0
 
 
 def test_quantile_single_bucket_bounded_by_max():
     h = Histogram("h")
     h.observe(3.0)  # exponent 1, upper bound 4.0
     snap = h.snapshot()
-    assert histogram_quantile(snap, 0.5) == 3.0  # clamped to max
-    assert histogram_quantile(snap, 0.99) == 3.0
+    assert quantile(snap, 0.5) == 3.0  # clamped to max
+    assert quantile(snap, 0.99) == 3.0
 
 
 def test_quantile_merged_across_shards():
@@ -112,8 +174,8 @@ def test_quantile_merged_across_shards():
     merged = fast.snapshot()
     assert merged["count"] == 100
     # the p50 lives in the fast bucket, the p99+ in the slow shard's
-    assert histogram_quantile(merged, 0.5) <= 0.02
-    assert histogram_quantile(merged, 0.995) == 10.0
+    assert quantile(merged, 0.5) <= 0.02
+    assert quantile(merged, 0.995) == 10.0
 
 
 # ----------------------------------------------------------------------
