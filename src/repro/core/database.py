@@ -28,7 +28,7 @@ from repro.sgx.costs import CycleMeter
 from repro.sgx.enclave import Enclave
 from repro.sql.executor import ExecutionResult, QueryEngine
 from repro.storage.engine import StorageEngine
-from repro.storage.table_store import VerifiableTable
+from repro.storage.table_store import VerifiableTable, row_chunks
 
 #: measured identity of the engine build (what clients expect to attest)
 ENGINE_CODE_IDENTITY = b"veridb-engine-v1.0"
@@ -188,12 +188,14 @@ class VeriDB:
         return self.catalog.lookup(name).store
 
     def load_rows(self, name: str, rows: Iterable[tuple]) -> int:
-        """Bulk-insert rows through the verified write path."""
+        """Bulk-insert rows through the verified write path in chunks of
+        ``storage.config.BATCH_ROWS``; returns how many were stored. A
+        failing chunk is rejected whole; the chunks before it stay."""
         store = self.table(name)
         count = 0
-        for row in rows:
-            store.insert(row)
-            count += 1
+        for chunk in row_chunks(rows):
+            store.insert_many(chunk)
+            count += len(chunk)
         return count
 
     # ------------------------------------------------------------------

@@ -37,6 +37,7 @@ already seen.
 from __future__ import annotations
 
 import dataclasses
+from itertools import groupby
 from pathlib import Path
 from time import perf_counter
 
@@ -48,6 +49,7 @@ from repro.errors import RecoveryIntegrityError
 from repro.faults import default_fault_plane, sites as fault_sites
 from repro.obs import default_event_sink, default_registry
 from repro.storage.record import RecordCodec
+from repro.storage.table_store import row_chunks
 from repro.wal import (
     DDL_CREATE,
     DDL_DROP,
@@ -107,14 +109,12 @@ def snapshot_database(db: VeriDB, directory: str | Path) -> int:
 
 
 def _apply_op(db: VeriDB, rtype: int, body: dict, codec: RecordCodec) -> None:
-    """Apply one logged operation through the normal write interfaces."""
+    """Apply one logged non-INSERT operation through the write interfaces."""
     if rtype == DDL_CREATE:
         db.create_table(body["table"], schema_from_dict(body["schema"]))
     elif rtype == DDL_DROP:
         info = db.catalog.drop(body["table"])
         info.store.destroy()
-    elif rtype == INSERT:
-        db.table(body["table"]).insert(codec.decode(bytes.fromhex(body["row"])))
     elif rtype == DELETE:
         store = db.table(body["table"])
         row = codec.decode(bytes.fromhex(body["row"]))
@@ -131,23 +131,33 @@ def _apply_op(db: VeriDB, rtype: int, body: dict, codec: RecordCodec) -> None:
 def _replay(db: VeriDB, records) -> int:
     """Replay a verified log; returns how many operations were applied.
 
-    Replay runs through ``create_table``/``insert``/``delete``/``update``
-    — the verified write path — so the RS/WS synopsis, key chains,
-    indexes and page digests are all rebuilt as a side effect, exactly
-    the paper's recovery story. HEADER and CHECKPOINT carry no state.
+    Replay runs through ``create_table``/``insert_many``/``delete``/
+    ``update`` — the verified write path — so the RS/WS synopsis, key
+    chains, indexes and page digests are all rebuilt as a side effect,
+    exactly the paper's recovery story; consecutive INSERTs into one
+    table splice ``BATCH_ROWS`` at a time. HEADER and CHECKPOINT carry
+    no state.
     """
     faults = default_fault_plane()
     codec = RecordCodec()
     applied = 0
-    for record in records:
-        if record.rtype not in ROW_FIELDS:
-            continue
-        # Injection site: replay dies mid-way through rebuilding state.
-        # The log is read-only during replay and the half-built instance
-        # is discarded, so a fresh recovery attempt is safe and succeeds.
-        faults.check(fault_sites.WAL_REPLAY_ABORT)
-        _apply_op(db, record.rtype, record.body, codec)
-        applied += 1
+    logged = (record for record in records if record.rtype in ROW_FIELDS)
+    for table, run in groupby(
+        logged, lambda record: record.body["table"] if record.rtype == INSERT else None
+    ):
+        for chunk in row_chunks(run):
+            # Injection site, once per record: replay dies mid-way. The log
+            # is read-only during replay and the half-built instance is
+            # discarded, so a fresh recovery attempt is safe and succeeds.
+            for record in chunk:
+                faults.check(fault_sites.WAL_REPLAY_ABORT)
+                if table is None:
+                    _apply_op(db, record.rtype, record.body, codec)
+            if table is not None:
+                db.table(table).insert_many(
+                    [codec.decode(bytes.fromhex(r.body["row"])) for r in chunk]
+                )
+            applied += len(chunk)
     return applied
 
 

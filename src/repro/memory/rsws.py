@@ -72,12 +72,12 @@ class RSWSPartition:
         self.ws[parity] ^= int.from_bytes(element, "little")
         self.stats.writes_recorded += 1
 
-    def fold_run(self, rs_parity, rs: int, ws_parity, ws: int, cells: int) -> None:
-        """Close a restamp run of ``cells``: fold in its XOR-sums, unlock."""
+    def fold_run(self, rs_parity, rs: int, ws_parity, ws: int, reads: int, writes: int) -> None:
+        """Close a run of ``reads`` consumed, ``writes`` opened cells: fold, unlock."""
         self.rs[rs_parity] ^= rs
         self.ws[ws_parity] ^= ws
-        self.stats.reads_recorded += cells
-        self.stats.writes_recorded += cells
+        self.stats.reads_recorded += reads
+        self.stats.writes_recorded += writes
         self.lock.release()
 
     def consistent(self, parity: int) -> bool:

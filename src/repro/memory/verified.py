@@ -10,7 +10,7 @@ ReadSet/WriteSet of the cell's partition, exactly as in the paper:
 * ``write(addr, new)`` consumes the old cell into the ReadSet and opens
   the new value in the WriteSet (lines 8-11).
 * ``alloc(addr, data)`` opens a fresh cell (WriteSet only) — Blum's
-  treatment of allocation.
+  treatment of allocation; ``alloc_many`` opens a run of them on one page.
 * ``free(addr)`` consumes a cell without reopening it (ReadSet only) —
   deallocation; the cell is retired and never scanned again.
 
@@ -259,7 +259,7 @@ class VerifiedMemory:
             for addr in addrs:
                 if addr >> PAGE_OFFSET_BITS != page:
                     if partition is not None:
-                        partition.fold_run(parity ^ scan, rs, parity, ws, cells)
+                        partition.fold_run(parity ^ scan, rs, parity, ws, cells, cells)
                         partition = None
                         rs = ws = cells = 0
                     page = addr >> PAGE_OFFSET_BITS
@@ -304,7 +304,7 @@ class VerifiedMemory:
                     cache.admit(addr, data)
         finally:
             if partition is not None:
-                partition.fold_run(parity ^ scan, rs, parity, ws, cells)
+                partition.fold_run(parity ^ scan, rs, parity, ws, cells, cells)
             self.prf.calls += 2 * len(out)
         if not scan:
             done = len(out)
@@ -397,29 +397,43 @@ class VerifiedMemory:
         self._ctr_writes.inc()
         self._fire_hooks()
 
-    def alloc(self, addr: int, data: bytes) -> None:
-        """Open a fresh cell (first write; no prior read to consume)."""
-        page = page_of(addr)
+    def alloc_many(self, addrs, datas) -> None:
+        """Open fresh cells on one page, the write-side sibling of :meth:`restamp`:
+        one registration check, partition lock and WS fold (in a ``finally``, as
+        there) for the run; the op hooks fire once per cell, after it."""
+        page = addrs[0] >> PAGE_OFFSET_BITS
         if not self.is_registered(page):
             raise StorageError(f"page {page} is not registered for verification")
-        partition = self.rsws.partition_for_page(page)
+        _check, lookup, keyed, clock, partitions = self._kernel
+        write = self.memory.raw_write
+        partition = partitions[page % len(partitions)]
         partition.acquire()
+        parity = ws = cells = 0
         try:
-            if self.memory.exists(addr):
-                raise StorageError(f"cell {addr:#x} already allocated")
             parity = self._parity_of(page)
-            new_ts = next(self._clock)
-            opened = self.prf.cell(addr, data, new_ts)
-            partition.record_write(parity, opened)
-            self.memory.raw_write(addr, data, new_ts)
-            if self._page_digest is not None:
-                self._page_digest[page] ^= _from_bytes(opened, "little")
-                self._touched.add(page)
+            for addr, data in zip(addrs, datas):
+                if lookup(addr) is not None:
+                    raise StorageError(f"cell {addr:#x} already allocated")
+                stamp = next(clock)
+                h = keyed()
+                h.update(_pack(addr, stamp))
+                h.update(data)
+                ws ^= _from_bytes(h.digest(), "little")
+                write(addr, data, stamp)
+                cells += 1
         finally:
-            partition.release()
-        self.stats.allocs += 1
-        self._ctr_allocs.inc()
-        self._fire_hooks()
+            if self._page_digest is not None:
+                self._page_digest[page] ^= ws
+                self._touched.add(page)
+            partition.fold_run(parity, 0, parity, ws, 0, cells)
+            self.prf.calls += cells
+        self.stats.allocs += cells
+        self._ctr_allocs.inc(cells)
+        self._fire_hooks(cells)
+
+    def alloc(self, addr: int, data: bytes) -> None:
+        """Open a fresh cell (first write; no prior read to consume)."""
+        self.alloc_many((addr,), (data,))
 
     def free(self, addr: int) -> bytes:
         """Retire a cell: consume its last write without reopening it."""
@@ -479,6 +493,10 @@ class VerifiedMemory:
         self.stats.unverified_ops += 1
         self._ctr_unverified.inc()
         self.memory.raw_write(addr, data, 0, checked=False)
+
+    def alloc_many_unverified(self, addrs, datas) -> None:
+        for addr, data in zip(addrs, datas):
+            self.alloc_unverified(addr, data)
 
     def free_unverified(self, addr: int) -> bytes:
         self.stats.unverified_ops += 1

@@ -66,19 +66,28 @@ class ShardProxyStore:
     # write interface
     # ------------------------------------------------------------------
     def insert(self, row: Iterable[Any]) -> None:
-        row = self.schema.validate_row(row)
-        if not self._pk_is_key:
-            # placement is by shard key, so primary-key uniqueness is a
-            # fleet-wide property the owner shard alone cannot check
+        self.insert_many((row,))
+
+    def insert_many(self, rows: Iterable[Iterable[Any]]) -> None:
+        """One ``insert_many`` request per owner shard, sent concurrently,
+        once every row is valid and no primary key repeats in the batch
+        or (placement not by primary key) is held by any shard."""
+        rows = [self.schema.validate_row(row) for row in rows]
+        seen = set()
+        for row in rows:
             pk = row[self._pk_index]
-            if self._lookup(pk) is not None:
+            if pk in seen or not self._pk_is_key and self._lookup(pk) is not None:
                 raise StorageError(
                     f"duplicate primary key {pk!r} in table {self.name!r}"
                 )
-        self.router.call(
-            self._owner(row[self._key_index]),
-            "insert",
-            {"table": self.name, "row": row},
+            seen.add(pk)
+        parts: dict[int, list] = {}
+        for row in rows:
+            parts.setdefault(self._owner(row[self._key_index]), []).append(row)
+        self.router.scatter(
+            parts,
+            "insert_many",
+            lambda shard_id: {"table": self.name, "rows": parts[shard_id]},
         )
 
     def update(self, pk: Any, updates: dict) -> bool:
@@ -123,7 +132,7 @@ class ShardProxyStore:
             old_shard, "delete", {"table": self.name, "pk": pk}
         )
         self.router.call(
-            new_shard, "insert", {"table": self.name, "row": tuple(new_row)}
+            new_shard, "insert_many", {"table": self.name, "rows": [tuple(new_row)]}
         )
         return True
 

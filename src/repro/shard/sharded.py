@@ -58,6 +58,7 @@ from repro.sql.executor import (
     QueryEngine,
 )
 from repro.storage.engine import StorageEngine
+from repro.storage.table_store import row_chunks
 
 
 def _pushed(plan) -> bool:
@@ -241,11 +242,14 @@ class ShardedDatabase:
         return self.catalog.lookup(name).store
 
     def load_rows(self, name: str, rows: Iterable[tuple]) -> int:
+        """Bulk-insert rows in chunks of ``storage.config.BATCH_ROWS``;
+        returns how many were stored. The chunks before a failing one
+        stay; an owner shard rejects its part of a chunk whole."""
         store = self.table(name)
         count = 0
-        for row in rows:
-            store.insert(row)
-            count += 1
+        for chunk in row_chunks(rows):
+            store.insert_many(chunk)
+            count += len(chunk)
         return count
 
     # ------------------------------------------------------------------

@@ -192,8 +192,8 @@ class ShardWorker:
         return True
 
     # -- storage-level row operations (the proxy-store protocol) -------
-    def _op_insert(self, payload: dict) -> bool:
-        self.db.table(payload["table"]).insert(payload["row"])
+    def _op_insert_many(self, payload: dict) -> bool:
+        self.db.table(payload["table"]).insert_many(payload["rows"])
         return True
 
     def _op_update(self, payload: dict) -> bool:

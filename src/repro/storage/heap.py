@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from repro.errors import PageFullError, StorageError
 from repro.storage.engine import StorageEngine
-from repro.storage.page import Page, payload_addrs
+from repro.storage.page import HEADER_RESERVE, SLOT_OVERHEAD, Page, payload_addrs
 
 
 @dataclass(frozen=True, order=True)
@@ -52,6 +52,30 @@ class HeapFile:
     # ------------------------------------------------------------------
     # record placement
     # ------------------------------------------------------------------
+    def insert_many(self, payloads: list[bytes]) -> list[RecordId]:
+        """Store payloads in order, a page's stretch of them as one
+        :meth:`Page.insert_many` run; refuses an oversized one first."""
+        if len(payloads) == 1:  # a one-row splice: no run scaffolding
+            return [self.insert(payloads[0])]
+        largest = max(map(len, payloads), default=0)
+        if largest + SLOT_OVERHEAD > self.config.page_size - HEADER_RESERVE:
+            raise PageFullError(
+                f"record of {largest} bytes exceeds page capacity {self.config.page_size}"
+            )
+        rids: list[RecordId] = []
+        start, count = 0, len(payloads)
+        while start < count:
+            page = self._page_with_room(len(payloads[start]))
+            room, end = page.free_space, start
+            while end < count and len(payloads[end]) + SLOT_OVERHEAD <= room:
+                room -= len(payloads[end]) + SLOT_OVERHEAD
+                end += 1
+            page_id = page.page_id
+            for slot in page.insert_many(payloads[start:end]):
+                rids.append(RecordId(page_id, slot))
+            start = end
+        return rids
+
     def insert(self, payload: bytes) -> RecordId:
         """Store a payload somewhere with room; returns its RecordId."""
         page = self._page_with_room(len(payload))

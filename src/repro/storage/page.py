@@ -85,7 +85,7 @@ def payload_addrs(pointers: list[int], raws: list[bytes]) -> list[int]:
 class _CellIO:
     """A memory's cell operations, the verified or the raw ones by one name."""
 
-    __slots__ = ("verified", "read", "read_many", "write", "alloc", "free")
+    __slots__ = ("verified", "read", "read_many", "write", "alloc", "alloc_many", "free")
 
     def __init__(self, vmem: VerifiedMemory, verified: bool):
         self.verified = verified
@@ -128,6 +128,42 @@ class Page:
     # ------------------------------------------------------------------
     # record operations
     # ------------------------------------------------------------------
+    @_mutation
+    def insert_many(self, payloads: list[bytes]) -> list[int]:
+        """Store a run of records — one ``alloc_many`` for the payloads,
+        one for the slot pointers, one header write; returns their slots.
+        Raises PageFullError, storing nothing, unless all of them fit."""
+        size = sum(map(len, payloads))
+        need = size + SLOT_OVERHEAD * len(payloads)
+        if self.free_space < need:
+            raise PageFullError(
+                f"page {self.page_id}: {need} bytes needed, "
+                f"{self.free_space} free"
+            )
+        if self._tail + size > _MAX_OFFSET:
+            # Bump-offset space exhausted before logical space: reclaim now.
+            self.compact()
+            if self._tail + size > _MAX_OFFSET:  # pragma: no cover
+                raise PageFullError(f"page {self.page_id}: offset space exhausted")
+        base, tail = self._base, self._tail
+        slots, offsets = [], []
+        for payload in payloads:
+            slots.append(self._take_slot())
+            offsets.append(tail)
+            tail += len(payload)
+        self._tail = tail
+        self.data_io.alloc_many([base | offset for offset in offsets], payloads)
+        self.meta_io.alloc_many(
+            [base | slot for slot in slots], list(map(_SLOT.pack, offsets))
+        )
+        # listed once their cells exist (a stale reader finds a reused slot absent)
+        for slot, offset, payload in zip(slots, offsets, payloads):
+            self._slots[slot] = offset
+            self._lengths[slot] = len(payload)
+        self._used += need
+        self._write_header()
+        return slots
+
     @_mutation
     def insert(self, payload: bytes) -> int:
         """Store a record; returns its slot. Raises PageFullError."""

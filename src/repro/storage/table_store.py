@@ -107,60 +107,93 @@ class VerifiableTable:
     # write interface
     # ------------------------------------------------------------------
     def insert(self, row: Iterable[Any]) -> RecordId:
-        """Insert a row, splicing it into every key chain."""
+        """Insert a row, splicing it into every key chain: the one-row
+        case of :meth:`insert_many`."""
+        return self.insert_many((row,))[0]
+
+    def insert_many(self, rows: Iterable[Iterable[Any]]) -> list[RecordId]:
+        """Splice a batch of rows into every key chain; returns their
+        RecordIds in input order. Nothing is written before every row,
+        primary key and run predecessor has passed its check. A run of
+        new keys between two existing neighbours shares one predecessor,
+        rewritten once per chain (INTERNALS §2, "Bulk ingest")."""
         if not self.obs.enabled:
-            return self._insert(row)
+            return self._splice(rows)
         start = perf_counter()
         try:
-            return self._insert(row)
+            return self._splice(rows)
         finally:
             self._hist_splice.observe(perf_counter() - start)
 
-    def _insert(self, row: Iterable[Any]) -> RecordId:
-        # Injection site: the splice is interrupted before any chain or
-        # heap mutation — no partial splice can exist, an identical
-        # retry of the insert is safe.
-        self.faults.check(fault_sites.SPLICE_INTERRUPTION)
-        row = self.schema.validate_row(row)
+    def _splice(self, rows: Iterable[Iterable[Any]]) -> list[RecordId]:
+        check, validate = self.faults.check, self.schema.validate_row
+        checked = []
+        for row in rows:
+            # Injection site: the splice is interrupted before any chain
+            # or heap mutation — no partial splice can exist, an
+            # identical retry of the batch is safe.
+            check(fault_sites.SPLICE_INTERRUPTION)
+            checked.append(validate(row))
+        rows = checked
+        layout = self.layout
         with self._lock:
-            pk = row[self.layout.pk_index]
-            if self.indexes[0].search(pk) is not None:
-                raise StorageError(
-                    f"duplicate primary key {pk!r} in table {self.name!r}"
-                )
-            # Phase 1: read each chain's predecessor to learn our successor.
-            chain_keys = [
-                self.layout.chain_key(c, row)
-                for c in range(self.layout.n_chains)
-            ]
-            nexts = []
-            for chain_id, ckey in enumerate(chain_keys):
-                pred_stored = self._predecessor(chain_id, ckey)[1]
-                nk = pred_stored.next_key(chain_id)
-                if not nk > ckey:
-                    raise ProofError(
-                        f"chain {chain_id} predecessor nKey {nk!r} does not "
-                        f"bound new key {ckey!r}"
+            # the new records, each nKey filled in once its run is known
+            stored = [layout.stored_from_row(row, [None] * layout.n_chains) for row in rows]
+            previous = None
+            for pk in sorted(record.chain_keys[0] for record in stored):
+                if pk == previous or self.indexes[0].search(pk) is not None:
+                    raise StorageError(
+                        f"duplicate primary key {pk!r} in table {self.name!r}"
                     )
-                nexts.append(nk)
-            # Phase 2: store the new record.
-            stored = self.layout.stored_from_row(row, nexts)
-            rid = self.heap.insert(self._encode(stored))
-            # Phase 3: point each predecessor's nKey at us (re-resolving the
-            # predecessor each time: an earlier nKey write may have moved it).
-            for chain_id, ckey in enumerate(chain_keys):
-                pred_rid, pred_stored = self._predecessor(chain_id, ckey)
-                pred_stored.chain_nexts[chain_id] = ckey
-                self._write_stored(pred_rid, pred_stored)
-            for chain_id, ckey in enumerate(chain_keys):
-                self.indexes[chain_id].insert(ckey, rid)
-            self._row_count += 1
-            self.stats.inserts += 1
+                previous = pk
+            runs = []  # (chain, first new key, the nKey bounding the run)
+            for chain_id in range(layout.n_chains):
+                evidence = layout.scan_plan(chain_id, ())  # key and nKey only
+                ordered = stored if len(stored) == 1 else sorted(
+                    stored, key=lambda record: record.chain_keys[chain_id]
+                )
+                start, count = 0, len(ordered)
+                while start < count:
+                    first = ordered[start].chain_keys[chain_id]
+                    nk = self._predecessor(chain_id, first, plan=evidence)[1][2]
+                    if not nk > first:
+                        raise ProofError(
+                            f"chain {chain_id} predecessor nKey {nk!r} does not "
+                            f"bound new key {first!r}"
+                        )
+                    # the run: every new key below that nKey, linked in order
+                    record = ordered[start]
+                    start += 1
+                    while start < count and ordered[start].chain_keys[chain_id] < nk:
+                        record.chain_nexts[chain_id] = ordered[start].chain_keys[chain_id]
+                        record = ordered[start]
+                        start += 1
+                    record.chain_nexts[chain_id] = nk
+                    runs.append((chain_id, first, nk))
+            rids = self.heap.insert_many([self._encode(record) for record in stored])
+            # Point each run's predecessor at the run's first key,
+            # re-resolved: an earlier chain's rewrite may have moved a
+            # predecessor two chains share.
+            for chain_id, first, nk in runs:
+                pred_rid, pred = self._predecessor(chain_id, first)
+                if pred.next_key(chain_id) != nk:
+                    raise ProofError(
+                        f"chain {chain_id} predecessor of {first!r} changed "
+                        f"from nKey {nk!r} to {pred.next_key(chain_id)!r} mid-splice"
+                    )
+                pred.chain_nexts[chain_id] = first
+                self._write_stored(pred_rid, pred)
+            for record, rid in zip(stored, rids):
+                for index, key in zip(self.indexes, record.chain_keys):
+                    index.insert(key, rid)
+            self._row_count += len(rows)
+            self.stats.inserts += len(rows)
             # logged inside the table lock, after the splice committed:
             # log order equals apply order, so replay reproduces state
             if self.wal is not None:
-                self.wal.append_insert(self.name, row)
-            return rid
+                for row in rows:
+                    self.wal.append_insert(self.name, row)
+            return rids
 
     def delete(self, pk: Any) -> bool:
         """Delete by primary key; False (with absence proof) if missing."""
@@ -412,22 +445,28 @@ class VerifiableTable:
         return new_rid
 
     def _predecessor(
-        self, chain_id: int, ckey: Any, strict: bool = False
-    ) -> tuple[RecordId, StoredRecord]:
+        self, chain_id: int, ckey: Any, strict: bool = False, plan=None
+    ) -> tuple[RecordId, Any]:
         """Largest chain record with key < ``ckey``, validated; the index
-        is asked at or below ``ckey`` (``strict``: below it)."""
+        is asked at or below ``ckey`` (``strict``: below it). The record
+        comes whole (a StoredRecord) or, with a ``plan``, decoded to
+        ``(sentinel_of, key, nKey, values)``."""
         index = self.indexes[chain_id]
         hit = index.search_lt(ckey) if strict else index.search_le(ckey)
         if hit is None:
             raise ProofError(f"untrusted index lost the chain-{chain_id} sentinel")
         rid = hit[1]
-        stored = self._read_stored(rid)
-        key = stored.key(chain_id)
+        if plan is None:
+            record = self._read_stored(rid)
+            key = record.key(chain_id)
+        else:
+            record = self.codec.decode(self.heap.read(rid), plan)
+            key = record[1]
         if key is None:
             raise ProofError(f"index returned a record outside chain {chain_id}")
         if not key < ckey:
             raise ProofError(f"index returned non-predecessor {key!r} for target {ckey!r}")
-        return rid, stored
+        return rid, record
 
     def _locate_pk(self, pk: Any) -> tuple[RecordId | None, StoredRecord, PointProof]:
         """Index search of Section 5.2 for a rewrite: the whole record."""
@@ -580,6 +619,14 @@ class VerifiableTable:
             self.stats.range_scans += 1
             self.stats.proofs_checked += 1
         return proof
+
+
+def row_chunks(rows: Iterable) -> Iterator[list]:
+    """``rows`` as lists of ``config.BATCH_ROWS``, the last one shorter:
+    how the bulk callers feed :meth:`VerifiableTable.insert_many`."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, config.BATCH_ROWS)):
+        yield chunk
 
 
 def _first(flags: Iterable, default: int) -> int:

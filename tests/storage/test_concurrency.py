@@ -7,6 +7,7 @@ state that matches the applied operations.
 """
 
 import random
+import sys
 import threading
 
 
@@ -72,6 +73,56 @@ def test_concurrent_readers_while_writing():
     assert not writer_errors
     assert total_reads > 0
     engine.verify_now()  # no integrity damage from the concurrency
+
+
+def test_lock_free_gets_during_bulk_splices():
+    """A get racing an ``insert_many`` sees each row absent (with a valid
+    absence proof) or whole, never an alarm, while a batch's runs share
+    predecessors and their nKeys change mid-splice."""
+    table, engine = make_table()
+    table.insert_many([(pk, pk % 7, "init") for pk in range(0, 600, 2)])
+    odd = list(range(1, 600, 2))
+    random.Random(2).shuffle(odd)
+    stop = threading.Event()
+    writer_errors = []
+
+    def writer():
+        try:
+            for start in range(0, len(odd), 25):
+                table.insert_many(
+                    [(pk, pk % 7, "bulk") for pk in odd[start : start + 25]]
+                )
+        except BaseException as exc:
+            writer_errors.append(exc)
+        finally:
+            stop.set()
+
+    def reader(index):
+        rng = random.Random(200 + index)
+        reads = 0
+        while not stop.is_set():
+            pk = rng.randrange(0, 600)
+            row, proof = table.get(pk)
+            expected = (pk, pk % 7, "init" if pk % 2 == 0 else "bulk")
+            assert row == expected if pk % 2 == 0 else row in (None, expected)
+            reads += 1
+        return reads
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writer_thread = threading.Thread(target=writer)
+        writer_thread.start()
+        _, total_reads = run_threaded(reader, 3)
+        writer_thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not writer_thread.is_alive() and not writer_errors
+    assert total_reads > 0
+    assert table.seq_scan() == [
+        (pk, pk % 7, "init" if pk % 2 == 0 else "bulk") for pk in range(600)
+    ]
+    engine.verify_now()
 
 
 def test_concurrent_mutators_distinct_keyspaces():

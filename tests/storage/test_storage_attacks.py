@@ -23,8 +23,8 @@ from repro.storage.table_store import VerifiableTable
 from tests.conftest import chunk_rows
 
 
-def make_table(**config_kwargs):
-    schema = Schema(
+def make_schema():
+    return Schema(
         columns=[
             Column("id", IntegerType()),
             Column("count", IntegerType()),
@@ -33,8 +33,11 @@ def make_table(**config_kwargs):
         primary_key="id",
         chain_columns=("count",),
     )
+
+
+def make_table(**config_kwargs):
     engine = StorageEngine(StorageConfig(**config_kwargs))
-    table = VerifiableTable("t", schema, engine)
+    table = VerifiableTable("t", make_schema(), engine)
     for pk in range(0, 50, 5):  # keys 0,5,...,45
         table.insert((pk, pk * 2, f"note{pk}"))
     engine.verify_now()
@@ -281,3 +284,85 @@ def test_checked_flag_flipping_is_detected():
     cell.checked = False
     with pytest.raises(VerificationFailure):
         engine.verify_now()
+
+
+# ----------------------------------------------------------------------
+# the bulk path: a batch's predecessors are evidence like any other
+# ----------------------------------------------------------------------
+def test_tampered_run_predecessor_between_chunks_is_caught():
+    """An ascending load's second chunk is one run whose predecessor is
+    the first chunk's last record; tampering that cell between the two
+    chunks ends in an alarm."""
+    from repro.core.config import VeriDBConfig
+    from repro.core.database import VeriDB
+
+    db = VeriDB(VeriDBConfig(key_seed=3))
+    table = db.create_table("t", make_schema())
+    adversary = Adversary(db.storage.memory)
+
+    def rows():
+        for pk in range(14):
+            if pk == 7:  # chunk one is in; chunk two is being gathered
+                addr = _data_addr_of(table, 6)
+                data = db.storage.memory.raw_read(addr).data
+                adversary.corrupt(addr, data.replace(b"note6", b"nOte6"))
+            yield (pk, pk * 2, f"note{pk}")
+
+    with chunk_rows(7):
+        assert db.load_rows("t", rows()) == 14
+    with pytest.raises(VerificationFailure):
+        db.verify_now()
+
+
+def _heap_cells(engine):
+    """Untrusted memory's cells without their stamps: what a heap
+    mutation changes and a verified read does not."""
+    return {addr: cell.data for addr, cell in engine.memory.cells()}
+
+
+def _lie_non_predecessor(table):
+    table.indexes[0].insert(11, table.indexes[0].search(20))  # 12 -> record 20
+
+
+def _lie_hides_predecessor(table):
+    table.indexes[0].delete(10)  # 12 -> record 5, whose nKey 10 is no bound
+
+
+def _lie_outside_the_chain(table):
+    from repro.catalog.types import BOTTOM
+
+    # chain-1 key (24, 12) -> the chain-0 sentinel, which has no chain-1 key
+    table.indexes[1].insert((23, BOTTOM), table.indexes[0].search(BOTTOM))
+
+
+@pytest.mark.parametrize(
+    "lie", [_lie_non_predecessor, _lie_hides_predecessor, _lie_outside_the_chain]
+)
+def test_lying_index_for_a_run_is_refused_before_any_heap_mutation(lie):
+    """The lie hits the batch's second run (on chain 0 or chain 1), after
+    the first run's predecessor resolved honestly."""
+    table, engine = make_table()
+    lie(table)
+    cells, pages = _heap_cells(engine), table.page_count()
+    with pytest.raises(ProofError):
+        table.insert_many([(1, 2, "one"), (12, 24, "twelve")])
+    assert _heap_cells(engine) == cells
+    assert table.page_count() == pages
+    assert table.row_count == 10
+
+
+def test_index_changing_its_answer_mid_splice_is_caught():
+    """A run's predecessor is resolved again before its rewrite; an index
+    that now names another record, one whose nKey no longer bounds the
+    run, is refused rather than written."""
+    table, _ = make_table()
+    honest = table.indexes[0].search_le
+    probes = []
+
+    def fickle(key):
+        probes.append(key)
+        return honest(key - 10 if len(probes) == 2 else key)  # 12 -> record 0
+
+    table.indexes[0].search_le = fickle
+    with pytest.raises(ProofError, match="mid-splice"):
+        table.insert((12, 24, "twelve"))

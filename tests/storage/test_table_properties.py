@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, Schema
 from repro.catalog.types import IntegerType, TextType
+from repro.errors import StorageError
+from repro.storage import config as storage_config
 from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
-from repro.storage.table_store import VerifiableTable
+from repro.storage.table_store import VerifiableTable, row_chunks
+from tests.conftest import chunk_rows
 
 
 def make_table(**config_kwargs):
@@ -171,4 +174,98 @@ def test_secondary_scan_bounds_property(data, lo, hi, include_lo, include_hi):
         table.scan("grp", lo=lo, hi=hi, include_lo=include_lo, include_hi=include_hi)
     )
     assert rows == expected
+    engine.verify_now()
+
+
+# ----------------------------------------------------------------------
+# the splice kernel: a batch spliced at once equals the same rows
+# inserted one at a time
+# ----------------------------------------------------------------------
+def make_chained(n_chains):
+    """A table whose primary key is chain 0, plus ``n_chains - 1``
+    secondary chains (an INTEGER and a TEXT column that repeat)."""
+    schema = Schema(
+        columns=[
+            Column("pk", IntegerType()),
+            Column("a", IntegerType(), nullable=False),
+            Column("b", TextType(), nullable=False),
+            Column("note", TextType()),
+        ],
+        primary_key="pk",
+        chain_columns=("a", "b")[: n_chains - 1],
+    )
+    engine = StorageEngine(StorageConfig(page_size=1024))
+    return VerifiableTable("t", schema, engine), engine
+
+
+def rsws_state(engine):
+    return [(*p.rs, *p.ws) for p in engine.vmem.rsws.partitions]
+
+
+def chain_answers(table):
+    """Every chain's full scan: its rows and the tallies of its proof."""
+    answers = []
+    for column in table.layout.chains:
+        rows, proof = table.scan_with_proof(column)
+        answers.append((rows, proof.records_read, proof.links_checked))
+    return answers
+
+
+def _row(pk, a, b):
+    return (pk, a, b, "n" * (pk % 23))
+
+
+_batches = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(0, 6), st.sampled_from("xyz")),
+    min_size=2,
+    max_size=70,
+    unique_by=lambda r: r[0],
+)
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(n_chains=st.integers(1, 3), drawn=_batches, data=st.data())
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+def test_insert_many_equals_inserting_one_at_a_time(chunk, n_chains, drawn, data):
+    rows = [_row(*r) for r in drawn]
+    split = data.draw(st.integers(1, len(rows) - 1), label="existing rows")
+    existing, batch = rows[:split], rows[split:]
+    one_by_one, one_engine = make_chained(n_chains)
+    spliced, spliced_engine = make_chained(n_chains)
+    with chunk_rows(chunk or storage_config.BATCH_ROWS):
+        for table in (one_by_one, spliced):
+            for row in existing:
+                table.insert(row)
+        for row in batch:
+            one_by_one.insert(row)
+        for part in row_chunks(batch):
+            spliced.insert_many(part)
+        assert spliced.seq_scan() == one_by_one.seq_scan() == sorted(rows)
+        assert chain_answers(spliced) == chain_answers(one_by_one)
+    assert spliced.row_count == one_by_one.row_count == len(rows)
+    for engine in (one_engine, spliced_engine):
+        engine.verify_now()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_chains=st.integers(1, 3), drawn=_batches, data=st.data())
+def test_a_batch_with_a_duplicate_changes_nothing(n_chains, drawn, data):
+    rows = [_row(*r) for r in drawn]
+    split = data.draw(st.integers(1, len(rows) - 1), label="existing rows")
+    existing, batch = rows[:split], rows[split:]
+    twin = data.draw(st.sampled_from(existing + batch), label="duplicated row")
+    at = data.draw(st.integers(0, len(batch)), label="position")
+    batch.insert(at, (twin[0], twin[1] + 1, "w", None))
+    table, engine = make_chained(n_chains)
+    table.insert_many(existing)
+    before = rsws_state(engine)
+    with pytest.raises(StorageError, match="duplicate primary key"):
+        table.insert_many(batch)
+    assert rsws_state(engine) == before
+    assert table.row_count == len(existing)
+    assert table.seq_scan() == sorted(existing)
     engine.verify_now()
