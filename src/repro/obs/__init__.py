@@ -1,8 +1,7 @@
-"""``repro.obs`` — dependency-free metrics, tracing, and exporters.
+"""``repro.obs`` — dependency-free metrics, per-query ledgers, and exporters.
 
 See :mod:`repro.obs.metrics` for the instrument/registry model (and the
 one module that knows the histogram bucket format),
-:mod:`repro.obs.trace` for spans,
 :mod:`repro.obs.trace_context` for the per-query run ledger,
 :mod:`repro.obs.export` for the Prometheus/JSONL exporters,
 :mod:`repro.obs.fleet` for cross-shard trace segments, metrics
@@ -10,6 +9,10 @@ federation and the health/SLO monitor, and :mod:`repro.obs.promlint`
 for the exposition-format linter CI runs over fleet scrapes. The
 metric-name catalog and usage guide live in ``docs/INTERNALS.md``
 ("Observability" and "Fleet observability").
+
+A phase is timed one way everywhere: a histogram bound at construction
+(only when the registry is enabled) and observed with a ``perf_counter``
+delta, so the default null registry reads no clock.
 """
 
 from repro.obs.export import (
@@ -47,7 +50,6 @@ from repro.obs.metrics import (
     split_series_key,
 )
 from repro.obs.promlint import lint_prometheus, parse_prometheus
-from repro.obs.trace import Span, current_span
 from repro.obs.trace_context import (
     COUNTED_FIELDS,
     OpStats,
@@ -72,9 +74,7 @@ __all__ = [
     "NullRegistry",
     "OpStats",
     "SloTracker",
-    "Span",
     "TraceContext",
-    "current_span",
     "current_trace",
     "default_event_sink",
     "default_registry",

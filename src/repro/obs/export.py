@@ -18,9 +18,9 @@ Two export surfaces on top of :mod:`repro.obs.metrics`:
   construction, the default :data:`NULL_EVENT_SINK` drops everything at
   the cost of one attribute check, and installing a
   :class:`JsonlEventSink` (normally via :func:`scoped_event_sink`)
-  turns on an append-only stream of one JSON object per line: span
-  open/close, per-query trace completions, verification epoch closes,
-  incident open/resolve, and fault-injection firings.
+  turns on an append-only stream of one JSON object per line:
+  per-query trace completions, verification epoch closes, incident
+  open/resolve, and fault-injection firings.
 
 Events carry ``type`` plus type-specific fields; the sink stamps a
 monotonic sequence number so an interleaved multi-thread stream can be

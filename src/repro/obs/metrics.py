@@ -5,7 +5,8 @@ ROADMAP: it must cost nothing when nobody is looking. Every component
 binds its instruments at construction time from a *registry*; the
 default registry is :data:`NULL_REGISTRY`, whose instruments are shared
 no-op singletons — an ``inc()`` on a null counter is a single Python
-method call and a null timer never touches the clock. Enabling
+method call, and a component timing a phase binds its histogram only
+when ``registry.enabled``, so the dark path reads no clock. Enabling
 observability is a matter of installing a real :class:`MetricsRegistry`
 as the process default (or passing one explicitly) *before* building the
 system, which is exactly what the benchmark harness does.
@@ -35,7 +36,6 @@ import re
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from time import perf_counter
 from typing import Callable, Iterator, Optional
 
 
@@ -317,25 +317,8 @@ class Histogram:
         return out
 
 
-class _Timer:
-    """Context manager feeding elapsed wall time into a histogram."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._histogram.observe(perf_counter() - self._start)
-
-
 class MetricsRegistry:
-    """Named instruments plus snapshot/text exporters.
+    """Named instruments and their point-in-time snapshot.
 
     Instruments are created on first use and shared by name; creation is
     thread-safe. ``gauge_fn`` registers a *callback gauge*: a zero-arg
@@ -370,20 +353,6 @@ class MetricsRegistry:
         self, name: str, labels: Optional[dict] = None
     ) -> Histogram:
         return self._get(self._histograms, name, Histogram, labels)
-
-    def timer(self, name: str, labels: Optional[dict] = None) -> _Timer:
-        return _Timer(self.histogram(name, labels))
-
-    def span(self, name: str):
-        """A trace span recording into the histogram ``name``.
-
-        Unlike :meth:`timer`, spans participate in the thread-local trace
-        stack (parent/child self-time attribution); see
-        :mod:`repro.obs.trace`.
-        """
-        from repro.obs.trace import Span
-
-        return Span(name, self)
 
     def gauge_fn(self, name: str, fn: Callable[[], float]) -> None:
         with self._lock:
@@ -438,21 +407,6 @@ class MetricsRegistry:
             except Exception:  # a dead callback must not break export
                 out[name] = {"type": "gauge", "value": None}
         return dict(sorted(out.items()))
-
-    def render_text(self) -> str:
-        """Flat one-metric-per-line text export (counters/gauges/histograms)."""
-        lines = []
-        for name, data in self.snapshot().items():
-            if data["type"] == "histogram":
-                lines.append(
-                    f"{name} count={data['count']} sum={data['sum']:.6g} "
-                    f"mean={data['mean']:.6g} max={data['max']:.6g}"
-                )
-            else:
-                value = data["value"]
-                rendered = "nan" if value is None else f"{value:g}"
-                lines.append(f"{name} {rendered}")
-        return "\n".join(lines)
 
     def reset(self) -> None:
         """Zero every instrument *in place*.
@@ -510,13 +464,6 @@ class _NullInstrument:
     def snapshot(self) -> dict:
         return {}
 
-    # timer/span protocol: never touches the clock
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
 
 _NULL = _NullInstrument()
 
@@ -535,20 +482,11 @@ class NullRegistry:
     def histogram(self, name: str, labels=None) -> _NullInstrument:
         return _NULL
 
-    def timer(self, name: str, labels=None) -> _NullInstrument:
-        return _NULL
-
-    def span(self, name: str) -> _NullInstrument:
-        return _NULL
-
     def gauge_fn(self, name: str, fn: Callable[[], float]) -> None:
         pass
 
     def snapshot(self) -> dict[str, dict]:
         return {}
-
-    def render_text(self) -> str:
-        return ""
 
     def reset(self) -> None:
         pass

@@ -19,6 +19,7 @@ sampling, a worker's segment) or a real metrics registry, for which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Optional
 
 from repro.catalog.catalog import Catalog, TableInfo
@@ -111,6 +112,7 @@ class QueryEngine:
         self._ctr_parsed = self.obs.counter("sql.statements_parsed")
         self._ctr_planned = self.obs.counter("sql.statements_planned")
         self._ctr_fused_batches = self.obs.counter("sql.fused_pipeline_batches")
+        self._hist_execute = self.obs.histogram("sql.execute_seconds")
         self.plan_cache = PlanCache(
             storage.config.plan_cache_size if storage is not None else 0
         )
@@ -318,12 +320,15 @@ class QueryEngine:
         """
         self._ctr_statements.inc()
         trace = current_trace()
-        with self.obs.span("sql.execute_seconds"):
+        start = perf_counter()
+        try:
             if trace is None or not trace.sampled:
                 with TraceContext(qid="", sampled=False) as trace:
                     result = self._dispatch_entry(entry, join_hint, undo)
             else:
                 result = self._dispatch_entry(entry, join_hint, undo)
+        finally:
+            self._hist_execute.observe(perf_counter() - start)
         if result.plan is not None:
             self._record_plan_metrics(result.plan, trace)
         return result

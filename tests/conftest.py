@@ -7,8 +7,12 @@ a fixed interval — fixed sleeps are simultaneously too slow on fast
 machines and flaky on loaded ones.
 
 ``chunk_rows`` is the one way a test sets the engine's chunk length.
+
+The terminal summary ends with the ten test files that took longest
+(setup, call and teardown summed), so a slow file shows in every run.
 """
 
+import collections
 import contextlib
 import time
 
@@ -52,3 +56,16 @@ def chunk_rows(rows: int):
         yield
     finally:
         storage_config.BATCH_ROWS = saved
+
+
+def pytest_terminal_summary(terminalreporter):
+    per_file = collections.Counter()
+    for reports in terminalreporter.stats.values():
+        for report in reports:
+            if getattr(report, "when", None) in ("setup", "call", "teardown"):
+                per_file[report.nodeid.split("::", 1)[0]] += report.duration
+    if not per_file:
+        return
+    terminalreporter.write_sep("=", "slowest 10 test files")
+    for path, seconds in per_file.most_common(10):
+        terminalreporter.write_line(f"{seconds:8.2f}s  {path}")

@@ -15,7 +15,7 @@ from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
 from repro.core.portal import AuthenticatedQuery
 from repro.crypto.mac import MessageAuthenticator
-from repro.errors import AuthenticationError
+from repro.errors import AuthenticationError, CatalogError
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.storage.config import StorageConfig
 
@@ -106,6 +106,24 @@ def test_submissions_race_background_verifier(observed_db):
     assert snap["verifier.passes"]["value"] >= 1
     assert snap["verifier.background_crashes"]["value"] == 0
     assert snap["verifier.alarms"]["value"] == 0
-    # latency histograms saw every query
+    # latency histograms saw every query, once per phase: every
+    # submission (replays included) is authenticated before the replay
+    # check; only the executed ones are endorsed; the engine also ran
+    # the fixture's two admin statements
+    assert snap["portal.auth_seconds"]["count"] == total_success + total_replays
     assert snap["portal.execute_seconds"]["count"] == total_success
+    assert snap["portal.endorse_seconds"]["count"] == total_success
+    assert snap["sql.execute_seconds"]["count"] == total_success + 2
     assert snap["sql.statements"]["value"] >= total_success
+
+
+def test_a_phase_that_raises_is_still_observed_once(observed_db):
+    db, registry = observed_db
+    client = db.connect()
+    execute = registry.histogram("portal.execute_seconds")
+    before = execute.count
+    with pytest.raises(CatalogError):
+        client.execute("SELECT v FROM no_such_table")
+    assert execute.count == before + 1
+    assert registry.counter("portal.execute_errors").value == 1
+    assert registry.histogram("portal.endorse_seconds").count == 0

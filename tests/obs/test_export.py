@@ -113,12 +113,12 @@ def test_jsonl_sink_counts_emissions():
 def test_jsonl_sink_file_mode(tmp_path):
     path = tmp_path / "events.jsonl"
     with JsonlEventSink(path=str(path), registry=MetricsRegistry()) as sink:
-        sink.emit({"type": "span_open", "name": "x"})
-        sink.emit({"type": "span_close", "name": "x"})
+        sink.emit({"type": "incident_open", "name": "x"})
+        sink.emit({"type": "incident_resolve", "name": "x"})
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     parsed = [json.loads(line) for line in lines]
-    assert parsed[0]["type"] == "span_open"
+    assert parsed[0]["type"] == "incident_open"
     assert parsed[1]["seq"] == 2
 
 
@@ -167,19 +167,6 @@ def test_set_default_event_sink_process_wide():
 # ----------------------------------------------------------------------
 # component event emission
 # ----------------------------------------------------------------------
-def test_spans_emit_open_close_events():
-    reg = MetricsRegistry()
-    with scoped_event_sink() as sink:
-        with reg.span("portal.execute_seconds"):
-            pass
-    opens = sink.events_of("span_open")
-    closes = sink.events_of("span_close")
-    assert [e["name"] for e in opens] == ["portal.execute_seconds"]
-    assert [e["name"] for e in closes] == ["portal.execute_seconds"]
-    assert closes[0]["elapsed_seconds"] >= 0.0
-    assert closes[0]["self_seconds"] >= 0.0
-
-
 def test_incident_log_emits_events():
     with scoped_registry(MetricsRegistry()):
         log = IncidentLog()

@@ -9,7 +9,6 @@ from repro.obs import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
-    current_span,
     default_registry,
     layer_breakdown,
     scoped_registry,
@@ -104,42 +103,6 @@ def test_histogram_percentile_is_monotone():
     assert p99 <= 2 * 100
 
 
-def test_timer_records_into_histogram():
-    reg = MetricsRegistry()
-    with reg.timer("t_seconds"):
-        pass
-    snap = reg.histogram("t_seconds").snapshot()
-    assert snap["count"] == 1
-    assert snap["max"] < 1.0
-
-
-# ----------------------------------------------------------------------
-# spans
-# ----------------------------------------------------------------------
-def test_span_nesting_attributes_child_time():
-    reg = MetricsRegistry()
-    with reg.span("outer") as outer:
-        with reg.span("inner") as inner:
-            pass
-    assert current_span() is None
-    assert inner.elapsed <= outer.elapsed
-    assert outer.child_seconds == pytest.approx(inner.elapsed)
-    assert outer.self_seconds == pytest.approx(
-        outer.elapsed - inner.elapsed
-    )
-    assert reg.histogram("outer").snapshot()["count"] == 1
-    assert reg.histogram("inner").snapshot()["count"] == 1
-
-
-def test_span_stack_unwinds_on_exception():
-    reg = MetricsRegistry()
-    with pytest.raises(RuntimeError):
-        with reg.span("failing"):
-            raise RuntimeError("boom")
-    assert current_span() is None
-    assert reg.histogram("failing").snapshot()["count"] == 1
-
-
 # ----------------------------------------------------------------------
 # registry plumbing
 # ----------------------------------------------------------------------
@@ -155,15 +118,6 @@ def test_snapshot_is_sorted_and_typed():
         "gauge",
         "histogram",
     }
-
-
-def test_render_text_mentions_every_metric():
-    reg = MetricsRegistry()
-    reg.counter("portal.queries").inc(3)
-    reg.histogram("sql.execute_seconds").observe(0.01)
-    text = reg.render_text()
-    assert "portal.queries" in text
-    assert "sql.execute_seconds" in text
 
 
 def test_reset_clears_values_but_keeps_bindings():
@@ -219,12 +173,8 @@ def test_null_registry_is_inert():
     null.counter("x").inc()
     null.gauge("y").set(5)
     null.histogram("z").observe(1.0)
-    with null.span("s"):
-        with null.timer("t"):
-            pass
     null.gauge_fn("g", lambda: 1)
     assert null.snapshot() == {}
-    assert null.render_text() == ""
 
 
 def test_null_instruments_are_shared_singletons():

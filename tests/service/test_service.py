@@ -34,7 +34,6 @@ from repro.obs import (
     scoped_registry,
 )
 from repro.obs.promlint import lint_prometheus
-from repro.obs.trace import current_span
 from repro.obs.trace_context import TraceContext, current_trace
 from repro.service import QueryService, ServiceConfig, TenantQuota
 from repro.sql import params
@@ -443,7 +442,6 @@ def test_inline_execution_sees_none_of_the_callers_context(service, registry):
                 threading.get_ident(),
                 current_trace(),
                 params._ACTIVE.get(),
-                current_span(),
                 default_registry(),
                 default_event_sink(),
             )
@@ -456,14 +454,13 @@ def test_inline_execution_sees_none_of_the_callers_context(service, registry):
     )
     token = params.bind((1, 2))
     with scoped_event_sink() as sink, TraceContext(qid="caller"):
-        with registry.span("caller.span"):
-            assert default_registry() is registry
-            assert default_event_sink() is sink
-            client.execute("SELECT v FROM kv WHERE k = 3")
+        assert default_registry() is registry
+        assert default_event_sink() is sink
+        client.execute("SELECT v FROM kv WHERE k = 3")
     params.unbind(token)
-    ident, trace, bound, span, inner_registry, inner_sink = seen[0]
+    ident, trace, bound, inner_registry, inner_sink = seen[0]
     assert ident == threading.get_ident()
-    assert (trace, bound, span) == (None, None, None)
+    assert (trace, bound) == (None, None)
     assert (inner_registry, inner_sink) == process_defaults
     assert sink.events_of("service_admit")  # admission is the caller's
 

@@ -14,7 +14,9 @@ import pytest
 
 import repro
 from repro.catalog.catalog import Catalog
-from repro.obs import NULL_REGISTRY, MetricsRegistry, TraceContext
+from repro.core.config import VeriDBConfig
+from repro.core.database import VeriDB
+from repro.obs import NULL_REGISTRY, MetricsRegistry, TraceContext, scoped_registry
 from repro.sql.executor import QueryEngine
 from repro.sql.operators import FusedScanFilterProjectOp
 from repro.storage.engine import StorageEngine
@@ -140,8 +142,11 @@ def test_dark_path_reads_no_clock(monkeypatch):
     def no_clock():
         raise AssertionError("clock read with no ledger active")
 
+    # the portal and the executor time their phase histograms; the
+    # rest time operators into an active ledger
     for module in (
-        "repro.obs.trace",
+        "repro.core.portal",
+        "repro.sql.executor",
         "repro.obs.trace_context",
         "repro.sql.operators.join",
         "repro.shard.plan",
@@ -149,6 +154,13 @@ def test_dark_path_reads_no_clock(monkeypatch):
         monkeypatch.setattr(f"{module}.perf_counter", no_clock)
     assert engine.execute(sql).rowcount == ROWS - 11
     assert sum(len(batch) for batch in plan.timed_batches()) == ROWS - 11
+    # the attested path too: client -> enclave -> portal -> engine
+    with scoped_registry(NULL_REGISTRY):
+        db = VeriDB(VeriDBConfig(key_seed=3))
+    db.sql("CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)")
+    client = db.connect()
+    assert client.execute("INSERT INTO kv VALUES (1, 10)").rowcount == 1
+    assert client.execute("SELECT v FROM kv WHERE k = 1").rows == ((10,),)
     # and with someone looking, the same plan does read it
     with pytest.raises(AssertionError, match="clock read"):
         with TraceContext(qid="looking"):
