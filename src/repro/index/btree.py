@@ -6,9 +6,9 @@ the :data:`~repro.catalog.types.BOTTOM` / :data:`~repro.catalog.types.TOP`
 sentinels, and tuples thereof (composite keys for secondary chains).
 
 Supported operations: exact search, predecessor search (``search_le`` /
-``search_lt``), ordered iteration, insert, delete. Leaves are doubly
-linked for ordered and predecessor traversal. Deletion removes emptied
-leaves from the tree and the leaf chain (no borrow/merge rebalancing:
+``search_lt``), ordered iteration, range counts, insert, delete. Leaves
+are doubly linked for ordered and predecessor traversal. Deletion removes
+emptied leaves from the tree and the leaf chain (no borrow/merge rebalancing:
 nodes never become *empty*, so all search invariants hold; the tree can
 merely become shallower-than-optimal after massive deletion, which is an
 accepted trade-off also made by several production systems).
@@ -100,6 +100,16 @@ class BPlusTree:
 
     def items(self, lo: Any = None, hi: Any = None) -> Iterator[tuple[Any, Any]]:
         """Iterate (key, value) pairs with ``lo <= key <= hi`` in order."""
+        for leaf, i, end in self._spans(lo, hi):
+            yield from zip(leaf.keys[i:end], leaf.values[i:end])
+
+    def count(self, lo: Any = None, hi: Any = None) -> int:
+        """Number of keys with ``lo <= key <= hi``; builds no pair."""
+        return sum(end - i for _leaf, i, end in self._spans(lo, hi))
+
+    def _spans(self, lo: Any, hi: Any) -> Iterator[tuple[_Leaf, int, int]]:
+        """Per leaf in order, the slice ``[i, end)`` of its keys within
+        ``lo <= key <= hi``: a bisect in the first and last leaf."""
         if lo is None:
             leaf = self._leftmost_leaf()
             i = 0
@@ -110,7 +120,7 @@ class BPlusTree:
             # a leaf at a time: up to its first key past ``hi``
             keys = leaf.keys
             end = len(keys) if hi is None else bisect_right(keys, hi, i)
-            yield from zip(keys[i:end], leaf.values[i:end])
+            yield leaf, i, end
             if end < len(keys):
                 return
             leaf = leaf.next

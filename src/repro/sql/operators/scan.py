@@ -60,12 +60,14 @@ class SeqScanOp(PhysicalOp):
     is_scan = True
 
     def __init__(
-        self, table, binding: str, columns: Optional[Sequence[str]] = None
+        self, table, binding: str, columns: Optional[Sequence[str]] = None, chosen_over=None
     ):
         super().__init__(table_schema(table, binding, columns), [])
         self.table = table
         self.binding = binding
         self.columns = columns
+        #: (column, estimated share) of the too-wide range this replaces
+        self.chosen_over = chosen_over
         # the primary chain yields rows in primary-key order
         self.ordering = _chain_order(binding, [table.schema.primary_key], columns)
 
@@ -75,10 +77,10 @@ class SeqScanOp(PhysicalOp):
         return _column_batches(self.table.scan_chunks(columns=self.columns))
 
     def describe(self) -> str:
-        return (
-            f"SeqScan({self.table.name} as {self.binding}"
-            f"{_describe_columns(self.columns)})"
-        )
+        columns = _describe_columns(self.columns)
+        if self.chosen_over is not None:
+            columns += ", over {} range ~{:.0%}".format(*self.chosen_over)
+        return f"SeqScan({self.table.name} as {self.binding}{columns})"
 
 
 class RangeScanOp(PhysicalOp):

@@ -5,11 +5,12 @@ Pipeline for SELECT:
 1. bind tables, pool the WHERE and JOIN-ON conjuncts;
 2. choose an access path per table — verified point lookup for a
    primary-key equality, verified range scan when a chained column has
-   sargable bounds, verified sequential scan otherwise — with residual
-   conjuncts as filters; access paths are told which of the table's
-   columns the statement reads anywhere and emit only those (projection
-   pushdown: the storage layer materialises nothing else; a point
-   lookup also drops the key its equality consumed);
+   sargable bounds (unless it is a secondary chain's range over
+   ``SEQ_SCAN_SHARE`` of the table), verified sequential scan otherwise
+   — with residual conjuncts as filters; access paths are told which of
+   the table's columns the statement reads anywhere and emit only those
+   (projection pushdown: the storage layer materialises nothing else; a
+   point lookup also drops the key its equality consumed);
 3. build a left-deep join tree in FROM order, picking the join
    algorithm (index-nested-loop through the inner table's primary key,
    hash, merge, or plain nested loops); callers may force one with
@@ -74,6 +75,12 @@ from repro.sql.params import ParamMarker
 JOIN_HINTS = ("merge", "nested_loop", "hash", "index_nl")
 
 _FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: a range on a secondary chain estimated to cover more than this share
+#: of its table is read by the sequential scan and filtered: chain order
+#: lands on ~one record per heap page run, the primary chain on whole
+#: runs (crossover measured on TPC-H ``lineitem``, EXPERIMENTS A20)
+SEQ_SCAN_SHARE = 0.8
 
 
 @dataclass
@@ -169,7 +176,7 @@ class Planner:
                 if refs != frozenset({binding.name})
             ]
             if plan is None:
-                plan = self._access_path(binding, local)
+                plan = self._access_path(binding, local, stmt.order_by)
                 joined.add(binding.name)
                 continue
             # conjuncts that become applicable once this binding joins
@@ -352,7 +359,7 @@ class Planner:
     # access-path selection
     # ------------------------------------------------------------------
     def _access_path(
-        self, binding: _Binding, conjuncts: list[Expr]
+        self, binding: _Binding, conjuncts: list[Expr], order_by=()
     ) -> PhysicalOp:
         table = binding.info.store
         schema = binding.info.schema
@@ -442,6 +449,10 @@ class Planner:
                     include_hi,
                     columns=columns,
                 )
+                share = self._wide_share(plan, order_by)
+                if share is not None:  # every bound comes back as a filter
+                    plan = SeqScanOp(table, binding.name, binding.columns, (column, share))
+                    used = set()
         # constraints on other columns stay as ordinary filters
         for i, constraint in enumerate(constraints):
             if i in used:
@@ -461,6 +472,23 @@ class Planner:
         for conjunct in residual:
             plan = FilterOp(plan, conjunct)
         return plan
+
+    def _wide_share(self, scan: RangeScanOp, order_by) -> Optional[float]:
+        """A secondary-chain range scan's estimated share of its table if
+        over ``SEQ_SCAN_SHARE`` and no ORDER BY rides its chain, else None.
+        A lying index costs time, never an answer: both paths verify."""
+        table = scan.table
+        estimate = getattr(table, "estimate_rows", None)  # a shard proxy has none
+        if (
+            estimate is None
+            or scan.column == table.schema.primary_key
+            or table.page_count() <= 1
+            or (order_by and self._order_satisfied(scan, order_by[:1]))
+        ):
+            return None
+        rows = estimate(scan.column, scan.lo, scan.hi, scan.include_lo, scan.include_hi)
+        share = rows / max(table.row_count, 1)
+        return share if share > SEQ_SCAN_SHARE else None
 
     @staticmethod
     def _sargable(expr: Expr, schema) -> list[_Constraint]:

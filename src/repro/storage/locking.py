@@ -71,6 +71,10 @@ class ThreadSafeIndex:
         with self._lock:
             return list(self._tree.items(lo=lo, hi=hi))
 
+    def count(self, lo: Any = None, hi: Any = None) -> int:
+        with self._lock:
+            return self._tree.count(lo, hi)
+
     def min_key(self) -> Any | None:
         with self._lock:
             return self._tree.min_key()

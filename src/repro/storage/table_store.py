@@ -407,6 +407,13 @@ class VerifiableTable:
     def row_count(self) -> int:
         return self._row_count
 
+    def estimate_rows(self, column: str, lo, hi, include_lo=True, include_hi=True) -> int:
+        """Entries the *untrusted* index claims in a value range (with the
+        sentinel when ``lo`` is None): a plan-time estimate no scan trusts."""
+        chain_id = self.schema.chain_id(column)
+        bounds = self._chain_bounds(chain_id, lo, hi, include_lo, include_hi)
+        return self.indexes[chain_id].count(*bounds)
+
     def page_count(self) -> int:
         return self.heap.page_count()
 
@@ -483,6 +490,14 @@ class VerifiableTable:
             raise ProofError("untrusted index lost the primary-key sentinel")
         return hit[1]
 
+    def _chain_bounds(self, chain_id: int, lo, hi, include_lo, include_hi) -> tuple:
+        """The chain-key bound a scan of a value range must *cover* on each side."""
+        low, high = self.layout.low_bound, self.layout.high_bound
+        return (
+            BOTTOM if lo is None else (low if include_lo else high)(chain_id, lo),
+            TOP if hi is None else (high if include_hi else low)(chain_id, hi),
+        )
+
     def _scan_chain(
         self,
         chain_id: int,
@@ -500,19 +515,7 @@ class VerifiableTable:
         codec = self.codec
         miss = partial(codec.decode, plan=plan)
         index = self.indexes[chain_id]
-        # The chain-key bound the scan must *cover* on each side.
-        if lo is None:
-            lo_bound = BOTTOM
-        elif include_lo:
-            lo_bound = layout.low_bound(chain_id, lo)
-        else:
-            lo_bound = layout.high_bound(chain_id, lo)
-        if hi is None:
-            hi_bound = TOP
-        elif include_hi:
-            hi_bound = layout.high_bound(chain_id, hi)
-        else:
-            hi_bound = layout.low_bound(chain_id, hi)
+        lo_bound, hi_bound = self._chain_bounds(chain_id, lo, hi, include_lo, include_hi)
         proof = RangeProof(
             low=lo_bound, high=hi_bound, right_inclusive=include_hi
         )

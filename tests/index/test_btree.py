@@ -157,3 +157,36 @@ def test_matches_dict_model(ops):
         expected_ge = min((k for k in model if k >= probe), default=None)
         got = tree.search_ge(probe)
         assert (got[0] if got else None) == expected_ge
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    keys=st.sets(st.integers(min_value=0, max_value=300), max_size=300),
+    deleted=st.sets(st.integers(min_value=0, max_value=300), max_size=100),
+    bounds=st.lists(
+        st.tuples(
+            st.none() | st.integers(min_value=-5, max_value=305),
+            st.none() | st.integers(min_value=-5, max_value=305),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_count_is_the_length_of_items(keys, deleted, bounds):
+    """``count(lo, hi)`` walks the same leaves as ``items(lo, hi)``,
+    across splits, emptied leaves and empty or inverted ranges."""
+    tree = build([(k, k) for k in sorted(keys)], order=4)
+    for key in deleted:
+        tree.delete(key)
+    for lo, hi in bounds:
+        assert tree.count(lo, hi) == len(list(tree.items(lo, hi)))
+    assert tree.count() == len(tree)
+
+
+def test_count_over_sentinel_bounded_composite_keys():
+    """A secondary chain's index: ``(value, pk)`` keys under ⊥, counted
+    between the ``(value, ⊥)`` / ``(value, ⊤)`` bounds a scan covers."""
+    tree = build([(BOTTOM, None)] + [((v % 10, v), v) for v in range(100)], order=4)
+    assert tree.count((3, BOTTOM), (3, TOP)) == 10
+    assert tree.count((3, TOP), (5, BOTTOM)) == 10  # (3, 5) exclusive
+    assert tree.count(BOTTOM, TOP) == 101  # the sentinel counts

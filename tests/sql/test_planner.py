@@ -382,3 +382,98 @@ def test_unknown_column_still_a_planning_error(planner):
     ):
         with pytest.raises(PlanningError):
             plan(planner, sql)
+
+
+# ----------------------------------------------------------------------
+# access paths chosen by what they read (SEQ_SCAN_SHARE)
+# ----------------------------------------------------------------------
+def orders_planner(n_rows):
+    """A planner over ``orders`` holding ``n_rows`` rows, ``o_cust``
+    uniform over 0..99: a range's share of the table is its width/100."""
+    catalog = Catalog()
+    schema = Schema(
+        columns=[
+            Column("o_id", IntegerType()),
+            Column("o_cust", IntegerType(), nullable=False),
+            Column("o_total", IntegerType()),
+        ],
+        primary_key="o_id",
+        chain_columns=("o_cust",),
+    )
+    table = VerifiableTable("orders", schema, StorageEngine())
+    table.insert_many((i, i % 100, i) for i in range(n_rows))
+    catalog.register(TableInfo("orders", schema, table))
+    return Planner(catalog), table
+
+
+@pytest.fixture(scope="module")
+def wide_planner():
+    planner, table = orders_planner(2000)
+    assert table.page_count() > 1
+    return planner
+
+
+def test_a_wide_literal_range_scans_the_primary_chain_and_filters(wide_planner):
+    root = plan(wide_planner, "SELECT o_total FROM orders WHERE o_cust >= 10")
+    assert not ops_of(root, RangeScanOp)
+    (fused,) = ops_of(root, FusedScanFilterProjectOp)
+    (scan,) = fused.children
+    assert isinstance(scan, SeqScanOp)
+    assert scan.columns == ("o_cust", "o_total")  # the bound is read again
+    assert scan.chosen_over == ("o_cust", pytest.approx(0.9))
+    assert [repr(p) for p in fused.predicates] == ["(orders.o_cust >= Lit(10))"]
+    assert scan.describe() == (
+        "SeqScan(orders as orders, cols=[o_cust, o_total], over o_cust range ~90%)"
+    )
+
+
+def test_a_narrow_literal_range_keeps_the_range_scan(wide_planner):
+    root = plan(wide_planner, "SELECT o_total FROM orders WHERE o_cust BETWEEN 10 AND 80")
+    (scan,) = ops_of(root, RangeScanOp)
+    assert (scan.column, scan.lo, scan.hi) == ("o_cust", 10, 80)
+
+
+@pytest.mark.parametrize("limit", ["", " LIMIT 5"])
+def test_order_by_the_chained_column_keeps_the_range_scan(wide_planner, limit):
+    root = plan(
+        wide_planner,
+        f"SELECT o_cust, o_total FROM orders WHERE o_cust >= 10 ORDER BY o_cust{limit}",
+    )
+    (scan,) = ops_of(root, RangeScanOp)
+    assert scan.column == "o_cust"
+    assert not ops_of(root, SortOp)  # the chain order serves the sort
+
+
+def test_a_primary_key_range_never_switches(wide_planner):
+    root = plan(wide_planner, "SELECT o_total FROM orders WHERE o_id >= 10")
+    (scan,) = ops_of(root, RangeScanOp)
+    assert scan.column == "o_id"
+
+
+def test_a_one_page_table_keeps_its_plan():
+    planner, table = orders_planner(20)
+    assert table.page_count() == 1
+    root = plan(planner, "SELECT o_total FROM orders WHERE o_cust >= 0")
+    (scan,) = ops_of(root, RangeScanOp)
+    assert scan.column == "o_cust"
+
+
+def test_a_dml_filter_over_a_wide_range_scans_and_filters(wide_planner):
+    where = parse_statement("SELECT 1 FROM orders WHERE o_cust < 95").where
+    root = wide_planner.plan_table_filter("orders", where)
+    (fused,) = ops_of(root, FusedScanFilterProjectOp)
+    (scan,) = fused.children
+    assert isinstance(scan, SeqScanOp) and scan.columns is None
+    assert scan.chosen_over[0] == "o_cust"
+
+
+def test_parameter_bounds_cover_the_whole_table(wide_planner):
+    """``?`` bounds are never scan bounds, so the range an index could
+    serve is (⊥, ⊤): the planner reads it in primary-chain order."""
+    root = plan(
+        wide_planner, "SELECT COUNT(*) FROM orders WHERE o_cust >= ? AND o_cust < ?"
+    )
+    assert not ops_of(root, RangeScanOp)
+    (fused,) = ops_of(root, FusedScanFilterProjectOp)
+    assert isinstance(fused.children[0], SeqScanOp)
+    assert len(fused.predicates) == 2

@@ -183,6 +183,75 @@ def test_index_loses_sentinel():
         table.get(3)
 
 
+def _lineitem_db_and_sqlite():
+    """TPC-H ``lineitem`` (1,200 rows) in VeriDB and in SQLite."""
+    import sqlite3
+
+    from repro.core.config import VeriDBConfig
+    from repro.core.database import VeriDB
+    from repro.workloads import tpch
+
+    rows = list(tpch.TPCHGenerator(0.0002, seed=1).lineitems())
+    db = VeriDB(VeriDBConfig(key_seed=4))
+    db.create_table("lineitem", tpch.lineitem_schema())
+    db.load_rows("lineitem", rows)
+    connection = sqlite3.connect(":memory:")
+    names = ", ".join(c.name for c in tpch.lineitem_schema().columns)
+    connection.execute(f"CREATE TABLE lineitem ({names})")
+    connection.executemany(
+        f"INSERT INTO lineitem VALUES ({', '.join('?' * len(rows[0]))})",
+        [tuple(v.isoformat() if hasattr(v, "isoformat") else v for v in row) for row in rows],
+    )
+    return db, connection
+
+
+def _shipdates_dropped(table):
+    """The index hides all but ten ``l_shipdate`` entries: "narrow"."""
+    for key, _rid in table.indexes[1].items()[11:]:
+        table.indexes[1].delete(key)
+
+
+def _shipdates_added(table):
+    """The index claims 5,000 more rows in 1994, all naming one record:
+    "wide" for Q6's range too."""
+    import datetime
+
+    rid = table.indexes[0].search(1)
+    for i in range(5_000):
+        table.indexes[1].insert((datetime.date(1994, 6, 1), 10**6 + i), rid)
+
+
+@pytest.mark.parametrize(
+    "lie, paths",
+    [
+        (_shipdates_dropped, {"Q1": "RangeScan", "Q6": "RangeScan"}),
+        (_shipdates_added, {"Q1": "SeqScan", "Q6": "SeqScan"}),
+    ],
+)
+def test_index_lying_about_a_range_size_moves_only_the_access_path(lie, paths):
+    """The planner's coverage estimate comes from the untrusted index. A
+    lie about how many rows a range holds flips the access path, but
+    every answer is still SQLite's or a Figure-5 ``ProofError``."""
+    import re
+
+    from repro.workloads import tpch
+
+    db, connection = _lineitem_db_and_sqlite()
+    lie(db.table("lineitem"))
+    for name, path in paths.items():
+        sql = tpch.QUERIES[name]
+        assert f"{path}(" in db.engine.plan(sql).explain()
+        expected = connection.execute(re.sub(r"DATE\s+'", "'", sql)).fetchall()
+        try:
+            rows = db.sql(sql).rows
+        except ProofError:
+            assert path == "RangeScan"  # the secondary chain's index lied
+            continue
+        assert len(rows) == len(expected)
+        for mine, theirs in zip(rows, expected):
+            assert mine == pytest.approx(tuple(theirs), rel=1e-9)
+
+
 # ----------------------------------------------------------------------
 # memory tampering under the access methods: caught at epoch close
 # ----------------------------------------------------------------------

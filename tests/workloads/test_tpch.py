@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import VeriDBConfig
 from repro.core.database import VeriDB
+from repro.sql.operators import FusedScanFilterProjectOp, RangeScanOp, SeqScanOp
 from repro.workloads.tpch import (
     QUERIES,
     QUERY_1,
@@ -72,8 +73,41 @@ def test_q1_matches_reference(db):
     assert [(r[0], r[1]) for r in result.rows] == sorted(expected)
 
 
-def test_q1_uses_range_scan(db):
-    assert "RangeScan" in db.sql(QUERY_1).explain()
+def scan_of(plan):
+    """The base-table scan under a plan's fused filter, and that filter."""
+    (fused,) = [op for op in plan.walk() if isinstance(op, FusedScanFilterProjectOp)]
+    return fused.children[0], fused
+
+
+def test_q1_scans_the_primary_chain_and_q6_the_shipdate_range(db):
+    """Q1's range covers ~97 % of lineitem: a sequential scan under a
+    fused ``l_shipdate`` filter reads it in heap order. Q6's ~15 % stays
+    a range scan on the ``l_shipdate`` chain."""
+    scan, fused = scan_of(db.sql(QUERY_1).plan)
+    assert isinstance(scan, SeqScanOp)
+    assert scan.chosen_over[0] == "l_shipdate"
+    assert [repr(p) for p in fused.predicates] == [
+        "(lineitem.l_shipdate <= Lit(datetime.date(1998, 9, 2)))"
+    ]
+    scan, _ = scan_of(db.sql(QUERY_6).plan)
+    assert isinstance(scan, RangeScanOp) and scan.column == "l_shipdate"
+
+
+def test_prepared_shipdate_range_scans_and_filters(db):
+    """``?`` bounds are never scan bounds: the range the chain could
+    serve is the whole table, so the planner reads lineitem in heap
+    order and filters — with the answer of the literal statement."""
+    sql = "SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= ? AND l_shipdate < ?"
+    lo, hi = datetime.date(1994, 1, 1), datetime.date(1995, 1, 1)
+    result = db.sql(sql, params=(lo, hi))
+    scan, fused = scan_of(result.plan)
+    assert isinstance(scan, SeqScanOp) and len(fused.predicates) == 2
+    expected = sum(
+        lo <= row[11] < hi for row in TPCHGenerator(SF, seed=1).lineitems()
+    )
+    assert result.rows == [(expected,)]
+    literal = sql.replace("?", "DATE '1994-01-01'", 1).replace("?", "DATE '1995-01-01'")
+    assert db.sql(literal).rows == [(expected,)]
 
 
 def test_q6_matches_reference(db):
