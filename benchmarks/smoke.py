@@ -14,7 +14,9 @@ leaves its artifacts in the bench-artifact directory
     flipped byte of the log must be refused with a typed
     ``RecoveryIntegrityError``; a sealed snapshot must restore under the
     same identity and be refused (``unsealable``) under another.
-    Artifact: ``recovery_events.jsonl``, every recovery event emitted.
+    Artifact: ``recovery_events.jsonl``, every recovery event emitted:
+    one ``recovery_complete`` per successful recovery and one
+    ``recovery_refused`` carrying the typed reason per refusal.
 ``service``
     200 verifying clients at 400 qps through a ``QueryService``: every
     response endorsed and audited, nothing rejected, zero protocol
@@ -41,6 +43,7 @@ Sizes follow ``REPRO_BENCH_SCALE`` like the figure mains; CI runs
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import sys
@@ -82,6 +85,7 @@ def smoke_recovery() -> list[str]:
     cfg = VeriDBConfig(key_seed=seed, wal_dir=wal_dir, wal_group_commit=16)
     query = "SELECT COUNT(*), SUM(balance) FROM accounts"
     failures = []
+    recoveries, refusals = 0, []  # what the event stream must report
     with scoped_event_sink(JsonlEventSink(path=output)) as sink:
         db = VeriDB(cfg)
         db.sql("CREATE TABLE accounts (id INTEGER PRIMARY KEY, balance INTEGER)")
@@ -95,6 +99,7 @@ def smoke_recovery() -> list[str]:
 
         # crash: the instance is abandoned; only the log survives
         recovered = recover_from_wal(wal_dir, cfg)
+        recoveries += 1
         if recovered.sql(query).rows != expected:
             failures.append("recovered answers diverged")
         try:
@@ -117,6 +122,7 @@ def smoke_recovery() -> list[str]:
             recover_from_wal(tampered, cfg)
             failures.append("tampered log recovered silently")
         except RecoveryIntegrityError as refusal:
+            refusals.append(refusal.reason)
             print(f"[smoke recovery] tamper refused: reason={refusal.reason}")
 
         # snapshot: a sealed log restores under the same identity only
@@ -125,12 +131,14 @@ def smoke_recovery() -> list[str]:
         rows = snapshot_database(recovered, snapshot)
         shutil.copytree(snapshot, foreign_copy)
         restored = recover_from_wal(snapshot, VeriDBConfig(key_seed=seed))
+        recoveries += 1
         if restored.sql(query).rows != expected:
             failures.append("restored snapshot answers diverged")
         try:
             recover_from_wal(foreign_copy, VeriDBConfig(key_seed=seed + 1))
             failures.append("snapshot restored under a foreign enclave identity")
         except RecoveryIntegrityError as refusal:
+            refusals.append(refusal.reason)
             if refusal.reason != "unsealable":
                 failures.append(f"foreign identity refused as {refusal.reason}")
             print(
@@ -139,8 +147,14 @@ def smoke_recovery() -> list[str]:
             )
         sink.close()
     with open(output) as fh:
-        n_events = sum(1 for _ in fh)
-    print(f"[smoke recovery] {n_rows} rows, {n_events} events -> {output}")
+        events = [json.loads(line) for line in fh]
+    completed = sum(event["type"] == "recovery_complete" for event in events)
+    if completed != recoveries:
+        failures.append(f"{completed} recovery_complete events for {recoveries} recoveries")
+    refused = [event["reason"] for event in events if event["type"] == "recovery_refused"]
+    if refused != refusals:
+        failures.append(f"recovery_refused reasons {refused}, refusals raised {refusals}")
+    print(f"[smoke recovery] {n_rows} rows, {len(events)} events -> {output}")
     return failures
 
 

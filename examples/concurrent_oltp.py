@@ -5,8 +5,10 @@ VeriDB instance while the non-quiescent verifier works in the
 background, then compares throughput across RSWS partition counts —
 the Figure 13 experiment in miniature.
 
-Run:  python examples/concurrent_oltp.py
+Run:  python examples/concurrent_oltp.py [--txns N]   (N per client, default 100)
 """
+
+import argparse
 
 from repro import StorageConfig, VeriDB, VeriDBConfig
 from repro.workloads.tpcc import TPCCBench
@@ -16,7 +18,7 @@ CLIENTS = 4
 TXNS_PER_CLIENT = 100
 
 
-def run_once(rsws_partitions: int | None) -> float:
+def run_once(rsws_partitions: int | None, txns: int) -> float:
     if rsws_partitions is None:
         storage = StorageConfig(verification=False)
         label = "no verification"
@@ -28,7 +30,7 @@ def run_once(rsws_partitions: int | None) -> float:
     bench.load()
     if rsws_partitions is not None:
         db.start_background_verification(pause_seconds=0.01)
-    tps = bench.run_clients(CLIENTS, TXNS_PER_CLIENT)
+    tps = bench.run_clients(CLIENTS, txns)
     if rsws_partitions is not None:
         db.stop_background_verification()  # raises if tampering was found
         waits = db.storage.vmem.rsws.total_contention_waits()
@@ -43,14 +45,19 @@ def run_once(rsws_partitions: int | None) -> float:
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--txns", type=int, default=TXNS_PER_CLIENT, help="transactions per client"
+    )
+    txns = parser.parse_args().txns
     print(
         f"TPC-C: {WAREHOUSES} warehouses, {CLIENTS} clients × "
-        f"{TXNS_PER_CLIENT} transactions, standard mix "
+        f"{txns} transactions, standard mix "
         f"(45/43/4/4/4)\n"
     )
-    run_once(None)
+    run_once(None, txns)
     for partitions in (1024, 16, 1):
-        run_once(partitions)
+        run_once(partitions, txns)
     print(
         "\nmore RSWS partitions → finer lock granularity → less contention"
         "\n(the background verifier ran concurrently and raised no alarms)"

@@ -92,7 +92,6 @@ class VeriDBClient:
         self._responses_lost = 0
         obs = default_registry()
         self._ctr_retries = obs.counter("client.submit_retries")
-        self._ctr_unverified = obs.counter("client.unverified_results")
         self._ctr_responses_lost = obs.counter("client.responses_lost")
 
     def export_audit_state(self) -> bytes:
@@ -163,8 +162,6 @@ class VeriDBClient:
                 sql=sql,
             ) from rejection
         self._check(qid, endorsed)
-        if not endorsed.verified:
-            self._ctr_unverified.inc()
         return ClientResult(
             columns=endorsed.columns,
             rows=endorsed.rows,

@@ -58,8 +58,6 @@ class VeriDB:
         self.storage = StorageEngine(
             self.config.storage, keychain=keychain, registry=self.obs
         )
-        # batched verified reads bill one amortized ECall per batch
-        self.storage.attach_meter(self.enclave.meter)
         # record-cache residency competes for EPC with everything else
         # inside the enclave; over-budget caches thrash, not win
         self.storage.attach_epc(self.enclave.epc)

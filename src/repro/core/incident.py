@@ -64,8 +64,6 @@ class IncidentLog:
         self._lock = threading.Lock()
         self._incidents: list[Incident] = []
         self.obs = registry if registry is not None else default_registry()
-        self._ctr_opened = self.obs.counter("incidents.opened")
-        self._ctr_resolved = self.obs.counter("incidents.resolved")
         self.obs.gauge_fn("incidents.active", lambda: len(self.active()))
 
     def open(self, key: str, message: str) -> Incident:
@@ -73,7 +71,6 @@ class IncidentLog:
         incident = Incident(key=key, message=message, opened_at=time.time())
         with self._lock:
             self._incidents.append(incident)
-        self._ctr_opened.inc()
         sink = default_event_sink()
         if sink.enabled:
             sink.emit(
@@ -99,7 +96,6 @@ class IncidentLog:
                     incident.resolved_at = time.time()
                     resolved_any = True
         if resolved_any:
-            self._ctr_resolved.inc()
             sink = default_event_sink()
             if sink.enabled:
                 sink.emit({"type": "incident_resolve", "key": key})

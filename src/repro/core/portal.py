@@ -325,8 +325,6 @@ class QueryPortal:
         self._ctr_replays = self.obs.counter("portal.replays_rejected")
         self._ctr_degenerate = self.obs.counter("portal.degenerate_qids")
         self._ctr_execute_errors = self.obs.counter("portal.execute_errors")
-        self._ctr_execute_retries = self.obs.counter("portal.execute_retries")
-        self._ctr_unverified = self.obs.counter("portal.unverified_responses")
         self._ctr_traced = self.obs.counter("portal.traces_sampled")
         self.obs.gauge_fn("portal.qid_ledger_size", self.replay_state_size)
         self.obs.gauge_fn("portal.qid_salts", lambda: self._seen.salt_count)
@@ -334,7 +332,6 @@ class QueryPortal:
         on = self.obs.enabled
         self._hist_auth = self.obs.histogram("portal.auth_seconds") if on else None
         self._hist_execute = self.obs.histogram("portal.execute_seconds") if on else None
-        self._hist_wal_commit = self.obs.histogram("portal.wal_commit_seconds") if on else None
         self._hist_endorse = self.obs.histogram("portal.endorse_seconds") if on else None
 
     def attach_wal(self, wal) -> None:
@@ -415,7 +412,7 @@ class QueryPortal:
                 # durability before endorsement: whatever this statement
                 # appended must survive a crash once the client holds
                 # the endorsed result
-                _timed(self._hist_wal_commit, self._wal.commit)
+                self._wal.commit()
             verified = not (
                 self._verifier_degraded is not None
                 and self._verifier_degraded()
@@ -434,7 +431,6 @@ class QueryPortal:
             self._executed += 1
         self._ctr_queries.inc()
         if not verified:
-            self._ctr_unverified.inc()
             if self._incidents is not None:
                 self._incidents.open_once(
                     "verifier-down",
@@ -486,7 +482,6 @@ class QueryPortal:
                 )
             except policy.retryable as error:
                 delay = policy.next_delay(error, attempt, start)
-                self._ctr_execute_retries.inc()
                 if delay > 0:
                     time.sleep(delay)
 

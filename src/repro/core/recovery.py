@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 from itertools import groupby
 from pathlib import Path
-from time import perf_counter
 
 from repro.catalog.schema import schema_from_dict
 from repro.core.config import VeriDBConfig
@@ -178,7 +177,6 @@ def recover_from_wal(
     """
     config = config if config is not None else VeriDBConfig()
     obs = registry if registry is not None else default_registry()
-    start = perf_counter()
     # the replayed instance must not log its own replay: it starts
     # without a wal and has the verified log attached afterwards
     db = VeriDB(dataclasses.replace(config, wal_dir=None), registry=registry)
@@ -192,7 +190,6 @@ def recover_from_wal(
         # the instance is trusted to serve
         db.verify_now()
     except RecoveryIntegrityError as refusal:
-        obs.counter("recovery.refusals").inc()
         sink = default_event_sink()
         if sink.enabled:
             sink.emit(
@@ -220,9 +217,7 @@ def recover_from_wal(
     # seal the recovered state: the next crash replays from here with
     # the recovery itself on the record
     db.checkpoint()
-    obs.counter("recovery.recoveries").inc()
     obs.counter("recovery.records_replayed").inc(applied)
-    obs.histogram("recovery.seconds").observe(perf_counter() - start)
     sink = default_event_sink()
     if sink.enabled:
         sink.emit(

@@ -16,7 +16,7 @@ accepted trade-off also made by several production systems).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
 DEFAULT_ORDER = 64
@@ -297,15 +297,3 @@ class BPlusTree:
             leaf = leaf.next
         assert chained == leaves
         assert sum(len(l.keys) for l in leaves) == self._size
-
-
-def insort_unique(sorted_list: list, item: Any) -> bool:
-    """Insert ``item`` into ``sorted_list`` unless present; True if added.
-
-    Small helper shared by untrusted metadata structures.
-    """
-    i = bisect_left(sorted_list, item)
-    if i < len(sorted_list) and sorted_list[i] == item:
-        return False
-    insort(sorted_list, item)
-    return True

@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Iterable
 
 from repro.crypto.prf import CELL_PREFIX, PRF
@@ -92,22 +91,9 @@ class VerifiedMemory:
         self.stats = MemoryStats()
 
         self.obs = registry if registry is not None else default_registry()
-        self._obs_on = self.obs.enabled
         self._ctr_reads = self.obs.counter("memory.verified_reads")
         self._ctr_writes = self.obs.counter("memory.verified_writes")
-        self._ctr_allocs = self.obs.counter("memory.allocs")
-        self._ctr_frees = self.obs.counter("memory.frees")
-        self._ctr_unverified = self.obs.counter("memory.unverified_ops")
         self._ctr_read_retries = self.obs.counter("memory.transient_read_retries")
-        self._ctr_read_batches = self.obs.counter("memory.read_batches")
-        self._hist_batch_cells = self.obs.histogram("memory.read_batch_cells")
-        self._hist_hooks = self.obs.histogram("memory.op_hook_seconds")
-        self.obs.gauge_fn(
-            "memory.enclave_state_bytes", self.enclave_state_bytes
-        )
-        self.obs.gauge_fn(
-            "memory.rsws_contention_waits", self.rsws.total_contention_waits
-        )
 
         self._clock = itertools.count(1)
         #: what :meth:`restamp` works with, fetched once
@@ -131,9 +117,6 @@ class VerifiedMemory:
         #: per-thread holds on the hooks; made by the first :meth:`hold_hooks`,
         #: so that where nothing ever holds them firing looks nothing up
         self._hold: _HookHold | None = None
-        # optional CycleMeter: batched reads charge one amortized ECall
-        # per batch (the trust-boundary crossing the batch saves on)
-        self.meter = None
         # optional RecordCache (repro.memory.cache): hits return the
         # trusted in-enclave copy with zero digest work; writes and
         # frees keep it coherent under the partition locks below
@@ -321,8 +304,8 @@ class VerifiedMemory:
 
         With a :class:`~repro.memory.cache.RecordCache` attached, a hit
         returns the trusted in-enclave copy immediately — zero RSWS
-        digest work, no partition lock, no ECall charge (the data never
-        leaves the boundary). A miss runs the full Algorithm-1 protocol
+        digest work, no partition lock (the data never leaves the
+        boundary). A miss runs the full Algorithm-1 protocol
         and admits the verified value while still holding the partition
         lock, so a concurrent write to the same cell cannot interleave a
         stale admission.
@@ -338,9 +321,9 @@ class VerifiedMemory:
         """Batched verified reads (the vectorized engine's hot path).
 
         ``read()`` per cell — same digests, stamps, fault retries and
-        number of verifier hooks — as one pass of the restamp kernel,
-        with an attached :class:`~repro.sgx.costs.CycleMeter` charged
-        one amortized ECall per batch of two or more cells.
+        number of verifier hooks — as one pass of the restamp kernel.
+        The engine reads untrusted memory from inside the enclave, so a
+        batch charges no crossing to the cycle meter.
 
         With a record cache attached, cached addresses are served from
         the trusted copies first and only the misses pay the protocol; a
@@ -356,11 +339,6 @@ class VerifiedMemory:
         )
         if not wanted:
             return hits or []
-        if len(addrs) > 1:
-            if self.meter is not None:
-                self.meter.charge_batched_read()
-            self._ctr_read_batches.inc()
-            self._hist_batch_cells.observe(len(wanted))
         fresh = self.restamp(wanted, cache if admit else None)
         if hits is None:
             return fresh
@@ -428,7 +406,6 @@ class VerifiedMemory:
             partition.fold_run(parity, 0, parity, ws, 0, cells)
             self.prf.calls += cells
         self.stats.allocs += cells
-        self._ctr_allocs.inc(cells)
         self._fire_hooks(cells)
 
     def alloc(self, addr: int, data: bytes) -> None:
@@ -460,7 +437,6 @@ class VerifiedMemory:
         finally:
             partition.release()
         self.stats.frees += 1
-        self._ctr_frees.inc()
         self._fire_hooks()
         return data
 
@@ -469,18 +445,15 @@ class VerifiedMemory:
     # ------------------------------------------------------------------
     def read_unverified(self, addr: int) -> bytes:
         self.stats.unverified_ops += 1
-        self._ctr_unverified.inc()
         return self.memory.raw_read(addr).data
 
     def read_many_unverified(self, addrs, admit: bool = True) -> list:
         """``admit`` changes nothing: raw cells have no trusted copy to cache."""
         self.stats.unverified_ops += len(addrs)
-        self._ctr_unverified.inc(len(addrs))
         return [self.memory.raw_read(addr).data for addr in addrs]
 
     def write_unverified(self, addr: int, data: bytes) -> None:
         self.stats.unverified_ops += 1
-        self._ctr_unverified.inc()
         if self.cache is not None:
             # defensive: the raw path bypasses the digests, so it must
             # also bypass (and clear) any trusted copy of the cell
@@ -491,7 +464,6 @@ class VerifiedMemory:
         if self.memory.exists(addr):
             raise StorageError(f"cell {addr:#x} already allocated")
         self.stats.unverified_ops += 1
-        self._ctr_unverified.inc()
         self.memory.raw_write(addr, data, 0, checked=False)
 
     def alloc_many_unverified(self, addrs, datas) -> None:
@@ -500,7 +472,6 @@ class VerifiedMemory:
 
     def free_unverified(self, addr: int) -> bytes:
         self.stats.unverified_ops += 1
-        self._ctr_unverified.inc()
         if self.cache is not None:
             self.cache.invalidate(addr)
         return self.memory.remove(addr).data
@@ -614,13 +585,5 @@ class VerifiedMemory:
             return
         if count > 1:
             hooks = hooks * count
-        if not self._obs_on:
-            for hook in hooks:
-                hook()
-            return
-        start = perf_counter()
-        try:
-            for hook in hooks:
-                hook()
-        finally:
-            self._hist_hooks.observe(perf_counter() - start)
+        for hook in hooks:
+            hook()

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.errors import ConfigurationError, VeriDBError, VerificationFailure
 from repro.faults import default_fault_plane, sites as fault_sites
@@ -70,16 +69,10 @@ class Verifier:
         self.faults = faults if faults is not None else default_fault_plane()
         self.stats = VerifierStats()
         self.obs = registry if registry is not None else default_registry()
-        self._obs_on = self.obs.enabled
         self._ctr_passes = self.obs.counter("verifier.passes")
-        self._ctr_pages = self.obs.counter("verifier.pages_scanned")
         self._ctr_cells = self.obs.counter("verifier.cells_scanned")
         self._ctr_alarms = self.obs.counter("verifier.alarms")
         self._ctr_bg_crashes = self.obs.counter("verifier.background_crashes")
-        self._hist_pass = self.obs.histogram("verifier.pass_seconds")
-        self._hist_page_lock = self.obs.histogram(
-            "verifier.page_lock_hold_seconds"
-        )
         self._gauge_bg_alive = self.obs.gauge("verifier.background_alive")
         #: serializes all verification activity: one pass is open at a time
         self._lock = threading.Lock()
@@ -110,7 +103,6 @@ class Verifier:
         closed, both by the loop :meth:`step` runs.
         """
         with self._lock:
-            start = perf_counter()
             # Compaction hooks issue verified operations; the re-entrancy
             # guard stops those from re-triggering the op-count stepper.
             self._in_step.active = True
@@ -135,7 +127,6 @@ class Verifier:
                 raise
             finally:
                 self._in_step.active = False
-                self._hist_pass.observe(perf_counter() - start)
 
     def step(self) -> bool:
         """Scan the next page of the open pass, opening one if none is;
@@ -304,7 +295,6 @@ class Verifier:
         vmem = self.vmem
         partition = vmem.rsws.partition_for_page(page_id)
         partition.acquire()
-        hold_start = perf_counter() if self._obs_on else 0.0
         try:
             hook = vmem.scan_hook(page_id)
             if hook is False:
@@ -320,14 +310,11 @@ class Verifier:
             self.stats.cells_scanned += cells
             self.stats.pages_scanned += 1
             self._ctr_cells.inc(cells)
-            self._ctr_pages.inc()
             if hook is not None:
                 hook(page_id)
             return True
         finally:
             partition.release()
-            if self._obs_on:
-                self._hist_page_lock.observe(perf_counter() - hold_start)
 
     def _check_page_digest(self, page_id: int, partition) -> int:
         """Compare the page's cells against its trusted open-cell digest."""

@@ -62,7 +62,7 @@ EPC_PRESSURE_ALERT = 0.9
 def serialize_trace_segment(trace: TraceContext, plan, shard_id: int) -> dict:
     """One worker's attribution for one fragment, as a picklable dict.
 
-    ``plan`` is the same node form ``explain_analyze`` renders locally;
+    ``plan`` is the same node form ``explain_analyze`` renders in-process;
     the unclaimed remainder — parsing, planning, materialization — is
     the root frame, so the segment's frames sum to its elapsed wall
     clock.
@@ -258,8 +258,8 @@ class HealthMonitor:
     and returns the worker's report dict (raising a transport error
     marks the worker down). Alert rules compare each report — and the
     fleet-wide SLO view — against the module's thresholds; crossing a
-    threshold *raises* the alert exactly once (``alert_raised`` event +
-    ``health.alerts_raised`` counter), and the first healthy evaluation
+    threshold *raises* the alert exactly once (``alert_raised`` event),
+    and the first healthy evaluation
     afterwards *clears* it (``alert_cleared`` event), so flapping shows
     up as event pairs, not log spam.
     """
@@ -286,12 +286,7 @@ class HealthMonitor:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._ctr_polls = self.obs.counter("health.polls")
-        self._ctr_poll_errors = self.obs.counter("health.poll_errors")
-        self._ctr_raised = self.obs.counter("health.alerts_raised")
-        self._ctr_cleared = self.obs.counter("health.alerts_cleared")
         self._g_active = self.obs.gauge("health.alerts_active")
-        self._g_p99 = self.obs.gauge("health.p99_seconds")
-        self._g_burn = self.obs.gauge("health.error_budget_burn")
 
     # -- alert state machine -------------------------------------------
     def _set_alert(
@@ -302,7 +297,6 @@ class HealthMonitor:
             was = key in self._active
             if firing and not was:
                 self._active[key] = detail
-                self._ctr_raised.inc()
                 self.sink.emit(
                     {
                         "type": "alert_raised",
@@ -313,7 +307,6 @@ class HealthMonitor:
                 )
             elif not firing and was:
                 self._active.pop(key)
-                self._ctr_cleared.inc()
                 self.sink.emit(
                     {"type": "alert_cleared", "alert": rule, "shard": shard}
                 )
@@ -339,7 +332,6 @@ class HealthMonitor:
             try:
                 report = self.poll(shard_id)
             except Exception as error:
-                self._ctr_poll_errors.inc()
                 self.obs.gauge("health.worker_up", labels=labels).set(0)
                 self._set_alert(
                     True,
@@ -354,13 +346,13 @@ class HealthMonitor:
             shards[shard_id] = report
             self._set_alert(False, "worker_down", shard_id, "")
             self.obs.gauge("health.worker_up", labels=labels).set(1)
-            self._evaluate_worker(shard_id, labels, report)
+            self._evaluate_worker(shard_id, report)
         slo = self._evaluate_slo()
         if self.on_poll is not None:
             try:
                 self.on_poll()
             except Exception:
-                self._ctr_poll_errors.inc()
+                pass  # a worker that cannot answer is already worker_down
         alerts = self.active_alerts()
         return {
             "healthy": not alerts,
@@ -371,11 +363,8 @@ class HealthMonitor:
             "poll_seconds": perf_counter() - start,
         }
 
-    def _evaluate_worker(self, shard_id: int, labels: dict, report: dict) -> None:
+    def _evaluate_worker(self, shard_id: int, report: dict) -> None:
         lag = self.coordinator_round() - report.get("fleet_round", 0)
-        self.obs.gauge("health.epoch_round", labels=labels).set(
-            report.get("fleet_round", 0)
-        )
         self._set_alert(
             lag >= EPOCH_LAG_ALERT,
             "epoch_lag",
@@ -383,7 +372,6 @@ class HealthMonitor:
             f"worker fleet round lags coordinator by {lag}",
         )
         wal_pending = report.get("wal_pending", 0)
-        self.obs.gauge("health.wal_lag", labels=labels).set(wal_pending)
         self._set_alert(
             wal_pending >= WAL_LAG_ALERT,
             "wal_lag",
@@ -393,27 +381,15 @@ class HealthMonitor:
         epc = report.get("epc", {})
         capacity = epc.get("capacity", 0) or 1
         pressure = (epc.get("resident", 0) + epc.get("swapped", 0)) / capacity
-        self.obs.gauge("health.epc_pressure", labels=labels).set(pressure)
         self._set_alert(
             pressure >= EPC_PRESSURE_ALERT,
             "epc_pressure",
             shard_id,
             f"EPC at {pressure:.0%} of capacity (swapping territory)",
         )
-        hits = report.get("cache_hits", 0)
-        misses = report.get("cache_misses", 0)
-        if hits + misses:
-            self.obs.gauge("health.cache_hit_rate", labels=labels).set(
-                hits / (hits + misses)
-            )
-        in_flight = report.get("in_flight")
-        if in_flight is not None:
-            self.obs.gauge("health.in_flight", labels=labels).set(in_flight)
 
     def _evaluate_slo(self) -> dict:
         slo = self.slo.sample(self.obs.snapshot())
-        self._g_p99.set(slo["p99_seconds"])
-        self._g_burn.set(slo["budget_burn"])
         self._set_alert(
             bool(slo["requests"]) and slo["p99_seconds"] > self.slo.p99_target,
             "slo_p99",
@@ -441,7 +417,7 @@ class HealthMonitor:
                 try:
                     self.check()
                 except Exception:
-                    self._ctr_poll_errors.inc()
+                    pass  # the next round polls again
 
         self._thread = threading.Thread(
             target=loop, name="veridb-health", daemon=True

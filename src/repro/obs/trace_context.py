@@ -75,7 +75,6 @@ COUNTED_FIELDS = (
     "cache_hits",
     "cache_misses",
     "ecalls",
-    "batched_read_crossings",
     "simulated_cycles",
     "epc_swaps",
 )
@@ -104,7 +103,6 @@ class OpStats:
         "cache_hits",
         "cache_misses",
         "ecalls",
-        "batched_read_crossings",
         "simulated_cycles",
         "epc_swaps",
         "wall_seconds",
@@ -121,7 +119,6 @@ class OpStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.ecalls = 0
-        self.batched_read_crossings = 0
         self.simulated_cycles = 0
         self.epc_swaps = 0
         self.wall_seconds = 0.0

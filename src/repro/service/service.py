@@ -114,7 +114,6 @@ class QueryService:
         self._hist_latency = self.obs.histogram("service.latency_seconds")
         self.obs.gauge_fn("service.in_flight", lambda: self._in_flight)
         self.obs.gauge_fn("service.tenants", lambda: len(self._directory))
-        self.obs.gauge_fn("service.draining", lambda: int(self._draining))
 
     # ------------------------------------------------------------------
     # tenant lifecycle

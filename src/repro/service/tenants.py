@@ -87,7 +87,6 @@ class TenantSession:
         self.rejected = 0
         labels = {"tenant": credentials.tenant_id}  # this tenant's series, bound once
         self.ctr_queries = registry.counter("service.tenant.queries", labels)
-        self.ctr_rejected = registry.counter("service.tenant.rejected", labels)
 
     @property
     def tenant_id(self) -> str:
@@ -109,7 +108,6 @@ class TenantSession:
     def count_rejection(self) -> None:
         with self._lock:
             self.rejected += 1
-        self.ctr_rejected.inc()
 
 
 class TenantDirectory:

@@ -4,10 +4,11 @@ The paper motivates VeriDB's architecture with two hardware costs
 (Section 2.1): crossing the enclave boundary (an ECall is ~8000 cycles)
 and EPC paging (~40000 cycles per swapped page). Colocating the query
 engine with the storage interfaces inside the enclave exists precisely to
-avoid paying these. The simulation cannot reproduce the wall-clock cost,
-but it *accounts* for every crossing and swap so benchmarks and tests can
-assert, e.g., that executing a whole query costs O(1) ECalls rather than
-O(rows).
+avoid paying these: the engine runs in the enclave and reads untrusted
+memory directly (Figure 2), so a verified read crosses nothing. The
+simulation cannot reproduce the wall-clock cost, but it *accounts* for
+every crossing and swap, so a whole query costs one ECall plus its EPC
+swaps, never O(rows).
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ class CostModel:
 
     Attributes:
         ecall_cycles: cost of entering the enclave (paper: ~8000 [20, 27]).
-        ocall_cycles: cost of calling out of the enclave (same order).
         epc_swap_cycles: cost of swapping one EPC page (paper: ~40000 [2, 6]).
         page_size: EPC page granularity in bytes.
     """
 
     ecall_cycles: int = 8000
-    ocall_cycles: int = 8000
     epc_swap_cycles: int = 40000
     page_size: int = 4096
 
@@ -49,14 +48,10 @@ class CycleMeter:
         self._lock = threading.Lock()
         self.cycles = 0
         self.ecalls = 0
-        self.ocalls = 0
         self.epc_swaps = 0
-        self.batched_reads = 0
         obs = registry if registry is not None else default_registry()
         self._ctr_ecalls = obs.counter("sgx.ecalls")
-        self._ctr_ocalls = obs.counter("sgx.ocalls")
         self._ctr_swaps = obs.counter("sgx.epc_swaps")
-        self._ctr_batched_reads = obs.counter("sgx.batched_read_crossings")
         self._ctr_cycles = obs.counter("sgx.simulated_cycles")
 
     def charge_ecall(self) -> None:
@@ -68,35 +63,6 @@ class CycleMeter:
         trace = current_trace()
         if trace is not None:
             trace.top.ecalls += 1
-            trace.top.simulated_cycles += self.model.ecall_cycles
-
-    def charge_ocall(self) -> None:
-        with self._lock:
-            self.ocalls += 1
-            self.cycles += self.model.ocall_cycles
-        self._ctr_ocalls.inc()
-        self._ctr_cycles.inc(self.model.ocall_cycles)
-        trace = current_trace()
-        if trace is not None:
-            trace.top.simulated_cycles += self.model.ocall_cycles
-
-    def charge_batched_read(self) -> None:
-        """Bill one amortized boundary crossing for a batched data read.
-
-        The vectorized read path moves a whole batch of cells across the
-        trust boundary for the cost of a single ECall-sized crossing
-        (instead of one per row). Counted separately from ``ecalls`` so
-        the control-plane invariant — one ECall per submitted query —
-        stays observable.
-        """
-        with self._lock:
-            self.batched_reads += 1
-            self.cycles += self.model.ecall_cycles
-        self._ctr_batched_reads.inc()
-        self._ctr_cycles.inc(self.model.ecall_cycles)
-        trace = current_trace()
-        if trace is not None:
-            trace.top.batched_read_crossings += 1
             trace.top.simulated_cycles += self.model.ecall_cycles
 
     def charge_epc_swaps(self, count: int) -> None:
@@ -118,18 +84,14 @@ class CycleMeter:
             return {
                 "cycles": self.cycles,
                 "ecalls": self.ecalls,
-                "ocalls": self.ocalls,
                 "epc_swaps": self.epc_swaps,
-                "batched_reads": self.batched_reads,
             }
 
     def reset(self) -> None:
         with self._lock:
             self.cycles = 0
             self.ecalls = 0
-            self.ocalls = 0
             self.epc_swaps = 0
-            self.batched_reads = 0
 
 
 @dataclass
@@ -138,7 +100,6 @@ class CostReport:
 
     cycles: int = 0
     ecalls: int = 0
-    ocalls: int = 0
     epc_swaps: int = 0
     extra: dict = field(default_factory=dict)
 
@@ -147,6 +108,5 @@ class CostReport:
         return cls(
             cycles=after["cycles"] - before["cycles"],
             ecalls=after["ecalls"] - before["ecalls"],
-            ocalls=after["ocalls"] - before["ocalls"],
             epc_swaps=after["epc_swaps"] - before["epc_swaps"],
         )

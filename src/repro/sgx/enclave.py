@@ -114,11 +114,6 @@ class Enclave:
         self.meter.charge_ecall()
         return fn(*args, **kwargs)
 
-    def ocall(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Call out of the enclave (charged like an ECall)."""
-        self.meter.charge_ocall()
-        return fn(*args, **kwargs)
-
     # ------------------------------------------------------------------
     # sealed storage
     # ------------------------------------------------------------------

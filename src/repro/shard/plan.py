@@ -60,7 +60,7 @@ class ShardFragmentOp(PhysicalOp):
         self.stmt = stmt
 
     def batches(self) -> Iterator[ColumnBatch]:
-        # never drained locally; the gather node consumes worker replies
+        # never drained on the coordinator; the gather node consumes worker replies
         return iter(())
 
     def describe(self) -> str:

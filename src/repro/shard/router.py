@@ -99,13 +99,6 @@ class ScatterRouter:
             )
             for link in links
         ]
-        self._in_flight = [
-            registry.gauge(
-                "shard.in_flight", labels={"shard": str(link.shard_id)}
-            )
-            for link in links
-        ]
-        registry.gauge("shard.workers").set(len(links))
 
     @property
     def shard_count(self) -> int:
@@ -116,7 +109,6 @@ class ScatterRouter:
     # ------------------------------------------------------------------
     def call(self, shard_id: int, op: str, payload: Any) -> Any:
         self._ctr_requests.inc()
-        self._in_flight[shard_id].inc()
         start = perf_counter()
         try:
             result = self.links[shard_id].call(op, payload)
@@ -129,8 +121,6 @@ class ScatterRouter:
         except ShardReplyLost:
             self._ctr_lost.inc()
             raise
-        finally:
-            self._in_flight[shard_id].dec()
         round_trip = perf_counter() - start
         self._latency[shard_id].observe(round_trip)
         if isinstance(result, dict) and "elapsed" in result:

@@ -3,7 +3,7 @@
 The engine executes batch-at-a-time: every :class:`PhysicalOp` produces
 :class:`ColumnBatch` objects instead of single tuples, amortizing
 per-pull overhead (generator frames, timing laps, verified-memory
-crossings) over a chunk of rows — :data:`repro.storage.config.BATCH_ROWS`
+lock runs) over a chunk of rows — :data:`repro.storage.config.BATCH_ROWS`
 of them for a scan.
 
 A batch is its columns: one value list per output position, each

@@ -380,21 +380,13 @@ class QueryEngine:
         (``sql.op.<Name>.self_seconds``) plus the scan/other split the
         Figure 12 analysis uses.
         """
-        total_batches = 0
         for op in plan.walk():
             frame = trace.op_stats_if_traced(op) or IDLE_FRAME
             self.obs.histogram(
                 f"sql.op.{type(op).__name__}.self_seconds"
             ).observe(frame.self_seconds)
-            batches = frame.batches_out
-            total_batches += batches
-            if batches:
-                self.obs.histogram("sql.batch_size").observe(
-                    frame.rows_out / batches
-                )
-                if isinstance(op, FusedScanFilterProjectOp):
-                    self._ctr_fused_batches.inc(batches)
-        self.obs.histogram("sql.batches_per_query").observe(total_batches)
+            if isinstance(op, FusedScanFilterProjectOp):
+                self._ctr_fused_batches.inc(frame.batches_out)
         scan, other = scan_split(plan, trace)
         self.obs.histogram("sql.scan_seconds").observe(scan)
         self.obs.histogram("sql.other_seconds").observe(other)

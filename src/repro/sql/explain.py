@@ -141,7 +141,7 @@ class ExplainAnalyzeResult:
             "totals: "
             f"reads={totals['verified_reads']} "
             f"cache={totals['cache_hits']}/{totals['cache_misses']} "
-            f"crossings={totals['ecalls']}+{totals['batched_read_crossings']} "
+            f"crossings={totals['ecalls']} "
             f"cycles={totals['simulated_cycles']} "
             f"elapsed={_fmt_seconds(self.trace.elapsed)}"
         )
@@ -151,8 +151,7 @@ class ExplainAnalyzeResult:
                 "remote totals: "
                 f"reads={remote['verified_reads']} "
                 f"cache={remote['cache_hits']}/{remote['cache_misses']} "
-                f"crossings={remote['ecalls']}"
-                f"+{remote['batched_read_crossings']} "
+                f"crossings={remote['ecalls']} "
                 f"cycles={remote['simulated_cycles']} "
                 f"worker={_fmt_seconds(remote['elapsed_seconds'])}"
             )
@@ -179,7 +178,7 @@ def _render(node: dict, indent: int, lines: list[str]) -> None:
             f" self={_fmt_seconds(node['self_seconds'])}"
             f" reads={node['verified_reads']}"
             f" cache={node['cache_hits']}/{node['cache_misses']}"
-            f" crossings={node['ecalls']}+{node['batched_read_crossings']}"
+            f" crossings={node['ecalls']}"
             f" cycles={node['simulated_cycles']}{extra})"
         )
     )

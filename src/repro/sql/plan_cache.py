@@ -17,9 +17,10 @@ Safety rules:
 * statements containing subqueries are **uncacheable**: the planner
   folds uncorrelated subqueries into literals at plan time, so a cached
   template would freeze data-dependent results;
-* parameters never make a plan entry stale — sargable ``?`` bounds are
-  planned as :class:`~repro.sql.params.ParamMarker` placeholders the
-  scans resolve per execution, so one template serves every binding.
+* parameters never make a plan entry stale — sargable ``?`` equalities
+  are planned as :class:`~repro.sql.params.ParamMarker` placeholders the
+  scans resolve per execution, so one template serves every binding; a
+  ``?`` range bound stays a residual filter over the scan.
 
 The cache itself is a bounded LRU (``StorageConfig.plan_cache_size``
 shapes; 0 disables caching) guarded by one lock; entries are immutable

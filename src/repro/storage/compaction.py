@@ -50,11 +50,6 @@ class CompactionPolicy:
         self.config = config
         self.stats = CompactionStats()
         self.faults = faults if faults is not None else default_fault_plane()
-        obs = table.engine.obs
-        self._ctr_pages = obs.counter("storage.pages_compacted")
-        self._ctr_relocated = obs.counter("storage.compaction_records_relocated")
-        self._ctr_skipped = obs.counter("storage.compactions_skipped_busy")
-        self._ctr_aborts = obs.counter("storage.compaction_aborts")
 
     def on_page_scan(self, page_id: int) -> None:
         """Verifier callback: compact the page while it is locked & hot."""
@@ -70,11 +65,9 @@ class CompactionPolicy:
             self.faults.check(fault_sites.COMPACTION_ABORT)
         except FaultInjected:
             self.stats.aborts += 1
-            self._ctr_aborts.inc()
             return
         if not table._lock.acquire(blocking=False):
             self.stats.passes_skipped_busy += 1
-            self._ctr_skipped.inc()
             return
         try:
             page = table.heap._pages.get(page_id)
@@ -83,13 +76,10 @@ class CompactionPolicy:
                 # mutation (the lock above is re-entrant), or by its
                 # header alloc, before the heap lists the page
                 self.stats.passes_skipped_busy += 1
-                self._ctr_skipped.inc()
             elif page.fragmentation > self.config.compact_threshold:
                 moved = page.compact()
                 self.stats.pages_compacted += 1
                 self.stats.records_relocated += moved
-                self._ctr_pages.inc()
-                self._ctr_relocated.inc(moved)
         finally:
             table._lock.release()
 
@@ -102,7 +92,5 @@ class CompactionPolicy:
                     moved = page.compact()
                     self.stats.pages_compacted += 1
                     self.stats.records_relocated += moved
-                    self._ctr_pages.inc()
-                    self._ctr_relocated.inc(moved)
                     moved_total += moved
         return moved_total

@@ -57,15 +57,6 @@ class StorageEngine:
         self.vmem.cache = self.cache
         self._page_ids = itertools.count(0)
 
-    def attach_meter(self, meter) -> None:
-        """Bill batched verified reads against an SGX cycle meter.
-
-        Each ``VerifiedMemory.read_many`` batch charges one amortized
-        ECall — the trust-boundary crossing the batch replaces — instead
-        of one per row, mirroring Section 2.1's cost-model motivation.
-        """
-        self.vmem.meter = meter
-
     def attach_epc(self, epc) -> None:
         """Account record-cache residency against an enclave page cache.
 

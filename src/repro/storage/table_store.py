@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, eq, is_, ne, not_, or_
-from time import perf_counter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.catalog.schema import Schema
@@ -86,11 +85,8 @@ class VerifiableTable:
         #: database is durable; None (the default) for standalone and
         #: spill/temporary tables, whose writes must stay off the log
         self.wal = None
-        self._ctr_point_retries = self.obs.counter("storage.point_read_retries")
-        self._ctr_moves = self.obs.counter("storage.records_moved")
         self._ctr_fallbacks = self.obs.counter("storage.decode_fallbacks")
         self._ctr_skipped = self.obs.counter("storage.fields_skipped")
-        self._hist_splice = self.obs.histogram("storage.chain_splice_seconds")
         self._lock = threading.RLock()
         self._row_count = 0
         self._compaction = CompactionPolicy(self, engine.config)
@@ -117,15 +113,6 @@ class VerifiableTable:
         primary key and run predecessor has passed its check. A run of
         new keys between two existing neighbours shares one predecessor,
         rewritten once per chain (INTERNALS §2, "Bulk ingest")."""
-        if not self.obs.enabled:
-            return self._splice(rows)
-        start = perf_counter()
-        try:
-            return self._splice(rows)
-        finally:
-            self._hist_splice.observe(perf_counter() - start)
-
-    def _splice(self, rows: Iterable[Iterable[Any]]) -> list[RecordId]:
         check, validate = self.faults.check, self.schema.validate_row
         checked = []
         for row in rows:
@@ -304,7 +291,6 @@ class VerifiableTable:
                 # record moved or its slot was freed) between lookup and
                 # read. Both resolve once the in-flight mutation finishes.
                 attempts += 1
-                self._ctr_point_retries.inc()
                 if attempts >= POINT_READ_RETRIES:
                     raise
                 # Wait out any in-flight splice: taking and releasing the
@@ -444,7 +430,6 @@ class VerifiableTable:
         self.heap.delete(rid)
         new_rid = self.heap.insert(payload)
         self.stats.records_moved += 1
-        self._ctr_moves.inc()
         for chain_id in range(self.layout.n_chains):
             key = stored.key(chain_id)
             if key is not None:

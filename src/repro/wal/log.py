@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from time import perf_counter
 from typing import Any, Callable, Iterable
 
 import threading
@@ -169,10 +168,6 @@ class WriteAheadLog:
         self._ctr_appends = self.obs.counter("wal.appends")
         self._ctr_syncs = self.obs.counter("wal.syncs")
         self._ctr_bytes = self.obs.counter("wal.bytes_written")
-        self._ctr_checkpoints = self.obs.counter("wal.checkpoints")
-        self._hist_sync = self.obs.histogram("wal.sync_seconds")
-        self._hist_batch = self.obs.histogram("wal.records_per_sync")
-        self._gauge_segments = self.obs.gauge("wal.segments")
 
         self._lock = threading.RLock()
         self._buffer: list[bytes] = []
@@ -338,13 +333,13 @@ class WriteAheadLog:
             seq = self._seq
             nv = self._nv
             segment = self._segment_index
-        self._ctr_checkpoints.inc()
         sink = default_event_sink()
         if sink.enabled:
             sink.emit(
                 {
                     "type": "wal_checkpoint",
-                    "seq": seq,
+                    # not "seq": the sink stamps its own order under that key
+                    "last_seq": seq,
                     "epoch": epoch,
                     "counter": counter,
                     "nv": nv,
@@ -407,8 +402,6 @@ class WriteAheadLog:
         if not self._buffer or self._poisoned:
             return
         payload = b"".join(self._buffer)
-        records = len(self._buffer)
-        start = perf_counter()
         # Injection site: the host crashes part-way through writing the
         # batch — a prefix of the bytes lands, the anchor is NOT
         # advanced, and the log object is dead (the process is modeled
@@ -441,8 +434,6 @@ class WriteAheadLog:
         else:
             self._write_anchor_locked()
         self._ctr_syncs.inc()
-        self._hist_batch.observe(records)
-        self._hist_sync.observe(perf_counter() - start)
 
     def _anchor_slot(self) -> bytes:
         """The current anchor as one sealed, fixed-size journal slot."""
@@ -517,7 +508,6 @@ class WriteAheadLog:
     def _open_segment_locked(self) -> None:
         self._file = open(self._dir / segment_name(self._segment_index), "ab")
         self._sync_dir()
-        self._gauge_segments.set(self._segment_index + 1)
 
     def _roll_segment_locked(self) -> None:
         self._file.close()

@@ -8,6 +8,7 @@ from repro.core.incident import audit_table, investigate
 from repro.errors import VerificationFailure
 from repro.memory.adversary import Adversary
 from repro.memory.cells import make_addr
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -56,6 +57,21 @@ def test_garbage_bytes_localized(db):
     assert "undecodable" in kinds
     assert any(a.page_id == page_id for a in report.anomalies)
     assert "page" in report.summary()
+
+
+def test_an_alarm_is_an_open_incident_on_the_gauge():
+    registry = MetricsRegistry()
+    database = VeriDB(VeriDBConfig(key_seed=66), registry=registry)
+    database.sql("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+    database.sql("INSERT INTO t VALUES (1, 2)")
+    database.verify_now()
+    assert registry.snapshot()["incidents.active"]["value"] == 0
+    addr, _ = _addr(database, 1)
+    Adversary(database.storage.memory).corrupt(addr, b"\x00" * 8)
+    _alarm(database)
+    assert registry.snapshot()["incidents.active"]["value"] == 1
+    database.incidents.resolve("verification-alarm")
+    assert registry.snapshot()["incidents.active"]["value"] == 0
 
 
 def test_erased_record_localized(db):

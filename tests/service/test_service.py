@@ -26,6 +26,7 @@ from repro.faults import sites
 from repro.faults.plane import ChaosPlane, scoped_fault_plane
 from repro.faults.schedule import ChaosSchedule
 from repro.obs import (
+    JsonlEventSink,
     MetricsRegistry,
     default_event_sink,
     default_registry,
@@ -584,6 +585,14 @@ def test_concurrency_never_exceeds_max_workers(registry):
     pool_threads = runs.threads - {t.ident for t in callers}
     assert len(pool_threads) <= max_workers
     assert svc.close()
+
+
+def test_a_drain_is_a_pair_of_events(service):
+    with scoped_event_sink(JsonlEventSink()) as sink:
+        assert service.drain()
+    drain, drained = [e for e in sink.events if e["type"].startswith("service_drain")]
+    assert (drain["type"], drain["in_flight"]) == ("service_drain", 0)
+    assert (drained["type"], drained["clean"]) == ("service_drained", True)
 
 
 def test_drain_waits_for_an_inline_query(registry):

@@ -12,13 +12,11 @@ def test_defaults_match_paper():
 def test_charges_accumulate():
     meter = CycleMeter()
     meter.charge_ecall()
-    meter.charge_ocall()
     meter.charge_epc_swaps(2)
     snap = meter.snapshot()
     assert snap["ecalls"] == 1
-    assert snap["ocalls"] == 1
     assert snap["epc_swaps"] == 2
-    assert snap["cycles"] == 8000 + 8000 + 2 * 40000
+    assert snap["cycles"] == 8000 + 2 * 40000
 
 
 def test_zero_swaps_is_noop():

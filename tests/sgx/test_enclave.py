@@ -36,12 +36,6 @@ def test_ecall_charges_cycles(enclave):
     assert after["cycles"] - before["cycles"] == enclave.meter.model.ecall_cycles
 
 
-def test_ocall_charges_cycles(enclave):
-    before = enclave.meter.snapshot()
-    assert enclave.ocall(len, b"abc") == 3
-    assert enclave.meter.snapshot()["ocalls"] == before["ocalls"] + 1
-
-
 def test_measurement_changes_with_code(enclave):
     m0 = enclave.measurement
     enclave.load_code(b"module-a")

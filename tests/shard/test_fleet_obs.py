@@ -30,7 +30,6 @@ COUNTED = (
     ("memory.cache_hits", "cache_hits"),
     ("memory.cache_misses", "cache_misses"),
     ("sgx.ecalls", "ecalls"),
-    ("sgx.batched_read_crossings", "batched_read_crossings"),
     ("sgx.epc_swaps", "epc_swaps"),
     ("sgx.simulated_cycles", "simulated_cycles"),
 )

@@ -14,6 +14,8 @@ import pytest
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
+#: arguments that shrink an example from its demo size to a test size
+ARGS = {"concurrent_oltp.py": ["--txns", "2"]}
 
 
 def test_examples_discovered():
@@ -28,7 +30,7 @@ def test_example_runs(script):
     else:
         stdin = ""
     completed = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / script)],
+        [sys.executable, str(EXAMPLES_DIR / script), *ARGS.get(script, [])],
         input=stdin,
         capture_output=True,
         text=True,

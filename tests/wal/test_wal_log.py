@@ -18,7 +18,7 @@ from repro.core.recovery import recover_from_wal
 from repro.crypto.keys import KeyChain
 from repro.crypto.mac import MessageAuthenticator
 from repro.errors import RecoveryIntegrityError, StorageError
-from repro.obs import MetricsRegistry
+from repro.obs import JsonlEventSink, MetricsRegistry, scoped_event_sink
 from repro.wal import (
     DDL_CREATE,
     DDL_DROP,
@@ -176,6 +176,16 @@ def test_checkpoint_rolls_the_segment(tmp_path):
     assert len(list(wal_dir.glob("wal-*.log"))) == 2
     db.checkpoint()
     assert len(list(wal_dir.glob("wal-*.log"))) == 3
+
+
+def test_a_checkpoint_is_an_event_naming_its_segment(tmp_path):
+    db, _ = make_db(tmp_path)
+    db.sql("INSERT INTO t VALUES (1, 10)")
+    with scoped_event_sink(JsonlEventSink()) as sink:
+        db.checkpoint()
+    (event,) = [e for e in sink.events if e["type"] == "wal_checkpoint"]
+    assert event["last_seq"] == db.wal.last_seq  # the checkpoint record itself
+    assert event["segment"] == 1  # the segment the checkpoint rolled to
 
 
 def test_fresh_instance_refuses_an_existing_log(tmp_path):
