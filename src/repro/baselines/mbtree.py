@@ -23,12 +23,14 @@ Keys are arbitrary comparable values; values are bytes.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.crypto.merkle import hash_interior, hash_leaf
 from repro.errors import ProofError
+from repro.index.btree import BPlusTree
 from repro.storage.record import RecordCodec
 
 _codec = RecordCodec()
@@ -36,26 +38,6 @@ _codec = RecordCodec()
 
 def _entry_hash(key: Any, value: bytes) -> bytes:
     return hash_leaf(_codec.encode((key,)), value)
-
-
-class _Leaf:
-    __slots__ = ("keys", "values", "next", "prev", "hash")
-
-    def __init__(self):
-        self.keys: list[Any] = []
-        self.values: list[bytes] = []
-        self.next: Optional["_Leaf"] = None
-        self.prev: Optional["_Leaf"] = None
-        self.hash = b""
-
-
-class _Interior:
-    __slots__ = ("keys", "children", "hash")
-
-    def __init__(self):
-        self.keys: list[Any] = []
-        self.children: list[Any] = []
-        self.hash = b""
 
 
 @dataclass
@@ -88,14 +70,22 @@ class MBTreeProof:
             return None
 
 
-class MBTree:
-    """The Merkle B+-tree store."""
+def _with_hash(node_class: type) -> type:
+    """``node_class`` plus a ``hash`` slot, unset until first hashed."""
+    return type(node_class.__name__, (node_class,), {"__slots__": ("hash",)})
+
+
+class MBTree(BPlusTree):
+    """The Merkle B+-tree store: the index's B+-tree with hashed nodes.
+
+    Splits, leaf removal, root collapse and iteration are
+    :class:`~repro.index.btree.BPlusTree`'s; this class adds the root
+    lock, the rehash after each write, and the proofs.
+    """
+
+    Leaf, Interior = _with_hash(BPlusTree.Leaf), _with_hash(BPlusTree.Interior)
 
     def __init__(self, order: int = 64):
-        if order < 4:
-            raise ValueError("order must be at least 4")
-        self._order = order
-        self._size = 0
         #: the global root lock — MHT's concurrency bottleneck
         self.root_lock = threading.Lock()
         self.lock_waits = 0
@@ -106,7 +96,7 @@ class MBTree:
         self.hash_invocations = 0
         #: bytes fed to hash functions (same purpose)
         self.bytes_hashed = 0
-        self._root: Any = _Leaf()
+        super().__init__(order)
         self._rehash(self._root)
 
     # ------------------------------------------------------------------
@@ -116,37 +106,14 @@ class MBTree:
     def root_hash(self) -> bytes:
         return self._root.hash
 
-    def __len__(self) -> int:
-        return self._size
-
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def get(self, key: Any) -> tuple[Optional[bytes], MBTreeProof]:
         """Point lookup with an ADS proof (presence or absence)."""
-        self._acquire()
-        try:
-            steps: list[PathStep] = []
-            node = self._root
-            while isinstance(node, _Interior):
-                child_index = bisect_right(node.keys, key)
-                steps.append(
-                    PathStep(
-                        keys=tuple(node.keys),
-                        child_hashes=tuple(c.hash for c in node.children),
-                        child_index=child_index,
-                    )
-                )
-                node = node.children[child_index]
-            proof = MBTreeProof(
-                key=key,
-                steps=steps,
-                leaf_keys=tuple(node.keys),
-                leaf_values=tuple(node.values),
-            )
+        with self._locked():
+            proof = self._proof(key)
             return proof.value, proof
-        finally:
-            self.root_lock.release()
 
     def range(self, lo: Any, hi: Any) -> tuple[list[tuple[Any, bytes]], list[MBTreeProof]]:
         """Range query: matching entries plus per-leaf proofs.
@@ -158,33 +125,18 @@ class MBTree:
         """
         results: list[tuple[Any, bytes]] = []
         proofs: list[MBTreeProof] = []
-        self._acquire()
-        try:
-            node = self._root
-            while isinstance(node, _Interior):
-                node = node.children[bisect_right(node.keys, lo)]
-            leaf = node
-            while leaf is not None:
-                _, proof = self._leaf_proof_locked(leaf)
-                proofs.append(proof)
-                for k, v in zip(leaf.keys, leaf.values):
-                    if lo <= k <= hi:
-                        results.append((k, v))
-                if leaf.keys and leaf.keys[-1] > hi:
-                    break
-                leaf = leaf.next
-            return results, proofs
-        finally:
-            self.root_lock.release()
+        with self._locked():
+            for leaf, i, end in self._spans(lo, hi):
+                proofs.append(self._proof(leaf.keys[0] if leaf.keys else None))
+                results.extend(zip(leaf.keys[i:end], leaf.values[i:end]))
+        return results, proofs
 
-    def _leaf_proof_locked(self, leaf: _Leaf):
-        key = leaf.keys[0] if leaf.keys else None
+    def _proof(self, key: Any) -> MBTreeProof:
+        """The path ``key`` routes along (None: the leftmost), and its leaf."""
         steps: list[PathStep] = []
         node = self._root
-        while isinstance(node, _Interior):
-            child_index = (
-                bisect_right(node.keys, key) if key is not None else 0
-            )
+        while isinstance(node, self.Interior):
+            child_index = 0 if key is None else bisect_right(node.keys, key)
             steps.append(
                 PathStep(
                     keys=tuple(node.keys),
@@ -193,7 +145,7 @@ class MBTree:
                 )
             )
             node = node.children[child_index]
-        return node, MBTreeProof(
+        return MBTreeProof(
             key=key,
             steps=steps,
             leaf_keys=tuple(node.keys),
@@ -204,87 +156,53 @@ class MBTree:
     # writes (each rehashes the root path under the global lock)
     # ------------------------------------------------------------------
     def insert(self, key: Any, value: bytes) -> None:
-        self._acquire()
-        try:
-            path = self._path(key)
-            leaf: _Leaf = path[-1][0]
-            i = bisect_left(leaf.keys, key)
-            if i < len(leaf.keys) and leaf.keys[i] == key:
-                leaf.values[i] = value
-            else:
-                leaf.keys.insert(i, key)
-                leaf.values.insert(i, value)
-                self._size += 1
-                if len(leaf.keys) > self._order:
-                    self._split(path)
-                    return  # _split rehashes everything it touches
-            self._rehash_path(path)
-        finally:
-            self.root_lock.release()
+        with self._locked():
+            self._write(self._insert, key, value)
 
     def update(self, key: Any, value: bytes) -> bool:
-        self._acquire()
-        try:
-            path = self._path(key)
-            leaf: _Leaf = path[-1][0]
-            i = bisect_left(leaf.keys, key)
-            if i >= len(leaf.keys) or leaf.keys[i] != key:
+        """Overwrite ``key``; returns False (and writes nothing) if absent."""
+        with self._locked():
+            if key not in self:
                 return False
-            leaf.values[i] = value
-            self._rehash_path(path)
+            self._write(self._insert, key, value)
             return True
-        finally:
-            self.root_lock.release()
 
     def delete(self, key: Any) -> bool:
-        self._acquire()
-        try:
-            path = self._path(key)
-            leaf: _Leaf = path[-1][0]
-            i = bisect_left(leaf.keys, key)
-            if i >= len(leaf.keys) or leaf.keys[i] != key:
-                return False
-            leaf.keys.pop(i)
-            leaf.values.pop(i)
-            self._size -= 1
-            if not leaf.keys and leaf is not self._root:
-                self._remove_empty_leaf(path)
-            else:
-                self._rehash_path(path)
-            return True
-        finally:
-            self.root_lock.release()
-
-    def items(self) -> Iterator[tuple[Any, bytes]]:
-        node = self._root
-        while isinstance(node, _Interior):
-            node = node.children[0]
-        while node is not None:
-            yield from zip(node.keys, node.values)
-            node = node.next
+        with self._locked():
+            return self._write(self._delete, key) is not None
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _acquire(self):
+    @contextmanager
+    def _locked(self):
         if not self.root_lock.acquire(blocking=False):
             self.lock_waits += 1
             self.root_lock.acquire()
+        try:
+            yield
+        finally:
+            self.root_lock.release()
 
-    def _path(self, key: Any):
-        path = []
-        node = self._root
-        index_in_parent = -1
-        while True:
-            path.append((node, index_in_parent))
-            if isinstance(node, _Leaf):
-                return path
-            index_in_parent = bisect_right(node.keys, key)
-            node = node.children[index_in_parent]
+    def _write(self, mutate, *args) -> Optional[list]:
+        """Run a :class:`BPlusTree` mutator, then rehash what it changed,
+        children before parents: the walked path's nodes still in the
+        tree, bottom-up (each after its children a split left unhashed),
+        then the root if it is a new one. Returns the mutator's path."""
+        root = self._root
+        path = mutate(*args)
+        for node, _ in reversed(path or ()):
+            self._rehash_new(node)
+        if self._root is not root:
+            self._rehash_new(self._root)
+        return path
 
-    def _rehash_path(self, path):
-        for node, _ in reversed(path):
-            self._rehash(node)
+    def _rehash_new(self, node: Any) -> None:
+        """Rehash ``node`` after every child of it that has no hash yet."""
+        for child in getattr(node, "children", ()):
+            if not hasattr(child, "hash"):
+                self._rehash_new(child)
+        self._rehash(node)
 
     def _rehash(self, node) -> None:
         """Recompute one node's hash, accounting the crypto work.
@@ -294,7 +212,7 @@ class MBTree:
         volume every MHT write pays along the root path.
         """
         self.hash_recomputations += 1
-        if isinstance(node, _Leaf):
+        if isinstance(node, self.Leaf):
             entry_hashes = []
             for key, value in zip(node.keys, node.values):
                 encoded = _codec.encode((key,))
@@ -308,76 +226,6 @@ class MBTree:
             self.hash_invocations += 1
             self.bytes_hashed += 32 * len(node.children)
             node.hash = hash_interior(child.hash for child in node.children)
-
-    def _split(self, path):
-        node, _ = path[-1][0], path[-1][1]
-        node = path[-1][0]
-        level = len(path) - 1
-        dirty = []
-        while len(node.keys) > self._order:
-            mid = len(node.keys) // 2
-            if isinstance(node, _Leaf):
-                right = _Leaf()
-                right.keys = node.keys[mid:]
-                right.values = node.values[mid:]
-                node.keys = node.keys[:mid]
-                node.values = node.values[:mid]
-                right.next = node.next
-                right.prev = node
-                if node.next is not None:
-                    node.next.prev = right
-                node.next = right
-                separator = right.keys[0]
-            else:
-                right = _Interior()
-                separator = node.keys[mid]
-                right.keys = node.keys[mid + 1 :]
-                right.children = node.children[mid + 1 :]
-                node.keys = node.keys[:mid]
-                node.children = node.children[: mid + 1]
-            self._rehash(node)
-            self._rehash(right)
-            if level == 0:
-                new_root = _Interior()
-                new_root.keys = [separator]
-                new_root.children = [node, right]
-                self._rehash(new_root)
-                self._root = new_root
-                return
-            parent = path[level - 1][0]
-            child_index = path[level][1]
-            parent.keys.insert(child_index, separator)
-            parent.children.insert(child_index + 1, right)
-            dirty.append(parent)
-            node = parent
-            level -= 1
-        # rehash remaining ancestors
-        for ancestor, _ in reversed(path[: level + 1]):
-            self._rehash(ancestor)
-
-    def _remove_empty_leaf(self, path):
-        leaf: _Leaf = path[-1][0]
-        if leaf.prev is not None:
-            leaf.prev.next = leaf.next
-        if leaf.next is not None:
-            leaf.next.prev = leaf.prev
-        level = len(path) - 1
-        while level > 0:
-            parent: _Interior = path[level - 1][0]
-            child_index = path[level][1]
-            parent.children.pop(child_index)
-            if parent.keys:
-                parent.keys.pop(max(0, child_index - 1))
-            if parent.children:
-                if len(parent.children) == 1 and parent is self._root:
-                    self._root = parent.children[0]
-                    self._rehash(self._root)
-                    return
-                self._rehash_path(path[:level])
-                return
-            level -= 1
-        self._root = _Leaf()  # pragma: no cover
-        self._rehash(self._root)  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
@@ -431,16 +279,19 @@ def verify_range_proof(
         raise ProofError("range results do not match the proven leaves")
 
 
-def _verify_leaf_link(root_hash: bytes, proof: MBTreeProof) -> None:
-    leaf_hash = hash_interior(
+def _verify_leaf_link(root_hash: bytes, proof: MBTreeProof, key: Any = None) -> None:
+    """Rehash the proof's leaf up its path to ``root_hash``; with a
+    ``key``, each step must also be the child ``key`` routes to."""
+    current = hash_interior(
         _entry_hash(k, v) for k, v in zip(proof.leaf_keys, proof.leaf_values)
     )
-    current = leaf_hash
     for step in reversed(proof.steps):
         if step.child_index >= len(step.child_hashes):
             raise ProofError("malformed MB-Tree proof: child index out of range")
         if step.child_hashes[step.child_index] != current:
             raise ProofError("MB-Tree proof does not link to the root hash")
+        if key is not None and bisect_right(list(step.keys), key) != step.child_index:
+            raise ProofError("MB-Tree proof followed the wrong search path")
         current = hash_interior(step.child_hashes)
     if current != root_hash:
         raise ProofError("MB-Tree proof root hash mismatch")
@@ -480,22 +331,7 @@ def verify_point_proof(root_hash: bytes, proof: MBTreeProof) -> Optional[bytes]:
     :class:`ProofError` if the ADS does not regenerate the root hash or
     the search path is inconsistent with the queried key.
     """
-    leaf_hash = hash_interior(
-        _entry_hash(k, v) for k, v in zip(proof.leaf_keys, proof.leaf_values)
-    )
-    current = leaf_hash
-    for step in reversed(proof.steps):
-        if step.child_index >= len(step.child_hashes):
-            raise ProofError("malformed MB-Tree proof: child index out of range")
-        if step.child_hashes[step.child_index] != current:
-            raise ProofError("MB-Tree proof does not link to the root hash")
-        if proof.key is not None:
-            expected = bisect_right(list(step.keys), proof.key)
-            if expected != step.child_index:
-                raise ProofError("MB-Tree proof followed the wrong search path")
-        current = hash_interior(step.child_hashes)
-    if current != root_hash:
-        raise ProofError("MB-Tree proof root hash mismatch")
+    _verify_leaf_link(root_hash, proof, proof.key)
     if list(proof.leaf_keys) != sorted(set(proof.leaf_keys)):
         raise ProofError("MB-Tree leaf entries are not strictly ordered")
     return proof.value

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -130,20 +129,19 @@ class VeriDBClient:
         # Resubmit the *same* authenticated query on transient faults:
         # the portal records a qid only after success, so the retry is
         # accepted as this qid's first execution, never as a replay.
-        policy, start, attempt = self._retry_policy, time.monotonic(), 0
+        retried = False
+
+        def on_retry(_attempt: int, _error: BaseException) -> None:
+            nonlocal retried
+            retried = True
+            self._ctr_retries.inc()
+
         try:
-            while True:
-                attempt += 1
-                try:
-                    endorsed: EndorsedResult = self._submit(query)
-                    break
-                except policy.retryable as error:
-                    delay = policy.next_delay(error, attempt, start)
-                    self._ctr_retries.inc()
-                    if delay > 0:
-                        time.sleep(delay)
+            endorsed: EndorsedResult = self._retry_policy.call(
+                lambda: self._submit(query), on_retry
+            )
         except QueryReplayError as rejection:
-            if attempt == 1:
+            if not retried:
                 # First attempt of a fresh qid rejected as a replay:
                 # somebody else burned our qid — a genuine forgery
                 # signal, not a lost response.

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -473,17 +472,11 @@ class QueryPortal:
         if trace is not None:
             with trace:
                 return self._execute(query, None)
-        policy, start, attempt = self._retry_policy, time.monotonic(), 0
-        while True:
-            attempt += 1
-            try:
-                return self._engine.execute(
-                    query.sql, join_hint=query.join_hint, params=query.params, tenant=query.tenant
-                )
-            except policy.retryable as error:
-                delay = policy.next_delay(error, attempt, start)
-                if delay > 0:
-                    time.sleep(delay)
+        return self._retry_policy.call(
+            lambda: self._engine.execute(
+                query.sql, join_hint=query.join_hint, params=query.params, tenant=query.tenant
+            )
+        )
 
     def _maybe_sample_trace(self, qid: bytes) -> TraceContext | None:
         """Decide (deterministically) whether this query is traced."""

@@ -80,39 +80,35 @@ class RetryPolicy:
 
         ``on_retry(attempt, error)`` is invoked before each retry sleep
         (for counters); ``sleep``/``clock`` are injectable for tests.
+        ``clock`` is read only when there is a ``timeout`` to keep.
         """
-        start = clock()
+        start = clock() if self.timeout is not None else 0.0
         attempt = 0
         while True:
             attempt += 1
             try:
                 return fn()
             except self.retryable as error:
-                delay = self.next_delay(error, attempt, start, clock)
+                if not getattr(error, "retryable", True) or self.max_attempts == 1:
+                    raise  # the original, untouched: not retryable after all
+                if attempt >= self.max_attempts:
+                    raise RetryExhausted(
+                        f"gave up after {attempt} attempts: {error}",
+                        last_error=error,
+                        attempts=attempt,
+                    ) from error
+                delay = self.delay_before_attempt(attempt + 1)
+                if self.timeout is not None and clock() - start + delay > self.timeout:
+                    raise RetryExhausted(
+                        f"retry time budget {self.timeout}s exhausted after "
+                        f"{attempt} attempts: {error}",
+                        last_error=error,
+                        attempts=attempt,
+                    ) from error
                 if on_retry is not None:
                     on_retry(attempt, error)
                 if delay > 0:
                     sleep(delay)
-
-    def next_delay(self, error, attempt: int, start: float, clock=time.monotonic) -> float:
-        """The backoff after failed ``attempt`` (1-based) of a call begun
-        at ``clock()`` time ``start``; raises when it must not retry (what
-        :meth:`call` and the client's and portal's own loops ask)."""
-        if not getattr(error, "retryable", True) or self.max_attempts == 1:
-            raise error  # the original, untouched: not retryable after all
-        if attempt >= self.max_attempts:
-            raise RetryExhausted(
-                f"gave up after {attempt} attempts: {error}", last_error=error, attempts=attempt
-            ) from error
-        delay = self.delay_before_attempt(attempt + 1)
-        if self.timeout is not None and clock() - start + delay > self.timeout:
-            raise RetryExhausted(
-                f"retry time budget {self.timeout}s exhausted after "
-                f"{attempt} attempts: {error}",
-                last_error=error,
-                attempts=attempt,
-            ) from error
-        return delay
 
 
 #: run exactly once; failures propagate

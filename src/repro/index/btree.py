@@ -44,11 +44,13 @@ class _Interior:
 class BPlusTree:
     """B+-tree with ordered access and predecessor queries."""
 
+    Leaf, Interior = _Leaf, _Interior  # what it builds; subclasses extend
+
     def __init__(self, order: int = DEFAULT_ORDER):
         if order < 4:
             raise ValueError("order must be at least 4")
         self._order = order
-        self._root: _Leaf | _Interior = _Leaf()
+        self._root: _Leaf | _Interior = self.Leaf()
         self._size = 0
 
     # ------------------------------------------------------------------
@@ -148,31 +150,40 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def insert(self, key: Any, value: Any) -> None:
         """Insert or overwrite ``key``."""
+        self._insert(key, value)
+
+    def delete(self, key: Any) -> bool:
+        """Remove ``key``; returns False if it was absent."""
+        return self._delete(key) is not None
+
+    def _insert(self, key: Any, value: Any) -> list[tuple[Any, int]]:
+        """:meth:`insert`, returning the root-to-leaf path it walked."""
         path = self._path_to_leaf(key)
         leaf = path[-1][0]
         i = bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:
             leaf.values[i] = value
-            return
+            return path
         leaf.keys.insert(i, key)
         leaf.values.insert(i, value)
         self._size += 1
         if len(leaf.keys) > self._order:
             self._split(path)
+        return path
 
-    def delete(self, key: Any) -> bool:
-        """Remove ``key``; returns False if it was absent."""
+    def _delete(self, key: Any) -> list[tuple[Any, int]] | None:
+        """:meth:`delete`, returning the walked path cut as it is unlinked."""
         path = self._path_to_leaf(key)
         leaf = path[-1][0]
         i = bisect_left(leaf.keys, key)
         if i >= len(leaf.keys) or leaf.keys[i] != key:
-            return False
+            return None
         leaf.keys.pop(i)
         leaf.values.pop(i)
         self._size -= 1
         if not leaf.keys:
             self._remove_empty_leaf(path)
-        return True
+        return path
 
     # ------------------------------------------------------------------
     # internals
@@ -207,7 +218,7 @@ class BPlusTree:
         while len(node.keys) > self._order:
             mid = len(node.keys) // 2
             if isinstance(node, _Leaf):
-                right = _Leaf()
+                right = self.Leaf()
                 right.keys = node.keys[mid:]
                 right.values = node.values[mid:]
                 node.keys = node.keys[:mid]
@@ -219,14 +230,14 @@ class BPlusTree:
                 node.next = right
                 separator = right.keys[0]
             else:
-                right = _Interior()
+                right = self.Interior()
                 separator = node.keys[mid]
                 right.keys = node.keys[mid + 1 :]
                 right.children = node.children[mid + 1 :]
                 node.keys = node.keys[:mid]
                 node.children = node.children[: mid + 1]
             if level == 0:
-                new_root = _Interior()
+                new_root = self.Interior()
                 new_root.keys = [separator]
                 new_root.children = [node, right]
                 self._root = new_root
@@ -258,11 +269,12 @@ class BPlusTree:
             if parent.children:
                 if len(parent.children) == 1 and parent is self._root:
                     self._root = parent.children[0]
-                return
+                    level = 0
+                break
             level -= 1
-        # the root interior lost all children (cannot normally happen
-        # because we stop as soon as a parent retains a child)
-        self._root = _Leaf()  # pragma: no cover
+        else:  # the root lost its last child: collapses leave 1-child roots
+            self._root = self.Leaf()
+        del path[level:]  # what is left of the path is still in the tree
 
     # ------------------------------------------------------------------
     # validation (used by property-based tests)

@@ -261,7 +261,9 @@ class HealthMonitor:
     threshold *raises* the alert exactly once (``alert_raised`` event),
     and the first healthy evaluation
     afterwards *clears* it (``alert_cleared`` event), so flapping shows
-    up as event pairs, not log spam.
+    up as event pairs, not log spam. A failing ``on_poll`` (while every
+    worker answers) or an exception escaping a background ``check()``
+    is the fleet-level ``poll_failed`` alert until a clean round.
     """
 
     def __init__(
@@ -348,11 +350,15 @@ class HealthMonitor:
             self.obs.gauge("health.worker_up", labels=labels).set(1)
             self._evaluate_worker(shard_id, report)
         slo = self._evaluate_slo()
+        failure = ""
         if self.on_poll is not None:
             try:
                 self.on_poll()
-            except Exception:
-                pass  # a worker that cannot answer is already worker_down
+            except Exception as error:
+                failure = f"on_poll: {type(error).__name__}: {error}"
+        # a worker that cannot answer is already worker_down
+        down = any(not shard["up"] for shard in shards.values())
+        self._set_alert(bool(failure) and not down, "poll_failed", None, failure)
         alerts = self.active_alerts()
         return {
             "healthy": not alerts,
@@ -416,8 +422,13 @@ class HealthMonitor:
             while not self._stop.wait(interval):
                 try:
                     self.check()
-                except Exception:
-                    pass  # the next round polls again
+                except Exception as error:  # the next clean round clears it
+                    self._set_alert(
+                        True,
+                        "poll_failed",
+                        None,
+                        f"check: {type(error).__name__}: {error}",
+                    )
 
         self._thread = threading.Thread(
             target=loop, name="veridb-health", daemon=True

@@ -98,6 +98,12 @@ class QueryService:
         self._queued = 0
         self._draining = False
         self._closed = False
+        # what stats() reports, kept whether or not the registry records:
+        # admitted/completed under _idle, rejections by reason under _tally
+        self._admitted = 0
+        self._completed = 0
+        self._rejected = dict.fromkeys(("rate_limited", "quota", "overload", "draining"), 0)
+        self._tally = threading.Lock()
 
         self._ctr_requests = self.obs.counter("service.requests")
         self._ctr_admitted = self.obs.counter("service.admitted")
@@ -249,6 +255,7 @@ class QueryService:
                     f"({self.config.max_in_flight}); back off and retry"
                 )
             self._in_flight += 1
+            self._admitted += 1
         self._ctr_admitted.inc()
         sink = default_event_sink()
         if sink.enabled:
@@ -339,13 +346,16 @@ class QueryService:
         else:
             self._ctr_errors.inc()
         with self._idle:
+            self._completed += ok
             self._in_flight -= 1
             if self._in_flight == 0:
                 self._idle.notify_all()
 
     def _emit_reject(self, tenant, query, reason: str) -> None:
-        if tenant is not None:
+        if tenant is not None:  # else an unknown tenant: an auth failure
             tenant.count_rejection()
+            with self._tally:
+                self._rejected[reason] += 1
         sink = default_event_sink()
         if sink.enabled:
             sink.emit(
@@ -422,14 +432,9 @@ class QueryService:
             "tenants": self._directory.tenant_ids(),
             "in_flight": self._in_flight,
             "draining": self._draining,
-            "admitted": self._ctr_admitted.value,
-            "completed": self._ctr_completed.value,
-            "rejected": {
-                "rate_limited": self._ctr_rej_rate.value,
-                "quota": self._ctr_rej_quota.value,
-                "overload": self._ctr_rej_overload.value,
-                "draining": self._ctr_rej_draining.value,
-            },
+            "admitted": self._admitted,
+            "completed": self._completed,
+            "rejected": dict(self._rejected),
         }
 
     def health(self) -> dict:

@@ -130,6 +130,11 @@ class QueryEngine:
             spill=spill,
         )
         self._plan_select = select_planner or self.planner.plan_select
+        from repro.sql.session import TxnLockRegistry
+
+        #: the table locks every :class:`~repro.sql.session.Session` on
+        #: this engine shares
+        self.txn_locks = TxnLockRegistry()
 
     # ------------------------------------------------------------------
     # plan cache

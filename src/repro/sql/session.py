@@ -47,7 +47,8 @@ from repro.sql.plan_cache import CacheEntry
 
 
 class TxnLockRegistry:
-    """Per-engine registry of table transaction locks.
+    """Per-engine registry of table transaction locks
+    (:attr:`QueryEngine.txn_locks`, so it lives as long as its engine).
 
     Entries are evicted on ``DROP TABLE`` (see :meth:`evict`); without
     that, a workload that churns through temporary tables would grow the
@@ -94,7 +95,7 @@ class Session:
         self.engine = engine
         self.name = name
         self.lock_timeout = lock_timeout
-        self._registry = _registry_for(engine)
+        self._registry = engine.txn_locks
         self._active = False
         self._undo: list[Callable[[], None]] = []
         self._held: dict[str, threading.Lock] = {}
@@ -219,19 +220,6 @@ class Session:
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._active:
             self._rollback()
-
-
-_REGISTRIES: dict[int, TxnLockRegistry] = {}
-_REGISTRY_GUARD = threading.Lock()
-
-
-def _registry_for(engine: QueryEngine) -> TxnLockRegistry:
-    with _REGISTRY_GUARD:
-        registry = _REGISTRIES.get(id(engine))
-        if registry is None:
-            registry = TxnLockRegistry()
-            _REGISTRIES[id(engine)] = registry
-        return registry
 
 
 # ----------------------------------------------------------------------

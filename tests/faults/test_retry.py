@@ -124,6 +124,20 @@ def test_timeout_budget_exhausts_before_attempts():
     assert "budget" in str(excinfo.value)
 
 
+def test_no_timeout_reads_no_clock():
+    """Without a time budget there is nothing to measure: the client's
+    and the portal's policies run every query through ``call``."""
+
+    def no_clock():
+        raise AssertionError("clock read without a timeout")
+
+    fn = Flaky(failures=2)
+    sleeps = []
+    policy = RetryPolicy(max_attempts=3, base_delay=0.5, max_delay=10.0)
+    assert policy.call(fn, sleep=sleeps.append, clock=no_clock) == "ok"
+    assert fn.calls == 3 and sleeps == [0.5, 1.0]
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

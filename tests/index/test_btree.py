@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.mbtree import MBTree, _entry_hash
 from repro.catalog.types import BOTTOM, TOP
+from repro.crypto.merkle import hash_interior
 from repro.index.btree import BPlusTree
 
 
@@ -190,3 +192,44 @@ def test_count_over_sentinel_bounded_composite_keys():
     assert tree.count((3, BOTTOM), (3, TOP)) == 10
     assert tree.count((3, TOP), (5, BOTTOM)) == 10  # (3, 5) exclusive
     assert tree.count(BOTTOM, TOP) == 101  # the sentinel counts
+
+
+def _full_hash(node) -> bytes:
+    """An MB-Tree node's hash recomputed from its entries, ignoring every
+    cached ``hash`` below it."""
+    if hasattr(node, "children"):
+        return hash_interior(_full_hash(child) for child in node.children)
+    return hash_interior(_entry_hash(k, v) for k, v in zip(node.keys, node.values))
+
+
+@pytest.mark.parametrize("tree_class", [BPlusTree, MBTree])
+@pytest.mark.parametrize("order", [4, 8])
+def test_random_drains_to_empty(tree_class, order):
+    """Draining a multi-level tree collapses its root more than once;
+    a collapse can leave a one-child interior as the root, whose last
+    child then empties, so the tree falls back to a fresh empty leaf.
+    The invariants (and an MB-Tree's root hash) hold throughout."""
+    fallbacks = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        keys = list(range(400))
+        rng.shuffle(keys)
+        tree = tree_class(order=order)
+        for key in keys:
+            tree.insert(key, b"v%d" % key)
+        assert isinstance(tree._root, BPlusTree.Interior)
+        rng.shuffle(keys)
+        for n, key in enumerate(keys):
+            root = tree._root
+            assert tree.delete(key)
+            # only the fallback empties a tree whose root is an interior
+            fallbacks += isinstance(root, BPlusTree.Interior) and not len(tree)
+            if tree._root is root and n % 16:
+                continue  # a full check on every root change, else sampled
+            tree.check_invariants()
+            if tree_class is MBTree:
+                assert tree.root_hash == _full_hash(tree._root)
+        assert isinstance(tree._root, BPlusTree.Leaf)
+        assert tree._root.keys == [] and len(tree) == 0
+        assert list(tree.items()) == []
+    assert fallbacks == 10

@@ -333,6 +333,60 @@ def test_monitor_raises_and_clears_worker_down():
     assert types == ["alert_raised", "alert_cleared"]
 
 
+def test_monitor_alerts_on_a_failing_on_poll_until_a_clean_one():
+    sink = JsonlEventSink()
+    state = {"fail": True}
+
+    def on_poll():
+        if state["fail"]:
+            raise RuntimeError("federation broke")
+
+    monitor = _monitor(lambda sid: _healthy_report(sid), sink)
+    monitor.on_poll = on_poll
+    report = monitor.check()
+    assert not report["healthy"]
+    assert report["alerts"] == [
+        {
+            "alert": "poll_failed",
+            "shard": None,
+            "detail": "on_poll: RuntimeError: federation broke",
+        }
+    ]
+    state["fail"] = False
+    assert monitor.check()["healthy"]
+    types = [(e["type"], e["alert"]) for e in sink.events if e["type"].startswith("alert")]
+    assert types == [("alert_raised", "poll_failed"), ("alert_cleared", "poll_failed")]
+
+
+def test_monitor_background_check_failure_is_an_alert(poll_until):
+    sink = JsonlEventSink()
+    state = {"fail": True}
+
+    def coordinator_round():
+        if state["fail"]:
+            raise RuntimeError("coordinator gone")
+        return 0
+
+    monitor = _monitor(lambda sid: _healthy_report(sid), sink)
+    monitor.coordinator_round = coordinator_round
+    monitor.start(0.005)
+    try:
+        assert poll_until(lambda: monitor.active_alerts())
+        assert monitor.active_alerts() == [
+            {
+                "alert": "poll_failed",
+                "shard": None,
+                "detail": "check: RuntimeError: coordinator gone",
+            }
+        ]
+        state["fail"] = False
+        assert poll_until(lambda: not monitor.active_alerts())
+    finally:
+        monitor.stop()
+    types = [(e["type"], e["alert"]) for e in sink.events if e["type"].startswith("alert")]
+    assert types == [("alert_raised", "poll_failed"), ("alert_cleared", "poll_failed")]
+
+
 def test_monitor_threshold_rules():
     sink = JsonlEventSink()
     report = _healthy_report(0)

@@ -26,6 +26,7 @@ from repro.faults import sites
 from repro.faults.plane import ChaosPlane, scoped_fault_plane
 from repro.faults.schedule import ChaosSchedule
 from repro.obs import (
+    NULL_REGISTRY,
     JsonlEventSink,
     MetricsRegistry,
     default_event_sink,
@@ -107,6 +108,30 @@ def test_per_tenant_counters_and_stats(service, registry):
     # a tenant id is a label value, so any id renders as a valid series
     service.register_tenant("bad-name.co")
     assert lint_prometheus(render_prometheus(registry)) == []
+
+
+def test_stats_count_without_a_registry():
+    """``stats()`` counts what the service did, whether or not a
+    registry records: the default one records nothing."""
+    clock = FakeClock()
+    with scoped_registry(NULL_REGISTRY):
+        svc = QueryService(build_db(), ServiceConfig(max_workers=2), clock=clock)
+    creds = svc.register_tenant("a", quota=TenantQuota(rate_per_second=1.0, burst=3))
+    client = svc.connect(creds)
+    for _ in range(3):
+        client.execute("SELECT COUNT(*) FROM kv")
+    with pytest.raises(TenantRateLimited):
+        client.execute("SELECT COUNT(*) FROM kv")
+    stats = svc.stats()
+    assert svc.tenant("a").admitted == 3
+    assert (stats["admitted"], stats["completed"]) == (3, 3)
+    assert stats["rejected"] == {
+        "rate_limited": 1,
+        "quota": 0,
+        "overload": 0,
+        "draining": 0,
+    }
+    assert svc.close()
 
 
 # ----------------------------------------------------------------------
@@ -582,6 +607,7 @@ def test_concurrency_never_exceeds_max_workers(registry):
     assert errors == []
     assert 1 <= runs.peak <= max_workers
     assert registry.counter("service.completed").value == 90
+    assert (svc.stats()["admitted"], svc.stats()["completed"]) == (90, 90)
     pool_threads = runs.threads - {t.ident for t in callers}
     assert len(pool_threads) <= max_workers
     assert svc.close()

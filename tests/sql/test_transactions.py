@@ -1,6 +1,8 @@
 """Multi-statement transactions: undo logging and table-level 2PL."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -190,10 +192,26 @@ def test_insert_select_transactional(db):
 # ----------------------------------------------------------------------
 # lock-registry hygiene (DDL-churn leak regression)
 # ----------------------------------------------------------------------
-def test_drop_table_evicts_txn_lock(db):
-    from repro.sql.session import _registry_for
+def test_lock_registries_die_with_their_engines():
+    """An engine's table locks are its own: dropping the database frees
+    them, and no later engine (which may reuse the freed address) can
+    see a lock an earlier one's session held."""
+    refs = []
+    for _ in range(20):
+        database = VeriDB(VeriDBConfig(key_seed=77))
+        database.sql("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        session = database.session()
+        session.execute("BEGIN")
+        session.execute("INSERT INTO t VALUES (1)")
+        session.execute("COMMIT")
+        refs.append(weakref.ref(session._registry))
+        del database, session
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 20
 
-    registry = _registry_for(db.engine)
+
+def test_drop_table_evicts_txn_lock(db):
+    registry = db.engine.txn_locks
     session = db.session()
     session.execute("BEGIN")
     session.execute("SELECT COUNT(*) FROM acct")
@@ -205,9 +223,7 @@ def test_drop_table_evicts_txn_lock(db):
 
 def test_ddl_churn_does_not_leak_locks(db):
     """A temp-table churn workload must not grow the registry forever."""
-    from repro.sql.session import _registry_for
-
-    registry = _registry_for(db.engine)
+    registry = db.engine.txn_locks
     session = db.session()
     baseline = len(registry)
     for i in range(50):
@@ -222,9 +238,7 @@ def test_ddl_churn_does_not_leak_locks(db):
 
 
 def test_recreated_table_gets_fresh_lock(db):
-    from repro.sql.session import _registry_for
-
-    registry = _registry_for(db.engine)
+    registry = db.engine.txn_locks
     session = db.session()
     session.execute("CREATE TABLE ephemeral (id INTEGER PRIMARY KEY)")
     old = registry.lock_for("ephemeral")
@@ -235,9 +249,7 @@ def test_recreated_table_gets_fresh_lock(db):
 
 def test_eviction_safe_while_lock_held(db):
     """A holder keeps its reference; eviction never corrupts release."""
-    from repro.sql.session import _registry_for
-
-    registry = _registry_for(db.engine)
+    registry = db.engine.txn_locks
     session = db.session()
     session.execute("BEGIN")
     session.execute("UPDATE acct SET balance = 1 WHERE id = 1")
