@@ -94,8 +94,7 @@ class ShardConfig:
     the configuration that actually escapes the GIL).
     ``request_timeout`` bounds each worker round trip; a worker that
     stays silent past it raises
-    :class:`~repro.errors.ShardReplyLost`. ``prune`` turns partition
-    pruning off for A/B testing — results must be identical either way.
+    :class:`~repro.errors.ShardReplyLost`.
 
     Fleet observability (:mod:`repro.obs.fleet`): ``worker_metrics``
     gives every worker its own real
@@ -113,7 +112,6 @@ class ShardConfig:
     shard_keys: dict = field(default_factory=dict)
     shard_ranges: dict = field(default_factory=dict)
     transport: str = "inproc"
-    prune: bool = True
     request_timeout: float = 30.0
     worker_metrics: bool = True
     federate_metrics: bool = True

@@ -38,9 +38,6 @@ site                                      behaviour when fired
                                           before the epoch advances.
 ``verifier.crash_after_end_pass``         the verifier dies right after the
                                           epoch advances (pass is complete).
-``storage.compaction_abort``              a deferred-compaction pass aborts;
-                                          the policy skips the page and
-                                          retries on the next scan.
 ``storage.splice_interruption``           a chain splice (insert/delete) is
                                           interrupted *before* the first
                                           mutation; a retry of the statement
@@ -106,7 +103,6 @@ DIRECTORY_DROP = "memory.directory_drop"
 VERIFIER_CRASH_BEFORE_END_PASS = "verifier.crash_before_end_pass"
 VERIFIER_CRASH_AFTER_END_PASS = "verifier.crash_after_end_pass"
 
-COMPACTION_ABORT = "storage.compaction_abort"
 SPLICE_INTERRUPTION = "storage.splice_interruption"
 
 CACHE_EVICT_STORM = "cache.evict_storm"
@@ -128,7 +124,6 @@ ALL_SITES = (
     DIRECTORY_DROP,
     VERIFIER_CRASH_BEFORE_END_PASS,
     VERIFIER_CRASH_AFTER_END_PASS,
-    COMPACTION_ABORT,
     SPLICE_INTERRUPTION,
     CACHE_EVICT_STORM,
     SERVICE_DISPATCH_ABORT,
@@ -140,12 +135,10 @@ ALL_SITES = (
 
 #: sites that are safe to fire during write statements: they either fire
 #: before any state is mutated (clean abort, retryable) or are recovered
-#: without surfacing (compaction retries on the next scan, an evict
-#: storm only costs re-verified reads)
+#: without surfacing (an evict storm only costs re-verified reads)
 SAFE_ABORT_SITES = (
     ECALL_ABORT,
     EPC_SWAP_ERROR,
-    COMPACTION_ABORT,
     SPLICE_INTERRUPTION,
     CACHE_EVICT_STORM,
     SERVICE_DISPATCH_ABORT,

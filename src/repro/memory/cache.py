@@ -12,8 +12,8 @@ Soundness rests on three rules, enforced by the integration points in
 :class:`~repro.memory.verified.VerifiedMemory` and
 :class:`~repro.memory.verifier.Verifier`:
 
-* every verified ``write``/``free`` (and therefore every compaction
-  relocation, which travels through verified free+alloc) updates or
+* every verified ``write``/``free`` (and therefore every relocation,
+  which travels through verified free+alloc) updates or
   invalidates the cached entry *under the cell's RSWS partition lock*,
   so the cache can never serve a value the verifier would reject;
 * the cache is flushed at every epoch close and on any

@@ -41,9 +41,8 @@ class RSWSPartition:
 
     def __init__(self, index: int):
         self.index = index
-        # Re-entrant: the verifier holds the partition lock while running a
-        # page's compaction hook, which itself performs verified operations
-        # on the same partition (Section 4.3, compaction-during-scan).
+        # Re-entrant: the verifier holds the partition lock across a page's
+        # scan, and the restamp kernel it runs takes the same lock per run.
         self.lock = threading.RLock()
         #: XOR multiset hashes of the PRF digests read / written, one per
         #: epoch parity; integers, so a run's XOR-sum folds in at once

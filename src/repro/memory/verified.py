@@ -45,12 +45,6 @@ _pack = CELL_PREFIX.pack
 _from_bytes = int.from_bytes
 
 
-class _HookHold(threading.local):
-    """Per-thread count of op hooks owed while a hold is open (else None)."""
-
-    owed: int | None = None
-
-
 @dataclass
 class MemoryStats:
     """Operation counters exposed to the benchmarks."""
@@ -105,7 +99,7 @@ class VerifiedMemory:
             self.rsws.partitions,
         )
         self._registry_lock = threading.Lock()
-        self._pages: dict[int, Callable[[int], None] | None] = {}
+        self._pages: set[int] = set()
         self._page_parity: dict[int, int] = {}
         #: touched-mode state, None without page digests
         self._touched: set[int] | None = set() if page_digests else None
@@ -114,9 +108,6 @@ class VerifiedMemory:
         self._in_pass = False
         # post-operation hooks (the non-quiescent verifier's trigger)
         self._on_op: list[Callable[[], None]] = []
-        #: per-thread holds on the hooks; made by the first :meth:`hold_hooks`,
-        #: so that where nothing ever holds them firing looks nothing up
-        self._hold: _HookHold | None = None
         # optional RecordCache (repro.memory.cache): hits return the
         # trusted in-enclave copy with zero digest work; writes and
         # frees keep it coherent under the partition locks below
@@ -125,20 +116,12 @@ class VerifiedMemory:
     # ------------------------------------------------------------------
     # page registry (the Register interface of Section 4.2)
     # ------------------------------------------------------------------
-    def register_page(
-        self, page_id: int, on_scan: Callable[[int], None] | None = None
-    ) -> None:
-        """Include a page in the verification process.
-
-        ``on_scan`` is an optional callback the verifier invokes right
-        after re-stamping the page's cells (while the page is still
-        locked); the storage layer uses it to fold compaction into the
-        verification scan (Section 4.3).
-        """
+    def register_page(self, page_id: int) -> None:
+        """Include a page in the verification process."""
         with self._registry_lock:
             if page_id in self._pages:
                 raise StorageError(f"page {page_id} already registered")
-            self._pages[page_id] = on_scan
+            self._pages.add(page_id)
             # Pages that appear while a pass is running join the *new*
             # epoch: the pass's closing check only covers its snapshot.
             parity = (self._epoch + 1) & 1 if self._in_pass else self._epoch & 1
@@ -160,7 +143,7 @@ class VerifiedMemory:
         partition.acquire()
         try:
             with self._registry_lock:
-                self._pages.pop(page_id, None)
+                self._pages.discard(page_id)
                 self._page_parity.pop(page_id, None)
                 if self._page_digest is not None:
                     self._touched.discard(page_id)
@@ -171,11 +154,6 @@ class VerifiedMemory:
     def registered_pages(self) -> list[int]:
         with self._registry_lock:
             return sorted(self._pages)
-
-    def scan_hook(self, page_id: int) -> Callable[[int], None] | None | bool:
-        """The page's ``on_scan`` callback; False if it is not registered."""
-        with self._registry_lock:
-            return self._pages.get(page_id, False)
 
     def is_registered(self, page_id: int) -> bool:
         with self._registry_lock:
@@ -430,9 +408,9 @@ class VerifiedMemory:
                 self._touched.add(page)
             data = cell.data
             if self.cache is not None:
-                # deletes and compaction relocations travel through
-                # verified free+alloc, so this single invalidation
-                # covers both (the Move case re-admits at the new addr)
+                # deletes and relocations travel through verified
+                # free+alloc, so this single invalidation covers both
+                # (the Move case re-admits at the new addr)
                 self.cache.invalidate(addr)
         finally:
             partition.release()
@@ -541,30 +519,6 @@ class VerifiedMemory:
     def remove_op_hook(self, hook: Callable[[], None]) -> None:
         self._on_op.remove(hook)
 
-    def hold_hooks(self) -> bool:
-        """Defer this thread's op hooks until :meth:`release_hooks`.
-
-        A hook may run a verifier step and with it a page's deferred
-        compaction, which moves payload cells — so whoever reads a slot
-        pointer as a verified operation holds the hooks until it has
-        read the payload the pointer names; they fire, same count, on
-        release. False (nothing to release) when no hook is installed or
-        an outer hold is open.
-        """
-        if not self._on_op:
-            return False
-        if self._hold is None:
-            with self._registry_lock:
-                self._hold = self._hold or _HookHold()
-        if self._hold.owed is not None:
-            return False
-        self._hold.owed = 0
-        return True
-
-    def release_hooks(self) -> None:
-        owed, self._hold.owed = self._hold.owed, None
-        self._fire_hooks(owed)
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -575,13 +529,9 @@ class VerifiedMemory:
         return parity
 
     def _fire_hooks(self, count: int = 1) -> None:
-        """Run the op hooks once per operation done — later, under a hold."""
+        """Run the op hooks once per operation done."""
         hooks = self._on_op
-        if not (hooks and count):  # a hold may be released owing nothing
-            return
-        hold = self._hold
-        if hold is not None and hold.owed is not None:
-            hold.owed += count
+        if not (hooks and count):
             return
         if count > 1:
             hooks = hooks * count

@@ -82,7 +82,6 @@ class Verifier:
         self._trigger_count = 0
         self._trigger_interval = 0
         self._trigger_hook = None
-        self._in_step = threading.local()
         self._bg_thread: threading.Thread | None = None
         self._bg_stop = threading.Event()
         self._bg_error: BaseException | None = None
@@ -103,9 +102,6 @@ class Verifier:
         closed, both by the loop :meth:`step` runs.
         """
         with self._lock:
-            # Compaction hooks issue verified operations; the re-entrancy
-            # guard stops those from re-triggering the op-count stepper.
-            self._in_step.active = True
             try:
                 if self._pending is not None:
                     self._advance(one_page=False)
@@ -125,8 +121,6 @@ class Verifier:
                     except VerificationFailure as close_error:
                         scan_error.__context__ = close_error
                 raise
-            finally:
-                self._in_step.active = False
 
     def step(self) -> bool:
         """Scan the next page of the open pass, opening one if none is;
@@ -135,13 +129,9 @@ class Verifier:
         Returns True when this step completed a pass.
         """
         with self._lock:
-            self._in_step.active = True
-            try:
-                if self._pending is None:
-                    self._open_pass()
-                return self._advance(one_page=True)
-            finally:
-                self._in_step.active = False
+            if self._pending is None:
+                self._open_pass()
+            return self._advance(one_page=True)
 
     def _open_pass(self) -> None:
         vmem = self.vmem
@@ -186,10 +176,8 @@ class Verifier:
         self._trigger_count = 0
 
         def hook() -> None:
-            # Re-entrancy guard: scans and compaction themselves perform
-            # verified operations.
-            if getattr(self._in_step, "active", False):
-                return
+            # a step re-stamps and moves nothing: it fires no op hook, so
+            # it never re-enters here
             self._trigger_count += 1
             if self._trigger_count >= self._trigger_interval:
                 self._trigger_count = 0
@@ -209,8 +197,8 @@ class Verifier:
     def start_background(self, pause_seconds: float = 0.0) -> None:
         """Run passes continuously on a daemon thread until stopped.
 
-        *Any* exception — a verification alarm, but equally a bug in a
-        scan hook — stops the loop, is recorded, and re-raises from
+        *Any* exception — a verification alarm, but equally a crash
+        inside the pass — stops the loop, is recorded, and re-raises from
         :meth:`stop_background`; verification never dies silently. Thread
         liveness is exported as the ``verifier.background_alive`` gauge
         and :meth:`background_alive`.
@@ -287,7 +275,7 @@ class Verifier:
     # scanning internals
     # ------------------------------------------------------------------
     def _scan_page(self, page_id: int) -> bool:
-        """Scan one page under its partition lock, then run its scan hook.
+        """Scan one page under its partition lock.
 
         False, with nothing scanned, for a page deregistered since the
         pass opened: deregistration happens under the same lock.
@@ -296,8 +284,7 @@ class Verifier:
         partition = vmem.rsws.partition_for_page(page_id)
         partition.acquire()
         try:
-            hook = vmem.scan_hook(page_id)
-            if hook is False:
+            if not vmem.is_registered(page_id):
                 return False
             if self.mode == "touched":
                 cells = self._check_page_digest(page_id, partition)
@@ -310,8 +297,6 @@ class Verifier:
             self.stats.cells_scanned += cells
             self.stats.pages_scanned += 1
             self._ctr_cells.inc(cells)
-            if hook is not None:
-                hook(page_id)
             return True
         finally:
             partition.release()

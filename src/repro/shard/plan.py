@@ -76,7 +76,7 @@ class ShardGatherOp(PhysicalOp):
         fragment_id: int,
         fragments: list[ShardFragmentOp],
         output: RowSchema,
-        prune=None,
+        prune,
         mode: str = "rows",
         group_count: int = 0,
         merges: Optional[list[MergeSpec]] = None,
@@ -88,7 +88,7 @@ class ShardGatherOp(PhysicalOp):
         #: the id every worker caches this template's fragment under
         self.fragment_id = fragment_id
         self.fragments = fragments
-        #: callable(params) -> shard ids the WHERE can reach; None: all
+        #: callable(params) -> shard ids the WHERE can reach
         self._prune = prune
         self.mode = mode
         self.group_count = group_count
@@ -99,10 +99,8 @@ class ShardGatherOp(PhysicalOp):
         trace = current_trace()
         start = perf_counter() if trace is not None else 0.0
         params = bound_values()
-        fragments = self.fragments
-        if self._prune is not None:
-            shard_ids = self._prune(params)
-            fragments = [f for f in fragments if f.shard_id in shard_ids]
+        shard_ids = self._prune(params)
+        fragments = [f for f in self.fragments if f.shard_id in shard_ids]
         replies = self._scatter(self, fragments, params)
         scattered = perf_counter() if trace is not None else 0.0
         # each reply's rows (or the merged partials) are transposed once

@@ -51,16 +51,12 @@ class ShardProxyStore:
         self._key_index = schema.column_index(self._shard_key)
         self._pk_index = schema.primary_key_index
         self._pk_is_key = self._shard_key == schema.primary_key
-        self._prune = config.prune
 
     # ------------------------------------------------------------------
     # routing helpers
     # ------------------------------------------------------------------
     def _owner(self, shard_key_value: Any) -> int:
         return self._partitioner.shard_of(shard_key_value)
-
-    def _all_shards(self) -> range:
-        return range(self.router.shard_count)
 
     # ------------------------------------------------------------------
     # write interface
@@ -95,7 +91,7 @@ class ShardProxyStore:
             not self._pk_is_key and self.schema.primary_key in updates
         )
         if not touches_placement:
-            if self._pk_is_key and self._prune:
+            if self._pk_is_key:
                 return self.router.call(
                     self._owner(pk),
                     "update",
@@ -137,7 +133,7 @@ class ShardProxyStore:
         return True
 
     def delete(self, pk: Any) -> bool:
-        if self._pk_is_key and self._prune:
+        if self._pk_is_key:
             return self.router.call(
                 self._owner(pk), "delete", {"table": self.name, "pk": pk}
             )
@@ -150,7 +146,7 @@ class ShardProxyStore:
     # read interface
     # ------------------------------------------------------------------
     def _lookup(self, pk: Any) -> Optional[tuple]:
-        if self._pk_is_key and self._prune:
+        if self._pk_is_key:
             return self.router.call(
                 self._owner(pk), "get", {"table": self.name, "pk": pk}
             )
@@ -186,8 +182,8 @@ class ShardProxyStore:
                 f"column {column!r} has no key chain; scan the primary key "
                 f"and filter, or declare it in Schema.chain_columns"
             )
-        shard_ids = self._all_shards()
-        if self._prune and column == self._shard_key:
+        shard_ids = range(self.router.shard_count)
+        if column == self._shard_key:
             shard_ids = self._partitioner.shards_for_range(
                 lo, hi, include_lo, include_hi
             )

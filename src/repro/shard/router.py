@@ -184,21 +184,19 @@ class ScatterRouter:
             or statement_has_subqueries(stmt)
         ):
             return None
-        prune = None
-        if self.config.prune:
-            table_ref = stmt.tables[0]
-            info = self.catalog.lookup(table_ref.name)
-            shard_key = self.config.shard_key_for(info.name, info.schema)
-            partitioner = partitioner_for(self.config, info.name)
+        table_ref = stmt.tables[0]
+        info = self.catalog.lookup(table_ref.name)
+        shard_key = self.config.shard_key_for(info.name, info.schema)
+        partitioner = partitioner_for(self.config, info.name)
 
-            def prune(params: tuple) -> set[int]:
-                return prune_shards(
-                    stmt.where,
-                    shard_key,
-                    partitioner,
-                    params,
-                    binding=table_ref.binding,
-                )
+        def prune(params: tuple) -> set[int]:
+            return prune_shards(
+                stmt.where,
+                shard_key,
+                partitioner,
+                params,
+                binding=table_ref.binding,
+            )
 
         aggregates: list[Aggregate] = []
         for item in stmt.items:

@@ -10,8 +10,6 @@
 * :mod:`repro.storage.table_store` — :class:`VerifiableTable`, the
   storage-facing table with Get / Insert / Delete / Update / Move and
   verified point, range and sequential access.
-* :mod:`repro.storage.compaction` — eager vs deferred space reclamation,
-  including compaction folded into the verification scan (Section 4.3).
 * :mod:`repro.storage.engine` — :class:`StorageEngine`, which owns the
   verified memory, the verifier and the page allocator.
 """

@@ -6,9 +6,6 @@ These map one-to-one onto the paper's evaluated configurations:
   "RSWS" (False, the Section 4.3 metadata-exclusion optimization).
 * ``verification`` — False gives Figure 9's "Baseline" (no RS/WS
   maintenance at all).
-* ``compaction`` — "eager" relocates records at delete time (the default
-  page design the paper starts from), "deferred" delays reclamation and
-  folds it into the verification scan, "none" never reclaims.
 * ``rsws_partitions`` — the RSWS count swept in Figure 13.
 * ``verifier_mode`` — "full" (Algorithm 2) or "touched" (the
   touched-page-tracking optimization).
@@ -38,8 +35,6 @@ class StorageConfig:
     page_size: int = 8192
     verify_metadata: bool = False
     verification: bool = True
-    compaction: str = "deferred"
-    compact_threshold: float = 0.25
     rsws_partitions: int = 16
     verifier_mode: str = "full"
     #: when set, operators spill intermediate state beyond this many
@@ -62,12 +57,8 @@ class StorageConfig:
     def __post_init__(self):
         if self.page_size < 512:
             raise ConfigurationError("page_size must be at least 512 bytes")
-        if self.compaction not in ("eager", "deferred", "none"):
-            raise ConfigurationError(f"unknown compaction mode {self.compaction!r}")
         if self.verifier_mode not in ("full", "touched"):
             raise ConfigurationError(f"unknown verifier mode {self.verifier_mode!r}")
-        if not 0.0 <= self.compact_threshold <= 1.0:
-            raise ConfigurationError("compact_threshold must be in [0, 1]")
         if self.rsws_partitions < 1:
             raise ConfigurationError("rsws_partitions must be >= 1")
         if self.spill_threshold_rows is not None and self.spill_threshold_rows < 1:

@@ -18,7 +18,7 @@ operation that listed the page.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import PageFullError, StorageError
 from repro.storage.engine import StorageEngine
@@ -36,14 +36,9 @@ class RecordId:
 class HeapFile:
     """The pages backing one table."""
 
-    def __init__(
-        self,
-        engine: StorageEngine,
-        on_scan: Callable[[int], None] | None = None,
-    ):
+    def __init__(self, engine: StorageEngine):
         self.engine = engine
         self.config = engine.config
-        self._on_scan = on_scan
         self._pages: dict[int, Page] = {}
         self._current: Page | None = None
         #: ids of listed pages (see the module docstring), oldest first
@@ -88,21 +83,14 @@ class HeapFile:
     def read_many(self, rids: list[RecordId], admit: bool = True) -> list[bytes]:
         """Fetch several records, wherever in the heap they sit: the
         chunk's slot pointers in one bulk read of the metadata path,
-        then its payloads in one batched read of the data path — with
-        the op hooks held in between when pointer reads owe any (see
-        :meth:`Page.read`). ``admit=False`` keeps the payloads out of
-        the record cache."""
+        then its payloads in one batched read of the data path.
+        ``admit=False`` keeps the payloads out of the record cache."""
         if not rids:
             return []
         pointers = [self._page(rid.page_id).pointer_addr(rid.slot) for rid in rids]
         paths = self._page(rids[0].page_id)  # the same for every page of a heap
-        held = paths.meta_io.verified and self.engine.vmem.hold_hooks()
-        try:
-            raws = paths.meta_io.read_many(pointers)
-            return paths.data_io.read_many(payload_addrs(pointers, raws), admit)
-        finally:
-            if held:
-                self.engine.vmem.release_hooks()
+        raws = paths.meta_io.read_many(pointers)
+        return paths.data_io.read_many(payload_addrs(pointers, raws), admit)
 
     def write(self, rid: RecordId, payload: bytes) -> None:
         page = self._page(rid.page_id)
@@ -116,12 +104,7 @@ class HeapFile:
 
     def delete(self, rid: RecordId) -> bytes:
         page = self._page(rid.page_id)
-        if self.config.compaction == "eager":
-            offset, length = page.slot_offset_for_compaction(rid.slot)
-            payload = page.delete(rid.slot)
-            page.relocate_down(offset, length)
-        else:
-            payload = page.delete(rid.slot)
+        payload = page.delete(rid.slot)
         self._list_page(page)
         return payload
 
@@ -183,7 +166,7 @@ class HeapFile:
         page_id = self.engine.new_page_id()
         verification = self.engine.verification_enabled
         if verification:
-            self.engine.vmem.register_page(page_id, on_scan=self._on_scan)
+            self.engine.vmem.register_page(page_id)
         page = Page(
             page_id,
             self.engine.vmem,

@@ -18,16 +18,17 @@ Within the 24-bit page-offset address space:
 * offset ``65534`` — the header cell;
 * offsets ``65536 ..`` — record payload cells, bump-allocated.
 
-The bump allocator never reuses offsets until compaction rewrites the
-page (:mod:`repro.storage.compaction`), which matches the deferred
-space-reclamation design; the offset space is ~2000x the page capacity,
-so exhaustion between compactions forces an inline compaction instead of
-failing.
+A delete leaves a hole: :attr:`Page.free_space` counts live bytes, so
+the hole's capacity is reusable at once, and the freed cell is gone from
+untrusted memory. The bump allocator never reuses offsets, though; the
+offset space is ~2000x the page capacity, and an insert that runs out of
+it compacts the page inline (:meth:`Page.compact`). That is the one
+space-reclamation rule; a verifier step moves no cell, so it may run
+between any two cell operations.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 from typing import Iterator
 
@@ -47,31 +48,6 @@ _HEADER = struct.Struct("<III")  # record_count, used_bytes, tail
 #: plus allocator overhead), so occupancy resembles a real 8 KB page.
 SLOT_OVERHEAD = 8
 HEADER_RESERVE = 32
-
-
-def _mutation(method):
-    """Mark the page :attr:`~Page.mutating` while ``method`` runs.
-
-    Every cell operation inside a mutation fires the verified-memory op
-    hooks, and the op-count trigger can run a verifier step — and with
-    it the deferred-compaction scan hook — from *inside* the mutation,
-    on this thread, through the table's re-entrant lock. Between two
-    cell operations the directory mirror and the cells disagree (a
-    freed payload whose slot is still listed, a payload not listed
-    yet), so compaction must leave a mutating page for a later pass.
-    Nests: an insert that compacts inline stays marked until it ends.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        outer = self.mutating
-        self.mutating = True
-        try:
-            return method(self, *args, **kwargs)
-        finally:
-            self.mutating = outer
-
-    return wrapper
 
 
 def payload_addrs(pointers: list[int], raws: list[bytes]) -> list[int]:
@@ -121,14 +97,11 @@ class Page:
         self._next_slot = 0
         self._tail = DATA_BASE
         self._used = HEADER_RESERVE
-        #: an insert/write/delete/compact is between its cell operations
-        self.mutating = False
         self.meta_io.alloc(self._addr(HEADER_OFFSET), self._header_bytes())
 
     # ------------------------------------------------------------------
     # record operations
     # ------------------------------------------------------------------
-    @_mutation
     def insert_many(self, payloads: list[bytes]) -> list[int]:
         """Store a run of records — one ``alloc_many`` for the payloads,
         one for the slot pointers, one header write; returns their slots.
@@ -164,7 +137,6 @@ class Page:
         self._write_header()
         return slots
 
-    @_mutation
     def insert(self, payload: bytes) -> int:
         """Store a record; returns its slot. Raises PageFullError."""
         need = len(payload) + SLOT_OVERHEAD
@@ -190,21 +162,9 @@ class Page:
         return slot
 
     def read(self, slot: int) -> bytes:
-        """Fetch a record's payload through the configured access paths.
+        """Fetch a record's payload through the configured access paths."""
+        return self.data_io.read(self._addr(self._slot_offset(slot)))
 
-        A verified pointer read owes an op hook, and a verifier step run
-        from it could compact this page and leave the resolved address
-        naming nothing, or another record: the hooks are held until the
-        payload is out.
-        """
-        held = self.meta_io.verified and self.vmem.hold_hooks()
-        try:
-            return self.data_io.read(self._addr(self._slot_offset(slot)))
-        finally:
-            if held:
-                self.vmem.release_hooks()
-
-    @_mutation
     def write(self, slot: int, payload: bytes) -> None:
         """Overwrite a record in place (caller checked it fits)."""
         offset = self._slot_offset(slot)
@@ -219,9 +179,8 @@ class Page:
         self._used += growth
         self._write_header()
 
-    @_mutation
     def delete(self, slot: int) -> bytes:
-        """Remove a record, leaving its space to the compaction policy."""
+        """Remove a record; its bytes are free space again at once."""
         offset = self._slot_offset(slot)
         payload = self.data_io.free(self._addr(offset))
         self.meta_io.free(self._addr(slot))
@@ -241,9 +200,8 @@ class Page:
     # ------------------------------------------------------------------
     # compaction support
     # ------------------------------------------------------------------
-    @_mutation
-    def compact(self, from_offset: int = DATA_BASE) -> int:
-        """Rewrite live records at/after ``from_offset`` contiguously.
+    def compact(self) -> int:
+        """Rewrite the live records contiguously from ``DATA_BASE``.
 
         Returns the number of records relocated. Record cells move to new
         addresses through verified free+alloc, so the move itself is
@@ -257,18 +215,12 @@ class Page:
         positions, which are pairwise distinct and distinct from every
         stationary record's offset.
         """
-        ordered = sorted(self._slots, key=self._slots.__getitem__)
         new_tail = DATA_BASE
         movers: list[tuple[int, int]] = []  # (slot, destination)
-        for slot in ordered:
-            offset = self._slots[slot]
-            if offset < from_offset:
-                new_tail = max(new_tail, offset + self._lengths[slot])
-                continue
-            destination = max(new_tail, from_offset)
-            if offset != destination:
-                movers.append((slot, destination))
-            new_tail = destination + self._lengths[slot]
+        for slot in sorted(self._slots, key=self._slots.__getitem__):
+            if self._slots[slot] != new_tail:
+                movers.append((slot, new_tail))
+            new_tail += self._lengths[slot]
         payloads: dict[int, bytes] = {}
         for slot, _destination in movers:
             payloads[slot] = self.data_io.free(self._addr(self._slots[slot]))
@@ -279,17 +231,6 @@ class Page:
         self._tail = new_tail
         self._write_header()
         return len(movers)
-
-    def relocate_down(self, hole_offset: int, hole_len: int) -> int:
-        """Eager reclamation: close a delete's hole immediately.
-
-        This is the paper's *default* page behaviour ("unused space is a
-        contiguous region"), whose cost motivates deferred compaction: on
-        average half the page's records move per delete. Implemented as a
-        compaction of everything at/after the hole.
-        """
-        del hole_len  # the layout after the hole is recomputed exactly
-        return self.compact(from_offset=hole_offset)
 
     @property
     def fragmentation(self) -> float:

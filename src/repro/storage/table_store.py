@@ -22,8 +22,7 @@ checks Figure 5 a chunk at a time and yields the chunk's columns;
 
 All structural operations serialize on a per-table lock; cell-level
 integrity is independently protected by the write-read consistent
-memory, and the deferred-compaction hook cooperates with the verifier's
-page scans (Section 4.3).
+memory, whose page scans move no cells and so need no table lock.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.catalog.types import BOTTOM, TOP
 from repro.errors import IntegrityError, ProofError, StorageError
 from repro.faults import default_fault_plane, sites as fault_sites
 from repro.storage import config
-from repro.storage.compaction import CompactionPolicy
 from repro.storage.locking import POINT_READ_RETRIES, ThreadSafeIndex
 from repro.storage.engine import StorageEngine
 from repro.storage.heap import HeapFile, RecordId
@@ -89,8 +87,7 @@ class VerifiableTable:
         self._ctr_skipped = self.obs.counter("storage.fields_skipped")
         self._lock = threading.RLock()
         self._row_count = 0
-        self._compaction = CompactionPolicy(self, engine.config)
-        self.heap = HeapFile(engine, on_scan=self._compaction.on_page_scan)
+        self.heap = HeapFile(engine)
         #: One untrusted B+-tree per chain, mapping chain key -> RecordId.
         #: Thread-safe: point reads consult them without the table lock.
         self.indexes = [ThreadSafeIndex() for _ in self.layout.chains]

@@ -130,7 +130,7 @@ def test_hash_work_counted():
     assert tree.hash_recomputations > before
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     ops=st.lists(
         st.tuples(

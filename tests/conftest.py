@@ -8,6 +8,12 @@ machines and flaky on loaded ones.
 
 ``chunk_rows`` is the one way a test sets the engine's chunk length.
 
+``relocate_on_delete`` makes a heap relocate records at every delete,
+the way a page that keeps its free space contiguous would.
+
+``on_page_listing`` runs a test's callable in the middle of a verifier
+pass: when the pass lists a page's cells to scan them.
+
 The terminal summary ends with the ten test files that took longest
 (setup, call and teardown summed), so a slow file shows in every run.
 """
@@ -17,8 +23,21 @@ import contextlib
 import time
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.storage import config as storage_config
+
+#: the suite's one Hypothesis profile: the same examples on every run,
+#: so a failure reproduces and a pass is no luck of the draw, and no
+#: per-example deadline on machines whose speed drifts. Tests set only
+#: ``max_examples``.
+settings.register_profile(
+    "repro",
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("repro")
 
 
 def poll_until(predicate, timeout=5.0, interval=0.005):
@@ -56,6 +75,33 @@ def chunk_rows(rows: int):
         yield
     finally:
         storage_config.BATCH_ROWS = saved
+
+
+def relocate_on_delete(heap) -> None:
+    """Compact the page of every record ``heap`` deletes, right after."""
+    delete = heap.delete
+
+    def deleting(rid):
+        payload = delete(rid)
+        heap.get_page(rid.page_id).compact()
+        return payload
+
+    heap.delete = deleting
+
+
+def on_page_listing(vmem, hooks: dict) -> None:
+    """Run ``hooks[page](page)`` whenever ``vmem``'s untrusted memory
+    lists that page's cells, as the verifier does under the page's
+    partition lock when it scans the page."""
+    listing = vmem.memory.page_addresses
+
+    def page_addresses(page_id, *args):
+        hook = hooks.get(page_id)
+        if hook is not None:
+            hook(page_id)
+        return listing(page_id, *args)
+
+    vmem.memory.page_addresses = page_addresses
 
 
 def pytest_terminal_summary(terminalreporter):

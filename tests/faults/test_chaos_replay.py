@@ -40,7 +40,6 @@ CHAOS_RATES = {
     sites.SPLICE_INTERRUPTION: 0.08,
     sites.EPC_SWAP_ERROR: 0.03,
     sites.TRANSIENT_READ_ERROR: 0.003,  # checked once per cell access
-    sites.COMPACTION_ABORT: 0.2,
 }
 
 

@@ -292,33 +292,6 @@ def test_splice_interruption_aborts_cleanly_and_retry_succeeds():
     db.verify_now()
 
 
-def test_compaction_abort_is_absorbed_and_counted():
-    from repro.storage.config import StorageConfig
-
-    plane = plane_for(sites.COMPACTION_ABORT)
-    plane.disarm()
-    with scoped_fault_plane(plane):
-        db = VeriDB(
-            VeriDBConfig(
-                key_seed=7, storage=StorageConfig(compaction="deferred")
-            )
-        )
-        db.sql("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-        for i in range(30):
-            db.sql(f"INSERT INTO t VALUES ({i}, '{'x' * 50}')")
-        for i in range(0, 30, 2):
-            db.sql(f"DELETE FROM t WHERE id = {i}")
-    plane.arm()
-    db.verify_now()  # hosts the compaction hook; the abort is absorbed
-    plane.disarm()
-    table = db.table("t")
-    assert table._compaction.stats.aborts == 1
-    db.verify_now()  # next pass compacts normally
-    assert [r[0] for r in db.sql("SELECT id FROM t ORDER BY id").rows] == list(
-        range(1, 30, 2)
-    )
-
-
 def test_cache_evict_storm_flushes_and_never_surfaces():
     from repro.memory.cache import RecordCache
     from repro.storage.config import StorageConfig

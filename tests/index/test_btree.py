@@ -129,7 +129,7 @@ def test_contains():
     assert 2 not in tree
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     ops=st.lists(
         st.tuples(
@@ -161,7 +161,7 @@ def test_matches_dict_model(ops):
         assert (got[0] if got else None) == expected_ge
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     keys=st.sets(st.integers(min_value=0, max_value=300), max_size=300),
     deleted=st.sets(st.integers(min_value=0, max_value=300), max_size=100),

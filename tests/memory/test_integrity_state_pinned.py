@@ -21,9 +21,9 @@ import random
 
 from repro import VeriDB, VeriDBConfig
 
-PINNED_DIGEST = "00def57d3a63084bec0deb5e1f3780ee18293797f8791cd7047fc3fea8a9f717"
+PINNED_DIGEST = "cb7ae348626b3426a19af659f7fe540f3c80d36d2be1eb7fffc59e23a3f28aeb"
 #: PRF.calls, RSWSGroup.total_operations(), MemoryStats, verifier cells / pages
-PINNED_COUNTS = (105912, 105912, (47043, 823, 356, 88, 49574), 4868, 136)
+PINNED_COUNTS = (105862, 105862, (47043, 823, 331, 63, 49548), 4868, 136)
 
 
 def run_statements() -> VeriDB:

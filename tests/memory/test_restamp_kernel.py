@@ -218,7 +218,7 @@ def scenarios(draw):
     }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(scenario=scenarios())
 def test_kernel_matches_the_per_cell_reference(scenario):
     config = {
@@ -363,29 +363,3 @@ def test_alarm_mid_run_keeps_digests_for_the_stamps_written(n_partitions):
     verifier.run_pass()
     verifier.run_pass()
     assert verifier.stats.alarms == 0
-
-
-# ----------------------------------------------------------------------
-# the hook hold
-# ----------------------------------------------------------------------
-def test_held_hooks_fire_on_release_with_the_same_count():
-    vmem, addrs, fired, _registry = build(LAYOUT)
-    fired.clear()
-    assert vmem.hold_hooks() is True
-    assert vmem.hold_hooks() is False  # the outer hold covers a nested one
-    vmem.read(addrs[0])
-    vmem.read_many(addrs[1:6])
-    vmem.write(addrs[2], b"new")
-    assert fired == []
-    vmem.release_hooks()
-    assert len(fired) == 7
-    vmem.read(addrs[0])
-    assert len(fired) == 8  # released: hooks fire at once again
-    assert vmem.hold_hooks() is True
-    vmem.release_hooks()  # nothing done under the hold (say, all cache hits)
-    assert len(fired) == 8
-
-
-def test_no_hold_without_hooks():
-    vmem = VerifiedMemory(prf=PRF(KEY))
-    assert vmem.hold_hooks() is False

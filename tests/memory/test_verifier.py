@@ -10,6 +10,7 @@ from repro.memory.cells import make_addr
 from repro.memory.rsws import RSWSGroup
 from repro.memory.verified import VerifiedMemory
 from repro.memory.verifier import Verifier
+from tests.conftest import on_page_listing
 
 
 def make_vmem(pages=4, partitions=2, page_digests=False):
@@ -142,7 +143,7 @@ def test_background_verifier_runs_and_stops():
 
 @pytest.mark.parametrize("mode", ["full", "touched"])
 def test_pass_tolerates_a_page_dropped_mid_pass(mode):
-    """A DROP TABLE landing mid-pass: page 0's scan hook deregisters page
+    """A DROP TABLE landing mid-pass: the scan of page 0 deregisters page
     3, in the other partition, after the pass took its page snapshot.
     The pass passes over page 3 and closes clean."""
     vmem = make_vmem(pages=0, page_digests=(mode == "touched"))
@@ -153,10 +154,10 @@ def test_pass_tolerates_a_page_dropped_mid_pass(mode):
             dropped.append(page_id)
             vmem.deregister_page(3)
 
-    vmem.register_page(0, drop_page_3)
-    for p in (1, 2, 3):
+    for p in range(4):
         vmem.register_page(p)
     fill(vmem)
+    on_page_listing(vmem, {0: drop_page_3})
     verifier = Verifier(vmem, mode=mode)
     verifier.run_pass()
     assert dropped == [0]
@@ -196,11 +197,9 @@ def test_aborted_pass_closes_its_epoch_and_raises_the_original_error():
     def broken_hook(page_id):
         raise RuntimeError("scan hook bug")
 
-    vmem = make_vmem(pages=0)
-    vmem.register_page(0, broken_hook)
-    for p in (1, 2, 3):
-        vmem.register_page(p)
+    vmem = make_vmem()
     fill(vmem)
+    on_page_listing(vmem, {0: broken_hook})
     verifier = Verifier(vmem)
     with pytest.raises(RuntimeError, match="scan hook bug") as caught:
         verifier.run_pass()

@@ -1,7 +1,7 @@
 """Regression tests: the background verifier must never die silently.
 
 Before the fix, the loop only caught :class:`VerificationFailure`; any
-other exception (a buggy scan hook, a storage error) killed the daemon
+other exception (a bug inside the pass, a storage error) killed the daemon
 thread without a trace while the system kept serving queries unverified.
 """
 
@@ -14,13 +14,15 @@ from repro.memory.rsws import RSWSGroup
 from repro.memory.verified import VerifiedMemory
 from repro.memory.verifier import Verifier
 from repro.obs import MetricsRegistry, scoped_registry
-from tests.conftest import poll_until as wait_until
+from tests.conftest import on_page_listing, poll_until as wait_until
 
 
 def make_vmem(pages=4, partitions=2, hooks=None):
+    """``hooks`` maps a page to a callable the pass runs as it scans it."""
     vmem = VerifiedMemory(prf=PRF(b"v" * 32), rsws=RSWSGroup(n_partitions=partitions))
     for p in range(pages):
-        vmem.register_page(p, (hooks or {}).get(p))
+        vmem.register_page(p)
+    on_page_listing(vmem, hooks or {})
     for p in range(pages):
         for i in range(4):
             vmem.alloc(make_addr(p, i * 64), f"cell-{p}-{i}".encode())

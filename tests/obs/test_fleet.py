@@ -46,7 +46,7 @@ def test_series_key_round_trip():
 LABEL_NAMES = st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_]{0,8}", fullmatch=True)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @example(labels={"tenant": 'a,b="c"\\d\ne'})
 @given(labels=st.dictionaries(LABEL_NAMES, st.text(max_size=12), max_size=4))
 def test_split_series_key_inverts_series_key(labels):
@@ -128,7 +128,7 @@ def _fed(values):
     return h
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @example(values=[], q=0.99)
 @example(values=[3.0], q=0.5)
 @given(values=OBSERVATIONS, q=QS)
@@ -142,7 +142,7 @@ def test_quantile_brackets_the_true_quantile(values, q):
     assert true_q <= result <= min(2 * true_q, ordered[-1])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @example(fast=[0.01] * 99, slow=[10.0], q=0.995)
 @given(fast=OBSERVATIONS, slow=OBSERVATIONS, q=QS)
 def test_quantile_of_merged_snapshots_equals_one_histogram(fast, slow, q):

@@ -40,7 +40,6 @@ CHAOS_RATES = {
     sites.EPC_SWAP_ERROR: 0.05,
     sites.TRANSIENT_READ_ERROR: 0.002,
     sites.SPLICE_INTERRUPTION: 0.1,
-    sites.COMPACTION_ABORT: 0.3,
 }
 
 

@@ -78,7 +78,7 @@ def apply_mutation(engine, addr, mutation, flip_position):
         raise AssertionError(mutation)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     cell_index=st.integers(min_value=0, max_value=10_000),
     mutation=st.sampled_from(MUTATIONS),
@@ -95,7 +95,7 @@ def test_any_single_mutation_detected_full_mode(
         engine.verify_now()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     cell_index=st.integers(min_value=0, max_value=10_000),
     mutation=st.sampled_from(MUTATIONS),
@@ -124,7 +124,7 @@ def test_any_single_mutation_detected_touched_mode(
         engine.verify_now()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     ops=st.lists(
         st.tuples(st.integers(0, 2), st.integers(0, 60)), max_size=30

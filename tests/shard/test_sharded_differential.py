@@ -1,8 +1,8 @@
 """Differential fuzzing: sharded fleet vs single enclave vs SQLite.
 
 One seeded ``random.Random`` drives data and query generation; every
-query runs against the sharded fleet (at shard counts 1/2/4, pruning on
-and off), a single-enclave VeriDB, and SQLite. The fuzzed corpus is
+query runs against the sharded fleet (at shard counts 1/2/4, where every
+shard-key predicate prunes), a single-enclave VeriDB, and SQLite. The fuzzed corpus is
 INTEGER-only — float SUM is not associative, and partial-aggregate
 merge reorders additions across shards, so integer columns are what
 makes "byte-identical" a meaningful claim. A fixed wide mixed-type
@@ -124,13 +124,9 @@ class ShardFuzzer:
         )
 
 
-def _setup(rng, shard_count, prune):
+def _setup(rng, shard_count):
     sharded = ShardedDatabase(
-        ShardConfig(
-            shard_count=shard_count,
-            prune=prune,
-            base=VeriDBConfig(key_seed=31),
-        ),
+        ShardConfig(shard_count=shard_count, base=VeriDBConfig(key_seed=31)),
         registry=MetricsRegistry(),
     )
     single = VeriDB(VeriDBConfig(key_seed=31))
@@ -150,7 +146,7 @@ def _setup(rng, shard_count, prune):
     return sharded, single, connection
 
 
-def _sweep(seed, shard_count, prune, queries=25, reseed_every=13):
+def _sweep(seed, shard_count, queries=25, reseed_every=13):
     rng = random.Random(seed)
     fuzzer = ShardFuzzer(rng)
     sharded = single = connection = None
@@ -160,11 +156,11 @@ def _sweep(seed, shard_count, prune, queries=25, reseed_every=13):
                 if sharded is not None:
                     sharded.verify_now()
                     sharded.close()
-                sharded, single, connection = _setup(rng, shard_count, prune)
+                sharded, single, connection = _setup(rng, shard_count)
             sql, params, exact = fuzzer.next_query()
             tag = (
                 f"seed={seed} index={index} shards={shard_count} "
-                f"prune={prune} sql={sql!r} params={params!r}"
+                f"sql={sql!r} params={params!r}"
             )
             prepared = sharded.prepare(sql)
             runs = []
@@ -196,22 +192,14 @@ def _sweep(seed, shard_count, prune, queries=25, reseed_every=13):
 
 @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
 def test_fleet_matches_single_enclave_and_sqlite(shard_count):
-    _sweep(seed=17 + shard_count, shard_count=shard_count, prune=True)
-
-
-@pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-def test_pruning_off_is_invisible(shard_count):
-    """Pruning is a pure optimization: forced off, same corpus, same
-    answers (the seed matches the pruned run above query for query)."""
-    _sweep(seed=17 + shard_count, shard_count=shard_count, prune=False)
+    _sweep(seed=17 + shard_count, shard_count=shard_count)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-@pytest.mark.parametrize("prune", [True, False])
-def test_fleet_deep_corpus(shard_count, prune):
+def test_fleet_deep_corpus(shard_count):
     for seed in range(4):
-        _sweep(seed, shard_count, prune, queries=80)
+        _sweep(seed, shard_count, queries=80)
 
 
 # ----------------------------------------------------------------------

@@ -126,7 +126,7 @@ aggregates = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     values=arguments,
     data=st.data(),

@@ -13,7 +13,7 @@ import dataclasses
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlanningError
 from repro.sql import params as sql_params
@@ -231,9 +231,7 @@ def batch_outcomes(fn, batch, expected):
     return [(type(value).__name__, value) for value in values]
 
 
-@settings(
-    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+@settings(max_examples=300)
 @given(expr=st.one_of(numeric, boolean), table=rows)
 def test_row_and_batch_shells_match_the_reference(expr, table):
     row_fn = compile_expr(expr, SCHEMA)

@@ -120,7 +120,7 @@ def _approx_equal(ours, theirs):
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(rows=_rows, predicate=_predicate)
 def test_filtered_select_matches_sqlite(rows, predicate):
     sql = f"SELECT id, a, b, s FROM t WHERE {predicate}"
@@ -128,7 +128,7 @@ def test_filtered_select_matches_sqlite(rows, predicate):
     _approx_equal(ours, theirs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(rows=_rows, predicate=_predicate)
 def test_aggregates_match_sqlite(rows, predicate):
     sql = (
@@ -141,7 +141,7 @@ def test_aggregates_match_sqlite(rows, predicate):
     _approx_equal(ours, theirs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(rows=_rows)
 def test_group_by_matches_sqlite(rows):
     sql = "SELECT a, COUNT(*), SUM(a), MIN(b) FROM t GROUP BY a"
@@ -149,7 +149,7 @@ def test_group_by_matches_sqlite(rows):
     _approx_equal(ours, theirs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(rows=_rows, limit=st.integers(0, 10), descending=st.booleans())
 def test_order_limit_matches_sqlite(rows, limit, descending):
     direction = "DESC" if descending else "ASC"
@@ -158,7 +158,7 @@ def test_order_limit_matches_sqlite(rows, limit, descending):
     assert list(ours) == theirs  # exact order: id is unique
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(rows=_rows, predicate=_predicate)
 def test_distinct_matches_sqlite(rows, predicate):
     sql = f"SELECT DISTINCT a, b FROM t WHERE {predicate}"
@@ -166,7 +166,7 @@ def test_distinct_matches_sqlite(rows, predicate):
     _approx_equal(ours, theirs)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(rows=_rows)
 def test_scalar_subquery_matches_sqlite(rows):
     sql = "SELECT id FROM t WHERE a >= (SELECT AVG(a) FROM t)"
@@ -178,7 +178,7 @@ def test_scalar_subquery_matches_sqlite(rows):
     _approx_equal(ours, theirs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     rows=_rows,
     col=st.sampled_from(["a", "b", "id"]),

@@ -86,7 +86,7 @@ def test_topn_over_aggregate(engine):
     assert fused == full[:2]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     values=st.lists(st.integers(0, 100), min_size=1, max_size=40),
     limit=st.integers(1, 10),

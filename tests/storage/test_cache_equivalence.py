@@ -2,8 +2,8 @@
 
 The trusted cache (``StorageConfig.cache_bytes``) is a pure latency
 optimization — for any mixed workload (point reads, range scans,
-inserts, deletes, updates, mid-stream verification passes with
-deferred compaction) a cache-enabled table must return byte-identical
+inserts, deletes, updates, mid-stream verification passes) a
+cache-enabled table must return byte-identical
 results to a cache-disabled one, leave the *data* content of the
 untrusted store identical address by address, and close every epoch
 cleanly. Timestamps are the one permitted divergence: a hit skips the
@@ -12,7 +12,7 @@ exactly why the comparison is over data bytes, not raw cells.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, Schema
@@ -86,17 +86,13 @@ def apply(table, engine, op):
     if kind == "scan":
         lo, hi = min(op[1], op[2]), max(op[1], op[2])
         return table.scan(lo=lo, hi=hi)
-    # mid-stream epoch close: flushes the cache, runs deferred
-    # compaction, and must never alarm on this honest history
+    # mid-stream epoch close: flushes the cache, and must never alarm
+    # on this honest history
     engine.verify_now()
     return ("verified",)
 
 
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=25)
 @given(ops=st.lists(_op, max_size=50))
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
 def test_cache_is_result_invisible(batch_size, ops):

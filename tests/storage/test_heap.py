@@ -127,17 +127,6 @@ def test_write_and_fits_in_place():
     assert heap.read(rid) == b"defgh"
 
 
-def test_eager_compaction_relocates_on_delete():
-    heap, engine = make_heap(compaction="eager")
-    rids = [heap.insert(bytes([i]) * 64) for i in range(8)]
-    page = heap.get_page(rids[0].page_id)
-    heap.delete(rids[0])
-    assert page.fragmentation == 0.0
-    for rid in rids[1:]:
-        assert heap.read(rid) == bytes([rid.slot]) * 64
-    engine.verify_now()
-
-
 def test_pages_registered_for_verification():
     heap, engine = make_heap()
     heap.insert(b"x")

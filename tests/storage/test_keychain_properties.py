@@ -12,7 +12,7 @@ chain.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, Schema
@@ -22,9 +22,10 @@ from repro.memory.cells import make_addr
 from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
 from repro.storage.table_store import VerifiableTable
+from tests.conftest import relocate_on_delete
 
 
-def make_table(**config_kwargs):
+def make_table(compact_on_delete=False, **config_kwargs):
     schema = Schema(
         columns=[
             Column("pk", IntegerType()),
@@ -35,7 +36,10 @@ def make_table(**config_kwargs):
         chain_columns=("grp",),
     )
     engine = StorageEngine(StorageConfig(page_size=1024, **config_kwargs))
-    return VerifiableTable("t", schema, engine), engine
+    table = VerifiableTable("t", schema, engine)
+    if compact_on_delete:
+        relocate_on_delete(table.heap)
+    return table, engine
 
 
 def chain_walk(table, chain_id):
@@ -116,15 +120,11 @@ def apply_ops(table, model, ops):
                 model[pk] = (pk, grp, note)
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=40)
 @given(ops=st.lists(_op, max_size=50))
 @pytest.mark.parametrize(
     "config",
-    [{}, {"compaction": "eager"}],
+    [{}, {"compact_on_delete": True}],
     ids=["default", "eager-compaction"],
 )
 def test_splices_preserve_exact_adjacency(config, ops):
@@ -135,30 +135,28 @@ def test_splices_preserve_exact_adjacency(config, ops):
     engine.verify_now()
 
 
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=25)
 @given(
     ops=st.lists(_op, min_size=10, max_size=50),
     more_ops=st.lists(_op, max_size=20),
 )
 def test_compaction_relocates_without_breaking_links(ops, more_ops):
-    """Deferred compaction moves records between passes; the logical
-    chain must be identical before and after, and further splices on the
-    compacted layout must still land exactly."""
-    table, engine = make_table(compaction="deferred")
+    """Compaction moves records; the logical chain must be identical
+    before and after, and further splices on the compacted layout must
+    still land exactly."""
+    table, engine = make_table()
     model: dict[int, tuple] = {}
     apply_ops(table, model, ops)
-    engine.verify_now()  # hosts the compaction hook: records may move
+    for page in table.heap.pages():
+        page.compact()
+    engine.verify_now()
     assert_chains_exact(table, model)
     apply_ops(table, model, more_ops)  # splice into the compacted layout
     assert_chains_exact(table, model)
     engine.verify_now()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     keys=st.lists(st.integers(0, 200), min_size=2, max_size=40, unique=True),
     drop=st.data(),

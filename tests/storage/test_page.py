@@ -103,21 +103,6 @@ def test_fragmentation_and_compact():
     Verifier(vmem).run_pass()  # all moves were integrity-protected
 
 
-def test_relocate_down_closes_hole():
-    page, vmem = make_page(capacity=4096)
-    a = page.insert(b"a" * 64)
-    b = page.insert(b"b" * 64)
-    c = page.insert(b"c" * 64)
-    offset, length = page.slot_offset_for_compaction(a)
-    page.delete(a)
-    moved = page.relocate_down(offset, length)
-    assert moved == 2
-    assert page.read(b) == b"b" * 64
-    assert page.read(c) == b"c" * 64
-    assert page.fragmentation == 0.0
-    Verifier(vmem).run_pass()
-
-
 def test_metadata_unverified_by_default():
     page, vmem = make_page(verify_metadata=False)
     baseline_ops = vmem.rsws.total_operations()

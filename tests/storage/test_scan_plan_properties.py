@@ -112,7 +112,7 @@ def cases(draw):
     return layout, stored, chain_id, columns
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(case=cases())
 def test_plan_decode_is_the_projection_of_generic_decode(case):
     layout, stored, chain_id, columns = case
@@ -149,7 +149,7 @@ def _float_key_case():
     return layout, layout.stored_from_row((float("inf"),), [TOP]), 0, None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(case=cases(), data=st.data())
 # bit 112 turns the key ``inf`` into a NaN, which both paths must decode
 # alike although ``nan != nan``
@@ -234,7 +234,7 @@ def chunked(codec, payloads, plan):
     return plan.chunk(payloads, partial(codec.decode, plan=plan))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(case=chunk_cases())
 def test_chunk_decode_is_the_record_by_record_decode(case):
     layout, records, chain_id, columns = case
@@ -250,7 +250,7 @@ def test_chunk_decode_is_the_record_by_record_decode(case):
     assert codec.fallbacks == 2 * misses  # the same records took the generic path
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(case=chunk_cases(), where=st.sampled_from(["start", "middle", "end"]), data=st.data())
 def test_a_damaged_record_fails_a_chunk_as_it_fails_alone(case, where, data):
     """A damaged record at the start, middle or end of a chunk: the

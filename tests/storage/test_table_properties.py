@@ -7,7 +7,7 @@ Python model — and every verification pass must close cleanly
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, Schema
@@ -17,10 +17,10 @@ from repro.storage import config as storage_config
 from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
 from repro.storage.table_store import VerifiableTable, row_chunks
-from tests.conftest import chunk_rows
+from tests.conftest import chunk_rows, relocate_on_delete
 
 
-def make_table(**config_kwargs):
+def make_table(compact_on_delete=False, **config_kwargs):
     schema = Schema(
         columns=[
             Column("pk", IntegerType()),
@@ -31,7 +31,10 @@ def make_table(**config_kwargs):
         chain_columns=("grp",),
     )
     engine = StorageEngine(StorageConfig(page_size=1024, **config_kwargs))
-    return VerifiableTable("t", schema, engine), engine
+    table = VerifiableTable("t", schema, engine)
+    if compact_on_delete:
+        relocate_on_delete(table.heap)
+    return table, engine
 
 
 _op = st.one_of(
@@ -51,18 +54,14 @@ _op = st.one_of(
 )
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=40)
 @given(ops=st.lists(_op, max_size=60))
 @pytest.mark.parametrize(
     "config",
     [
         {},
         {"verify_metadata": True},
-        {"compaction": "eager"},
+        {"compact_on_delete": True},
         {"verifier_mode": "touched"},
     ],
     ids=["default", "metadata", "eager", "touched"],
@@ -114,7 +113,7 @@ def test_random_crud_matches_model(config, ops):
     engine.verify_now()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     keys=st.lists(
         st.integers(0, 1000), min_size=1, max_size=80, unique=True
@@ -143,7 +142,7 @@ def test_chain_invariants_after_bulk_insert(keys):
     engine.verify_now()
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     data=st.lists(
         st.tuples(st.integers(0, 200), st.integers(0, 10)),
@@ -223,11 +222,7 @@ _batches = st.lists(
 )
 
 
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=30)
 @given(n_chains=st.integers(1, 3), drawn=_batches, data=st.data())
 @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
 def test_insert_many_equals_inserting_one_at_a_time(chunk, n_chains, drawn, data):
@@ -251,7 +246,7 @@ def test_insert_many_equals_inserting_one_at_a_time(chunk, n_chains, drawn, data
         engine.verify_now()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(n_chains=st.integers(1, 3), drawn=_batches, data=st.data())
 def test_a_batch_with_a_duplicate_changes_nothing(n_chains, drawn, data):
     rows = [_row(*r) for r in drawn]

@@ -39,7 +39,6 @@ MATRIX = {
     sites.WAL_FSYNC_LOST: "refuse",
     sites.WAL_REPLAY_ABORT: "replay-retry",
     sites.SPLICE_INTERRUPTION: "recover",
-    sites.COMPACTION_ABORT: "recover",
     sites.TORN_WRITE: "recover",
     sites.TRANSIENT_READ_ERROR: "recover",
     sites.EPC_SWAP_ERROR: "recover",

@@ -78,7 +78,7 @@ def _config(tmp_path, batch, cache, with_wal):
     )
 
 
-@settings(deadline=None, max_examples=12)
+@settings(max_examples=12)
 @given(
     ops=_ops,
     batch=st.sampled_from([1, 7, 256]),
